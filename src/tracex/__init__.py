@@ -26,7 +26,6 @@ from tracex.embeddings import (
 from tracex.evaluation import pearson, pr_auc, roc_auc
 from tracex.infotheory import (
     InfoRecord,
-    TokenDistribution,
     conditional_entropies,
     counts_entropy,
     info_record,
@@ -46,7 +45,6 @@ __all__ = [
     "InfoRecord",
     "Testbed",
     "TokenCounts",
-    "TokenDistribution",
     "TraceLink",
     "TrainConfig",
     "conditional_entropies",

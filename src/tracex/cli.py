@@ -8,11 +8,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from tracex.corpus import CorpusError, generate_synthetic, load_testbed, write_testbed
 from tracex.embeddings import EmbeddingError, TrainConfig, train_skipgram
-from tracex.pipeline import BPE_VOCAB_SIZES, NumericError, RunConfig, run_analysis
+from tracex.pipeline import BPE_VOCAB_SIZES, SEMANTIC_METRICS, NumericError, RunConfig, run_analysis
 from tracex.report import OrphanPolicy, ReportError, detect_orphans, extreme_cases
 from tracex.tokenization import BpeTrainingError, conventional_tokenize, train_bpe
 
@@ -43,7 +44,6 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--epochs", type=int, default=20)
     analyze.add_argument("--orphan-quantile", type=float, default=0.99)
     analyze.add_argument("--orphan-metric", default="mi", choices=["mi", "si"])
-    analyze.add_argument("--threads", type=int, default=None)
 
     validate = sub.add_parser("validate", help="check a testbed manifest")
     validate.add_argument("manifest")
@@ -79,25 +79,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_analyze(args) -> int:
-    kwargs = dict(
-        manifests=args.manifests,
-        preprocessing=args.preproc,
-        vectorizer=args.vectorizer,
-        embedding_path=args.embeddings,
-        bpe_model_path=args.bpe_model,
-        seed=args.seed,
-        out_dir=args.out,
-        dim=args.dim,
-        epochs=args.epochs,
-        orphan_quantile=args.orphan_quantile,
-        orphan_metric=args.orphan_metric,
+    cfg = RunConfig(
+        manifests=args.manifests, preprocessing=args.preproc, vectorizer=args.vectorizer,
+        embedding_path=args.embeddings, bpe_model_path=args.bpe_model, seed=args.seed,
+        out_dir=args.out, dim=args.dim, epochs=args.epochs,
+        orphan_quantile=args.orphan_quantile, orphan_metric=args.orphan_metric,
     )
-    if args.threads is not None:
-        kwargs["threads"] = args.threads
-    cfg = RunConfig(**kwargs)
     results = run_analysis(cfg)
+    # --vectorizer none leaves the semantic metrics undefined on purpose
+    expected = SEMANTIC_METRICS if cfg.vectorizer == "none" else []
     for result in results:
-        undefined = {m: n for m, n in result.undefined_counts.items() if n}
+        undefined = {m: n for m, n in result.undefined_counts.items() if n and m not in expected}
         if undefined:
             print(
                 f"{result.testbed.name}: undefined pair counts {undefined}",
@@ -168,11 +160,7 @@ def cmd_cases(args) -> int:
         policy = OrphanPolicy(quantile=args.orphan_quantile, metric=args.orphan_metric)
         listings += detect_orphans(rows, policy)
     for c in listings:
-        doc = {
-            "kind": c.kind, "source_id": c.source_id, "target_id": c.target_id,
-            "is_link": c.is_link, "value": c.value, "rank": c.rank,
-        }
-        print(json.dumps(doc, sort_keys=True) if args.json else
+        print(json.dumps(asdict(c), sort_keys=True) if args.json else
               f"{c.kind}#{c.rank}: {c.source_id} -> {c.target_id} = {c.value:.4f}")
     return 0
 

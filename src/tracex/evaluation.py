@@ -28,6 +28,13 @@ def _as_arrays(labels, scores) -> tuple[np.ndarray, np.ndarray]:
     return labels, scores
 
 
+def _tie_groups(sorted_scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First and last index of each run of equal values in a sorted array."""
+    starts = np.flatnonzero(np.r_[True, sorted_scores[1:] != sorted_scores[:-1]])
+    ends = np.r_[starts[1:], len(sorted_scores)] - 1
+    return starts, ends
+
+
 def roc_auc(labels, scores) -> float:
     """Mann-Whitney AUC: higher scores should mark positives."""
     labels, scores = _as_arrays(labels, scores)
@@ -36,66 +43,32 @@ def roc_auc(labels, scores) -> float:
     if n_pos == 0 or n_neg == 0:
         raise EvaluationError("roc_auc needs at least one positive and one negative")
     order = np.argsort(scores, kind="stable")
-    sorted_scores = scores[order]
+    starts, ends = _tie_groups(scores[order])
     ranks = np.empty(len(scores))
-    i = 0
-    while i < len(scores):
-        j = i
-        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0  # average rank, 1-based
-        i = j + 1
+    # average 1-based rank of each tie group
+    ranks[order] = np.repeat((starts + ends) / 2.0 + 1.0, ends - starts + 1)
     rank_sum = ranks[labels].sum()
     u = rank_sum - n_pos * (n_pos + 1) / 2.0
     return float(u / (n_pos * n_neg))
 
 
-def _pr_points(labels: np.ndarray, scores: np.ndarray) -> list[tuple[float, float]]:
-    """(recall, precision) at every distinct threshold, descending scores."""
-    order = np.argsort(-scores, kind="stable")
-    labels = labels[order]
-    scores = scores[order]
-    n_pos = int(labels.sum())
-    points: list[tuple[float, float]] = []
-    tp = fp = 0
-    i = 0
-    while i < len(scores):
-        j = i
-        while j + 1 < len(scores) and scores[j + 1] == scores[i]:
-            j += 1
-        tp += int(labels[i : j + 1].sum())
-        fp += (j - i + 1) - int(labels[i : j + 1].sum())
-        points.append((tp / n_pos, tp / (tp + fp)))
-        i = j + 1
-    return points
-
-
 def pr_auc(labels, scores) -> float:
     """Trapezoidal area under the precision-recall curve."""
     labels, scores = _as_arrays(labels, scores)
-    if int(labels.sum()) == 0:
+    n_pos = int(labels.sum())
+    if n_pos == 0:
         raise EvaluationError("pr_auc needs at least one positive")
-    points = _pr_points(labels, scores)
+    # (recall, precision) at every distinct threshold, descending scores
+    order = np.argsort(-scores, kind="stable")
+    _, ends = _tie_groups(scores[order])
+    tp = np.cumsum(labels[order])[ends]
+    precision = tp / (ends + 1)
     # Anchor at recall 0 with the first threshold's precision.
-    curve = [(0.0, points[0][1])] + points
-    area = 0.0
-    for (r0, p0), (r1, p1) in zip(curve, curve[1:]):
-        area += (r1 - r0) * (p0 + p1) / 2.0
-    return float(area)
-
-
-def average_precision(labels, scores) -> float:
-    """Step-interpolated alternative to the trapezoidal PR area."""
-    labels, scores = _as_arrays(labels, scores)
-    if int(labels.sum()) == 0:
-        raise EvaluationError("average_precision needs at least one positive")
-    points = _pr_points(labels, scores)
-    ap = 0.0
-    prev_recall = 0.0
-    for recall, precision in points:
-        ap += (recall - prev_recall) * precision
-        prev_recall = recall
-    return float(ap)
+    recall = np.r_[0.0, tp / n_pos]
+    precision = np.r_[precision[0], precision]
+    # cumsum adds left to right, as a running float sum would
+    steps = (recall[1:] - recall[:-1]) * (precision[:-1] + precision[1:]) / 2.0
+    return float(np.cumsum(steps)[-1])
 
 
 def pearson(xs, ys) -> float:

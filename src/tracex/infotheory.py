@@ -7,6 +7,9 @@ disjoint bags), loss = h_pool - h_y is the source information unexplained
 by the target, and noise = h_pool - h_x is target information absent from
 the source, so mi + loss = h_x and mi + noise = h_y hold exactly.
 All logarithms are base 2; values are bits.
+
+`info_record` scores one pair; `info_columns` scores every pair of a
+testbed at once and is what the pipeline uses.
 """
 
 from __future__ import annotations
@@ -14,35 +17,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from tracex.tokenization import TokenCounts
-
-
-@dataclass(frozen=True)
-class TokenDistribution:
-    probs: dict[str, float]
-
-    @property
-    def support_size(self) -> int:
-        return len(self.probs)
-
-    @classmethod
-    def from_counts(cls, counts: TokenCounts) -> "TokenDistribution":
-        total = counts.total
-        if total <= 0:
-            raise ValueError("cannot build a distribution from empty counts")
-        return cls({t: c / total for t, c in counts.counts.items() if c > 0})
-
-
-def entropy(d: TokenDistribution) -> float:
-    """H = -sum p log2 p, with 0 log 0 := 0."""
-    return -sum(p * math.log2(p) for p in d.probs.values() if p > 0.0)
-
-
-def self_information(d: TokenDistribution, token: str) -> float:
-    """-log2 p(token). Absent tokens are an error, not a p=0 limit."""
-    if token not in d.probs:
-        raise KeyError(f"token not in support: {token!r}")
-    return -math.log2(d.probs[token])
 
 
 def counts_entropy(counts: TokenCounts) -> float:
@@ -77,8 +54,9 @@ def conditional_entropies(a: TokenCounts, b: TokenCounts) -> tuple[float, float]
 
 
 def min_shared_counts(a: TokenCounts, b: TokenCounts) -> TokenCounts:
-    """Per-token minimum over the union vocabulary, zero entries retained."""
-    vocab = set(a.counts) | set(b.counts)
+    """Per-token minimum over the union vocabulary, zero entries retained, in
+    first-seen order so that sums over it do not depend on string hashing."""
+    vocab = {**a.counts, **b.counts}
     return TokenCounts({t: min(a.counts.get(t, 0), b.counts.get(t, 0)) for t in vocab})
 
 
@@ -92,7 +70,7 @@ def msi_entropy(a: TokenCounts, b: TokenCounts) -> float:
 
 def extropy(probs: list[float]) -> float:
     """J = -sum (1 - p_i) log2(1 - p_i); terms at p=0 and p=1 contribute 0."""
-    return -sum((1.0 - p) * math.log2(1.0 - p) for p in probs if 0.0 < p < 1.0)
+    return 0.0 - sum((1.0 - p) * math.log2(1.0 - p) for p in probs if 0.0 < p < 1.0)
 
 
 def msi_extropy(a: TokenCounts, b: TokenCounts) -> float:
@@ -158,4 +136,114 @@ def info_record(src_counts: TokenCounts, tgt_counts: TokenCounts) -> InfoRecord:
         si=si, sx=sx,
         d1=h_y - h_x, d2=h_y - loss, d3=h_x - noise,
         null_shared=null_shared,
+    )
+
+
+INFO_FIELDS = ("h_x", "h_y", "h_pool", "mi", "loss", "noise", "si", "sx", "d1", "d2", "d3")
+
+
+@dataclass
+class InfoColumns:
+    """Every info_record field for all (source, target) pairs of a testbed.
+
+    Each field is an (n_src, n_tgt) array, row-major in candidate order.
+    h_x needs a non-empty source, h_y a non-empty target, and the other
+    fields except si/sx need both (`defined`); undefined entries hold NaN.
+    """
+
+    h_x: np.ndarray
+    h_y: np.ndarray
+    h_pool: np.ndarray
+    mi: np.ndarray
+    loss: np.ndarray
+    noise: np.ndarray
+    si: np.ndarray
+    sx: np.ndarray
+    d1: np.ndarray
+    d2: np.ndarray
+    d3: np.ndarray
+    null_shared: np.ndarray
+    defined: np.ndarray
+
+    def mask(self, name: str) -> np.ndarray:
+        """Where field `name` holds a value."""
+        if name in ("si", "sx"):
+            return np.ones_like(self.defined)
+        if name in ("h_x", "h_y"):
+            return ~np.isnan(getattr(self, name))
+        return self.defined
+
+
+def _xlog2x(c: np.ndarray) -> np.ndarray:
+    """c log2 c elementwise, with 0 log 0 := 0."""
+    return c * np.log2(np.maximum(c, 1.0))
+
+
+def _artifact_stats(bags: list[TokenCounts]):
+    """Per artifact: total, support size, sum of c log2 c, entropy (NaN if empty)."""
+    support = [[c for c in bag.counts.values() if c > 0] for bag in bags]
+    total = np.array([sum(s) for s in support], dtype=np.float64)
+    size = np.array([len(s) for s in support])
+    xlogx = np.array([_xlog2x(np.array(s, dtype=np.float64)).sum() for s in support])
+    h = np.array([counts_entropy(b) if s else np.nan for b, s in zip(bags, support)])
+    return total, size, xlogx, h
+
+
+def info_columns(src_counts: list[TokenCounts], tgt_counts: list[TokenCounts]) -> InfoColumns:
+    """info_record for every pair of src_counts x tgt_counts, in one pass.
+
+    h_x and h_y are computed once per artifact. The pooled sum of c log2 c
+    is both artifacts' own sums plus a correction over shared tokens: each
+    source gathers its support from one target count matrix over the tokens
+    found on both sides, and that gather is also the min-shared vector for
+    si/sx. Values match info_record up to summation order.
+    """
+    vocab = [{t for bag in bags for t, c in bag.counts.items() if c > 0}
+             for bags in (src_counts, tgt_counts)]
+    col = {t: k for k, t in enumerate(vocab[0] & vocab[1])}
+    tgt = np.zeros((len(tgt_counts), len(col)), dtype=np.int32)
+    for j, bag in enumerate(tgt_counts):
+        for t in bag.counts.keys() & col.keys():
+            tgt[j, col[t]] = bag.counts[t]
+
+    n_x, size_x, xlogx_x, h_x = _artifact_stats(src_counts)
+    n_y, size_y, xlogx_y, h_y = _artifact_stats(tgt_counts)
+    shape = (len(src_counts), len(tgt_counts))
+    pooled = xlogx_x[:, None] + xlogx_y[None, :]
+    shared_size = np.zeros(shape, dtype=np.int64)
+    si, sx = np.zeros(shape), np.zeros(shape)
+    for i, bag in enumerate(src_counts):
+        gather = [(col[t], c) for t, c in bag.counts.items() if c > 0 and t in col]
+        if not gather:
+            continue
+        cols, a = zip(*gather)
+        a = np.array(a, dtype=np.float64)
+        b = tgt[:, list(cols)].astype(np.float64)
+        pooled[i] += (_xlog2x(a + b) - _xlog2x(a) - _xlog2x(b)).sum(axis=1)
+        # Sorted, left-to-right sums make si/sx a function of the shared
+        # multiset alone, so pairs with equal shared counts tie exactly.
+        shared = -np.sort(-np.minimum(a, b), axis=1)
+        total = shared.sum(axis=1)
+        safe = np.where(total > 0, total, 1.0)
+        size = (shared > 0).sum(axis=1)
+        shared_size[i] = size
+        s_xlogx = np.cumsum(_xlog2x(shared), axis=1)[:, -1]
+        si[i] = np.where(size > 1, np.log2(safe) - s_xlogx / safe, 0.0)
+        q = 1.0 - shared / safe[:, None]
+        inner = (q > 0.0) & (q < 1.0)
+        sx[i] = 0.0 - np.cumsum(q * np.log2(np.where(inner, q, 1.0)), axis=1)[:, -1]
+
+    defined = (n_x > 0)[:, None] & (n_y > 0)[None, :]
+    pooled_total = np.where(defined, n_x[:, None] + n_y[None, :], 1.0)
+    h_pool = np.log2(pooled_total) - pooled / pooled_total
+    h_pool[size_x[:, None] + size_y[None, :] - shared_size == 1] = 0.0  # point mass
+    h_pool[~defined] = np.nan
+    hx = np.repeat(h_x[:, None], shape[1], axis=1)
+    hy = np.repeat(h_y[None, :], shape[0], axis=0)
+    loss = h_pool - hy
+    noise = h_pool - hx
+    return InfoColumns(
+        h_x=hx, h_y=hy, h_pool=h_pool, mi=hx + hy - h_pool, loss=loss, noise=noise,
+        si=si, sx=sx, d1=hy - hx, d2=hy - loss, d3=hx - noise,
+        null_shared=shared_size == 0, defined=defined,
     )

@@ -1,16 +1,15 @@
 """End-to-end analysis pipeline: load -> tokenize -> per-pair metrics ->
 embeddings -> distances -> evaluation -> report files.
 
-Per-pair computation may run on multiple threads (TRACEX_THREADS); results
-are always emitted in the deterministic candidate order.
+Info measures are computed for all pairs of a testbed in one pass
+(`info_columns`); every metric is checked and evaluated as a column, and
+per-pair rows are built once, in candidate order, for the reports.
 """
 
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -27,9 +26,10 @@ from tracex.embeddings import (
     train_skipgram,
 )
 from tracex.evaluation import EvaluationError, correlation_table, pr_auc, roc_auc
-from tracex.infotheory import info_record
+from tracex.infotheory import INFO_FIELDS, info_columns
 from tracex.report import (
     OrphanPolicy,
+    ReportError,
     by_links_table,
     detect_orphans,
     extreme_cases,
@@ -65,6 +65,7 @@ SCORE_METRICS = {
 }
 
 SEMANTIC_METRICS = ["wmd_sim", "scm", "cos_sim", "euc"]
+DISTANCE_FIELDS = ["wmd", "scm", "cos", "euc", "wmd_sim", "cos_sim"]
 INFO_METRICS = ["mi", "loss", "noise", "si"]
 
 
@@ -88,24 +89,18 @@ class RunConfig:
     window: int = 5
     negatives: int = 5
     min_count: int = 1
-    threads: int = field(
-        default_factory=lambda: int(os.environ.get("TRACEX_THREADS", "1"))
-    )
 
     def __post_init__(self) -> None:
         if self.preprocessing not in ("conventional", *BPE_VOCAB_SIZES):
             raise ValueError(f"unknown preprocessing: {self.preprocessing}")
         if self.vectorizer not in ("skipgram", "pvdbow", "none"):
             raise ValueError(f"unknown vectorizer: {self.vectorizer}")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
 
 
-def tokenize_testbed(tb: Testbed, cfg: RunConfig) -> tuple[dict[str, list[str]], BpeModel | None]:
+def tokenize_testbed(tb: Testbed, cfg: RunConfig) -> dict[str, list[str]]:
     """Token sequences per (role, id) key; trains or loads BPE when requested."""
     texts = {("source", a.id): a.raw_text for a in tb.sources}
     texts.update({("target", a.id): a.raw_text for a in tb.targets})
-    model = None
     if cfg.preprocessing in BPE_VOCAB_SIZES:
         if cfg.bpe_model_path:
             model = BpeModel.load(cfg.bpe_model_path)
@@ -114,14 +109,7 @@ def tokenize_testbed(tb: Testbed, cfg: RunConfig) -> tuple[dict[str, list[str]],
         seqs = {key: bpe_encode(model, text) for key, text in texts.items()}
     else:
         seqs = {key: conventional_tokenize(text) for key, text in texts.items()}
-    return {f"{role}:{aid}": toks for (role, aid), toks in seqs.items()}, model
-
-
-def _ordered_map(fn, items, threads: int):
-    if threads <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+    return {f"{role}:{aid}": toks for (role, aid), toks in seqs.items()}
 
 
 @dataclass
@@ -133,55 +121,49 @@ class TestbedResult:
 
 
 def analyze_testbed(tb: Testbed, cfg: RunConfig) -> TestbedResult:
-    seqs, _ = tokenize_testbed(tb, cfg)
+    seqs = tokenize_testbed(tb, cfg)
     counts: dict[str, TokenCounts] = {key: count_tokens(s) for key, s in seqs.items()}
     candidates = enumerate_candidates(tb)
 
-    word_matrix, doc_vecs = _build_embeddings(tb, seqs, counts, cfg)
+    word_matrix, doc_vecs = _build_embeddings(seqs, counts, cfg)
 
-    def pair_row(cand) -> dict:
-        src = counts[f"source:{cand.source_id}"]
-        tgt = counts[f"target:{cand.target_id}"]
-        info = info_record(src, tgt)
-        row = {
-            "source_id": cand.source_id,
-            "target_id": cand.target_id,
-            "is_link": cand.is_link,
-            "h_x": info.h_x, "h_y": info.h_y, "h_pool": info.h_pool,
-            "mi": info.mi, "loss": info.loss, "noise": info.noise,
-            "si": info.si, "sx": info.sx,
-            "d1": info.d1, "d2": info.d2, "d3": info.d3,
-            "null_shared": info.null_shared,
-            "wmd": None, "scm": None, "cos": None, "euc": None,
-            "wmd_sim": None, "cos_sim": None, "wmd_relaxed": False,
-        }
-        if cfg.vectorizer != "none":
-            sv = doc_vecs.get(f"source:{cand.source_id}")
-            tv = doc_vecs.get(f"target:{cand.target_id}")
-            dist = distance_record(src, tgt, word_matrix, sv, tv)
-            row.update({
-                "wmd": dist.wmd, "scm": dist.scm, "cos": dist.cos, "euc": dist.euc,
-                "wmd_sim": dist.wmd_sim, "cos_sim": dist.cos_sim,
-                "wmd_relaxed": dist.wmd_relaxed,
-            })
-        return row
+    info = info_columns(
+        [counts[f"source:{aid}"] for aid in sorted(a.id for a in tb.sources)],
+        [counts[f"target:{aid}"] for aid in sorted(a.id for a in tb.targets)],
+    )
+    columns = {name: getattr(info, name).ravel() for name in INFO_FIELDS}
+    masks = {name: info.mask(name).ravel() for name in INFO_FIELDS}
+    dists = [] if cfg.vectorizer == "none" else [
+        distance_record(
+            counts[f"source:{c.source_id}"], counts[f"target:{c.target_id}"], word_matrix,
+            doc_vecs.get(f"source:{c.source_id}"), doc_vecs.get(f"target:{c.target_id}"),
+        )
+        for c in candidates
+    ]
+    for name in DISTANCE_FIELDS:
+        values = [getattr(d, name) for d in dists] or [None] * len(candidates)
+        masks[name] = np.array([v is not None for v in values], dtype=bool)
+        columns[name] = np.array(values, dtype=np.float64)  # None -> NaN
+    _check_finite(columns, masks, candidates)
 
-    rows = _ordered_map(pair_row, candidates, cfg.threads)
-    _check_finite(rows)
+    names = [*INFO_FIELDS, *DISTANCE_FIELDS]
+    values = [np.where(masks[n], columns[n], None).tolist() for n in names]
+    relaxed = [d.wmd_relaxed for d in dists] or [False] * len(candidates)
+    keys = ["source_id", "target_id", "is_link", "null_shared", "wmd_relaxed", *names]
+    rows = [
+        dict(zip(keys, (c.source_id, c.target_id, c.is_link, null_shared, rx, *vals)))
+        for c, null_shared, rx, *vals in zip(
+            candidates, info.null_shared.ravel().tolist(), relaxed, *values)
+    ]
 
-    undefined = {
-        metric: sum(1 for r in rows if r.get(metric) is None)
-        for metric in SCORE_METRICS
-    }
-    evaluation = _evaluate(rows)
+    undefined = {metric: int((~masks[metric]).sum()) for metric in SCORE_METRICS}
+    labels = np.array([c.is_link for c in candidates], dtype=bool)
+    evaluation = _evaluate(labels, columns, masks)
     return TestbedResult(tb, rows, evaluation, undefined)
 
 
 def _build_embeddings(
-    tb: Testbed,
-    seqs: dict[str, list[str]],
-    counts: dict[str, TokenCounts],
-    cfg: RunConfig,
+    seqs: dict[str, list[str]], counts: dict[str, TokenCounts], cfg: RunConfig
 ) -> tuple[EmbeddingMatrix | None, dict[str, np.ndarray]]:
     """Word matrix for WMD/SCM plus per-artifact document vectors for COS/EUC."""
     if cfg.vectorizer == "none":
@@ -192,11 +174,8 @@ def _build_embeddings(
     )
     keys = sorted(seqs)
     if cfg.vectorizer == "pvdbow":
-        docs = [(k, seqs[k]) for k in keys if seqs[k]]
-        dv = train_pvdbow(docs, train_cfg)
-        word_matrix = dv.word_matrix
-        doc_vecs = {doc_id: dv.vector(doc_id) for doc_id in dv.doc_ids}
-        return word_matrix, doc_vecs
+        dv = train_pvdbow([(k, seqs[k]) for k in keys if seqs[k]], train_cfg)
+        return dv.word_matrix, {doc_id: dv.vector(doc_id) for doc_id in dv.doc_ids}
     if cfg.embedding_path:
         word_matrix = load_embeddings(cfg.embedding_path)
     else:
@@ -211,35 +190,26 @@ def _build_embeddings(
     return word_matrix, doc_vecs
 
 
-def _check_finite(rows: list[dict]) -> None:
-    for row in rows:
-        for key, value in row.items():
-            if isinstance(value, float) and not np.isfinite(value):
-                raise NumericError(
-                    f"non-finite {key} for pair ({row['source_id']}, {row['target_id']})"
-                )
+def _check_finite(columns: dict[str, np.ndarray], masks: dict[str, np.ndarray], candidates) -> None:
+    """Raise NumericError on a non-finite value where a column is defined."""
+    for name, values in columns.items():
+        bad = masks[name] & ~np.isfinite(values)
+        if bad.any():
+            c = candidates[int(np.argmax(bad))]
+            raise NumericError(f"non-finite {name} for pair ({c.source_id}, {c.target_id})")
 
 
-def _evaluate(rows: list[dict]) -> dict:
-    labels_all = [r["is_link"] for r in rows]
+def _evaluate(labels: np.ndarray, columns: dict[str, np.ndarray], masks: dict[str, np.ndarray]) -> dict:
     out: dict = {"scores": {}}
     for metric, sign in SCORE_METRICS.items():
-        defined = [(l, r[metric]) for l, r in zip(labels_all, rows) if r.get(metric) is not None]
-        entry: dict = {"n_defined": len(defined), "n_excluded": len(rows) - len(defined)}
-        if defined:
-            labels, values = zip(*defined)
-            scores = [sign * v for v in values]
+        mask = masks[metric]
+        n_defined = int(mask.sum())
+        entry: dict = {"n_defined": n_defined, "n_excluded": len(mask) - n_defined}
+        for key, fn in (("roc_auc", roc_auc), ("pr_auc", pr_auc)):
             try:
-                entry["roc_auc"] = roc_auc(labels, scores)
-            except EvaluationError:
-                entry["roc_auc"] = None
-            try:
-                entry["pr_auc"] = pr_auc(labels, scores)
-            except EvaluationError:
-                entry["pr_auc"] = None
-        else:
-            entry["roc_auc"] = None
-            entry["pr_auc"] = None
+                entry[key] = fn(labels[mask], sign * columns[metric][mask])
+            except EvaluationError:  # also raised when no value is defined
+                entry[key] = None
         out["scores"][metric] = entry
     return out
 
@@ -257,19 +227,7 @@ def run_analysis(cfg: RunConfig) -> list[TestbedResult]:
     metadata = {
         "version": __version__,
         "config": {
-            "manifests": cfg.manifests,
-            "preprocessing": cfg.preprocessing,
-            "vectorizer": cfg.vectorizer,
-            "embedding_path": cfg.embedding_path,
-            "seed": cfg.seed,
-            "dim": cfg.dim,
-            "epochs": cfg.epochs,
-            "window": cfg.window,
-            "negatives": cfg.negatives,
-            "min_count": cfg.min_count,
-            "orphan_quantile": cfg.orphan_quantile,
-            "orphan_metric": cfg.orphan_metric,
-            "threads": cfg.threads,
+            k: v for k, v in asdict(cfg).items() if k not in ("bpe_model_path", "out_dir")
         },
         "testbeds": {
             r.testbed.name: {
@@ -309,7 +267,7 @@ def write_report_tree(result: TestbedResult, cfg: RunConfig, out_dir: Path) -> N
         policy = OrphanPolicy(quantile=cfg.orphan_quantile, metric=cfg.orphan_metric)
         try:
             listings += detect_orphans(rows, policy)
-        except Exception:
+        except ReportError:
             pass  # no defined link metric; census still emitted below
     write_cases_jsonl(listings, out_dir / "cases.jsonl")
 

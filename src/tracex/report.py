@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from tracex.evaluation import SummaryStats, segregate_by_label, summarize
@@ -207,10 +207,7 @@ def write_correlations_csv(cells, path: Path) -> None:
 def write_cases_jsonl(listings: list[CaseListing], path: Path) -> None:
     with path.open("w", encoding="utf-8") as fh:
         for c in listings:
-            fh.write(json.dumps({
-                "kind": c.kind, "source_id": c.source_id, "target_id": c.target_id,
-                "is_link": c.is_link, "value": c.value, "rank": c.rank,
-            }, sort_keys=True) + "\n")
+            fh.write(json.dumps(asdict(c), sort_keys=True) + "\n")
 
 
 def scatter_svg(

@@ -53,10 +53,6 @@ class TokenCounts:
     def total(self) -> int:
         return sum(self.counts.values())
 
-    @property
-    def support(self) -> list[str]:
-        return [t for t, c in self.counts.items() if c > 0]
-
 
 def count_tokens(seq: list[str]) -> TokenCounts:
     return TokenCounts(dict(Counter(seq)))

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -45,6 +48,7 @@ def test_analyze_writes_report_tree(synth_manifest, tmp_path):
     assert (out / "run.json").is_file()
     meta = json.loads((out / "run.json").read_text())
     assert meta["config"]["seed"] == 1
+    assert "threads" not in meta["config"]
     assert meta["testbeds"]["synthetic-5"]["all"] == 16
 
 
@@ -59,6 +63,50 @@ def test_analyze_vectorizer_none(synth_manifest, tmp_path):
     )
     assert evaluation["scores"]["wmd_sim"]["roc_auc"] is None
     assert evaluation["scores"]["mi"]["roc_auc"] is not None
+
+
+def test_analyze_vectorizer_none_is_silent(synth_manifest, tmp_path, capsys):
+    capsys.readouterr()
+    assert main([
+        "analyze", "--manifest", str(synth_manifest), "--vectorizer", "none",
+        "--out", str(tmp_path / "quiet"),
+    ]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_only_link_from_empty_source_skips_orphans(tmp_path):
+    tb = tmp_path / "tb"
+    for sub, files in (("src", {"A": "", "B": "alpha beta"}),
+                       ("tgt", {"X": "alpha", "Y": "beta gamma"})):
+        (tb / sub).mkdir(parents=True)
+        for name, text in files.items():
+            (tb / sub / f"{name}.txt").write_text(text)
+    (tb / "oracle.txt").write_text("A X\n")
+    (tb / "manifest.json").write_text(json.dumps({
+        "name": "empty-link", "source_dir": "src", "target_dir": "tgt",
+        "oracle_file": "oracle.txt",
+    }))
+    out = tmp_path / "out"
+    assert main([
+        "analyze", "--manifest", str(tb / "manifest.json"), "--vectorizer", "none",
+        "--out", str(out),
+    ]) == 0
+    lines = (out / "reports" / "empty-link" / "cases.jsonl").read_text().splitlines()
+    kinds = {json.loads(line)["kind"] for line in lines}
+    assert kinds == {"max_loss", "min_loss", "max_noise", "min_noise"}
+
+
+def test_records_independent_of_string_hashing(synth_manifest, tmp_path):
+    blobs = set()
+    for hash_seed in ("1", "2", "3"):
+        out = tmp_path / f"h{hash_seed}"
+        subprocess.run(
+            [sys.executable, "-m", "tracex.cli", "analyze", "--manifest", str(synth_manifest),
+             "--vectorizer", "none", "--out", str(out)],
+            env=dict(os.environ, PYTHONHASHSEED=hash_seed), check=True, timeout=60,
+        )
+        blobs.add((out / "reports" / "synthetic-5" / "records.jsonl").read_bytes())
+    assert len(blobs) == 1
 
 
 def test_analyze_bpe_preproc(synth_manifest, tmp_path):

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from tracex.evaluation import (
     EvaluationError,
-    average_precision,
     correlation_table,
     pearson,
     pr_auc,
@@ -59,6 +58,39 @@ def test_roc_auc_equals_brute_force(seed):
     assert roc_auc(labels, scores) == pytest.approx(brute_force_auc(labels, scores), abs=1e-12)
 
 
+tied_case = st.lists(
+    st.tuples(st.booleans(), st.integers(min_value=-3, max_value=3)), min_size=2, max_size=80
+).filter(lambda pairs: len({label for label, _ in pairs}) == 2)
+
+
+@given(tied_case)
+def test_roc_auc_heavy_ties_equals_mann_whitney_count(pairs):
+    labels, scores = zip(*pairs)
+    scores = [s / 2.0 for s in scores]  # at most 7 distinct values
+    assert roc_auc(labels, scores) == pytest.approx(brute_force_auc(labels, scores), abs=1e-12)
+
+
+def trapezoid_pr_auc(labels, scores):
+    """Threshold sweep one distinct score at a time, as a plain loop."""
+    pos = sum(labels)
+    area, recall, precision = 0.0, 0.0, None
+    for t in sorted(set(scores), reverse=True):
+        tp = sum(1 for l, s in zip(labels, scores) if l and s >= t)
+        n = sum(1 for s in scores if s >= t)
+        r, p = tp / pos, tp / n
+        if precision is None:
+            precision = p
+        area += (r - recall) * (precision + p) / 2.0
+        recall, precision = r, p
+    return area
+
+
+@given(tied_case)
+def test_pr_auc_heavy_ties_equals_threshold_sweep(pairs):
+    labels, scores = zip(*pairs)
+    assert pr_auc(labels, scores) == pytest.approx(trapezoid_pr_auc(labels, scores), abs=1e-12)
+
+
 def test_pr_auc_perfect_ranking():
     assert pr_auc([1, 1, 0, 0, 0], [5, 4, 3, 2, 1]) == pytest.approx(1.0)
     assert pr_auc([1], [0.9]) == pytest.approx(1.0)
@@ -86,14 +118,6 @@ def test_pr_auc_duplicate_threshold_stable():
 def test_pr_auc_needs_positive():
     with pytest.raises(EvaluationError):
         pr_auc([0, 0], [0.1, 0.2])
-
-
-def test_average_precision_in_range():
-    rng = np.random.default_rng(0)
-    labels = rng.random(200) < 0.1
-    labels[0] = True
-    scores = rng.random(200)
-    assert 0.0 <= average_precision(labels, scores) <= 1.0
 
 
 def test_pearson_basics():

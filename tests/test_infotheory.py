@@ -1,52 +1,33 @@
 import math
+import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from tracex.corpus import CandidatePair
 from tracex.infotheory import (
+    INFO_FIELDS,
     InfoRecord,
-    TokenDistribution,
     conditional_entropies,
     counts_entropy,
-    entropy,
     extropy,
+    info_columns,
     info_record,
     min_shared_counts,
     msi_entropy,
     msi_extropy,
     pool,
     pooled_mutual_information,
-    self_information,
 )
+from tracex.pipeline import NumericError, _check_finite
 from tracex.tokenization import TokenCounts, count_tokens
 
 A = TokenCounts({"for": 14, "if": 3, "return": 10})
 B = TokenCounts({"for": 10, "return": 20})
-
-
-def test_entropy_uniform_and_singleton():
-    assert entropy(TokenDistribution({"a": 0.25, "b": 0.25, "c": 0.25, "d": 0.25})) == 2.0
-    assert entropy(TokenDistribution({"only": 1.0})) == 0.0
-
-
-def test_entropy_hand_sum():
-    d = TokenDistribution({"a": 0.5, "b": 0.25, "c": 0.25})
-    assert entropy(d) == pytest.approx(1.5, abs=1e-12)
-
-
-def test_self_information():
-    d = TokenDistribution({"a": 1.0})
-    assert self_information(d, "a") == 0.0
-    d = TokenDistribution({"a": 0.25, "b": 0.75})
-    assert self_information(d, "a") == pytest.approx(2.0)
-    with pytest.raises(KeyError):
-        self_information(d, "missing")
-
-
-def test_distribution_requires_mass():
-    with pytest.raises(ValueError):
-        TokenDistribution.from_counts(TokenCounts({}))
 
 
 def test_pool_examples():
@@ -70,6 +51,25 @@ def test_mi_disjoint_singletons_negative():
 
 def test_conditional_entropies_identical():
     assert conditional_entropies(B, B) == (pytest.approx(0.0), pytest.approx(0.0))
+
+
+def test_info_record_independent_of_string_hashing():
+    code = (
+        "from tracex.infotheory import info_record\n"
+        "from tracex.tokenization import TokenCounts\n"
+        "a = TokenCounts({f'w{i}': i % 5 + 1 for i in range(30)})\n"
+        "b = TokenCounts({f'w{i}': i % 3 + 1 for i in range(10, 40)})\n"
+        "r = info_record(a, b)\n"
+        "print(r.si.hex(), r.sx.hex())\n"
+    )
+    outputs = {
+        subprocess.run(
+            [sys.executable, "-c", code], env=dict(os.environ, PYTHONHASHSEED=seed),
+            capture_output=True, text=True, check=True, timeout=60,
+        ).stdout
+        for seed in ("1", "2", "3")
+    }
+    assert len(outputs) == 1
 
 
 def test_min_shared_vector():
@@ -182,3 +182,68 @@ def test_si_zero_iff_at_most_one_shared_token(ca, cb):
 def test_two_outcome_extropy_equals_entropy(c1, c2):
     a = TokenCounts({"x": c1, "y": c2})
     assert msi_extropy(a, a) == pytest.approx(msi_entropy(a, a), abs=1e-12)
+
+
+def test_extropy_of_point_mass_is_float_zero():
+    assert repr(msi_extropy(A, TokenCounts({"for": 2}))) == "0.0"
+
+
+# Bags for the all-pairs engine: empty, single-token and skewed counts over a
+# small alphabet, so that shared, disjoint and identical pairs all occur.
+bag_strategy = st.dictionaries(
+    st.sampled_from(["a", "b", "c", "d", "e", "f", "gg", "hh"]),
+    st.one_of(st.integers(1, 3), st.integers(1, 10**6)),
+    max_size=6,
+)
+
+
+def assert_columns_match_records(src, tgt):
+    cols = info_columns(src, tgt)
+    for i, a in enumerate(src):
+        for j, b in enumerate(tgt):
+            rec = info_record(a, b)
+            assert bool(cols.null_shared[i, j]) == rec.null_shared
+            assert bool(cols.defined[i, j]) == rec.defined
+            for name in INFO_FIELDS:
+                expected = getattr(rec, name)
+                got = getattr(cols, name)[i, j]
+                assert bool(cols.mask(name)[i, j]) == (expected is not None), name
+                if expected is None:
+                    assert math.isnan(got), name
+                else:
+                    assert abs(got - expected) <= 1e-12, (name, got, expected)
+                    if expected == 0.0 and name in ("h_pool", "si", "sx"):
+                        assert got == 0.0, name  # point masses stay exact
+
+
+@given(st.lists(bag_strategy, min_size=1, max_size=4), st.lists(bag_strategy, min_size=1, max_size=4))
+def test_info_columns_match_info_record(src_dicts, tgt_dicts):
+    src = [TokenCounts(d) for d in src_dicts]
+    tgt = [TokenCounts(d) for d in tgt_dicts]
+    tgt.append(TokenCounts(dict(src_dicts[0])))  # identical bags
+    tgt.append(TokenCounts({f"x{t}": c for t, c in src_dicts[0].items()}))  # disjoint bags
+    assert_columns_match_records(src, tgt)
+
+
+def test_info_columns_degenerate_bags():
+    bags = [
+        TokenCounts({}), TokenCounts({"a": 1}), TokenCounts({"a": 7}), TokenCounts({"b": 2}),
+        TokenCounts({"a": 1, "b": 1}), A, B, TokenCounts({"for": 10**6, "if": 1}),
+    ]
+    assert_columns_match_records(bags, bags)
+    cols = info_columns(bags, bags)
+    assert cols.h_pool[1, 2] == 0.0 and cols.mi[1, 2] == 0.0  # same point mass
+    assert cols.si.shape == (len(bags), len(bags))
+
+
+def test_check_finite_only_over_defined_entries():
+    cols = info_columns([TokenCounts({}), A], [B])
+    cands = [CandidatePair("s0", "t0", False), CandidatePair("s1", "t0", True)]
+    columns = {name: getattr(cols, name).ravel() for name in INFO_FIELDS}
+    masks = {name: cols.mask(name).ravel() for name in INFO_FIELDS}
+    assert math.isnan(columns["mi"][0]) and not masks["mi"][0]
+    _check_finite(columns, masks, cands)  # NaN at the undefined pair is fine
+    columns["mi"] = columns["mi"].copy()
+    columns["mi"][1] = np.nan
+    with pytest.raises(NumericError, match=r"mi for pair \(s1, t0\)"):
+        _check_finite(columns, masks, cands)
