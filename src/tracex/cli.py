@@ -14,7 +14,7 @@ from pathlib import Path
 from tracex.corpus import CorpusError, generate_synthetic, load_testbed, write_testbed
 from tracex.embeddings import EmbeddingError, TrainConfig, train_skipgram
 from tracex.pipeline import BPE_VOCAB_SIZES, SEMANTIC_METRICS, NumericError, RunConfig, run_analysis
-from tracex.report import OrphanPolicy, ReportError, detect_orphans, extreme_cases
+from tracex.report import OrphanPolicy, ReportError, detect_orphans, extreme_cases, read_records
 from tracex.tokenization import BpeTrainingError, conventional_tokenize, train_bpe
 
 EXIT_CONFIG = 1
@@ -151,14 +151,13 @@ def cmd_train_embeddings(args) -> int:
 
 
 def cmd_cases(args) -> int:
-    path = Path(args.records)
-    if not path.is_file():
-        raise CorpusError(f"records file not found: {path}")
-    rows = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines() if line]
-    listings = extreme_cases(rows, args.metric, args.k)
-    if any(r["is_link"] for r in rows):
-        policy = OrphanPolicy(quantile=args.orphan_quantile, metric=args.orphan_metric)
-        listings += detect_orphans(rows, policy)
+    policy = OrphanPolicy(quantile=args.orphan_quantile, metric=args.orphan_metric)
+    if args.k < 1:
+        raise ValueError(f"--k must be >= 1, got {args.k}")
+    records = read_records(Path(args.records))
+    listings = extreme_cases(records, args.metric, args.k)
+    if records["is_link"].any():
+        listings += detect_orphans(records, policy)
     for c in listings:
         print(json.dumps(asdict(c), sort_keys=True) if args.json else
               f"{c.kind}#{c.rank}: {c.source_id} -> {c.target_id} = {c.value:.4f}")

@@ -102,13 +102,13 @@ def load_testbed(manifest_path: str | Path) -> Testbed:
         raise CorpusError(f"manifest not found: {manifest_path}")
     try:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not UTF-8 or not JSON
         raise CorpusError(f"malformed manifest {manifest_path}: {exc}") from exc
 
     base = manifest_path.parent
     for key in ("name", "source_dir", "target_dir", "oracle_file"):
-        if key not in manifest:
-            raise CorpusError(f"manifest missing required key: {key}")
+        if not isinstance(manifest, dict) or not isinstance(manifest.get(key), str):
+            raise CorpusError(f"manifest needs a string for the required key: {key}")
 
     sources = _read_artifact_dir(base / manifest["source_dir"], "source")
     targets = _read_artifact_dir(base / manifest["target_dir"], "target")
@@ -144,8 +144,12 @@ def _read_artifact_dir(directory: Path, role: str) -> list[Artifact]:
 def _read_oracle(path: Path) -> set[TraceLink]:
     if not path.is_file():
         raise CorpusError(f"oracle file not found: {path}")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise CorpusError(f"oracle file {path} is not UTF-8: {exc}") from exc
     links: set[TraceLink] = set()
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

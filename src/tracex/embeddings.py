@@ -72,7 +72,10 @@ class EmbeddingMatrix:
 def load_embeddings(path: str | Path) -> EmbeddingMatrix:
     """Read the plain-text interchange format: header `<count> <dim>`, then
     one `<token> <f1> ... <fdim>` line per token."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise EmbeddingError(f"{path}: unreadable embedding file: {exc}") from exc
     if not lines:
         raise EmbeddingError(f"{path}: empty embedding file")
     header = lines[0].split()
@@ -93,7 +96,10 @@ def load_embeddings(path: str | Path) -> EmbeddingMatrix:
             raise EmbeddingError(f"{path}:{lineno}: duplicate token {token!r}")
         seen.add(token)
         vocab.append(token)
-        rows[lineno - 2] = [float(x) for x in fields[1:]]
+        try:
+            rows[lineno - 2] = [float(x) for x in fields[1:]]
+        except ValueError as exc:
+            raise EmbeddingError(f"{path}:{lineno}: {exc}") from exc
     return EmbeddingMatrix(vocab=vocab, vectors=rows)
 
 
@@ -130,7 +136,6 @@ def _sgns_step(
     pos_idx: int,
     negatives: np.ndarray,
     lr: float,
-    train_output: bool = True,
 ) -> float:
     """One negative-sampling update; returns the step's loss."""
     targets = np.concatenate(([pos_idx], negatives))
@@ -141,8 +146,7 @@ def _sgns_step(
     preds = 1.0 / (1.0 + np.exp(-scores))
     grad = preds - labels
     grad_v = grad @ w_out[targets]
-    if train_output:
-        w_out[targets] -= lr * grad[:, None] * v
+    w_out[targets] -= lr * grad[:, None] * v
     w_in[in_idx] -= lr * grad_v
     eps = 1e-12
     return float(-(math.log(preds[0] + eps) + np.log(1.0 - preds[1:] + eps).sum()))
@@ -201,14 +205,8 @@ def train_skipgram(corpus: list[list[str]], cfg: TrainConfig) -> TrainedWordMode
 class DocVectors:
     doc_ids: list[str]
     vectors: np.ndarray  # |docs| x dim
-    word_matrix: EmbeddingMatrix  # frozen output-side word vectors
-    cfg: TrainConfig
-    noise_counts: np.ndarray
+    word_matrix: EmbeddingMatrix  # output-side word vectors
     epoch_losses: list[float] = field(default_factory=list)
-
-    @property
-    def dim(self) -> int:
-        return self.vectors.shape[1]
 
     def vector(self, doc_id: str) -> np.ndarray:
         return self.vectors[self.doc_ids.index(doc_id)]
@@ -250,31 +248,8 @@ def train_pvdbow(docs: list[tuple[str, list[str]]], cfg: TrainConfig) -> DocVect
         doc_ids=[doc_id for doc_id, _ in docs],
         vectors=d_vecs,
         word_matrix=EmbeddingMatrix(vocab=vocab, vectors=w_out.copy()),
-        cfg=cfg,
-        noise_counts=counts,
         epoch_losses=epoch_losses,
     )
-
-
-def infer_doc_vector(tokens: list[str], dv: DocVectors, steps: int = 50) -> np.ndarray:
-    """Gradient steps on a fresh doc vector with the word matrix frozen."""
-    known = [dv.word_matrix.index[t] for t in tokens if t in dv.word_matrix.index]
-    if not known:
-        raise EmbeddingError("no overlap with the trained vocabulary")
-    rng = np.random.default_rng(dv.cfg.seed)
-    sampler = _NoiseSampler(dv.noise_counts, rng)
-    vec = (rng.random((1, dv.dim)) - 0.5) / dv.dim
-    w_out = dv.word_matrix.vectors
-    lr0 = dv.cfg.learning_rate
-    total = max(1, steps * len(known))
-    processed = 0
-    for _ in range(steps):
-        for word_idx in known:
-            lr = max(lr0 * MIN_LR_FRACTION, lr0 * (1.0 - processed / total))
-            processed += 1
-            negs = sampler.draw(dv.cfg.negatives)
-            _sgns_step(vec, w_out, 0, word_idx, negs, lr, train_output=False)
-    return vec[0]
 
 
 def mean_doc_vector(counts, m: EmbeddingMatrix) -> np.ndarray:

@@ -96,7 +96,7 @@ class SummaryStats:
 
 
 def summarize(values) -> SummaryStats:
-    values = np.asarray(list(values), dtype=np.float64)
+    values = np.asarray(values, dtype=np.float64)
     if len(values) == 0:
         raise EvaluationError("cannot summarize an empty list")
     std = float(values.std(ddof=1)) if len(values) > 1 else 0.0
@@ -108,20 +108,6 @@ def summarize(values) -> SummaryStats:
     )
 
 
-def segregate_by_label(
-    rows: list[dict], metrics: list[str]
-) -> dict[str, dict[str, SummaryStats | None]]:
-    """Summaries per metric for link vs non-link rows; rows must carry
-    'is_link' plus the metric fields (None values are excluded per metric)."""
-    out: dict[str, dict[str, SummaryStats | None]] = {"link": {}, "non_link": {}}
-    for group, flag in (("link", True), ("non_link", False)):
-        subset = [r for r in rows if r["is_link"] == flag]
-        for metric in metrics:
-            values = [r[metric] for r in subset if r.get(metric) is not None]
-            out[group][metric] = summarize(values) if values else None
-    return out
-
-
 @dataclass(frozen=True)
 class CorrelationCell:
     metric_a: str
@@ -131,26 +117,19 @@ class CorrelationCell:
 
 
 def correlation_table(
-    rows: list[dict],
+    records: dict,
     semantic_metrics: list[str],
     info_metrics: list[str],
 ) -> list[CorrelationCell]:
-    """Pearson r for every (semantic, info) metric combination."""
+    """Pearson r for every (semantic, info) metric combination, over the
+    pairs where both are defined; None where r is undefined."""
     cells = []
     for sm in semantic_metrics:
         for im in info_metrics:
-            paired = [
-                (r[sm], r[im])
-                for r in rows
-                if r.get(sm) is not None and r.get(im) is not None
-            ]
-            if len(paired) < 2:
-                cells.append(CorrelationCell(sm, im, None, len(paired)))
-                continue
-            xs, ys = zip(*paired)
+            both = ~(np.isnan(records[sm]) | np.isnan(records[im]))
             try:
-                r = pearson(xs, ys)
-            except EvaluationError:
+                r = pearson(records[sm][both], records[im][both])
+            except EvaluationError:  # fewer than two pairs or zero variance
                 r = None
-            cells.append(CorrelationCell(sm, im, r, len(paired)))
+            cells.append(CorrelationCell(sm, im, r, int(both.sum())))
     return cells

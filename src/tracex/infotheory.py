@@ -104,7 +104,6 @@ class InfoRecord:
     d2: float | None
     d3: float | None
     null_shared: bool
-    defined: bool = True
 
 
 def info_record(src_counts: TokenCounts, tgt_counts: TokenCounts) -> InfoRecord:
@@ -122,7 +121,7 @@ def info_record(src_counts: TokenCounts, tgt_counts: TokenCounts) -> InfoRecord:
         return InfoRecord(
             h_x=h_x, h_y=h_y, h_pool=None, mi=None, loss=None, noise=None,
             si=si, sx=sx, d1=None, d2=None, d3=None,
-            null_shared=null_shared, defined=False,
+            null_shared=null_shared,
         )
 
     h_x = counts_entropy(src_counts)

@@ -2,8 +2,8 @@
 embeddings -> distances -> evaluation -> report files.
 
 Info measures are computed for all pairs of a testbed in one pass
-(`info_columns`); every metric is checked and evaluated as a column, and
-per-pair rows are built once, in candidate order, for the reports.
+(`info_columns`); every metric is checked, evaluated and reported as a
+column of one records table (layout in `tracex.report`).
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from tracex import __version__
-from tracex.corpus import Testbed, enumerate_candidates, load_testbed
+from tracex.corpus import CorpusError, Testbed, enumerate_candidates, load_testbed
 from tracex.embeddings import (
     EmbeddingError,
     EmbeddingMatrix,
@@ -40,8 +40,7 @@ from tracex.report import (
     write_cases_jsonl,
     write_correlations_csv,
     write_information_csv,
-    write_records_csv,
-    write_records_jsonl,
+    write_records,
 )
 from tracex.semantics import distance_record
 from tracex.tokenization import (
@@ -95,6 +94,7 @@ class RunConfig:
             raise ValueError(f"unknown preprocessing: {self.preprocessing}")
         if self.vectorizer not in ("skipgram", "pvdbow", "none"):
             raise ValueError(f"unknown vectorizer: {self.vectorizer}")
+        OrphanPolicy(self.orphan_quantile, self.orphan_metric)  # validates both
 
 
 def tokenize_testbed(tb: Testbed, cfg: RunConfig) -> dict[str, list[str]]:
@@ -115,7 +115,7 @@ def tokenize_testbed(tb: Testbed, cfg: RunConfig) -> dict[str, list[str]]:
 @dataclass
 class TestbedResult:
     testbed: Testbed
-    rows: list[dict]
+    records: dict  # see tracex.report
     evaluation: dict
     undefined_counts: dict[str, int]
 
@@ -144,22 +144,18 @@ def analyze_testbed(tb: Testbed, cfg: RunConfig) -> TestbedResult:
         values = [getattr(d, name) for d in dists] or [None] * len(candidates)
         masks[name] = np.array([v is not None for v in values], dtype=bool)
         columns[name] = np.array(values, dtype=np.float64)  # None -> NaN
-    _check_finite(columns, masks, candidates)
+    _check_finite(columns, masks, candidates)  # from here on NaN marks exactly the undefined
 
-    names = [*INFO_FIELDS, *DISTANCE_FIELDS]
-    values = [np.where(masks[n], columns[n], None).tolist() for n in names]
-    relaxed = [d.wmd_relaxed for d in dists] or [False] * len(candidates)
-    keys = ["source_id", "target_id", "is_link", "null_shared", "wmd_relaxed", *names]
-    rows = [
-        dict(zip(keys, (c.source_id, c.target_id, c.is_link, null_shared, rx, *vals)))
-        for c, null_shared, rx, *vals in zip(
-            candidates, info.null_shared.ravel().tolist(), relaxed, *values)
-    ]
-
-    undefined = {metric: int((~masks[metric]).sum()) for metric in SCORE_METRICS}
-    labels = np.array([c.is_link for c in candidates], dtype=bool)
-    evaluation = _evaluate(labels, columns, masks)
-    return TestbedResult(tb, rows, evaluation, undefined)
+    records = {
+        "source_id": [c.source_id for c in candidates],
+        "target_id": [c.target_id for c in candidates],
+        "is_link": np.array([c.is_link for c in candidates], dtype=bool),
+        "null_shared": info.null_shared.ravel(),
+        "wmd_relaxed": np.array([d.wmd_relaxed for d in dists] or [False] * len(candidates)),
+        **columns,
+    }
+    undefined = {metric: int(np.isnan(records[metric]).sum()) for metric in SCORE_METRICS}
+    return TestbedResult(tb, records, _evaluate(records), undefined)
 
 
 def _build_embeddings(
@@ -199,15 +195,15 @@ def _check_finite(columns: dict[str, np.ndarray], masks: dict[str, np.ndarray], 
             raise NumericError(f"non-finite {name} for pair ({c.source_id}, {c.target_id})")
 
 
-def _evaluate(labels: np.ndarray, columns: dict[str, np.ndarray], masks: dict[str, np.ndarray]) -> dict:
+def _evaluate(records: dict) -> dict:
     out: dict = {"scores": {}}
     for metric, sign in SCORE_METRICS.items():
-        mask = masks[metric]
+        mask = ~np.isnan(records[metric])
         n_defined = int(mask.sum())
         entry: dict = {"n_defined": n_defined, "n_excluded": len(mask) - n_defined}
         for key, fn in (("roc_auc", roc_auc), ("pr_auc", pr_auc)):
             try:
-                entry[key] = fn(labels[mask], sign * columns[metric][mask])
+                entry[key] = fn(records["is_link"][mask], sign * records[metric][mask])
             except EvaluationError:  # also raised when no value is defined
                 entry[key] = None
         out["scores"][metric] = entry
@@ -216,11 +212,17 @@ def _evaluate(labels: np.ndarray, columns: dict[str, np.ndarray], masks: dict[st
 
 def run_analysis(cfg: RunConfig) -> list[TestbedResult]:
     """Analyze every manifest and write the full report tree under out_dir."""
+    testbeds = [load_testbed(manifest) for manifest in cfg.manifests]
+    names = [tb.name for tb in testbeds]
+    for name in names:  # each name is a report directory under out/reports/
+        if name in ("", ".", "..") or any(sep in name for sep in "/\\\0"):
+            raise CorpusError(f"testbed name {name!r} is not one safe path component")
+        if names.count(name) > 1:
+            raise CorpusError(f"two testbeds are named {name!r}; their reports would collide")
     out_root = Path(cfg.out_dir)
     out_root.mkdir(parents=True, exist_ok=True)
     results = []
-    for manifest in cfg.manifests:
-        tb = load_testbed(manifest)
+    for tb in testbeds:
         result = analyze_testbed(tb, cfg)
         write_report_tree(result, cfg, out_root / "reports" / tb.name)
         results.append(result)
@@ -248,39 +250,38 @@ def run_analysis(cfg: RunConfig) -> list[TestbedResult]:
 
 def write_report_tree(result: TestbedResult, cfg: RunConfig, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    rows = result.rows
+    records = result.records
     tb = result.testbed
 
-    write_records_csv(rows, out_dir / "records.csv")
-    write_records_jsonl(rows, out_dir / "records.jsonl")
+    write_records(records, out_dir / "records.csv", out_dir / "records.jsonl")
     write_information_csv(
-        [information_table(rows, tb.name)], out_dir / "information.csv"
+        [information_table(records, tb.name)], out_dir / "information.csv"
     )
-    write_by_links_csv(by_links_table(rows), out_dir / "by_links.csv")
+    write_by_links_csv(by_links_table(records), out_dir / "by_links.csv")
     write_correlations_csv(
-        correlation_table(rows, SEMANTIC_METRICS, INFO_METRICS),
+        correlation_table(records, SEMANTIC_METRICS, INFO_METRICS),
         out_dir / "correlations.csv",
     )
 
-    listings = extreme_cases(rows, "loss") + extreme_cases(rows, "noise")
+    listings = extreme_cases(records, "loss") + extreme_cases(records, "noise")
     if tb.n_links > 0:
         policy = OrphanPolicy(quantile=cfg.orphan_quantile, metric=cfg.orphan_metric)
         try:
-            listings += detect_orphans(rows, policy)
+            listings += detect_orphans(records, policy)
         except ReportError:
             pass  # no defined link metric; census still emitted below
     write_cases_jsonl(listings, out_dir / "cases.jsonl")
 
     for color in ("loss", "noise"):
         (out_dir / f"scatter_{color}.svg").write_text(
-            scatter_svg(rows, color_key=color) + "\n", encoding="utf-8"
+            scatter_svg(records, color_key=color) + "\n", encoding="utf-8"
         )
 
     evaluation = {
         "testbed": tb.name,
         "counts": {"all": tb.n_all, "links": tb.n_links, "non_links": tb.n_non_links},
         "aggregation": "per candidate pair",
-        "null_shared": null_shared_census(rows),
+        "null_shared": null_shared_census(records),
         "undefined_pair_counts": result.undefined_counts,
         **result.evaluation,
     }

@@ -1,6 +1,12 @@
-"""Interpretive report surfaces over the per-pair record stream.
+"""Interpretive report surfaces over the per-pair records.
 
-Tables and case listings are pure views of the record rows; emission is
+`records`, the one per-pair table from scoring to the files, maps each
+column name to one value per candidate pair, in candidate order: ids are
+lists of str, BOOL_COLUMNS are bool arrays, and every other column is a
+float64 array with NaN exactly where its metric is undefined. `analyze`
+makes RECORD_COLUMNS (those of records.csv/.jsonl) plus `d2` and `d3`.
+
+Tables and case listings are pure views of the records; emission is
 deterministic byte-for-byte given identical inputs. Column naming keeps
 both conventions from the published-table layout: `ci_noise` carries
 H_pool - H(Y) (semantically the loss) and `ci_loss` carries H_pool - H(X)
@@ -15,13 +21,17 @@ import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from tracex.evaluation import SummaryStats, segregate_by_label, summarize
+import numpy as np
+
+from tracex.evaluation import SummaryStats, summarize
 
 RECORD_COLUMNS = [
     "source_id", "target_id", "is_link",
     "h_x", "h_y", "h_pool", "mi", "loss", "noise", "si", "sx", "d1", "null_shared",
     "wmd", "scm", "cos", "euc", "wmd_sim", "cos_sim", "wmd_relaxed",
 ]
+ID_COLUMNS = ("source_id", "target_id")
+BOOL_COLUMNS = ("is_link", "null_shared", "wmd_relaxed")
 
 BY_LINKS_METRICS = ["scm", "wmd_sim", "cos", "euc", "h_x", "h_y", "ci_noise", "ci_loss", "mi", "si", "sx"]
 
@@ -36,10 +46,11 @@ class OrphanPolicy:
     metric: str = "mi"
 
     def __post_init__(self) -> None:
+        # plain ValueError: a bad policy is a configuration error
         if not 0.0 < self.quantile < 1.0:
-            raise ReportError(f"quantile must be inside (0, 1), got {self.quantile}")
+            raise ValueError(f"orphan quantile must be inside (0, 1), got {self.quantile}")
         if self.metric not in ("mi", "si"):
-            raise ReportError(f"orphan metric must be mi or si, got {self.metric}")
+            raise ValueError(f"orphan metric must be mi or si, got {self.metric}")
 
 
 @dataclass(frozen=True)
@@ -52,67 +63,69 @@ class CaseListing:
     rank: int
 
 
-def _mean(rows: list[dict], key: str) -> float | None:
-    values = [r[key] for r in rows if r.get(key) is not None]
+def _mean(records: dict, key: str) -> float | None:
+    values = records[key][~np.isnan(records[key])].tolist()
+    # left-to-right Python sum: np.mean's pairwise sum moves the last bits
     return sum(values) / len(values) if values else None
 
 
-def information_table(rows: list[dict], testbed: str, experiment: str = "") -> dict:
+def information_table(records: dict, testbed: str, experiment: str = "") -> dict:
     """One aggregate row per (experiment, testbed) in the published layout."""
-    si = summarize([r["si"] for r in rows]) if rows else None
-    sx = summarize([r["sx"] for r in rows]) if rows else None
-    mean_loss = _mean(rows, "loss")
-    mean_noise = _mean(rows, "noise")
     return {
         "experiment": experiment,
         "testbed": testbed,
-        "h_x": _mean(rows, "h_x"),
-        "h_y": _mean(rows, "h_y"),
-        "d1": _mean(rows, "d1"),
-        "ci_noise": mean_loss,   # H_pool - H(Y): printed noise column
-        "d2": _mean(rows, "d2"),
-        "ci_loss": mean_noise,   # H_pool - H(X): printed loss column
-        "d3": _mean(rows, "d3"),
-        "mi": _mean(rows, "mi"),
-        "si": si.formatted() if si else "",
-        "sx": sx.formatted() if sx else "",
+        "h_x": _mean(records, "h_x"),
+        "h_y": _mean(records, "h_y"),
+        "d1": _mean(records, "d1"),
+        "ci_noise": _mean(records, "loss"),   # H_pool - H(Y): printed noise column
+        "d2": _mean(records, "d2"),
+        "ci_loss": _mean(records, "noise"),   # H_pool - H(X): printed loss column
+        "d3": _mean(records, "d3"),
+        "mi": _mean(records, "mi"),
+        "si": summarize(records["si"]).formatted() if len(records["si"]) else "",
+        "sx": summarize(records["sx"]).formatted() if len(records["sx"]) else "",
     }
 
 
-def by_links_table(rows: list[dict]) -> dict[str, dict[str, SummaryStats | None]]:
-    """Segregated summaries with Link / NoL column pairs per metric."""
-    widened = [
-        {**r, "ci_noise": r.get("loss"), "ci_loss": r.get("noise")}
-        for r in rows
+def by_links_table(records: dict) -> dict[str, dict[str, SummaryStats | None]]:
+    """Summaries of each BY_LINKS_METRICS column for link vs non-link pairs,
+    over the pairs where the metric is defined."""
+    columns = {**records, "ci_noise": records["loss"], "ci_loss": records["noise"]}
+    out: dict[str, dict[str, SummaryStats | None]] = {"link": {}, "non_link": {}}
+    for group, selected in (("link", records["is_link"]), ("non_link", ~records["is_link"])):
+        for metric in BY_LINKS_METRICS:
+            values = columns[metric][selected]
+            values = values[~np.isnan(values)]
+            out[group][metric] = summarize(values) if len(values) else None
+    return out
+
+
+def _listing(kind: str, records: dict, values: list[float], ranked: list[int]) -> list[CaseListing]:
+    return [
+        CaseListing(kind, records["source_id"][i], records["target_id"][i],
+                    bool(records["is_link"][i]), values[i], rank)
+        for rank, i in enumerate(ranked, start=1)
     ]
-    return segregate_by_label(widened, BY_LINKS_METRICS)
 
 
-def extreme_cases(rows: list[dict], metric: str, k: int = 5) -> list[CaseListing]:
+def extreme_cases(records: dict, metric: str, k: int = 5) -> list[CaseListing]:
     """Top-k and bottom-k pairs by metric, ties broken by id order."""
     if metric not in ("loss", "noise"):
         raise ReportError(f"extreme_cases metric must be loss or noise, got {metric}")
     if k < 1:
         raise ReportError("k must be >= 1")
-    defined = [r for r in rows if r.get(metric) is not None]
-    by_id = sorted(defined, key=lambda r: (r["source_id"], r["target_id"]))
-    top = sorted(by_id, key=lambda r: -r[metric])[:k]
-    bottom = sorted(by_id, key=lambda r: r[metric])[:k]
-    listings = [
-        CaseListing(f"max_{metric}", r["source_id"], r["target_id"], r["is_link"], r[metric], i + 1)
-        for i, r in enumerate(top)
-    ]
-    listings += [
-        CaseListing(f"min_{metric}", r["source_id"], r["target_id"], r["is_link"], r[metric], i + 1)
-        for i, r in enumerate(bottom)
-    ]
-    return listings
+    values = records[metric].tolist()
+    src, tgt = records["source_id"], records["target_id"]
+    by_id = sorted(np.flatnonzero(~np.isnan(records[metric])).tolist(),
+                   key=lambda i: (src[i], tgt[i]))
+    top = sorted(by_id, key=lambda i: -values[i])[:k]
+    bottom = sorted(by_id, key=lambda i: values[i])[:k]
+    return _listing(f"max_{metric}", records, values, top) + _listing(
+        f"min_{metric}", records, values, bottom)
 
 
 def _quantile(sorted_values: list[float], q: float) -> float:
-    """Linear-interpolation quantile over a pre-sorted list."""
-    if not sorted_values:
-        raise ReportError("quantile of empty list")
+    """Linear-interpolation quantile over a pre-sorted, non-empty list."""
     pos = q * (len(sorted_values) - 1)
     lo = math.floor(pos)
     hi = math.ceil(pos)
@@ -122,53 +135,84 @@ def _quantile(sorted_values: list[float], q: float) -> float:
     return sorted_values[lo] * (1 - frac) + sorted_values[hi] * frac
 
 
-def detect_orphans(rows: list[dict], policy: OrphanPolicy = OrphanPolicy()) -> list[CaseListing]:
+def detect_orphans(records: dict, policy: OrphanPolicy = OrphanPolicy()) -> list[CaseListing]:
     """Non-link pairs whose metric reaches the high quantile of true links."""
-    link_values = sorted(
-        r[policy.metric] for r in rows if r["is_link"] and r.get(policy.metric) is not None
-    )
+    column = records[policy.metric]
+    is_link = records["is_link"]
+    link_values = sorted(column[is_link & ~np.isnan(column)].tolist())
     if not link_values:
         raise ReportError("orphan detection needs at least one true link with a defined metric")
     threshold = _quantile(link_values, policy.quantile)
-    candidates = [
-        r for r in rows
-        if not r["is_link"] and r.get(policy.metric) is not None and r[policy.metric] >= threshold
-    ]
-    candidates.sort(key=lambda r: (-r[policy.metric], r["source_id"], r["target_id"]))
-    return [
-        CaseListing("orphan_link", r["source_id"], r["target_id"], False, r[policy.metric], i + 1)
-        for i, r in enumerate(candidates)
-    ]
+    values = column.tolist()
+    src, tgt = records["source_id"], records["target_id"]
+    hits = sorted(np.flatnonzero(~is_link & (column >= threshold)).tolist(),
+                  key=lambda i: (-values[i], src[i], tgt[i]))
+    return _listing("orphan_link", records, values, hits)
 
 
-def null_shared_census(rows: list[dict]) -> dict[str, int]:
-    total = sum(1 for r in rows if r["null_shared"])
-    links = sum(1 for r in rows if r["null_shared"] and r["is_link"])
-    return {"count_total": total, "count_links": links}
+def null_shared_census(records: dict) -> dict[str, int]:
+    null_shared = records["null_shared"]
+    return {
+        "count_total": int(null_shared.sum()),
+        "count_links": int((null_shared & records["is_link"]).sum()),
+    }
 
 
 def _fmt(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
     return str(value)
 
 
-def write_records_csv(rows: list[dict], path: Path) -> None:
-    with path.open("w", encoding="utf-8", newline="") as fh:
+def _cells(values) -> list[str]:
+    """CSV text of a record column: ids, true/false, or float repr ('' if NaN)."""
+    if isinstance(values, list):
+        return values
+    if values.dtype == bool:
+        return ["true" if v else "false" for v in values.tolist()]
+    return ["" if math.isnan(v) else repr(v) for v in values.tolist()]
+
+
+def write_records(records: dict, csv_path: Path, jsonl_path: Path) -> None:
+    """Write records.csv and records.jsonl, formatting each value once: json
+    writes floats by repr too, so a JSONL line is the CSV cells under sorted
+    keys, ids quoted and '' as null, as json.dumps(row, sort_keys=True)."""
+    cells = {c: _cells(records[c]) for c in RECORD_COLUMNS}
+    with csv_path.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(RECORD_COLUMNS)
-        for r in rows:
-            writer.writerow([_fmt(r.get(c)) for c in RECORD_COLUMNS])
+        writer.writerows(zip(*cells.values()))
+    keys = sorted(cells)
+    line = "{{" + ", ".join(f'"{k}": {{}}' for k in keys) + "}}\n"
+    values = [map(json.dumps, cells[k]) if k in ID_COLUMNS else [v or "null" for v in cells[k]]
+              for k in keys]
+    with jsonl_path.open("w", encoding="utf-8") as fh:
+        fh.writelines(line.format(*row) for row in zip(*values))
 
 
-def write_records_jsonl(rows: list[dict], path: Path) -> None:
-    with path.open("w", encoding="utf-8") as fh:
-        for r in rows:
-            fh.write(json.dumps({c: r.get(c) for c in RECORD_COLUMNS}, sort_keys=True) + "\n")
+def _is_kind(value, kind: type) -> bool:
+    """Whether a JSON value fits a record column of type `kind`."""
+    if kind is float:
+        return value is None or type(value) is float and math.isfinite(value)
+    return type(value) is kind
+
+
+def read_records(path: Path) -> dict:
+    """Read a records.jsonl written by write_records back into records; ReportError
+    unless every line maps exactly RECORD_COLUMNS to values of their type."""
+    try:
+        rows = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines() if line]
+    except (OSError, ValueError) as exc:  # unreadable, not UTF-8 or not JSON
+        raise ReportError(f"cannot read records file {path}: {exc}") from exc
+    kind = {c: str if c in ID_COLUMNS else bool if c in BOOL_COLUMNS else float for c in RECORD_COLUMNS}
+    for r in rows:
+        if not (isinstance(r, dict) and r.keys() == kind.keys()
+                and all(_is_kind(v, kind[c]) for c, v in r.items())):
+            raise ReportError(f"{path}: not a record of the columns {', '.join(RECORD_COLUMNS)}: {r!r}")
+    columns = {c: [r[c] for r in rows] for c in RECORD_COLUMNS}
+    return {c: v if kind[c] is str else np.array(v, dtype=kind[c]) for c, v in columns.items()}
 
 
 def write_information_csv(table_rows: list[dict], path: Path) -> None:
@@ -211,7 +255,7 @@ def write_cases_jsonl(listings: list[CaseListing], path: Path) -> None:
 
 
 def scatter_svg(
-    rows: list[dict],
+    records: dict,
     x_key: str = "wmd_sim",
     y_key: str = "mi",
     color_key: str = "loss",
@@ -223,11 +267,8 @@ def scatter_svg(
         "wmd_sim": "WMD similarity", "cos_sim": "COS similarity", "scm": "SCM similarity",
         "mi": "Mutual Information (bits)", "loss": "Loss (bits)", "noise": "Noise (bits)",
     }
-    pts = [
-        (r[x_key], r[y_key], r[color_key])
-        for r in rows
-        if r.get(x_key) is not None and r.get(y_key) is not None and r.get(color_key) is not None
-    ]
+    defined = ~(np.isnan(records[x_key]) | np.isnan(records[y_key]) | np.isnan(records[color_key]))
+    xs, ys, cs = (records[key][defined].tolist() for key in (x_key, y_key, color_key))
     margin = 50
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
@@ -241,15 +282,14 @@ def scatter_svg(
         f'<text x="{width - margin}" y="{margin - 20}" text-anchor="end" font-size="12">'
         f'color: {axis_labels.get(color_key, color_key)}</text>',
     ]
-    if pts:
-        xs, ys, cs = zip(*pts)
+    if xs:
         x_lo, x_hi = min(xs), max(xs)
         y_lo, y_hi = min(ys), max(ys)
         c_lo, c_hi = min(cs), max(cs)
         x_span = (x_hi - x_lo) or 1.0
         y_span = (y_hi - y_lo) or 1.0
         c_span = (c_hi - c_lo) or 1.0
-        for x, y, c in pts:
+        for x, y, c in zip(xs, ys, cs):
             px = margin + (x - x_lo) / x_span * (width - 2 * margin)
             py = height - margin - (y - y_lo) / y_span * (height - 2 * margin)
             t = (c - c_lo) / c_span

@@ -79,17 +79,15 @@ def test_criterion_1_published_identity_fixture():
     rng = np.random.default_rng(0)
     for _ in range(100):
         a, b = random_counts(rng), random_counts(rng)
-        rows = [
-            {
-                "source_id": "s", "target_id": "t", "is_link": True,
-                "h_x": counts_entropy(a), "h_y": counts_entropy(b),
-                "mi": pooled_mutual_information(a, b),
-                "loss": conditional_entropies(a, b)[0],
-                "noise": conditional_entropies(a, b)[1],
-                "si": msi_entropy(a, b), "sx": msi_extropy(a, b),
-            }
-        ]
-        table = information_table(rows, "fixture")
+        h_x, h_y = counts_entropy(a), counts_entropy(b)
+        loss, noise = conditional_entropies(a, b)
+        record = {
+            "h_x": h_x, "h_y": h_y, "mi": pooled_mutual_information(a, b),
+            "loss": loss, "noise": noise, "si": msi_entropy(a, b), "sx": msi_extropy(a, b),
+            "d1": h_y - h_x, "d2": h_y - loss, "d3": h_x - noise,
+        }
+        records = {key: np.array([value]) for key, value in record.items()}
+        table = information_table(records, "fixture")
         assert abs(table["mi"] + table["ci_noise"] - table["h_x"]) <= 1e-9
         assert abs(table["mi"] + table["ci_loss"] - table["h_y"]) <= 1e-9
     assert time.perf_counter() - start < 1.0
@@ -214,10 +212,11 @@ def test_criterion_7_synthetic_end_to_end(tmp_path):
         manifests=[str(manifest0)], vectorizer="none", out_dir=str(tmp_path / "o0")
     )
     result0 = analyze_testbed(load_testbed(manifest0), cfg0)
-    link_rows = [r for r in result0.rows if r["is_link"]]
-    assert link_rows
-    assert all(r["null_shared"] for r in link_rows)
-    assert all(r["si"] == 0.0 for r in link_rows)
+    records0 = result0.records
+    links = records0["is_link"]
+    assert links.any()
+    assert records0["null_shared"][links].all()
+    assert (records0["si"][links] == 0.0).all()
     assert time.perf_counter() - start < 120.0
 
 
@@ -269,6 +268,6 @@ def test_criterion_10_public_testbed_direction():
     tb = load_testbed(manifest)
     cfg = RunConfig(manifests=[manifest], vectorizer="none")
     result = analyze_testbed(tb, cfg)
-    d1 = [r["d1"] for r in result.rows if r["d1"] is not None]
-    assert d1
+    d1 = result.records["d1"][~np.isnan(result.records["d1"])]
+    assert len(d1)
     assert float(np.mean(d1)) > 0.0

@@ -186,3 +186,80 @@ def test_synth_deterministic_bytes(tmp_path):
     for p1, p2 in zip(f1, f2):
         if p1.is_file():
             assert p1.read_bytes() == p2.read_bytes()
+
+
+def run_cli(*argv):
+    """tracex in a child interpreter, so that a traceback would show on stderr."""
+    return subprocess.run(
+        [sys.executable, "-m", "tracex.cli", *map(str, argv)],
+        capture_output=True, text=True, timeout=120,
+    )
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--orphan-quantile", "1.5"],
+    ["cases", "--orphan-quantile", "2"],
+    ["cases", "--k", "0"],
+])
+def test_orphan_options_are_config_errors_before_any_work(synth_manifest, tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    command, *options = argv
+    if command == "analyze":
+        target = ["--manifest", str(synth_manifest), "--vectorizer", "none", "--out", str(out)]
+    else:
+        target = [str(tmp_path / "absent.jsonl")]  # checked before the file is read
+    assert main([command, *target, *options]) == 1
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not (out / "reports").exists()
+
+
+def _malformed_input(case, manifest, tmp_path):
+    """Write one malformed input next to a good testbed; return the tracex argv."""
+    analyze = ["analyze", "--manifest", manifest, "--vectorizer", "none", "--out", tmp_path / "out"]
+    if case == "manifest-not-utf8":
+        manifest.write_bytes(b'{"name": "\xff"}')
+    elif case == "oracle-not-utf8":
+        (manifest.parent / "oracle.txt").write_bytes(b"SRC000 TGT\xff\n")
+    elif case == "embeddings-not-a-float":
+        (tmp_path / "vecs.txt").write_text("1 2\nfoo 1.0 abc\n")
+        return ["analyze", "--manifest", manifest, "--embeddings", tmp_path / "vecs.txt",
+                "--out", tmp_path / "out"]
+    elif case == "manifest-name-not-a-string":
+        manifest.write_text(json.dumps({**json.loads(manifest.read_text()), "name": 123}))
+    else:
+        records = tmp_path / "records.jsonl"
+        records.write_text('{"source_id":"a"}\n' if case == "records-missing-keys" else "not json\n")
+        return ["cases", records]
+    return analyze
+
+
+@pytest.mark.parametrize("case", [
+    "manifest-not-utf8", "oracle-not-utf8", "embeddings-not-a-float",
+    "manifest-name-not-a-string", "records-missing-keys", "records-not-json",
+])
+def test_malformed_input_files_are_data_errors(synth_manifest, tmp_path, case):
+    proc = run_cli(*_malformed_input(case, synth_manifest, tmp_path))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error:"), proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_duplicate_testbed_names_exit_2_before_any_report(tmp_path, capsys):
+    manifests = []
+    for d in ("tb1", "tb2"):
+        assert main(["synth", "--seed", "5", "--sources", "2", "--targets", "2",
+                     "--out", str(tmp_path / d)]) == 0
+        manifests += ["--manifest", str(tmp_path / d / "manifest.json")]
+    out = tmp_path / "out"
+    assert main(["analyze", *manifests, "--vectorizer", "none", "--out", str(out)]) == 2
+    assert "synthetic-5" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["", ".", "..", "../escaped", "a/b", "a\\b"])
+def test_unsafe_testbed_names_exit_2(synth_manifest, tmp_path, name):
+    synth_manifest.write_text(json.dumps({**json.loads(synth_manifest.read_text()), "name": name}))
+    out = tmp_path / "deep" / "out"
+    assert main(["analyze", "--manifest", str(synth_manifest), "--vectorizer", "none",
+                 "--out", str(out)]) == 2
+    assert not (tmp_path / "deep").exists()

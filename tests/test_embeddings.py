@@ -6,7 +6,6 @@ from tracex.embeddings import (
     EmbeddingError,
     EmbeddingMatrix,
     TrainConfig,
-    infer_doc_vector,
     load_embeddings,
     mean_doc_vector,
     train_pvdbow,
@@ -91,31 +90,6 @@ def test_pvdbow_deterministic_single_doc():
     dv2 = train_pvdbow(docs, TrainConfig(dim=6, epochs=4, seed=9))
     assert np.array_equal(dv1.vectors, dv2.vectors)
     assert dv1.vectors.shape == (1, 6)
-
-
-def test_infer_matches_own_doc():
-    docs = [
-        ("d0", ["red", "blue", "red", "blue", "red"]),
-        ("d1", ["cat", "dog", "cat", "dog", "dog"]),
-        ("d2", ["sun", "moon", "sun", "star", "moon"]),
-    ]
-    dv = train_pvdbow(docs, TrainConfig(dim=10, epochs=40, seed=4))
-    inferred = infer_doc_vector(docs[0][1], dv, steps=80)
-    sims = [cosine(inferred, dv.vectors[i]) for i in range(3)]
-    assert sims[0] == max(sims)
-
-
-def test_infer_zero_overlap_error():
-    dv = train_pvdbow([("d", ["aa", "bb"])], TrainConfig(dim=4, epochs=2, seed=0))
-    with pytest.raises(EmbeddingError):
-        infer_doc_vector(["zz"], dv)
-
-
-def test_infer_zero_steps_is_seeded_init():
-    dv = train_pvdbow([("d", ["aa", "bb"])], TrainConfig(dim=4, epochs=2, seed=0))
-    v1 = infer_doc_vector(["aa"], dv, steps=0)
-    v2 = infer_doc_vector(["aa"], dv, steps=0)
-    assert np.array_equal(v1, v2)
 
 
 def test_load_embeddings_basic(tmp_path):

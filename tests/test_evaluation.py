@@ -9,9 +9,9 @@ from tracex.evaluation import (
     pearson,
     pr_auc,
     roc_auc,
-    segregate_by_label,
     summarize,
 )
+from tracex.report import BY_LINKS_METRICS, by_links_table
 
 
 def brute_force_auc(labels, scores):
@@ -150,28 +150,38 @@ def test_summarize():
         summarize([])
 
 
+def label_records(is_link, **columns):
+    """Records (layout in tracex.report) with the given float columns and
+    every other by-links metric undefined (NaN)."""
+    n = len(is_link)
+    records = {m: np.full(n, np.nan) for m in [*BY_LINKS_METRICS, "loss", "noise"]}
+    records.update({m: np.array(v, dtype=np.float64) for m, v in columns.items()})
+    return {"is_link": np.array(is_link, dtype=bool), **records}
+
+
 def test_segregate_by_label():
-    rows = [
-        {"is_link": True, "mi": 3.0, "si": 1.0},
-        {"is_link": True, "mi": 5.0, "si": None},
-        {"is_link": False, "mi": 0.5, "si": 0.0},
-    ]
-    out = segregate_by_label(rows, ["mi", "si"])
+    records = label_records([True, True, False], mi=[3.0, 5.0, 0.5], si=[1.0, None, 0.0],
+                            loss=[1.0, 2.0, 4.0])
+    out = by_links_table(records)
     assert out["link"]["mi"].mean == 4.0
-    assert out["link"]["si"].n == 1  # None excluded per metric
+    assert out["link"]["si"].n == 1  # NaN excluded per metric
     assert out["non_link"]["mi"].mean == 0.5
+    assert out["link"]["ci_noise"].mean == 1.5  # ci_noise summarizes loss
+    assert out["link"]["scm"] is None  # undefined for every pair
 
 
 def test_segregate_all_links_flags_empty():
-    rows = [{"is_link": True, "mi": 1.0}]
-    out = segregate_by_label(rows, ["mi"])
+    out = by_links_table(label_records([True], mi=[1.0]))
     assert out["non_link"]["mi"] is None
 
 
 def test_correlation_table():
-    rows = [{"is_link": i % 2 == 0, "mi": float(i), "wmd_sim": float(2 * i), "flat": 1.0}
-            for i in range(10)]
-    cells = correlation_table(rows, ["wmd_sim"], ["mi", "flat"])
+    records = {"mi": np.arange(10.0), "wmd_sim": 2 * np.arange(10.0), "flat": np.ones(10),
+               "gappy": np.array([1.0] + [np.nan] * 9)}
+    records["mi"][3] = np.nan
+    cells = correlation_table(records, ["wmd_sim"], ["mi", "flat", "gappy"])
     by_key = {(c.metric_a, c.metric_b): c for c in cells}
     assert by_key[("wmd_sim", "mi")].pearson_r == pytest.approx(1.0)
+    assert by_key[("wmd_sim", "mi")].n == 9  # pairs with a NaN side are left out
     assert by_key[("wmd_sim", "flat")].pearson_r is None  # zero variance flagged
+    assert (by_key[("wmd_sim", "gappy")].pearson_r, by_key[("wmd_sim", "gappy")].n) == (None, 1)

@@ -118,7 +118,6 @@ def test_info_record_disjoint_pair():
 def test_info_record_empty_side_flagged():
     rec = info_record(TokenCounts({}), B)
     assert isinstance(rec, InfoRecord)
-    assert not rec.defined
     assert rec.h_x is None
     assert rec.h_y is not None
     assert rec.mi is None
@@ -203,7 +202,7 @@ def assert_columns_match_records(src, tgt):
         for j, b in enumerate(tgt):
             rec = info_record(a, b)
             assert bool(cols.null_shared[i, j]) == rec.null_shared
-            assert bool(cols.defined[i, j]) == rec.defined
+            assert bool(cols.defined[i, j]) == (rec.mi is not None)
             for name in INFO_FIELDS:
                 expected = getattr(rec, name)
                 got = getattr(cols, name)[i, j]
