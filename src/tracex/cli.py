@@ -15,7 +15,7 @@ from tracex.corpus import CorpusError, generate_synthetic, load_testbed, write_t
 from tracex.embeddings import EmbeddingError, TrainConfig, train_skipgram
 from tracex.pipeline import BPE_VOCAB_SIZES, SEMANTIC_METRICS, NumericError, RunConfig, run_analysis
 from tracex.report import OrphanPolicy, ReportError, detect_orphans, extreme_cases, read_records
-from tracex.tokenization import BpeTrainingError, conventional_tokenize, train_bpe
+from tracex.tokenization import BpeModelError, BpeTrainingError, conventional_tokenize, train_bpe
 
 EXIT_CONFIG = 1
 EXIT_DATA = 2
@@ -142,9 +142,8 @@ def cmd_train_bpe(args) -> int:
 
 
 def cmd_train_embeddings(args) -> int:
-    texts = _read_corpus(args.paths)
-    corpus = [conventional_tokenize(t) for t in texts]
     cfg = TrainConfig(dim=args.dim, epochs=args.epochs, seed=args.seed)
+    corpus = [conventional_tokenize(t) for t in _read_corpus(args.paths)]
     trained = train_skipgram(corpus, cfg)
     trained.matrix.save(args.out)
     return 0
@@ -184,7 +183,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (CorpusError, BpeTrainingError, EmbeddingError, ReportError) as exc:
+    except (CorpusError, BpeModelError, BpeTrainingError, EmbeddingError, ReportError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except NumericError as exc:

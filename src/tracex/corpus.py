@@ -128,6 +128,8 @@ def _read_artifact_dir(directory: Path, role: str) -> list[Artifact]:
         raise CorpusError(f"{role} directory not found: {directory}")
     artifacts = []
     for path in sorted(p for p in directory.iterdir() if p.is_file()):
+        if "\r" in path.stem:  # records.csv would split its row; no oracle line can name it
+            raise CorpusError(f"{role} artifact id {path.stem!r} contains a carriage return")
         artifacts.append(
             Artifact(
                 id=path.stem,

@@ -33,11 +33,12 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        # plain ValueError: a bad training option is a configuration error
         for name in ("dim", "window", "negatives", "epochs", "min_count"):
             if getattr(self, name) < 1:
-                raise EmbeddingError(f"{name} must be positive")
+                raise ValueError(f"{name} must be positive")
         if self.learning_rate <= 0:
-            raise EmbeddingError("learning_rate must be positive")
+            raise ValueError("learning_rate must be positive")
 
 
 @dataclass
@@ -207,9 +208,6 @@ class DocVectors:
     vectors: np.ndarray  # |docs| x dim
     word_matrix: EmbeddingMatrix  # output-side word vectors
     epoch_losses: list[float] = field(default_factory=list)
-
-    def vector(self, doc_id: str) -> np.ndarray:
-        return self.vectors[self.doc_ids.index(doc_id)]
 
 
 def train_pvdbow(docs: list[tuple[str, list[str]]], cfg: TrainConfig) -> DocVectors:

@@ -1,9 +1,9 @@
 """End-to-end analysis pipeline: load -> tokenize -> per-pair metrics ->
 embeddings -> distances -> evaluation -> report files.
 
-Info measures are computed for all pairs of a testbed in one pass
-(`info_columns`); every metric is checked, evaluated and reported as a
-column of one records table (layout in `tracex.report`).
+Info measures and semantic distances are computed for all pairs of a testbed
+at once (`info_columns`, `semantic_columns`); every metric is checked,
+evaluated and reported as a column of one records table (`tracex.report`).
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from tracex.report import (
     write_information_csv,
     write_records,
 )
-from tracex.semantics import distance_record
+from tracex.semantics import semantic_columns
 from tracex.tokenization import (
     BpeModel,
     TokenCounts,
@@ -64,7 +64,6 @@ SCORE_METRICS = {
 }
 
 SEMANTIC_METRICS = ["wmd_sim", "scm", "cos_sim", "euc"]
-DISTANCE_FIELDS = ["wmd", "scm", "cos", "euc", "wmd_sim", "cos_sim"]
 INFO_METRICS = ["mi", "loss", "noise", "si"]
 
 
@@ -95,6 +94,13 @@ class RunConfig:
         if self.vectorizer not in ("skipgram", "pvdbow", "none"):
             raise ValueError(f"unknown vectorizer: {self.vectorizer}")
         OrphanPolicy(self.orphan_quantile, self.orphan_metric)  # validates both
+        self.train_config()  # validates the training options
+
+    def train_config(self) -> TrainConfig:
+        return TrainConfig(
+            dim=self.dim, window=self.window, negatives=self.negatives,
+            epochs=self.epochs, min_count=self.min_count, seed=self.seed,
+        )
 
 
 def tokenize_testbed(tb: Testbed, cfg: RunConfig) -> dict[str, list[str]]:
@@ -126,24 +132,18 @@ def analyze_testbed(tb: Testbed, cfg: RunConfig) -> TestbedResult:
     candidates = enumerate_candidates(tb)
 
     word_matrix, doc_vecs = _build_embeddings(seqs, counts, cfg)
+    src_keys = [f"source:{aid}" for aid in sorted(a.id for a in tb.sources)]
+    tgt_keys = [f"target:{aid}" for aid in sorted(a.id for a in tb.targets)]
 
-    info = info_columns(
-        [counts[f"source:{aid}"] for aid in sorted(a.id for a in tb.sources)],
-        [counts[f"target:{aid}"] for aid in sorted(a.id for a in tb.targets)],
+    info = info_columns([counts[k] for k in src_keys], [counts[k] for k in tgt_keys])
+    sem_values, sem_masks, wmd_relaxed = semantic_columns(
+        [counts[k] for k in src_keys], [counts[k] for k in tgt_keys], word_matrix,
+        [doc_vecs.get(k) for k in src_keys], [doc_vecs.get(k) for k in tgt_keys],
     )
     columns = {name: getattr(info, name).ravel() for name in INFO_FIELDS}
     masks = {name: info.mask(name).ravel() for name in INFO_FIELDS}
-    dists = [] if cfg.vectorizer == "none" else [
-        distance_record(
-            counts[f"source:{c.source_id}"], counts[f"target:{c.target_id}"], word_matrix,
-            doc_vecs.get(f"source:{c.source_id}"), doc_vecs.get(f"target:{c.target_id}"),
-        )
-        for c in candidates
-    ]
-    for name in DISTANCE_FIELDS:
-        values = [getattr(d, name) for d in dists] or [None] * len(candidates)
-        masks[name] = np.array([v is not None for v in values], dtype=bool)
-        columns[name] = np.array(values, dtype=np.float64)  # None -> NaN
+    columns.update((name, values.ravel()) for name, values in sem_values.items())
+    masks.update((name, mask.ravel()) for name, mask in sem_masks.items())
     _check_finite(columns, masks, candidates)  # from here on NaN marks exactly the undefined
 
     records = {
@@ -151,7 +151,7 @@ def analyze_testbed(tb: Testbed, cfg: RunConfig) -> TestbedResult:
         "target_id": [c.target_id for c in candidates],
         "is_link": np.array([c.is_link for c in candidates], dtype=bool),
         "null_shared": info.null_shared.ravel(),
-        "wmd_relaxed": np.array([d.wmd_relaxed for d in dists] or [False] * len(candidates)),
+        "wmd_relaxed": wmd_relaxed.ravel(),
         **columns,
     }
     undefined = {metric: int(np.isnan(records[metric]).sum()) for metric in SCORE_METRICS}
@@ -164,14 +164,11 @@ def _build_embeddings(
     """Word matrix for WMD/SCM plus per-artifact document vectors for COS/EUC."""
     if cfg.vectorizer == "none":
         return None, {}
-    train_cfg = TrainConfig(
-        dim=cfg.dim, window=cfg.window, negatives=cfg.negatives,
-        epochs=cfg.epochs, min_count=cfg.min_count, seed=cfg.seed,
-    )
+    train_cfg = cfg.train_config()
     keys = sorted(seqs)
     if cfg.vectorizer == "pvdbow":
         dv = train_pvdbow([(k, seqs[k]) for k in keys if seqs[k]], train_cfg)
-        return dv.word_matrix, {doc_id: dv.vector(doc_id) for doc_id in dv.doc_ids}
+        return dv.word_matrix, dict(zip(dv.doc_ids, dv.vectors))
     if cfg.embedding_path:
         word_matrix = load_embeddings(cfg.embedding_path)
     else:

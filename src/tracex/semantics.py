@@ -4,12 +4,14 @@ Word Mover's Distance uses Euclidean ground cost between token vectors and
 exact optimal transport; bags too large for the exact solver fall back to
 the relaxed lower bound with a flag. Out-of-vocabulary tokens are dropped;
 a pair whose side becomes empty gets undefined distances.
+
+`semantic_columns` scores every pair of a testbed, doing per-artifact work
+once per artifact; `wmd` and `soft_cosine` score one pair.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,26 +22,24 @@ from tracex.transport import transport_cost
 EXACT_WMD_PAIR_LIMIT = 65536
 
 
-def cosine_distance(u: np.ndarray, v: np.ndarray) -> float:
-    """1 - cos(u, v), clamped to [0, 2]. Zero vectors are an error."""
-    nu, nv = np.linalg.norm(u), np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
-        raise ValueError("cosine distance is undefined for a zero vector")
-    return float(min(2.0, max(0.0, 1.0 - float(u @ v) / (nu * nv))))
-
-
-def euclidean_distance(u: np.ndarray, v: np.ndarray) -> float:
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.shape != v.shape:
-        raise ValueError(f"dimension mismatch: {u.shape} vs {v.shape}")
-    return float(np.linalg.norm(u - v))
-
-
 def _in_vocab(counts: TokenCounts, m: EmbeddingMatrix) -> tuple[list[str], np.ndarray]:
     tokens = sorted(t for t, c in counts.counts.items() if c > 0 and t in m.index)
     weights = np.array([counts.counts[t] for t in tokens], dtype=np.int64)
     return tokens, weights
+
+
+def _unit(vecs: np.ndarray) -> np.ndarray:
+    """Rows scaled to unit length; zero rows stay zero."""
+    norms = np.linalg.norm(vecs, axis=1)
+    norms[norms == 0.0] = 1.0
+    return vecs / norms[:, None]
+
+
+def _term_sim(unit_a, rows_a, unit_b, rows_b) -> np.ndarray:
+    """Soft-cosine term similarity max(0, cos)^2, and 1 between equal rows."""
+    sim = np.maximum(0.0, unit_a @ unit_b.T) ** 2
+    sim[rows_a[:, None] == rows_b[None, :]] = 1.0
+    return sim
 
 
 def soft_cosine(a: TokenCounts, b: TokenCounts, m: EmbeddingMatrix) -> float:
@@ -53,19 +53,11 @@ def soft_cosine(a: TokenCounts, b: TokenCounts, m: EmbeddingMatrix) -> float:
     if not ta or not tb:
         raise ValueError("soft cosine undefined: a side has no in-vocab tokens")
     terms = sorted(set(ta) | set(tb))
-    vecs = np.stack([m.vector(t) for t in terms])
-    norms = np.linalg.norm(vecs, axis=1)
-    norms[norms == 0.0] = 1.0
-    unit = vecs / norms[:, None]
-    sim = np.maximum(0.0, unit @ unit.T) ** 2
-    np.fill_diagonal(sim, 1.0)
+    unit, rows = _unit(np.stack([m.vector(t) for t in terms])), np.arange(len(terms))
+    sim = _term_sim(unit, rows, unit, rows)
     idx = {t: i for i, t in enumerate(terms)}
-    va = np.zeros(len(terms))
-    vb = np.zeros(len(terms))
-    for t, w in zip(ta, wa):
-        va[idx[t]] = w
-    for t, w in zip(tb, wb):
-        vb[idx[t]] = w
+    va, vb = np.zeros(len(terms)), np.zeros(len(terms))
+    va[[idx[t] for t in ta]], vb[[idx[t] for t in tb]] = wa, wb
     num = float(va @ sim @ vb)
     den = math.sqrt(max(1e-12, float(va @ sim @ va)) * max(1e-12, float(vb @ sim @ vb)))
     return float(min(1.0, max(0.0, num / den)))
@@ -78,13 +70,25 @@ def relaxed_wmd(weights_a: np.ndarray, weights_b: np.ndarray, cost: np.ndarray) 
     return float(max(pa @ cost.min(axis=1), pb @ cost.min(axis=0)))
 
 
-def wmd(
-    a: TokenCounts, b: TokenCounts, m: EmbeddingMatrix
-) -> tuple[float, bool]:
+def _ground_cost(va: np.ndarray, vb: np.ndarray) -> np.ndarray:
+    diff = va[:, None, :] - vb[None, :, :]
+    return np.sqrt((diff * diff).sum(axis=2))
+
+
+def _wmd_from_cost(wa: np.ndarray, wb: np.ndarray, cost: np.ndarray) -> tuple[float, bool]:
+    if not np.isfinite(cost).all():
+        return math.nan, False  # overflowing vectors: never handed to the solver
+    if cost.size > EXACT_WMD_PAIR_LIMIT:
+        return relaxed_wmd(wa.astype(float), wb.astype(float), cost), True
+    return transport_cost(wa, wb, cost), False
+
+
+def wmd(a: TokenCounts, b: TokenCounts, m: EmbeddingMatrix) -> tuple[float, bool]:
     """Word Mover's Distance and a flag marking the relaxed fallback.
 
     Exact transport when |support_a| * |support_b| <= EXACT_WMD_PAIR_LIMIT,
-    otherwise the relaxed lower bound (flag True).
+    otherwise the relaxed lower bound (flag True). NaN when a ground cost
+    overflows.
     """
     ta, wa = _in_vocab(a, m)
     tb, wb = _in_vocab(b, m)
@@ -92,67 +96,65 @@ def wmd(
         raise ValueError("WMD undefined: a side has no in-vocab tokens")
     va = np.stack([m.vector(t) for t in ta])
     vb = np.stack([m.vector(t) for t in tb])
-    diff = va[:, None, :] - vb[None, :, :]
-    cost = np.sqrt((diff * diff).sum(axis=2))
-    if len(ta) * len(tb) > EXACT_WMD_PAIR_LIMIT:
-        return relaxed_wmd(wa.astype(float), wb.astype(float), cost), True
-    return transport_cost(wa, wb, cost), False
+    return _wmd_from_cost(wa, wb, _ground_cost(va, vb))
 
 
-def similarity(distance: float) -> float:
-    """Normalized distance inverse, 1 / (1 + d)."""
-    return 1.0 / (1.0 + distance)
+def _bag(counts: TokenCounts, m: EmbeddingMatrix | None):
+    """An artifact's in-vocab word-matrix rows, weights, vectors, unit vectors
+    and soft-cosine self term w.S.w; None when it has no in-vocab token."""
+    tokens, weights = _in_vocab(counts, m) if m is not None else ([], None)
+    if not tokens:
+        return None
+    rows = np.array([m.index[t] for t in tokens])
+    unit = _unit(m.vectors[rows])
+    self_term = max(1e-12, float(weights @ _term_sim(unit, rows, unit, rows) @ weights))
+    return rows, weights, m.vectors[rows], unit, self_term
 
 
-@dataclass
-class DistanceRecord:
-    """Per-pair distance bundle; None marks an undefined (OOV-empty) metric."""
-
-    wmd: float | None
-    scm: float | None
-    cos: float | None
-    euc: float | None
-    wmd_sim: float | None
-    cos_sim: float | None
-    wmd_relaxed: bool = False
-
-
-def distance_record(
-    src_counts: TokenCounts,
-    tgt_counts: TokenCounts,
+def semantic_columns(
+    src_counts: list[TokenCounts],
+    tgt_counts: list[TokenCounts],
     word_matrix: EmbeddingMatrix | None,
-    src_vec: np.ndarray | None,
-    tgt_vec: np.ndarray | None,
-) -> DistanceRecord:
-    """Assemble all six distance fields for one pair.
+    src_vecs: list[np.ndarray | None],
+    tgt_vecs: list[np.ndarray | None],
+) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray], np.ndarray]:
+    """wmd scm cos euc wmd_sim cos_sim for every pair of src_counts x tgt_counts,
+    a mask per column and the wmd_relaxed flags, as (n_src, n_tgt) arrays.
 
-    WMD/SCM need a word embedding matrix; COS/EUC need per-document vectors
-    (count-weighted means or trained doc vectors). Undefined metrics stay
-    None rather than aborting the pair.
+    Masks come from the inputs: wmd/scm need a word matrix and an in-vocab
+    token on both sides, euc both document vectors (None marks none), cos
+    also nonzero norms. NaN marks undefined; a NaN under a mask is a numeric
+    failure for the caller. WMD equals `wmd` bit for bit, the rest up to
+    summation order.
     """
-    wmd_val = scm_val = cos_val = euc_val = None
-    relaxed = False
-    if word_matrix is not None:
-        try:
-            wmd_val, relaxed = wmd(src_counts, tgt_counts, word_matrix)
-        except ValueError:
-            pass
-        try:
-            scm_val = soft_cosine(src_counts, tgt_counts, word_matrix)
-        except ValueError:
-            pass
-    if src_vec is not None and tgt_vec is not None:
-        try:
-            cos_val = cosine_distance(src_vec, tgt_vec)
-        except ValueError:
-            pass
-        euc_val = euclidean_distance(src_vec, tgt_vec)
-    return DistanceRecord(
-        wmd=wmd_val,
-        scm=scm_val,
-        cos=cos_val,
-        euc=euc_val,
-        wmd_sim=None if wmd_val is None else similarity(wmd_val),
-        cos_sim=None if cos_val is None else similarity(cos_val),
-        wmd_relaxed=relaxed,
-    )
+    shape = (len(src_counts), len(tgt_counts))
+    wmd_col, scm_num = np.full(shape, np.nan), np.full(shape, np.nan)
+    relaxed = np.zeros(shape, dtype=bool)
+    with np.errstate(all="ignore"):  # a defined non-finite value is reported by the caller
+        bags = [[_bag(c, word_matrix) for c in side] for side in (src_counts, tgt_counts)]
+        for i, a in enumerate(bags[0]):
+            for j, b in enumerate(bags[1]):
+                if a is None or b is None:
+                    continue
+                (rows_a, w_a, vecs_a, unit_a, _), (rows_b, w_b, vecs_b, unit_b, _) = a, b
+                cost = _ground_cost(vecs_a, vecs_b)
+                wmd_col[i, j], relaxed[i, j] = _wmd_from_cost(w_a, w_b, cost)
+                scm_num[i, j] = w_a @ _term_sim(unit_a, rows_a, unit_b, rows_b) @ w_b
+        self_s, self_t = ([np.nan if g is None else g[4] for g in side] for side in bags)
+        scm = np.clip(scm_num / np.sqrt(np.outer(self_s, self_t)), 0.0, 1.0)
+
+        dim = next((len(v) for v in [*src_vecs, *tgt_vecs] if v is not None), 0)
+        src, tgt = (np.array([np.full(dim, np.nan) if v is None else v for v in vecs])
+                    .reshape(len(vecs), dim) for vecs in (src_vecs, tgt_vecs))
+        euc = np.array([np.linalg.norm(row - tgt, axis=1) for row in src]).reshape(shape)
+        norm_s, norm_t = np.linalg.norm(src, axis=1), np.linalg.norm(tgt, axis=1)
+        cos = np.clip(1.0 - (src @ tgt.T) / np.outer(norm_s, norm_t), 0.0, 2.0)
+
+    bag_mask = np.logical_and.outer(*([g is not None for g in side] for side in bags))
+    euc_mask = np.logical_and.outer(*([v is not None for v in vecs] for vecs in (src_vecs, tgt_vecs)))
+    cos_mask = euc_mask & np.logical_and.outer(norm_s != 0.0, norm_t != 0.0)
+    values = {"wmd": wmd_col, "scm": scm, "cos": cos, "euc": euc,
+              "wmd_sim": 1.0 / (1.0 + wmd_col), "cos_sim": 1.0 / (1.0 + cos)}
+    masks = {"wmd": bag_mask, "scm": bag_mask, "cos": cos_mask, "euc": euc_mask,
+             "wmd_sim": bag_mask, "cos_sim": cos_mask}
+    return {name: np.where(masks[name], v, np.nan) for name, v in values.items()}, masks, relaxed

@@ -62,6 +62,10 @@ class BpeTrainingError(ValueError):
     """Raised when the requested vocab size cannot exceed the base charset."""
 
 
+class BpeModelError(ValueError):
+    """Raised for a BPE model file that cannot be read or is not a model."""
+
+
 @dataclass
 class BpeModel:
     merges: list[tuple[str, str]]
@@ -74,7 +78,20 @@ class BpeModel:
 
     @classmethod
     def load(cls, path: str | Path) -> "BpeModel":
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        try:
+            doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        except (OSError, ValueError) as exc:  # unreadable, not UTF-8 or not JSON
+            raise BpeModelError(f"{path}: unreadable BPE model: {exc}") from exc
+        if not (
+            isinstance(doc, dict)
+            and type(doc.get("vocab_size")) is int
+            and isinstance(doc.get("merges"), list)
+            and all(isinstance(m, list) and len(m) == 2 and all(isinstance(s, str) for s in m)
+                    for m in doc["merges"])
+        ):
+            raise BpeModelError(
+                f"{path}: not a BPE model (an int vocab_size and a list of string pairs as merges)"
+            )
         merges = [tuple(m) for m in doc["merges"]]
         vocab = {c for a, b in merges for c in (a, b)} | {a + b for a, b in merges}
         return cls(merges=merges, vocab=vocab, target_vocab_size=doc["vocab_size"])

@@ -18,13 +18,15 @@ def transport_cost(a, b, cost) -> float:
     """Minimum cost of moving distribution a onto b under the cost matrix.
 
     a and b are nonnegative integer weight vectors; they are normalized
-    internally, so only their proportions matter.
+    internally, so only their proportions matter. Every cost must be finite.
     """
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
     cost = np.asarray(cost, dtype=np.float64)
     if cost.shape != (len(a), len(b)):
         raise ValueError(f"cost shape {cost.shape} does not match ({len(a)}, {len(b)})")
+    if not np.isfinite(cost).all():
+        raise ValueError("transport costs must be finite")
     ta, tb = int(a.sum()), int(b.sum())
     if ta <= 0 or tb <= 0:
         raise ValueError("both weight vectors must have positive total")
@@ -38,7 +40,10 @@ def _min_cost_transport(supply, demand, cost) -> np.ndarray:
     """Successive shortest paths. Reduced cost of the forward arc i->j is
     cost[i,j] + pot_u[i] - pot_v[j]; flow-carrying arcs admit the reverse
     arc at the negated reduced cost. Potentials keep all reduced costs
-    nonnegative so Dijkstra stays valid with float costs."""
+    nonnegative so Dijkstra stays valid with float costs. Only nodes not yet
+    finalized are relaxed: round-off can make a reduced cost slightly
+    negative, and relabelling a finalized node would put a cycle into the
+    predecessor chain."""
     m, n = cost.shape
     flow = np.zeros((m, n))
     res_supply = supply.astype(np.float64).copy()
@@ -70,6 +75,8 @@ def _min_cost_transport(supply, demand, cost) -> np.ndarray:
                 done_u[idx] = True
                 nd = d + cost[idx] + pot_u[idx] - pot_v
                 for j in np.flatnonzero(nd < dist_v - 1e-15):
+                    if done_v[j]:
+                        continue
                     dist_v[j] = nd[j]
                     prev_v[j] = idx
                     heapq.heappush(heap, (nd[j], 1, int(j)))
@@ -82,6 +89,8 @@ def _min_cost_transport(supply, demand, cost) -> np.ndarray:
                     nd = d - (cost[rows, idx] + pot_u[rows] - pot_v[idx])
                     for k in np.flatnonzero(nd < dist_u[rows] - 1e-15):
                         i = int(rows[k])
+                        if done_u[i]:
+                            continue
                         dist_u[i] = nd[k]
                         prev_u[i] = idx
                         heapq.heappush(heap, (nd[k], 0, i))

@@ -4,9 +4,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from tracex.cli import main
+from tracex.embeddings import EmbeddingMatrix
+from tracex.tokenization import conventional_tokenize
 
 
 @pytest.fixture()
@@ -200,17 +203,24 @@ def run_cli(*argv):
     ["analyze", "--orphan-quantile", "1.5"],
     ["cases", "--orphan-quantile", "2"],
     ["cases", "--k", "0"],
+    ["analyze", "--dim", "0"],
+    ["analyze", "--epochs", "0"],
+    ["analyze", "--vectorizer", "pvdbow", "--dim", "-1"],
+    ["train-embeddings", "--dim", "0"],
+    ["train-embeddings", "--epochs", "0"],
 ])
 def test_orphan_options_are_config_errors_before_any_work(synth_manifest, tmp_path, capsys, argv):
     out = tmp_path / "out"
     command, *options = argv
     if command == "analyze":
-        target = ["--manifest", str(synth_manifest), "--vectorizer", "none", "--out", str(out)]
+        target = ["--manifest", str(synth_manifest), "--out", str(out)]
+    elif command == "train-embeddings":  # checked before the corpus is read
+        target = [str(tmp_path / "absent.txt"), "--out", str(out / "vecs.txt")]
     else:
         target = [str(tmp_path / "absent.jsonl")]  # checked before the file is read
     assert main([command, *target, *options]) == 1
     assert capsys.readouterr().err.startswith("config error:")
-    assert not (out / "reports").exists()
+    assert not out.exists()
 
 
 def _malformed_input(case, manifest, tmp_path):
@@ -226,6 +236,11 @@ def _malformed_input(case, manifest, tmp_path):
                 "--out", tmp_path / "out"]
     elif case == "manifest-name-not-a-string":
         manifest.write_text(json.dumps({**json.loads(manifest.read_text()), "name": 123}))
+    elif case.startswith("bpe-model"):
+        model = tmp_path / "bpe.json"
+        if case == "bpe-model-not-a-model":
+            model.write_text('{"merges": 5}')
+        return [*analyze, "--preproc", "bpe8k", "--bpe-model", model]
     else:
         records = tmp_path / "records.jsonl"
         records.write_text('{"source_id":"a"}\n' if case == "records-missing-keys" else "not json\n")
@@ -236,6 +251,7 @@ def _malformed_input(case, manifest, tmp_path):
 @pytest.mark.parametrize("case", [
     "manifest-not-utf8", "oracle-not-utf8", "embeddings-not-a-float",
     "manifest-name-not-a-string", "records-missing-keys", "records-not-json",
+    "bpe-model-missing", "bpe-model-not-a-model",
 ])
 def test_malformed_input_files_are_data_errors(synth_manifest, tmp_path, case):
     proc = run_cli(*_malformed_input(case, synth_manifest, tmp_path))
@@ -263,3 +279,22 @@ def test_unsafe_testbed_names_exit_2(synth_manifest, tmp_path, name):
     assert main(["analyze", "--manifest", str(synth_manifest), "--vectorizer", "none",
                  "--out", str(out)]) == 2
     assert not (tmp_path / "deep").exists()
+
+
+def test_overflowing_vectors_are_numeric_errors(synth_manifest, tmp_path):
+    tokens = sorted({t for p in synth_manifest.parent.rglob("*.txt")
+                     for t in conventional_tokenize(p.read_text())})
+    signs = np.random.default_rng(4).choice([-1e200, 1e200], size=(len(tokens), 4))
+    vectors = tmp_path / "vecs.txt"
+    EmbeddingMatrix(vocab=tokens, vectors=signs).save(vectors)
+    proc = run_cli("analyze", "--manifest", synth_manifest, "--embeddings", vectors,
+                   "--out", tmp_path / "out")
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("numeric failure:"), proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_artifact_id_with_carriage_return_exit_2(synth_manifest, capsys):
+    (synth_manifest.parent / "targets" / "TGT\r009.txt").write_text("alpha beta")
+    assert main(["validate", str(synth_manifest)]) == 2
+    assert "carriage return" in capsys.readouterr().err

@@ -1,19 +1,22 @@
+import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tracex.embeddings import EmbeddingMatrix
-from tracex.semantics import (
-    DistanceRecord,
-    cosine_distance,
-    distance_record,
-    euclidean_distance,
-    relaxed_wmd,
-    similarity,
-    soft_cosine,
-    wmd,
-)
+from tracex.semantics import relaxed_wmd, semantic_columns, soft_cosine, wmd
 from tracex.tokenization import TokenCounts
 from tracex.transport import transport_cost
+
+ROOT = Path(__file__).resolve().parent.parent
+SEMANTIC_FIELDS = ("wmd", "scm", "cos", "euc", "wmd_sim", "cos_sim")
 
 
 def matrix(**vectors):
@@ -21,21 +24,28 @@ def matrix(**vectors):
     return EmbeddingMatrix(vocab=vocab, vectors=np.array([vectors[t] for t in vocab], float))
 
 
-def test_cosine_distance_basics():
-    u = np.array([1.0, 0.0])
-    v = np.array([0.0, 1.0])
-    assert cosine_distance(u, u) == 0.0
-    assert cosine_distance(u, v) == pytest.approx(1.0)
-    assert cosine_distance(u, -u) == pytest.approx(2.0)
-    with pytest.raises(ValueError):
-        cosine_distance(u, np.zeros(2))
+def columns(src, tgt, m, src_vecs=None, tgt_vecs=None):
+    """semantic_columns on lists of count dicts; vectors default to None."""
+    return semantic_columns(
+        [TokenCounts(c) for c in src], [TokenCounts(c) for c in tgt], m,
+        src_vecs or [None] * len(src), tgt_vecs or [None] * len(tgt),
+    )
 
 
-def test_euclidean_distance():
-    assert euclidean_distance([0, 0], [3, 4]) == pytest.approx(5.0)
-    assert euclidean_distance([1, 2], [1, 2]) == 0.0
-    with pytest.raises(ValueError):
-        euclidean_distance([1], [1, 2])
+def test_semantic_columns_cos_and_euc_basics():
+    u, v = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+    values, masks, _ = columns([{}], [{}] * 4, None, [u], [u, v, -u, np.zeros(2)])
+    assert values["cos"][0, :3] == pytest.approx([0.0, 1.0, 2.0])
+    assert np.isnan(values["cos"][0, 3])  # zero vector: cosine undefined
+    assert masks["cos"].tolist() == [[True, True, True, False]]
+    assert values["euc"][0] == pytest.approx([0.0, np.sqrt(2), 2.0, 1.0])
+    assert masks["euc"].all()
+
+
+def test_semantic_columns_euclidean_hand_case():
+    src = [np.array([0.0, 0.0]), np.array([1.0, 2.0])]
+    values, _, _ = columns([{}, {}], [{}], None, src, [np.array([3.0, 4.0])])
+    assert values["euc"][:, 0] == pytest.approx([5.0, np.sqrt(8)])
 
 
 def test_soft_cosine_identical_counts():
@@ -113,28 +123,157 @@ def test_relaxed_is_lower_bound():
         assert exact >= lb - 1e-9
 
 
-def test_similarity_transform():
-    assert similarity(0.0) == 1.0
-    assert similarity(1.0) == 0.5
-    assert similarity(2.0) == pytest.approx(1 / 3)
-
-
-def test_distance_record_full():
+def test_semantic_columns_full():
     m = matrix(x=[1.0, 0.0], y=[0.0, 1.0])
-    a = TokenCounts({"x": 1})
-    b = TokenCounts({"y": 1})
-    rec = distance_record(a, b, m, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-    assert rec.wmd == pytest.approx(np.sqrt(2))
-    assert rec.wmd_sim == pytest.approx(1 / (1 + np.sqrt(2)))
-    assert rec.cos == pytest.approx(1.0)
-    assert rec.cos_sim == pytest.approx(0.5)
-    assert rec.euc == pytest.approx(np.sqrt(2))
+    u, v = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+    values, masks, relaxed = columns([{"x": 1}], [{"y": 1}], m, [u], [v])
+    assert values["wmd"][0, 0] == pytest.approx(np.sqrt(2))
+    assert values["wmd_sim"][0, 0] == pytest.approx(1 / (1 + np.sqrt(2)))
+    assert values["scm"][0, 0] == 0.0
+    assert values["cos"][0, 0] == pytest.approx(1.0)
+    assert values["cos_sim"][0, 0] == pytest.approx(0.5)
+    assert values["euc"][0, 0] == pytest.approx(np.sqrt(2))
+    assert all(masks[name].all() for name in SEMANTIC_FIELDS)
+    assert not relaxed.any()
 
 
-def test_distance_record_undefined_oov():
+def test_semantic_columns_similarity_transform():
+    m = matrix(x=[0.0, 0.0], y=[1.0, 0.0], z=[2.0, 0.0])
+    values, _, _ = columns([{"x": 1}], [{"x": 1}, {"y": 1}, {"z": 1}], m)
+    assert values["wmd_sim"][0].tolist() == [1.0, 0.5, pytest.approx(1 / 3)]
+
+
+def test_semantic_columns_undefined_oov():
     m = matrix(x=[1.0, 0.0])
-    rec = distance_record(TokenCounts({"x": 1}), TokenCounts({"zz": 1}), m, None, None)
-    assert isinstance(rec, DistanceRecord)
-    assert rec.wmd is None
-    assert rec.scm is None
-    assert rec.wmd_sim is None
+    values, masks, _ = columns([{"x": 1}], [{"zz": 1}], m)
+    for name in SEMANTIC_FIELDS:
+        assert np.isnan(values[name][0, 0]), name
+        assert not masks[name][0, 0], name
+
+
+def test_semantic_columns_without_vectors_are_undefined():
+    values, masks, relaxed = columns([{"x": 1}, {}], [{"x": 2}], None)
+    for name in SEMANTIC_FIELDS:
+        assert values[name].shape == (2, 1)
+        assert np.isnan(values[name]).all() and not masks[name].any(), name
+    assert not relaxed.any()
+
+
+def test_semantic_columns_overflow_is_defined_and_not_finite():
+    m = matrix(x=[1e200, -1e200], y=[-1e200, 1e200])
+    big = [np.array([1e200, -1e200])]
+    values, masks, _ = columns([{"x": 1}], [{"y": 1}], m, big, [-big[0]])
+    for name in ("wmd", "cos", "euc"):
+        assert masks[name][0, 0] and not np.isfinite(values[name][0, 0]), name
+
+
+VOCAB = ["t0", "t1", "t2", "t3", "t4"]
+bags = st.dictionaries(st.sampled_from(VOCAB + ["oov0", "oov1"]), st.integers(0, 3), max_size=6)
+small_vectors = st.lists(st.integers(-2, 2), min_size=3, max_size=3).map(
+    lambda v: np.array(v, dtype=float))  # zero and duplicate vectors are common
+doc_vectors = st.one_of(st.none(), small_vectors)
+
+
+def reference(fn, *args):
+    """The value of a single-pair function, or None where it raises ValueError."""
+    try:
+        return fn(*args)
+    except ValueError:
+        return None
+
+
+def reference_cos(u, v):
+    if u is None or v is None or not np.linalg.norm(u) or not np.linalg.norm(v):
+        return None
+    return min(2.0, max(0.0, 1.0 - float(u @ v) / (np.linalg.norm(u) * np.linalg.norm(v))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.tuples(bags, doc_vectors), min_size=1, max_size=3),
+    st.lists(st.tuples(bags, doc_vectors), min_size=1, max_size=3),
+    st.lists(small_vectors, min_size=len(VOCAB), max_size=len(VOCAB)),
+)
+def test_semantic_columns_match_single_pair_functions(src, tgt, vectors):
+    m = EmbeddingMatrix(vocab=VOCAB, vectors=np.array(vectors))
+    values, masks, relaxed = columns(
+        [c for c, _ in src], [c for c, _ in tgt], m, [v for _, v in src], [v for _, v in tgt])
+    for i, (ca, va) in enumerate(src):
+        for j, (cb, vb) in enumerate(tgt):
+            a, b = TokenCounts(ca), TokenCounts(cb)
+            want = {
+                "wmd": reference(lambda *x: wmd(*x)[0], a, b, m),
+                "scm": reference(soft_cosine, a, b, m),
+                "cos": reference_cos(va, vb),
+                "euc": None if va is None or vb is None else float(np.linalg.norm(va - vb)),
+            }
+            want["wmd_sim"] = None if want["wmd"] is None else 1.0 / (1.0 + want["wmd"])
+            want["cos_sim"] = None if want["cos"] is None else 1.0 / (1.0 + want["cos"])
+            for name in SEMANTIC_FIELDS:
+                got = values[name][i, j]
+                assert masks[name][i, j] == (want[name] is not None), name
+                if want[name] is None:
+                    assert np.isnan(got), name
+                elif name in ("wmd", "wmd_sim"):
+                    assert got == want[name], name  # bit-identical
+                else:
+                    assert got == pytest.approx(want[name], rel=1e-12, abs=1e-12), name
+            single = reference(wmd, a, b, m)
+            assert relaxed[i, j] == (single is not None and single[1])
+
+
+def test_transport_rejects_non_finite_costs():
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite"):
+            transport_cost([1, 1], [1], [[0.5], [bad]])
+
+
+ZIPF_PAIR = """
+import json, sys
+from tracex.corpus import load_testbed
+from tracex.embeddings import load_embeddings
+from tracex.semantics import wmd
+from tracex.tokenization import conventional_tokenize, count_tokens
+tb = load_testbed(sys.argv[1])
+text = {a.id: a.raw_text for a in tb.sources + tb.targets}
+a, b = (count_tokens(conventional_tokenize(text[k])) for k in sys.argv[3:5])
+print(json.dumps(wmd(a, b, load_embeddings(sys.argv[2]))[0]))
+"""
+
+
+def test_exact_wmd_on_zipf_pair_matches_highs(tmp_path, monkeypatch):
+    """Seed-1 pair S003->T004 of the wmd-zipf benchmark workload (41x50 bags):
+    round-off used to relabel a finalized node, and the path trace looped until
+    memory ran out. Solved in a capped child, checked against HiGHS."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import workloads
+
+    inputs = workloads.build_wmd_zipf(1, tmp_path)
+
+    cap = 1 << 30
+    proc = subprocess.run(
+        [sys.executable, "-c", ZIPF_PAIR, inputs.manifest, inputs.vectors, "S003", "T004"],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1"),
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    value = json.loads(proc.stdout)
+
+    from tracex.embeddings import load_embeddings
+    from tracex.tokenization import conventional_tokenize, count_tokens
+
+    m = load_embeddings(inputs.vectors)
+    bags = [count_tokens(conventional_tokenize(inputs.texts[k])) for k in ("source:S003", "target:T004")]
+    tokens = [sorted(bag.counts) for bag in bags]
+    weights = [np.array([bag.counts[t] for t in toks], float) for bag, toks in zip(bags, tokens)]
+    va, vb = (np.array([m.vector(t) for t in toks]) for toks in tokens)
+    cost = np.linalg.norm(va[:, None, :] - vb[None, :, :], axis=2)
+    n, k = cost.shape
+    a_eq = np.vstack([np.kron(np.eye(n), np.ones(k)), np.kron(np.ones(n), np.eye(k))])
+    b_eq = np.concatenate([weights[0] / weights[0].sum(), weights[1] / weights[1].sum()])
+    lp = linprog(cost.ravel(), A_eq=a_eq, b_eq=b_eq, method="highs")
+    assert lp.success
+    assert (n, k) == (41, 50)
+    assert value == pytest.approx(lp.fun, rel=1e-9)
