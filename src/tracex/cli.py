@@ -8,10 +8,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
 
-from tracex.corpus import CorpusError, generate_synthetic, load_testbed, write_testbed
+from tracex.corpus import ConfigError, CorpusError, generate_synthetic, load_testbed, write_testbed
 from tracex.embeddings import EmbeddingError, TrainConfig, train_skipgram
 from tracex.pipeline import BPE_VOCAB_SIZES, SEMANTIC_METRICS, NumericError, RunConfig, run_analysis
 from tracex.report import OrphanPolicy, ReportError, detect_orphans, extreme_cases, read_records
@@ -100,21 +101,32 @@ def cmd_analyze(args) -> int:
 
 def cmd_validate(args) -> int:
     tb = load_testbed(args.manifest)
+    # conventional tokenization, the default preprocessing of analyze
+    empty = [a.id for a in tb.sources + tb.targets if not conventional_tokenize(a.raw_text)]
     report = {
         "name": tb.name,
         "all": tb.n_all,
         "links": tb.n_links,
         "non_links": tb.n_non_links,
-        "empty_artifacts": tb.empty_artifact_ids,
+        "empty_artifacts": empty,
     }
     if args.json:
         print(json.dumps(report, sort_keys=True))
     else:
         print(
             f"{tb.name}: {tb.n_all} candidates, {tb.n_links} links, "
-            f"{tb.n_non_links} non-links, {len(tb.empty_artifact_ids)} empty artifacts"
+            f"{tb.n_non_links} non-links, {len(empty)} empty artifacts"
         )
     return 0
+
+
+@contextmanager
+def _creating(out: str):
+    """An output path that cannot be created is a configuration error."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write output {out}: {exc}") from exc
 
 
 def _read_corpus(paths: list[str]) -> list[str]:
@@ -137,7 +149,8 @@ def cmd_train_bpe(args) -> int:
             "(no remaining pair occurs twice)",
             file=sys.stderr,
         )
-    model.save(args.out)
+    with _creating(args.out):
+        model.save(args.out)
     return 0
 
 
@@ -145,14 +158,15 @@ def cmd_train_embeddings(args) -> int:
     cfg = TrainConfig(dim=args.dim, epochs=args.epochs, seed=args.seed)
     corpus = [conventional_tokenize(t) for t in _read_corpus(args.paths)]
     trained = train_skipgram(corpus, cfg)
-    trained.matrix.save(args.out)
+    with _creating(args.out):
+        trained.matrix.save(args.out)
     return 0
 
 
 def cmd_cases(args) -> int:
     policy = OrphanPolicy(quantile=args.orphan_quantile, metric=args.orphan_metric)
     if args.k < 1:
-        raise ValueError(f"--k must be >= 1, got {args.k}")
+        raise ConfigError(f"--k must be >= 1, got {args.k}")
     records = read_records(Path(args.records))
     listings = extreme_cases(records, args.metric, args.k)
     if records["is_link"].any():
@@ -165,7 +179,8 @@ def cmd_cases(args) -> int:
 
 def cmd_synth(args) -> int:
     tb = generate_synthetic(args.seed, args.sources, args.targets, args.overlap)
-    manifest = write_testbed(tb, args.out)
+    with _creating(args.out):
+        manifest = write_testbed(tb, args.out)
     print(manifest)
     return 0
 
@@ -189,7 +204,7 @@ def main(argv: list[str] | None = None) -> int:
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except ValueError as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -19,16 +19,16 @@ class CorpusError(Exception):
     """Raised for missing files, malformed oracles, or dangling artifact ids."""
 
 
+class ConfigError(ValueError):
+    """Raised for an invalid option or an output path that cannot be created."""
+
+
 @dataclass(frozen=True)
 class Artifact:
     id: str
     role: str  # "source" or "target"
     raw_text: str
     origin_path: str = ""
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.raw_text.strip()
 
 
 @dataclass(frozen=True)
@@ -82,11 +82,6 @@ class Testbed:
     @property
     def n_non_links(self) -> int:
         return self.n_all - self.n_links
-
-    @property
-    def empty_artifact_ids(self) -> list[str]:
-        """Ids of artifacts with no text content. Admitted, but flagged."""
-        return [a.id for a in self.sources + self.targets if a.is_empty]
 
 
 def load_testbed(manifest_path: str | Path) -> Testbed:
@@ -189,9 +184,9 @@ def generate_synthetic(
     nothing.
     """
     if n_src < 1 or n_tgt < 1:
-        raise ValueError("n_src and n_tgt must be >= 1")
+        raise ConfigError("n_src and n_tgt must be >= 1")
     if not 0.0 <= overlap <= 1.0:
-        raise ValueError(f"overlap must be in [0, 1], got {overlap}")
+        raise ConfigError(f"overlap must be in [0, 1], got {overlap}")
 
     rng = random.Random(seed)
     minted: set[str] = set()

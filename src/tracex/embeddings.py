@@ -14,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
+from tracex.corpus import ConfigError
+
 NOISE_EXPONENT = 0.75
 MIN_LR_FRACTION = 1e-4
 
@@ -33,12 +35,11 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        # plain ValueError: a bad training option is a configuration error
         for name in ("dim", "window", "negatives", "epochs", "min_count"):
             if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
+                raise ConfigError(f"{name} must be positive")
         if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+            raise ConfigError("learning_rate must be positive")
 
 
 @dataclass

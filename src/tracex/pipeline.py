@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from tracex import __version__
-from tracex.corpus import CorpusError, Testbed, enumerate_candidates, load_testbed
+from tracex.corpus import ConfigError, CorpusError, Testbed, enumerate_candidates, load_testbed
 from tracex.embeddings import (
     EmbeddingError,
     EmbeddingMatrix,
@@ -90,9 +90,9 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         if self.preprocessing not in ("conventional", *BPE_VOCAB_SIZES):
-            raise ValueError(f"unknown preprocessing: {self.preprocessing}")
+            raise ConfigError(f"unknown preprocessing: {self.preprocessing}")
         if self.vectorizer not in ("skipgram", "pvdbow", "none"):
-            raise ValueError(f"unknown vectorizer: {self.vectorizer}")
+            raise ConfigError(f"unknown vectorizer: {self.vectorizer}")
         OrphanPolicy(self.orphan_quantile, self.orphan_metric)  # validates both
         self.train_config()  # validates the training options
 
@@ -124,6 +124,7 @@ class TestbedResult:
     records: dict  # see tracex.report
     evaluation: dict
     undefined_counts: dict[str, int]
+    empty_artifacts: list[str]  # ids whose token sequence is empty; admitted, but flagged
 
 
 def analyze_testbed(tb: Testbed, cfg: RunConfig) -> TestbedResult:
@@ -155,7 +156,8 @@ def analyze_testbed(tb: Testbed, cfg: RunConfig) -> TestbedResult:
         **columns,
     }
     undefined = {metric: int(np.isnan(records[metric]).sum()) for metric in SCORE_METRICS}
-    return TestbedResult(tb, records, _evaluate(records), undefined)
+    empty = [key.split(":", 1)[1] for key, seq in seqs.items() if not seq]
+    return TestbedResult(tb, records, _evaluate(records), undefined, empty)
 
 
 def _build_embeddings(
@@ -217,7 +219,10 @@ def run_analysis(cfg: RunConfig) -> list[TestbedResult]:
         if names.count(name) > 1:
             raise CorpusError(f"two testbeds are named {name!r}; their reports would collide")
     out_root = Path(cfg.out_dir)
-    out_root.mkdir(parents=True, exist_ok=True)
+    try:
+        out_root.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory: {exc}") from exc
     results = []
     for tb in testbeds:
         result = analyze_testbed(tb, cfg)
@@ -233,7 +238,7 @@ def run_analysis(cfg: RunConfig) -> list[TestbedResult]:
                 "all": r.testbed.n_all,
                 "links": r.testbed.n_links,
                 "non_links": r.testbed.n_non_links,
-                "empty_artifacts": r.testbed.empty_artifact_ids,
+                "empty_artifacts": r.empty_artifacts,
                 "undefined_pair_counts": r.undefined_counts,
             }
             for r in results

@@ -23,6 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
+from tracex.corpus import ConfigError
 from tracex.evaluation import SummaryStats, summarize
 
 RECORD_COLUMNS = [
@@ -46,11 +47,10 @@ class OrphanPolicy:
     metric: str = "mi"
 
     def __post_init__(self) -> None:
-        # plain ValueError: a bad policy is a configuration error
         if not 0.0 < self.quantile < 1.0:
-            raise ValueError(f"orphan quantile must be inside (0, 1), got {self.quantile}")
+            raise ConfigError(f"orphan quantile must be inside (0, 1), got {self.quantile}")
         if self.metric not in ("mi", "si"):
-            raise ValueError(f"orphan metric must be mi or si, got {self.metric}")
+            raise ConfigError(f"orphan metric must be mi or si, got {self.metric}")
 
 
 @dataclass(frozen=True)

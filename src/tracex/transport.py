@@ -1,24 +1,27 @@
 """Exact optimal transport between two discrete weight vectors.
 
 Min-cost flow on the dense bipartite transport graph, solved by successive
-shortest paths with node potentials (Dijkstra on reduced costs). Supplies
-are cross-scaled to integers so every augmentation is exact; the final
-cost is rescaled back to the probability simplex.
+shortest paths with node potentials: Dijkstra on reduced costs over one
+label array of m + n nodes (row i is node i, column j is node m + j), each
+step finalizing the `argmin` label. Supplies are cross-scaled to integers so
+every augmentation is exact; the final cost is rescaled back to the
+probability simplex.
 """
 
 from __future__ import annotations
 
-import heapq
-import math
-
 import numpy as np
+
+EXACT_TOTAL_LIMIT = 2**53  # float64 holds every integer up to here exactly
 
 
 def transport_cost(a, b, cost) -> float:
     """Minimum cost of moving distribution a onto b under the cost matrix.
 
     a and b are nonnegative integer weight vectors; they are normalized
-    internally, so only their proportions matter. Every cost must be finite.
+    internally, so only their proportions matter. Every cost must be finite,
+    and the product of the two totals at most 2**53, so that the cross-scaled
+    supplies and every flow stay exact in float64.
     """
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
@@ -30,6 +33,8 @@ def transport_cost(a, b, cost) -> float:
     ta, tb = int(a.sum()), int(b.sum())
     if ta <= 0 or tb <= 0:
         raise ValueError("both weight vectors must have positive total")
+    if ta * tb > EXACT_TOTAL_LIMIT:
+        raise ValueError(f"weight totals {ta} * {tb} exceed the exact bound 2**53")
 
     # Cross-scale so supplies and demands are integers with equal totals.
     plan = _min_cost_transport(a * tb, b * ta, cost)
@@ -38,90 +43,56 @@ def transport_cost(a, b, cost) -> float:
 
 def _min_cost_transport(supply, demand, cost) -> np.ndarray:
     """Successive shortest paths. Reduced cost of the forward arc i->j is
-    cost[i,j] + pot_u[i] - pot_v[j]; flow-carrying arcs admit the reverse
-    arc at the negated reduced cost. Potentials keep all reduced costs
-    nonnegative so Dijkstra stays valid with float costs. Only nodes not yet
-    finalized are relaxed: round-off can make a reduced cost slightly
-    negative, and relabelling a finalized node would put a cycle into the
-    predecessor chain."""
+    cost[i,j] + pot[i] - pot[m+j]; flow-carrying arcs admit the reverse arc
+    at the negated reduced cost. Potentials keep all reduced costs
+    nonnegative so Dijkstra stays valid with float costs. Ties finalize rows
+    before columns and lower indices first. Only nodes not yet finalized are
+    relaxed: round-off can make a reduced cost slightly negative, and
+    relabelling a finalized node would put a cycle into the predecessor
+    chain. The search stops at the first finalized column with demand left."""
     m, n = cost.shape
     flow = np.zeros((m, n))
-    res_supply = supply.astype(np.float64).copy()
-    res_demand = demand.astype(np.float64).copy()
-    pot_u = np.zeros(m)
-    pot_v = np.zeros(n)
+    residual = np.concatenate([supply, demand]).astype(np.float64)  # rows, then columns
+    pot = np.zeros(m + n)
 
-    while True:
-        sources = np.flatnonzero(res_supply > 0)
-        if sources.size == 0:
-            break
-        dist_u = np.full(m, math.inf)
-        dist_v = np.full(n, math.inf)
-        prev_v = np.full(n, -1, dtype=np.int64)  # row used to reach column j
-        prev_u = np.full(m, -1, dtype=np.int64)  # column used to reach row i
-        done_u = np.zeros(m, dtype=bool)
-        done_v = np.zeros(n, dtype=bool)
-        heap: list[tuple[float, int, int]] = []
-        for i in sources:
-            dist_u[i] = 0.0
-            heap.append((0.0, 0, int(i)))
-        heapq.heapify(heap)
-
-        while heap:
-            d, side, idx = heapq.heappop(heap)
-            if side == 0:
-                if done_u[idx]:
-                    continue
-                done_u[idx] = True
-                nd = d + cost[idx] + pot_u[idx] - pot_v
-                for j in np.flatnonzero(nd < dist_v - 1e-15):
-                    if done_v[j]:
-                        continue
-                    dist_v[j] = nd[j]
-                    prev_v[j] = idx
-                    heapq.heappush(heap, (nd[j], 1, int(j)))
-            else:
-                if done_v[idx]:
-                    continue
-                done_v[idx] = True
-                rows = np.flatnonzero(flow[:, idx] > 0)
-                if rows.size:
-                    nd = d - (cost[rows, idx] + pot_u[rows] - pot_v[idx])
-                    for k in np.flatnonzero(nd < dist_u[rows] - 1e-15):
-                        i = int(rows[k])
-                        if done_u[i]:
-                            continue
-                        dist_u[i] = nd[k]
-                        prev_u[i] = idx
-                        heapq.heappush(heap, (nd[k], 0, i))
-
-        open_cols = np.flatnonzero(res_demand > 0)
-        reachable = open_cols[np.isfinite(dist_v[open_cols])]
-        if reachable.size == 0:
-            raise RuntimeError("transport problem infeasible")
-        j_end = int(reachable[np.argmin(dist_v[reachable])])
-        d_end = dist_v[j_end]
-
-        pot_u += np.minimum(dist_u, d_end)
-        pot_v += np.minimum(dist_v, d_end)
-
-        # Trace the augmenting path and find its bottleneck.
-        path: list[tuple[int, int, int]] = []  # (row, col, +1 forward / -1 backward)
-        j = j_end
-        bottleneck = res_demand[j]
+    while (residual[:m] > 0).any():
+        dist = np.full(m + n, np.inf)
+        dist[:m][residual[:m] > 0] = 0.0
+        label = dist.copy()  # dist of nodes not yet final, inf once final
+        prev = np.full(m + n, -1, dtype=np.int64)  # node the best path came from
+        done = np.zeros(m + n, dtype=bool)
         while True:
-            i = int(prev_v[j])
-            path.append((i, j, +1))
-            if prev_u[i] < 0:
-                bottleneck = min(bottleneck, res_supply[i])
-                start_row = i
+            u = int(np.argmin(label))
+            if label[u] == np.inf:
+                raise RuntimeError("transport problem infeasible")
+            done[u], label[u] = True, np.inf
+            if u < m:  # forward arcs to every column
+                nodes = m + np.arange(n)
+                nd = dist[u] + cost[u] + pot[u] - pot[m:]
+            elif residual[u] > 0:
                 break
-            j_back = int(prev_u[i])
-            path.append((i, j_back, -1))
-            bottleneck = min(bottleneck, flow[i, j_back])
-            j = j_back
-        for i, j, direction in path:
-            flow[i, j] += direction * bottleneck
-        res_supply[start_row] -= bottleneck
-        res_demand[j_end] -= bottleneck
+            else:  # reverse arcs to the rows that send flow into this column
+                nodes = np.flatnonzero(flow[:, u - m] > 0)
+                nd = dist[u] - (cost[nodes, u - m] + pot[nodes] - pot[u])
+            better = (nd < dist[nodes] - 1e-15) & ~done[nodes]
+            nodes, nd = nodes[better], nd[better]
+            dist[nodes], label[nodes], prev[nodes] = nd, nd, u
+        pot += np.minimum(dist, dist[u])
+
+        # Trace the augmenting path back to a source row; find its bottleneck.
+        path: list[tuple[int, int, int]] = []  # (row, col, +1 forward / -1 backward)
+        bottleneck, j = residual[u], u
+        while True:
+            i = int(prev[j])
+            path.append((i, j - m, +1))
+            if prev[i] < 0:
+                bottleneck = min(bottleneck, residual[i])
+                break
+            j = int(prev[i])
+            path.append((i, j - m, -1))
+            bottleneck = min(bottleneck, flow[i, j - m])
+        for r, c, direction in path:
+            flow[r, c] += direction * bottleneck
+        residual[i] -= bottleneck
+        residual[u] -= bottleneck
     return flow

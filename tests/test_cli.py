@@ -281,6 +281,34 @@ def test_unsafe_testbed_names_exit_2(synth_manifest, tmp_path, name):
     assert not (tmp_path / "deep").exists()
 
 
+@pytest.mark.parametrize("command", ["analyze", "synth", "train-bpe", "train-embeddings"])
+def test_uncreatable_output_is_config_error(synth_manifest, tmp_path, command):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a file, not a directory\n")
+    corpus = synth_manifest.parent / "sources" / "SRC000.txt"
+    argv = {
+        "analyze": ["--manifest", synth_manifest, "--vectorizer", "none", "--out", blocker],
+        "synth": ["--out", blocker / "tb"],
+        "train-bpe": [corpus, "--vocab-size", "40", "--out", blocker / "bpe.json"],
+        "train-embeddings": [corpus, "--dim", "4", "--epochs", "1", "--out", blocker / "vecs.txt"],
+    }[command]
+    proc = run_cli(command, *argv)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("config error:"), proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_program_fault_is_not_a_config_error(synth_manifest, tmp_path, monkeypatch, capsys):
+    def broken(*args):
+        raise ValueError("cannot reshape array of size 0 into shape (0)")
+
+    monkeypatch.setattr("tracex.pipeline.info_columns", broken)
+    with pytest.raises(ValueError, match="reshape"):
+        main(["analyze", "--manifest", str(synth_manifest), "--vectorizer", "none",
+              "--out", str(tmp_path / "out")])
+    assert "config error:" not in capsys.readouterr().err
+
+
 def test_overflowing_vectors_are_numeric_errors(synth_manifest, tmp_path):
     tokens = sorted({t for p in synth_manifest.parent.rglob("*.txt")
                      for t in conventional_tokenize(p.read_text())})

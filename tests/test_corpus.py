@@ -2,8 +2,10 @@ import json
 
 import pytest
 
+from tracex.cli import main
 from tracex.corpus import (
     Artifact,
+    ConfigError,
     CorpusError,
     Testbed as CorpusTestbed,
     TraceLink,
@@ -65,10 +67,17 @@ def test_missing_manifest():
         load_testbed("/nonexistent/manifest.json")
 
 
-def test_empty_artifacts_flagged_not_rejected(tmp_path):
-    manifest = make_testbed(tmp_path, {"R1": "words"}, {"C1": "", "C2": "x"}, ["R1 C2"])
-    tb = load_testbed(manifest)
-    assert tb.empty_artifact_ids == ["C1"]
+def test_empty_artifacts_flagged_not_rejected(tmp_path, capsys):
+    # C3 has text, but no token survives tokenization
+    targets = {"C1": "", "C2": "more words", "C3": "a b c !"}
+    manifest = make_testbed(tmp_path, {"R1": "words"}, targets, ["R1 C2"])
+    assert len(load_testbed(manifest).targets) == 3
+    assert main(["validate", str(manifest), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["empty_artifacts"] == ["C1", "C3"]
+    out = tmp_path / "out"
+    assert main(["analyze", "--manifest", str(manifest), "--vectorizer", "none", "--out", str(out)]) == 0
+    meta = json.loads((out / "run.json").read_text())
+    assert meta["testbeds"]["tiny"]["empty_artifacts"] == ["C1", "C3"]
 
 
 def test_enumerate_candidates_ordering_and_labels():
@@ -115,8 +124,10 @@ def test_synthetic_deterministic():
 
 
 def test_synthetic_overlap_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         generate_synthetic(0, 2, 2, 1.5)
+    with pytest.raises(ConfigError):
+        generate_synthetic(0, 0, 2, 0.5)
 
 
 def test_write_testbed_round_trip(tmp_path):

@@ -228,6 +228,57 @@ def test_transport_rejects_non_finite_costs():
             transport_cost([1, 1], [1], [[0.5], [bad]])
 
 
+def highs_transport(a, b, cost):
+    """The same transport problem solved by SciPy HiGHS. Its marginals are
+    scaled by the other side's total, not normalized: HiGHS's absolute 1e-7
+    feasibility tolerance would let a skewed weight of 1e-6 leak at no cost
+    (it read -9.9e-9 on a problem whose optimum is 0)."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    a, b, cost = (np.asarray(x, dtype=float) for x in (a, b, cost))
+    n, k = cost.shape
+    a_eq = np.vstack([np.kron(np.eye(n), np.ones(k)), np.kron(np.ones(n), np.eye(k))])
+    b_eq = np.concatenate([a * b.sum(), b * a.sum()])
+    lp = linprog(cost.ravel(), A_eq=a_eq, b_eq=b_eq, method="highs")
+    assert lp.success
+    return lp.fun / (a.sum() * b.sum())
+
+
+def test_transport_rejects_totals_beyond_exact_bound():
+    # cross-scaled supplies past 2**53 are not exact in float64
+    with pytest.raises(ValueError, match=r"2\*\*53"):
+        transport_cost([10**8, 1, 2], [3, 10**8], np.ones((3, 2)))
+
+
+def test_transport_large_skewed_weights_match_highs():
+    a, b = [10**7, 1, 2], [3, 10**8]  # totals multiply to about 1e15, inside the bound
+    cost = np.random.default_rng(5).random((3, 2)) * 3.0
+    assert transport_cost(a, b, cost) == pytest.approx(highs_transport(a, b, cost), rel=1e-9)
+
+
+@st.composite
+def degenerate_transport(draw):
+    """Zero and skewed weights; integer costs in {0, 1, 2} (ties, zero-cost cells)
+    or Euclidean costs between integer vectors in [-1, 1]^3 (duplicate vectors)."""
+    weight = st.one_of(st.integers(0, 3), st.sampled_from([10**4, 10**6]))
+    a = draw(st.lists(weight, min_size=1, max_size=5).filter(any))
+    b = draw(st.lists(weight, min_size=1, max_size=5).filter(any))
+    if draw(st.booleans()):
+        cells = st.lists(st.sampled_from([0, 1, 2]), min_size=len(a) * len(b), max_size=len(a) * len(b))
+        cost = np.array(draw(cells), dtype=float).reshape(len(a), len(b))
+    else:
+        point = st.tuples(*[st.integers(-1, 1)] * 3)
+        va, vb = (np.array([draw(point) for _ in w], dtype=float) for w in (a, b))
+        cost = np.linalg.norm(va[:, None, :] - vb[None, :, :], axis=2)
+    return a, b, cost
+
+
+@settings(max_examples=120, deadline=None)
+@given(degenerate_transport())
+def test_transport_degenerate_inputs_match_highs(problem):
+    a, b, cost = problem
+    assert transport_cost(a, b, cost) == pytest.approx(highs_transport(a, b, cost), rel=1e-9, abs=1e-12)
+
+
 ZIPF_PAIR = """
 import json, sys
 from tracex.corpus import load_testbed
