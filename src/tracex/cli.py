@@ -129,6 +129,23 @@ def _creating(out: str):
         raise ConfigError(f"cannot write output {out}: {exc}") from exc
 
 
+@contextmanager
+def _claiming(out: str):
+    """Open the output file before any work, so that a path that cannot be
+    written fails before training; a file created here is removed if the
+    work fails."""
+    path = Path(out)
+    created = not path.exists()
+    with _creating(out):
+        path.open("a").close()
+    try:
+        yield
+    except BaseException:
+        if created:
+            path.unlink(missing_ok=True)
+        raise
+
+
 def _read_corpus(paths: list[str]) -> list[str]:
     texts = []
     for p in paths:
@@ -140,8 +157,10 @@ def _read_corpus(paths: list[str]) -> list[str]:
 
 
 def cmd_train_bpe(args) -> int:
-    texts = _read_corpus(args.paths)
-    model = train_bpe(texts, args.vocab_size)
+    with _claiming(args.out):
+        model = train_bpe(_read_corpus(args.paths), args.vocab_size)
+        with _creating(args.out):
+            model.save(args.out)
     budget = args.vocab_size - (len(model.vocab) - len(model.merges))
     if len(model.merges) < budget:
         print(
@@ -149,17 +168,16 @@ def cmd_train_bpe(args) -> int:
             "(no remaining pair occurs twice)",
             file=sys.stderr,
         )
-    with _creating(args.out):
-        model.save(args.out)
     return 0
 
 
 def cmd_train_embeddings(args) -> int:
     cfg = TrainConfig(dim=args.dim, epochs=args.epochs, seed=args.seed)
-    corpus = [conventional_tokenize(t) for t in _read_corpus(args.paths)]
-    trained = train_skipgram(corpus, cfg)
-    with _creating(args.out):
-        trained.matrix.save(args.out)
+    with _claiming(args.out):
+        corpus = [conventional_tokenize(t) for t in _read_corpus(args.paths)]
+        trained = train_skipgram(corpus, cfg)
+        with _creating(args.out):
+            trained.matrix.save(args.out)
     return 0
 
 

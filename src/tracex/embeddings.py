@@ -1,14 +1,16 @@
 """Desk-scale word and document embeddings.
 
-Skip-gram with negative sampling (unigram^0.75 noise, symmetric window,
-linear learning-rate decay) and PV-DBOW document vectors trained against a
-shared word output matrix. Training is single-worker and bit-deterministic
-for a fixed seed. A plain-text loader accepts externally trained vectors.
+Skip-gram word vectors and PV-DBOW document vectors (trained against a
+shared word output matrix) come from one negative-sampling loop with fixed
+settings: unigram^0.75 noise, linear learning-rate decay and minimum count
+1. Training is single-worker and bit-deterministic for a fixed seed. A
+plain-text loader accepts externally trained vectors.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -16,8 +18,12 @@ import numpy as np
 
 from tracex.corpus import ConfigError
 
+WINDOW = 5  # skip-gram context: up to this many words on each side
+NEGATIVES = 5  # noise words per prediction
 NOISE_EXPONENT = 0.75
+LEARNING_RATE = 0.025
 MIN_LR_FRACTION = 1e-4
+EPS = 1e-12  # keeps the loss finite where a prediction rounds to 0 or 1
 
 
 class EmbeddingError(ValueError):
@@ -27,19 +33,13 @@ class EmbeddingError(ValueError):
 @dataclass
 class TrainConfig:
     dim: int = 50
-    window: int = 5
-    negatives: int = 5
     epochs: int = 20
-    learning_rate: float = 0.025
-    min_count: int = 1
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("dim", "window", "negatives", "epochs", "min_count"):
+        for name in ("dim", "epochs"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be positive")
 
 
 @dataclass
@@ -105,53 +105,63 @@ def load_embeddings(path: str | Path) -> EmbeddingMatrix:
     return EmbeddingMatrix(vocab=vocab, vectors=rows)
 
 
-class _NoiseSampler:
-    """Negative sampling from the unigram^0.75 distribution."""
-
-    def __init__(self, counts: np.ndarray, rng: np.random.Generator):
-        weights = counts.astype(np.float64) ** NOISE_EXPONENT
-        self.cdf = np.cumsum(weights / weights.sum())
-        self.rng = rng
-
-    def draw(self, k: int) -> np.ndarray:
-        return np.searchsorted(self.cdf, self.rng.random(k))
-
-
-def _build_vocab(corpus: list[list[str]], min_count: int) -> tuple[list[str], np.ndarray]:
+def _build_vocab(corpus: list[list[str]]) -> tuple[list[str], np.ndarray, list[list[int]]]:
+    """Vocabulary by descending count then token, its counts, and the encoded corpus."""
     freq: dict[str, int] = {}
     for doc in corpus:
         for tok in doc:
             freq[tok] = freq.get(tok, 0) + 1
-    kept = [(t, c) for t, c in freq.items() if c >= min_count]
-    kept.sort(key=lambda tc: (-tc[1], tc[0]))
-    if not kept:
-        raise EmbeddingError("empty vocabulary after min_count filtering")
-    vocab = [t for t, _ in kept]
-    counts = np.array([c for _, c in kept], dtype=np.int64)
-    return vocab, counts
+    if not freq:
+        raise EmbeddingError("empty vocabulary: the corpus has no tokens")
+    vocab = sorted(freq, key=lambda t: (-freq[t], t))
+    index = {t: i for i, t in enumerate(vocab)}
+    counts = np.array([freq[t] for t in vocab], dtype=np.int64)
+    return vocab, counts, [[index[t] for t in doc] for doc in corpus]
 
 
-def _sgns_step(
-    w_in: np.ndarray,
-    w_out: np.ndarray,
-    in_idx: int,
-    pos_idx: int,
-    negatives: np.ndarray,
-    lr: float,
-) -> float:
-    """One negative-sampling update; returns the step's loss."""
-    targets = np.concatenate(([pos_idx], negatives))
-    labels = np.zeros(len(targets))
+def _train_sgns(
+    docs: list[list[int]],
+    counts: np.ndarray,
+    n_inputs: int,
+    inputs: Callable[[int, list[int], int, np.random.Generator], Sequence[int]],
+    cfg: TrainConfig,
+) -> tuple[np.ndarray, np.ndarray, list[float]]:
+    """Negative-sampling training shared by skip-gram and PV-DBOW: each word
+    `docs[d][pos]` is predicted from every row of the n_inputs x dim input
+    matrix that `inputs(d, docs[d], pos, rng)` returns. Returns the input
+    and output matrices and the mean loss of each epoch."""
+    rng = np.random.default_rng(cfg.seed)
+    weights = counts.astype(np.float64) ** NOISE_EXPONENT
+    noise_cdf = np.cumsum(weights / weights.sum())
+    w_in = (rng.random((n_inputs, cfg.dim)) - 0.5) / cfg.dim
+    w_out = np.zeros((len(counts), cfg.dim))
+    labels = np.zeros(1 + NEGATIVES)
     labels[0] = 1.0
-    v = w_in[in_idx]
-    scores = w_out[targets] @ v
-    preds = 1.0 / (1.0 + np.exp(-scores))
-    grad = preds - labels
-    grad_v = grad @ w_out[targets]
-    w_out[targets] -= lr * grad[:, None] * v
-    w_in[in_idx] -= lr * grad_v
-    eps = 1e-12
-    return float(-(math.log(preds[0] + eps) + np.log(1.0 - preds[1:] + eps).sum()))
+
+    total_words = sum(len(d) for d in docs) * cfg.epochs
+    processed = 0
+    epoch_losses: list[float] = []
+    for _ in range(cfg.epochs):
+        loss_sum, loss_n = 0.0, 0
+        for di in rng.permutation(len(docs)):
+            doc = docs[di]
+            for pos, word in enumerate(doc):
+                lr = LEARNING_RATE * max(MIN_LR_FRACTION, 1.0 - processed / total_words)
+                processed += 1
+                for row in inputs(di, doc, pos, rng):
+                    negs = np.searchsorted(noise_cdf, rng.random(NEGATIVES))
+                    targets = np.concatenate(([word], negs))
+                    v = w_in[row]
+                    preds = 1.0 / (1.0 + np.exp(-(w_out[targets] @ v)))
+                    grad = preds - labels
+                    grad_v = grad @ w_out[targets]
+                    w_out[targets] -= lr * grad[:, None] * v
+                    w_in[row] -= lr * grad_v
+                    log_lik = math.log(preds[0] + EPS) + np.log(1.0 - preds[1:] + EPS).sum()
+                    loss_sum -= float(log_lik)
+                    loss_n += 1
+        epoch_losses.append(loss_sum / max(1, loss_n))
+    return w_in, w_out, epoch_losses
 
 
 @dataclass
@@ -160,44 +170,18 @@ class TrainedWordModel:
     epoch_losses: list[float]
 
 
+def _window(di: int, doc: list[int], pos: int, rng: np.random.Generator) -> list[int]:
+    """The words within a random span of 1 to WINDOW positions on each side."""
+    span = int(rng.integers(1, WINDOW + 1))
+    lo, hi = max(0, pos - span), min(len(doc), pos + span + 1)
+    return [doc[c] for c in range(lo, hi) if c != pos]
+
+
 def train_skipgram(corpus: list[list[str]], cfg: TrainConfig) -> TrainedWordModel:
     """Skip-gram with negative sampling; deterministic for a fixed seed."""
-    vocab, counts = _build_vocab(corpus, cfg.min_count)
-    index = {t: i for i, t in enumerate(vocab)}
-    docs = [[index[t] for t in doc if t in index] for doc in corpus]
+    vocab, counts, docs = _build_vocab(corpus)
     docs = [d for d in docs if d]
-    if not docs:
-        raise EmbeddingError("no trainable documents after filtering")
-
-    rng = np.random.default_rng(cfg.seed)
-    sampler = _NoiseSampler(counts, rng)
-    w_in = (rng.random((len(vocab), cfg.dim)) - 0.5) / cfg.dim
-    w_out = np.zeros((len(vocab), cfg.dim))
-
-    total_words = sum(len(d) for d in docs) * cfg.epochs
-    processed = 0
-    epoch_losses: list[float] = []
-    for _ in range(cfg.epochs):
-        loss_sum, loss_n = 0.0, 0
-        order = rng.permutation(len(docs))
-        for di in order:
-            doc = docs[di]
-            for pos, center in enumerate(doc):
-                lr = max(
-                    cfg.learning_rate * MIN_LR_FRACTION,
-                    cfg.learning_rate * (1.0 - processed / total_words),
-                )
-                processed += 1
-                span = int(rng.integers(1, cfg.window + 1))
-                lo = max(0, pos - span)
-                hi = min(len(doc), pos + span + 1)
-                for ctx_pos in range(lo, hi):
-                    if ctx_pos == pos:
-                        continue
-                    negs = sampler.draw(cfg.negatives)
-                    loss_sum += _sgns_step(w_in, w_out, doc[ctx_pos], center, negs, lr)
-                    loss_n += 1
-        epoch_losses.append(loss_sum / max(1, loss_n))
+    w_in, _, epoch_losses = _train_sgns(docs, counts, len(vocab), _window, cfg)
     return TrainedWordModel(
         matrix=EmbeddingMatrix(vocab=vocab, vectors=w_in), epoch_losses=epoch_losses
     )
@@ -214,39 +198,14 @@ class DocVectors:
 def train_pvdbow(docs: list[tuple[str, list[str]]], cfg: TrainConfig) -> DocVectors:
     """PV-DBOW: each document vector predicts words sampled from its own
     text via negative sampling against a shared word output matrix."""
-    corpus = [tokens for _, tokens in docs]
-    vocab, counts = _build_vocab(corpus, cfg.min_count)
-    index = {t: i for i, t in enumerate(vocab)}
-    encoded = [[index[t] for t in tokens if t in index] for _, tokens in docs]
-    if all(not d for d in encoded):
-        raise EmbeddingError("all documents empty after filtering")
-
-    rng = np.random.default_rng(cfg.seed)
-    sampler = _NoiseSampler(counts, rng)
-    d_vecs = (rng.random((len(docs), cfg.dim)) - 0.5) / cfg.dim
-    w_out = np.zeros((len(vocab), cfg.dim))
-
-    total_words = sum(len(d) for d in encoded) * cfg.epochs
-    processed = 0
-    epoch_losses: list[float] = []
-    for _ in range(cfg.epochs):
-        loss_sum, loss_n = 0.0, 0
-        order = rng.permutation(len(encoded))
-        for di in order:
-            for word_idx in encoded[di]:
-                lr = max(
-                    cfg.learning_rate * MIN_LR_FRACTION,
-                    cfg.learning_rate * (1.0 - processed / total_words),
-                )
-                processed += 1
-                negs = sampler.draw(cfg.negatives)
-                loss_sum += _sgns_step(d_vecs, w_out, di, word_idx, negs, lr)
-                loss_n += 1
-        epoch_losses.append(loss_sum / max(1, loss_n))
+    vocab, counts, encoded = _build_vocab([tokens for _, tokens in docs])
+    d_vecs, w_out, epoch_losses = _train_sgns(
+        encoded, counts, len(docs), lambda di, doc, pos, rng: (di,), cfg
+    )
     return DocVectors(
         doc_ids=[doc_id for doc_id, _ in docs],
         vectors=d_vecs,
-        word_matrix=EmbeddingMatrix(vocab=vocab, vectors=w_out.copy()),
+        word_matrix=EmbeddingMatrix(vocab=vocab, vectors=w_out),
         epoch_losses=epoch_losses,
     )
 

@@ -84,9 +84,6 @@ class RunConfig:
     orphan_metric: str = "mi"
     dim: int = 50
     epochs: int = 20
-    window: int = 5
-    negatives: int = 5
-    min_count: int = 1
 
     def __post_init__(self) -> None:
         if self.preprocessing not in ("conventional", *BPE_VOCAB_SIZES):
@@ -97,10 +94,7 @@ class RunConfig:
         self.train_config()  # validates the training options
 
     def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            dim=self.dim, window=self.window, negatives=self.negatives,
-            epochs=self.epochs, min_count=self.min_count, seed=self.seed,
-        )
+        return TrainConfig(dim=self.dim, epochs=self.epochs, seed=self.seed)
 
 
 def tokenize_testbed(tb: Testbed, cfg: RunConfig) -> dict[str, list[str]]:
@@ -219,14 +213,17 @@ def run_analysis(cfg: RunConfig) -> list[TestbedResult]:
         if names.count(name) > 1:
             raise CorpusError(f"two testbeds are named {name!r}; their reports would collide")
     out_root = Path(cfg.out_dir)
-    try:
+    report_dirs = [out_root / "reports" / name for name in names]
+    try:  # before any analysis
         out_root.mkdir(parents=True, exist_ok=True)
+        for report_dir in report_dirs:
+            report_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory: {exc}") from exc
     results = []
-    for tb in testbeds:
+    for tb, report_dir in zip(testbeds, report_dirs):
         result = analyze_testbed(tb, cfg)
-        write_report_tree(result, cfg, out_root / "reports" / tb.name)
+        write_report_tree(result, cfg, report_dir)
         results.append(result)
     metadata = {
         "version": __version__,
@@ -251,7 +248,7 @@ def run_analysis(cfg: RunConfig) -> list[TestbedResult]:
 
 
 def write_report_tree(result: TestbedResult, cfg: RunConfig, out_dir: Path) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
+    """Write one testbed's reports into the existing directory out_dir."""
     records = result.records
     tb = result.testbed
 

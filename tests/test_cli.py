@@ -2,10 +2,13 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from tracex.cli import main
 from tracex.embeddings import EmbeddingMatrix
@@ -51,7 +54,7 @@ def test_analyze_writes_report_tree(synth_manifest, tmp_path):
     assert (out / "run.json").is_file()
     meta = json.loads((out / "run.json").read_text())
     assert meta["config"]["seed"] == 1
-    assert "threads" not in meta["config"]
+    assert not {"threads", "window", "negatives", "min_count"} & set(meta["config"])
     assert meta["testbeds"]["synthetic-5"]["all"] == 16
 
 
@@ -298,6 +301,41 @@ def test_uncreatable_output_is_config_error(synth_manifest, tmp_path, command):
     assert "Traceback" not in proc.stderr
 
 
+def test_blocked_report_directory_is_config_error_before_analysis(synth_manifest, tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "reports").write_text("a file, not a directory\n")
+    proc = run_cli("analyze", "--manifest", synth_manifest, "--vectorizer", "none", "--out", out)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("config error:"), proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (out / "run.json").exists()
+
+
+@pytest.mark.parametrize("command", ["train-bpe", "train-embeddings"])
+def test_unwritable_output_fails_before_training(synth_manifest, tmp_path, monkeypatch, capsys,
+                                                 command):
+    def never(*args):
+        raise AssertionError("trained before checking --out")
+
+    monkeypatch.setattr("tracex.cli.train_bpe", never)
+    monkeypatch.setattr("tracex.cli.train_skipgram", never)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a file, not a directory\n")
+    corpus = synth_manifest.parent / "sources" / "SRC000.txt"
+    options = ["--vocab-size", "40"] if command == "train-bpe" else []
+    assert main([command, str(corpus), *options, "--out", str(blocker / "model")]) == 1
+    assert capsys.readouterr().err.startswith("config error:")
+
+
+@pytest.mark.parametrize("command", ["train-bpe", "train-embeddings"])
+def test_failed_training_leaves_no_output(tmp_path, command):
+    out = tmp_path / "model"
+    options = ["--vocab-size", "40"] if command == "train-bpe" else []
+    assert main([command, str(tmp_path / "absent.txt"), *options, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_program_fault_is_not_a_config_error(synth_manifest, tmp_path, monkeypatch, capsys):
     def broken(*args):
         raise ValueError("cannot reshape array of size 0 into shape (0)")
@@ -326,3 +364,57 @@ def test_artifact_id_with_carriage_return_exit_2(synth_manifest, capsys):
     (synth_manifest.parent / "targets" / "TGT\r009.txt").write_text("alpha beta")
     assert main(["validate", str(synth_manifest)]) == 2
     assert "carriage return" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """The files of a good 3x3 testbed run with loaded vectors and a BPE model."""
+    root = tmp_path_factory.mktemp("fuzz")
+    assert main(["synth", "--seed", "2", "--sources", "3", "--targets", "3",
+                 "--overlap", "0.7", "--out", str(root / "tb")]) == 0
+    texts = [p.read_text() for p in sorted(root.rglob("*.txt")) if p.name != "oracle.txt"]
+    (root / "corpus.txt").write_text("\n".join(texts))
+    assert main(["train-bpe", str(root / "corpus.txt"), "--vocab-size", "60",
+                 "--out", str(root / "bpe.json")]) == 0
+    tokens = sorted({t for text in texts for t in conventional_tokenize(text)})
+    vectors = np.random.default_rng(0).normal(size=(len(tokens), 3))
+    EmbeddingMatrix(vocab=tokens, vectors=vectors).save(root / "vecs.txt")
+    return {name: (root / name).read_bytes()
+            for name in ("tb/manifest.json", "tb/oracle.txt", "vecs.txt", "bpe.json")} | {
+        f"tb/{p.parent.name}/{p.name}": p.read_bytes()
+        for p in (root / "tb").glob("*/*.txt")}
+
+
+FUZZ_BYTES = st.one_of(
+    st.binary(max_size=8),
+    st.sampled_from([b"\xff", b"\n", b"\r", b" ", b'"', b"#", b"0", b"-1", b"nan", b"1e400",
+                     b"1e200", b"{}", b"[]", b"null", b"\\u0000"]),
+)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    target=st.sampled_from(["tb/manifest.json", "tb/oracle.txt", "vecs.txt", "bpe.json"]),
+    edits=st.lists(st.tuples(st.floats(0, 1), st.integers(0, 12), FUZZ_BYTES),
+                   min_size=1, max_size=4),
+)
+def test_mangled_inputs_never_escape_main(fuzz_inputs, target, edits):
+    """Each edit deletes up to 12 bytes at a relative position and inserts
+    its bytes there; analyze must end in a documented exit code."""
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for name, data in fuzz_inputs.items():
+            (root / name).parent.mkdir(parents=True, exist_ok=True)
+            (root / name).write_bytes(data)
+        data = fuzz_inputs[target]
+        for where, cut, insert in edits:
+            at = int(where * len(data))
+            data = data[:at] + insert + data[at + cut:]
+        (root / target).write_bytes(data)
+        argv = ["analyze", "--manifest", str(root / "tb/manifest.json"), "--out", str(root / "out")]
+        if target == "bpe.json":
+            argv += ["--preproc", "bpe8k", "--bpe-model", str(root / "bpe.json"),
+                     "--vectorizer", "none"]
+        else:
+            argv += ["--embeddings", str(root / "vecs.txt")]
+        assert main(argv) in (0, 1, 2, 3)

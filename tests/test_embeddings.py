@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -66,8 +68,50 @@ def test_skipgram_single_token_vocab():
 
 
 def test_skipgram_empty_vocab_error():
-    with pytest.raises(EmbeddingError):
-        train_skipgram([["once"]], TrainConfig(min_count=2))
+    with pytest.raises(EmbeddingError, match="empty vocabulary"):
+        train_skipgram([[]], TrainConfig())
+
+
+def test_pvdbow_empty_vocab_error():
+    with pytest.raises(EmbeddingError, match="empty vocabulary"):
+        train_pvdbow([("a", [])], TrainConfig())
+
+
+PIN_CORPUS = [
+    ["parse", "config", "file", "parse", "error", "config"],
+    [],
+    ["open", "file", "read", "config", "file"],
+    ["error", "handler", "log", "error", "parse"],
+]
+
+
+def sha256(a: np.ndarray) -> str:
+    return hashlib.sha256(a.tobytes()).hexdigest()
+
+
+def test_trainer_bits_pinned():
+    """Exact vectors and losses of both trainers on a fixed corpus and seed.
+
+    A change to the training arithmetic or to the order of its random draws
+    moves these values; such a change must update the pins and say why.
+    """
+    cfg = TrainConfig(dim=4, epochs=3, seed=7)
+    sg = train_skipgram(PIN_CORPUS, cfg)
+    assert sg.matrix.vocab == ["config", "error", "file", "parse", "handler", "log", "open", "read"]
+    assert sha256(sg.matrix.vectors) == (
+        "2cceb19df2b2b3d3da2aa768e6483dad4086034b4925ffa38681434a11cc39b2"
+    )
+    assert sg.epoch_losses == [4.158527973536878, 4.158217575977872, 4.157489231733694]
+
+    pv = train_pvdbow([(f"d{i}", d) for i, d in enumerate(PIN_CORPUS)], cfg)
+    assert pv.vectors.shape == (4, 4)  # the empty document keeps its row
+    assert sha256(pv.vectors) == (
+        "2518d8b12554ba2942007589cb04f228209eb43d5a98375019d69f4f0713c57a"
+    )
+    assert sha256(pv.word_matrix.vectors) == (
+        "c7d8aac5603b83d2f21c1f6b9256393c29c207c7165aab7bff038ac53b957423"
+    )
+    assert pv.epoch_losses == [4.158742454459519, 4.158375859087516, 4.158186985516561]
 
 
 def test_pvdbow_near_duplicates_closer_than_disjoint():
