@@ -8,11 +8,9 @@ reports (information tables, by-link tables, correlations, edge cases).
 
 from tracex.corpus import (
     Artifact,
-    CandidatePair,
     CorpusError,
     Testbed,
     TraceLink,
-    enumerate_candidates,
     generate_synthetic,
     load_testbed,
 )
@@ -39,7 +37,6 @@ from tracex.tokenization import TokenCounts, conventional_tokenize, count_tokens
 
 __all__ = [
     "Artifact",
-    "CandidatePair",
     "CorpusError",
     "EmbeddingMatrix",
     "InfoRecord",
@@ -51,7 +48,6 @@ __all__ = [
     "conventional_tokenize",
     "count_tokens",
     "counts_entropy",
-    "enumerate_candidates",
     "generate_synthetic",
     "info_record",
     "load_embeddings",

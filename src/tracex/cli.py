@@ -12,7 +12,14 @@ from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
 
-from tracex.corpus import ConfigError, CorpusError, generate_synthetic, load_testbed, write_testbed
+from tracex.corpus import (
+    ConfigError,
+    CorpusError,
+    _creating,
+    generate_synthetic,
+    load_testbed,
+    write_testbed,
+)
 from tracex.embeddings import EmbeddingError, TrainConfig, train_skipgram
 from tracex.pipeline import BPE_VOCAB_SIZES, SEMANTIC_METRICS, NumericError, RunConfig, run_analysis
 from tracex.report import OrphanPolicy, ReportError, detect_orphans, extreme_cases, read_records
@@ -118,15 +125,6 @@ def cmd_validate(args) -> int:
             f"{tb.n_non_links} non-links, {len(empty)} empty artifacts"
         )
     return 0
-
-
-@contextmanager
-def _creating(out: str):
-    """An output path that cannot be created is a configuration error."""
-    try:
-        yield
-    except OSError as exc:
-        raise ConfigError(f"cannot write output {out}: {exc}") from exc
 
 
 @contextmanager

@@ -1,4 +1,4 @@
-"""Testbed loading, candidate enumeration, and synthetic testbed generation.
+"""Testbed loading and synthetic testbed generation.
 
 A testbed is a set of source artifacts (requirements, use cases, pull
 requests), a set of target artifacts (code, test cases), and a ground-truth
@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import random
 import string
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -23,25 +24,25 @@ class ConfigError(ValueError):
     """Raised for an invalid option or an output path that cannot be created."""
 
 
+@contextmanager
+def _creating(out: str | Path):
+    """An output path that cannot be created is a configuration error."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write output {out}: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class Artifact:
     id: str
-    role: str  # "source" or "target"
     raw_text: str
-    origin_path: str = ""
 
 
 @dataclass(frozen=True)
 class TraceLink:
     source_id: str
     target_id: str
-
-
-@dataclass(frozen=True)
-class CandidatePair:
-    source_id: str
-    target_id: str
-    is_link: bool
 
 
 @dataclass
@@ -121,18 +122,11 @@ def load_testbed(manifest_path: str | Path) -> Testbed:
 def _read_artifact_dir(directory: Path, role: str) -> list[Artifact]:
     if not directory.is_dir():
         raise CorpusError(f"{role} directory not found: {directory}")
-    artifacts = []
-    for path in sorted(p for p in directory.iterdir() if p.is_file()):
+    artifacts = []  # sorted by id, the order of every report
+    for path in sorted((p for p in directory.iterdir() if p.is_file()), key=lambda p: p.stem):
         if "\r" in path.stem:  # records.csv would split its row; no oracle line can name it
             raise CorpusError(f"{role} artifact id {path.stem!r} contains a carriage return")
-        artifacts.append(
-            Artifact(
-                id=path.stem,
-                role=role,
-                raw_text=path.read_text(encoding="utf-8", errors="replace"),
-                origin_path=str(path),
-            )
-        )
+        artifacts.append(Artifact(path.stem, path.read_text(encoding="utf-8", errors="replace")))
     if not artifacts:
         raise CorpusError(f"no {role} artifacts under {directory}")
     return artifacts
@@ -157,16 +151,6 @@ def _read_oracle(path: Path) -> set[TraceLink]:
         for tgt in fields[1:]:
             links.add(TraceLink(src, tgt))
     return links
-
-
-def enumerate_candidates(tb: Testbed) -> list[CandidatePair]:
-    """Full cross product, ordered by (source_id, target_id), labeled by ground truth."""
-    link_set = {(l.source_id, l.target_id) for l in tb.links}
-    return [
-        CandidatePair(s, t, (s, t) in link_set)
-        for s in sorted(a.id for a in tb.sources)
-        for t in sorted(a.id for a in tb.targets)
-    ]
 
 
 def generate_synthetic(
@@ -210,7 +194,7 @@ def generate_synthetic(
     for i in range(n_src):
         bag = [(mint_token(), rng.randint(1, 3)) for _ in range(m)]
         source_bags.append(bag)
-        sources.append(Artifact(f"SRC{i:03d}", "source", render(bag)))
+        sources.append(Artifact(f"SRC{i:03d}", render(bag)))
     for j in range(n_tgt):
         if j < n_src:
             shared = source_bags[j][:k_shared]
@@ -218,7 +202,7 @@ def generate_synthetic(
             links.add(TraceLink(f"SRC{j:03d}", f"TGT{j:03d}"))
         else:
             bag = [(mint_token(), rng.randint(1, 3)) for _ in range(m)]
-        targets.append(Artifact(f"TGT{j:03d}", "target", render(bag)))
+        targets.append(Artifact(f"TGT{j:03d}", render(bag)))
     return Testbed(
         name=f"synthetic-{seed}",
         link_type="synth",

@@ -27,7 +27,7 @@ EPS = 1e-12  # keeps the loss finite where a prediction rounds to 0 or 1
 
 
 class EmbeddingError(ValueError):
-    """Raised for empty vocabularies, malformed vector files, or OOV-only docs."""
+    """Raised for empty vocabularies or malformed vector files."""
 
 
 @dataclass
@@ -208,13 +208,3 @@ def train_pvdbow(docs: list[tuple[str, list[str]]], cfg: TrainConfig) -> DocVect
         word_matrix=EmbeddingMatrix(vocab=vocab, vectors=w_out),
         epoch_losses=epoch_losses,
     )
-
-
-def mean_doc_vector(counts, m: EmbeddingMatrix) -> np.ndarray:
-    """Count-weighted average of in-vocab token vectors."""
-    tokens = sorted(t for t, c in counts.counts.items() if c > 0 and t in m.index)
-    if not tokens:
-        raise EmbeddingError("no in-vocab tokens")
-    weights = np.array([counts.counts[t] for t in tokens], dtype=np.float64)
-    vecs = np.stack([m.vector(t) for t in tokens])
-    return (weights[:, None] * vecs).sum(axis=0) / weights.sum()

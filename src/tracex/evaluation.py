@@ -2,8 +2,8 @@
 
 ROC-AUC is the rank statistic (probability that a random positive outscores
 a random negative, ties half), PR-AUC is trapezoidal over the threshold
-sweep, summaries are mean[std] with 95% normal-approximation CIs, and the
-correlation table is plain Pearson.
+sweep, summaries are mean[std] (sample std), and the correlation table is
+plain Pearson.
 """
 
 from __future__ import annotations
@@ -89,7 +89,6 @@ class SummaryStats:
     n: int
     mean: float
     std: float  # sample std, ddof=1; 0 when n == 1
-    ci95_half_width: float
 
     def formatted(self) -> str:
         return f"{self.mean:.2f}[{self.std:.2f}]"
@@ -100,12 +99,7 @@ def summarize(values) -> SummaryStats:
     if len(values) == 0:
         raise EvaluationError("cannot summarize an empty list")
     std = float(values.std(ddof=1)) if len(values) > 1 else 0.0
-    return SummaryStats(
-        n=len(values),
-        mean=float(values.mean()),
-        std=std,
-        ci95_half_width=1.96 * std / math.sqrt(len(values)),
-    )
+    return SummaryStats(n=len(values), mean=float(values.mean()), std=std)
 
 
 @dataclass(frozen=True)

@@ -138,41 +138,6 @@ def info_record(src_counts: TokenCounts, tgt_counts: TokenCounts) -> InfoRecord:
     )
 
 
-INFO_FIELDS = ("h_x", "h_y", "h_pool", "mi", "loss", "noise", "si", "sx", "d1", "d2", "d3")
-
-
-@dataclass
-class InfoColumns:
-    """Every info_record field for all (source, target) pairs of a testbed.
-
-    Each field is an (n_src, n_tgt) array, row-major in candidate order.
-    h_x needs a non-empty source, h_y a non-empty target, and the other
-    fields except si/sx need both (`defined`); undefined entries hold NaN.
-    """
-
-    h_x: np.ndarray
-    h_y: np.ndarray
-    h_pool: np.ndarray
-    mi: np.ndarray
-    loss: np.ndarray
-    noise: np.ndarray
-    si: np.ndarray
-    sx: np.ndarray
-    d1: np.ndarray
-    d2: np.ndarray
-    d3: np.ndarray
-    null_shared: np.ndarray
-    defined: np.ndarray
-
-    def mask(self, name: str) -> np.ndarray:
-        """Where field `name` holds a value."""
-        if name in ("si", "sx"):
-            return np.ones_like(self.defined)
-        if name in ("h_x", "h_y"):
-            return ~np.isnan(getattr(self, name))
-        return self.defined
-
-
 def _xlog2x(c: np.ndarray) -> np.ndarray:
     """c log2 c elementwise, with 0 log 0 := 0."""
     return c * np.log2(np.maximum(c, 1.0))
@@ -188,8 +153,14 @@ def _artifact_stats(bags: list[TokenCounts]):
     return total, size, xlogx, h
 
 
-def info_columns(src_counts: list[TokenCounts], tgt_counts: list[TokenCounts]) -> InfoColumns:
-    """info_record for every pair of src_counts x tgt_counts, in one pass.
+def info_columns(
+    src_counts: list[TokenCounts], tgt_counts: list[TokenCounts]
+) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray], np.ndarray]:
+    """Every info_record measure for every pair of src_counts x tgt_counts,
+    a mask per measure and the null_shared flags, as (n_src, n_tgt) arrays.
+
+    h_x needs a non-empty source, h_y a non-empty target, and the other
+    measures except si/sx need both; undefined entries hold NaN.
 
     h_x and h_y are computed once per artifact. The pooled sum of c log2 c
     is both artifacts' own sums plus a correction over shared tokens: each
@@ -241,8 +212,10 @@ def info_columns(src_counts: list[TokenCounts], tgt_counts: list[TokenCounts]) -
     hy = np.repeat(h_y[None, :], shape[0], axis=0)
     loss = h_pool - hy
     noise = h_pool - hx
-    return InfoColumns(
-        h_x=hx, h_y=hy, h_pool=h_pool, mi=hx + hy - h_pool, loss=loss, noise=noise,
-        si=si, sx=sx, d1=hy - hx, d2=hy - loss, d3=hx - noise,
-        null_shared=shared_size == 0, defined=defined,
-    )
+    values = {"h_x": hx, "h_y": hy, "h_pool": h_pool, "mi": hx + hy - h_pool,
+              "loss": loss, "noise": noise, "si": si, "sx": sx,
+              "d1": hy - hx, "d2": hy - loss, "d3": hx - noise}
+    everywhere = np.ones(shape, dtype=bool)
+    masks = {name: defined for name in values}
+    masks.update(h_x=~np.isnan(hx), h_y=~np.isnan(hy), si=everywhere, sx=everywhere)
+    return values, masks, shared_size == 0

@@ -1,9 +1,12 @@
-"""End-to-end analysis pipeline: load -> tokenize -> per-pair metrics ->
-embeddings -> distances -> evaluation -> report files.
+"""End-to-end analysis pipeline: load -> sort artifacts by id -> tokenize ->
+embeddings -> info measures and semantic distances -> evaluation -> report
+files.
 
-Info measures and semantic distances are computed for all pairs of a testbed
-at once (`info_columns`, `semantic_columns`); every metric is checked,
-evaluated and reported as a column of one records table (`tracex.report`).
+Sources and targets are sorted once; that order is the row order of every
+(n_src, n_tgt) grid. Info measures and semantic distances are computed for
+all pairs of a testbed at once (`info_columns`, `semantic_columns`), each as
+(values, masks, flags); every metric is checked, evaluated and reported as a
+column of one records table (`tracex.report`).
 """
 
 from __future__ import annotations
@@ -15,18 +18,16 @@ from pathlib import Path
 import numpy as np
 
 from tracex import __version__
-from tracex.corpus import ConfigError, CorpusError, Testbed, enumerate_candidates, load_testbed
+from tracex.corpus import ConfigError, CorpusError, Testbed, _creating, load_testbed
 from tracex.embeddings import (
-    EmbeddingError,
     EmbeddingMatrix,
     TrainConfig,
     load_embeddings,
-    mean_doc_vector,
     train_pvdbow,
     train_skipgram,
 )
 from tracex.evaluation import EvaluationError, correlation_table, pr_auc, roc_auc
-from tracex.infotheory import INFO_FIELDS, info_columns
+from tracex.infotheory import info_columns
 from tracex.report import (
     OrphanPolicy,
     ReportError,
@@ -45,7 +46,6 @@ from tracex.report import (
 from tracex.semantics import semantic_columns
 from tracex.tokenization import (
     BpeModel,
-    TokenCounts,
     bpe_encode,
     conventional_tokenize,
     count_tokens,
@@ -97,19 +97,15 @@ class RunConfig:
         return TrainConfig(dim=self.dim, epochs=self.epochs, seed=self.seed)
 
 
-def tokenize_testbed(tb: Testbed, cfg: RunConfig) -> dict[str, list[str]]:
-    """Token sequences per (role, id) key; trains or loads BPE when requested."""
-    texts = {("source", a.id): a.raw_text for a in tb.sources}
-    texts.update({("target", a.id): a.raw_text for a in tb.targets})
-    if cfg.preprocessing in BPE_VOCAB_SIZES:
-        if cfg.bpe_model_path:
-            model = BpeModel.load(cfg.bpe_model_path)
-        else:
-            model = train_bpe(list(texts.values()), BPE_VOCAB_SIZES[cfg.preprocessing])
-        seqs = {key: bpe_encode(model, text) for key, text in texts.items()}
+def tokenize_texts(texts: list[str], cfg: RunConfig) -> list[list[str]]:
+    """The token sequence of each text; trains or loads BPE when requested."""
+    if cfg.preprocessing not in BPE_VOCAB_SIZES:
+        return [conventional_tokenize(text) for text in texts]
+    if cfg.bpe_model_path:
+        model = BpeModel.load(cfg.bpe_model_path)
     else:
-        seqs = {key: conventional_tokenize(text) for key, text in texts.items()}
-    return {f"{role}:{aid}": toks for (role, aid), toks in seqs.items()}
+        model = train_bpe(texts, BPE_VOCAB_SIZES[cfg.preprocessing])
+    return [bpe_encode(model, text) for text in texts]
 
 
 @dataclass
@@ -122,70 +118,58 @@ class TestbedResult:
 
 
 def analyze_testbed(tb: Testbed, cfg: RunConfig) -> TestbedResult:
-    seqs = tokenize_testbed(tb, cfg)
-    counts: dict[str, TokenCounts] = {key: count_tokens(s) for key, s in seqs.items()}
-    candidates = enumerate_candidates(tb)
+    sources = sorted(tb.sources, key=lambda a: a.id)
+    targets = sorted(tb.targets, key=lambda a: a.id)
+    artifacts = sources + targets
+    seqs = tokenize_texts([a.raw_text for a in artifacts], cfg)
+    counts = [count_tokens(seq) for seq in seqs]
+    word_matrix, doc_vecs = _build_embeddings(seqs, cfg)
+    n = len(sources)
+    info, info_masks, null_shared = info_columns(counts[:n], counts[n:])
+    sem, sem_masks, wmd_relaxed = semantic_columns(counts[:n], counts[n:], word_matrix, doc_vecs)
 
-    word_matrix, doc_vecs = _build_embeddings(seqs, counts, cfg)
-    src_keys = [f"source:{aid}" for aid in sorted(a.id for a in tb.sources)]
-    tgt_keys = [f"target:{aid}" for aid in sorted(a.id for a in tb.targets)]
-
-    info = info_columns([counts[k] for k in src_keys], [counts[k] for k in tgt_keys])
-    sem_values, sem_masks, wmd_relaxed = semantic_columns(
-        [counts[k] for k in src_keys], [counts[k] for k in tgt_keys], word_matrix,
-        [doc_vecs.get(k) for k in src_keys], [doc_vecs.get(k) for k in tgt_keys],
-    )
-    columns = {name: getattr(info, name).ravel() for name in INFO_FIELDS}
-    masks = {name: info.mask(name).ravel() for name in INFO_FIELDS}
-    columns.update((name, values.ravel()) for name, values in sem_values.items())
-    masks.update((name, mask.ravel()) for name, mask in sem_masks.items())
-    _check_finite(columns, masks, candidates)  # from here on NaN marks exactly the undefined
-
+    links = {(l.source_id, l.target_id) for l in tb.links}
     records = {
-        "source_id": [c.source_id for c in candidates],
-        "target_id": [c.target_id for c in candidates],
-        "is_link": np.array([c.is_link for c in candidates], dtype=bool),
-        "null_shared": info.null_shared.ravel(),
+        "source_id": [s.id for s in sources for _ in targets],
+        "target_id": [t.id for _ in sources for t in targets],
+        "is_link": np.array([(s.id, t.id) in links for s in sources for t in targets], dtype=bool),
+        "null_shared": null_shared.ravel(),
         "wmd_relaxed": wmd_relaxed.ravel(),
-        **columns,
+        **{name: column.ravel() for name, column in {**info, **sem}.items()},
     }
+    masks = {name: mask.ravel() for name, mask in {**info_masks, **sem_masks}.items()}
+    _check_finite(records, masks)  # from here on NaN marks exactly the undefined
+
     undefined = {metric: int(np.isnan(records[metric]).sum()) for metric in SCORE_METRICS}
-    empty = [key.split(":", 1)[1] for key, seq in seqs.items() if not seq]
+    empty = [a.id for a, seq in zip(artifacts, seqs) if not seq]
     return TestbedResult(tb, records, _evaluate(records), undefined, empty)
 
 
 def _build_embeddings(
-    seqs: dict[str, list[str]], counts: dict[str, TokenCounts], cfg: RunConfig
-) -> tuple[EmbeddingMatrix | None, dict[str, np.ndarray]]:
-    """Word matrix for WMD/SCM plus per-artifact document vectors for COS/EUC."""
+    seqs: list[list[str]], cfg: RunConfig
+) -> tuple[EmbeddingMatrix | None, list[np.ndarray | None] | None]:
+    """Word matrix for WMD/SCM, plus the document vector of each sequence for
+    COS/EUC under PV-DBOW (None: mean word vectors)."""
     if cfg.vectorizer == "none":
-        return None, {}
+        return None, None
     train_cfg = cfg.train_config()
-    keys = sorted(seqs)
     if cfg.vectorizer == "pvdbow":
-        dv = train_pvdbow([(k, seqs[k]) for k in keys if seqs[k]], train_cfg)
-        return dv.word_matrix, dict(zip(dv.doc_ids, dv.vectors))
+        dv = train_pvdbow([(str(k), seq) for k, seq in enumerate(seqs) if seq], train_cfg)
+        vectors = iter(dv.vectors)
+        return dv.word_matrix, [next(vectors) if seq else None for seq in seqs]
     if cfg.embedding_path:
-        word_matrix = load_embeddings(cfg.embedding_path)
-    else:
-        corpus = [seqs[k] for k in keys if seqs[k]]
-        word_matrix = train_skipgram(corpus, train_cfg).matrix
-    doc_vecs = {}
-    for key in keys:
-        try:
-            doc_vecs[key] = mean_doc_vector(counts[key], word_matrix)
-        except EmbeddingError:
-            pass  # OOV-only artifact: COS/EUC stay undefined for its pairs
-    return word_matrix, doc_vecs
+        return load_embeddings(cfg.embedding_path), None
+    return train_skipgram([seq for seq in seqs if seq], train_cfg).matrix, None
 
 
-def _check_finite(columns: dict[str, np.ndarray], masks: dict[str, np.ndarray], candidates) -> None:
+def _check_finite(records: dict, masks: dict[str, np.ndarray]) -> None:
     """Raise NumericError on a non-finite value where a column is defined."""
-    for name, values in columns.items():
-        bad = masks[name] & ~np.isfinite(values)
+    for name, mask in masks.items():
+        bad = mask & ~np.isfinite(records[name])
         if bad.any():
-            c = candidates[int(np.argmax(bad))]
-            raise NumericError(f"non-finite {name} for pair ({c.source_id}, {c.target_id})")
+            k = int(np.argmax(bad))
+            pair = f"({records['source_id'][k]}, {records['target_id'][k]})"
+            raise NumericError(f"non-finite {name} for pair {pair}")
 
 
 def _evaluate(records: dict) -> dict:
@@ -214,16 +198,15 @@ def run_analysis(cfg: RunConfig) -> list[TestbedResult]:
             raise CorpusError(f"two testbeds are named {name!r}; their reports would collide")
     out_root = Path(cfg.out_dir)
     report_dirs = [out_root / "reports" / name for name in names]
-    try:  # before any analysis
+    with _creating(out_root):  # before any analysis
         out_root.mkdir(parents=True, exist_ok=True)
         for report_dir in report_dirs:
             report_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot create output directory: {exc}") from exc
     results = []
     for tb, report_dir in zip(testbeds, report_dirs):
         result = analyze_testbed(tb, cfg)
-        write_report_tree(result, cfg, report_dir)
+        with _creating(report_dir):
+            write_report_tree(result, cfg, report_dir)
         results.append(result)
     metadata = {
         "version": __version__,
@@ -241,9 +224,10 @@ def run_analysis(cfg: RunConfig) -> list[TestbedResult]:
             for r in results
         },
     }
-    (out_root / "run.json").write_text(
-        json.dumps(metadata, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    with _creating(out_root / "run.json"):
+        (out_root / "run.json").write_text(
+            json.dumps(metadata, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        )
     return results
 
 
@@ -253,9 +237,7 @@ def write_report_tree(result: TestbedResult, cfg: RunConfig, out_dir: Path) -> N
     tb = result.testbed
 
     write_records(records, out_dir / "records.csv", out_dir / "records.jsonl")
-    write_information_csv(
-        [information_table(records, tb.name)], out_dir / "information.csv"
-    )
+    write_information_csv([information_table(records, tb.name)], out_dir / "information.csv")
     write_by_links_csv(by_links_table(records), out_dir / "by_links.csv")
     write_correlations_csv(
         correlation_table(records, SEMANTIC_METRICS, INFO_METRICS),

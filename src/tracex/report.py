@@ -69,10 +69,11 @@ def _mean(records: dict, key: str) -> float | None:
     return sum(values) / len(values) if values else None
 
 
-def information_table(records: dict, testbed: str, experiment: str = "") -> dict:
-    """One aggregate row per (experiment, testbed) in the published layout."""
+def information_table(records: dict, testbed: str) -> dict:
+    """One aggregate row per testbed in the published layout, whose
+    experiment column stays empty."""
     return {
-        "experiment": experiment,
+        "experiment": "",
         "testbed": testbed,
         "h_x": _mean(records, "h_x"),
         "h_y": _mean(records, "h_y"),

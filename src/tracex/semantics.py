@@ -100,32 +100,36 @@ def wmd(a: TokenCounts, b: TokenCounts, m: EmbeddingMatrix) -> tuple[float, bool
 
 
 def _bag(counts: TokenCounts, m: EmbeddingMatrix | None):
-    """An artifact's in-vocab word-matrix rows, weights, vectors, unit vectors
-    and soft-cosine self term w.S.w; None when it has no in-vocab token."""
+    """An artifact's in-vocab word-matrix rows, weights, vectors, unit vectors,
+    soft-cosine self term w.S.w and count-weighted mean vector; None when it
+    has no in-vocab token."""
     tokens, weights = _in_vocab(counts, m) if m is not None else ([], None)
     if not tokens:
         return None
     rows = np.array([m.index[t] for t in tokens])
-    unit = _unit(m.vectors[rows])
+    vecs = m.vectors[rows]
+    unit = _unit(vecs)
     self_term = max(1e-12, float(weights @ _term_sim(unit, rows, unit, rows) @ weights))
-    return rows, weights, m.vectors[rows], unit, self_term
+    w = weights.astype(np.float64)
+    return rows, weights, vecs, unit, self_term, (w[:, None] * vecs).sum(axis=0) / w.sum()
 
 
 def semantic_columns(
     src_counts: list[TokenCounts],
     tgt_counts: list[TokenCounts],
     word_matrix: EmbeddingMatrix | None,
-    src_vecs: list[np.ndarray | None],
-    tgt_vecs: list[np.ndarray | None],
+    doc_vecs: list[np.ndarray | None] | None = None,
 ) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray], np.ndarray]:
     """wmd scm cos euc wmd_sim cos_sim for every pair of src_counts x tgt_counts,
     a mask per column and the wmd_relaxed flags, as (n_src, n_tgt) arrays.
 
-    Masks come from the inputs: wmd/scm need a word matrix and an in-vocab
-    token on both sides, euc both document vectors (None marks none), cos
-    also nonzero norms. NaN marks undefined; a NaN under a mask is a numeric
-    failure for the caller. WMD equals `wmd` bit for bit, the rest up to
-    summation order.
+    COS and EUC compare document vectors: doc_vecs, one per source and then
+    one per target (None marks none), or else each artifact's count-weighted
+    mean in-vocab word vector. Masks come from the inputs: wmd/scm need a
+    word matrix and an in-vocab token on both sides, euc both document
+    vectors, cos also nonzero norms. NaN marks undefined; a NaN under a mask
+    is a numeric failure for the caller. WMD equals `wmd` bit for bit, the
+    rest up to summation order.
     """
     shape = (len(src_counts), len(tgt_counts))
     wmd_col, scm_num = np.full(shape, np.nan), np.full(shape, np.nan)
@@ -136,14 +140,17 @@ def semantic_columns(
             for j, b in enumerate(bags[1]):
                 if a is None or b is None:
                     continue
-                (rows_a, w_a, vecs_a, unit_a, _), (rows_b, w_b, vecs_b, unit_b, _) = a, b
+                (rows_a, w_a, vecs_a, unit_a, *_), (rows_b, w_b, vecs_b, unit_b, *_) = a, b
                 cost = _ground_cost(vecs_a, vecs_b)
                 wmd_col[i, j], relaxed[i, j] = _wmd_from_cost(w_a, w_b, cost)
                 scm_num[i, j] = w_a @ _term_sim(unit_a, rows_a, unit_b, rows_b) @ w_b
         self_s, self_t = ([np.nan if g is None else g[4] for g in side] for side in bags)
         scm = np.clip(scm_num / np.sqrt(np.outer(self_s, self_t)), 0.0, 1.0)
 
-        dim = next((len(v) for v in [*src_vecs, *tgt_vecs] if v is not None), 0)
+        if doc_vecs is None:
+            doc_vecs = [None if g is None else g[5] for side in bags for g in side]
+        src_vecs, tgt_vecs = doc_vecs[:shape[0]], doc_vecs[shape[0]:]
+        dim = next((len(v) for v in doc_vecs if v is not None), 0)
         src, tgt = (np.array([np.full(dim, np.nan) if v is None else v for v in vecs])
                     .reshape(len(vecs), dim) for vecs in (src_vecs, tgt_vecs))
         euc = np.array([np.linalg.norm(row - tgt, axis=1) for row in src]).reshape(shape)

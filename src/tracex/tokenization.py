@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 EOW = "</w>"
+MIN_TOKEN_LEN = 2  # shorter conventional tokens are dropped
 
 _NON_ALNUM_RE = re.compile(r"[^0-9A-Za-z]+")
 _BOUNDARY_RE = re.compile(
@@ -25,21 +26,10 @@ _BOUNDARY_RE = re.compile(
 )
 
 
-def conventional_tokenize(
-    text: str,
-    lowercase: bool = True,
-    split_camel: bool = True,
-    min_len: int = 2,
-    stopwords: set[str] | None = None,
-) -> list[str]:
+def conventional_tokenize(text: str) -> list[str]:
     """Tokenize raw artifact text. Empty input yields an empty list."""
-    pieces = [p for p in _NON_ALNUM_RE.split(text) if p]
-    if split_camel:
-        pieces = [sub for p in pieces for sub in _BOUNDARY_RE.split(p)]
-    if lowercase:
-        pieces = [p.lower() for p in pieces]
-    stop = stopwords or set()
-    return [p for p in pieces if len(p) >= min_len and p not in stop]
+    pieces = [sub.lower() for p in _NON_ALNUM_RE.split(text) if p for sub in _BOUNDARY_RE.split(p)]
+    return [p for p in pieces if len(p) >= MIN_TOKEN_LEN]
 
 
 @dataclass
@@ -97,25 +87,15 @@ class BpeModel:
         return cls(merges=merges, vocab=vocab, target_vocab_size=doc["vocab_size"])
 
 
-def _iter_words(corpus) -> Counter:
-    """Accept raw strings, whitespace-splittable lines, or token sequences."""
-    words: Counter = Counter()
-    for item in corpus:
-        if isinstance(item, str):
-            words.update(item.split())
-        else:
-            words.update(item)
-    return words
-
-
-def train_bpe(corpus, vocab_size: int) -> BpeModel:
-    """Greedy most-frequent-pair merges; ties broken lexicographically.
+def train_bpe(texts: list[str], vocab_size: int) -> BpeModel:
+    """Greedy most-frequent-pair merges over the whitespace-split words of
+    texts; ties broken lexicographically.
 
     The merge budget is vocab_size minus the number of distinct characters
     in the corpus (the end-of-word marker is bookkeeping, not a vocab
     entry). Training stops early when no pair occurs at least twice.
     """
-    word_freq = _iter_words(corpus)
+    word_freq = Counter(word for text in texts for word in text.split())
     charset = {c for w in word_freq for c in w}
     if vocab_size <= len(charset):
         raise BpeTrainingError(

@@ -312,6 +312,16 @@ def test_blocked_report_directory_is_config_error_before_analysis(synth_manifest
     assert not (out / "run.json").exists()
 
 
+@pytest.mark.parametrize("blocked", ["run.json", "reports/synthetic-5/records.csv"])
+def test_unwritable_report_file_is_config_error(synth_manifest, tmp_path, blocked):
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)  # a directory where analyze writes a file
+    proc = run_cli("analyze", "--manifest", synth_manifest, "--vectorizer", "none", "--out", out)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("config error:"), proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("command", ["train-bpe", "train-embeddings"])
 def test_unwritable_output_fails_before_training(synth_manifest, tmp_path, monkeypatch, capsys,
                                                  command):

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from tracex.cli import main
@@ -9,11 +10,11 @@ from tracex.corpus import (
     CorpusError,
     Testbed as CorpusTestbed,
     TraceLink,
-    enumerate_candidates,
     generate_synthetic,
     load_testbed,
     write_testbed,
 )
+from tracex.pipeline import RunConfig, analyze_testbed
 from tracex.tokenization import conventional_tokenize, count_tokens
 
 
@@ -80,26 +81,44 @@ def test_empty_artifacts_flagged_not_rejected(tmp_path, capsys):
     assert meta["testbeds"]["tiny"]["empty_artifacts"] == ["C1", "C3"]
 
 
-def test_enumerate_candidates_ordering_and_labels():
+def test_records_sorted_by_id_and_labeled():
     tb = CorpusTestbed(
         name="t", link_type="", language_tag="",
-        sources=[Artifact("b", "source", ""), Artifact("a", "source", "")],
-        targets=[Artifact("y", "target", ""), Artifact("x", "target", "")],
+        sources=[Artifact("b", "beta"), Artifact("a", "")],
+        targets=[Artifact("y", "why"), Artifact("x", "ex")],
         links={TraceLink("a", "x")},
     )
-    pairs = enumerate_candidates(tb)
-    assert [(p.source_id, p.target_id, p.is_link) for p in pairs] == [
+    result = analyze_testbed(tb, RunConfig(manifests=[], vectorizer="none"))
+    records = result.records
+    assert list(zip(records["source_id"], records["target_id"], records["is_link"].tolist())) == [
         ("a", "x", True), ("a", "y", False), ("b", "x", False), ("b", "y", False),
     ]
-    # pure function of the testbed
-    assert enumerate_candidates(tb) == pairs
-    # labels round-trip against the oracle
-    assert {(p.source_id, p.target_id) for p in pairs if p.is_link} == {("a", "x")}
+    assert result.empty_artifacts == ["a"]
 
 
-def test_enumerate_no_targets():
-    tb = CorpusTestbed("t", "", "", [Artifact("a", "source", "x")], [], set())
-    assert enumerate_candidates(tb) == []
+@pytest.mark.parametrize("vectorizer", ["skipgram", "pvdbow"])
+def test_records_do_not_depend_on_artifact_order(vectorizer):
+    tb = generate_synthetic(4, 4, 5, 0.6)
+    cfg = RunConfig(manifests=[], vectorizer=vectorizer, dim=4, epochs=2, seed=1)
+    records = analyze_testbed(tb, cfg).records
+    tb.sources.reverse()
+    tb.targets.reverse()
+    reversed_records = analyze_testbed(tb, cfg).records
+    assert records.keys() == reversed_records.keys()
+    for name, column in records.items():
+        assert np.asarray(column).tobytes() == np.asarray(reversed_records[name]).tobytes(), name
+
+
+def test_empty_artifacts_in_id_order(tmp_path, capsys):
+    # file-name order puts a-b.txt before a.txt; the id order puts a first
+    sources = {"a-b": "", "a": "", "s": "words"}
+    manifest = make_testbed(tmp_path, sources, {"t": "more words"}, ["s t"])
+    assert [a.id for a in load_testbed(manifest).sources] == ["a", "a-b", "s"]
+    assert main(["validate", str(manifest), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["empty_artifacts"] == ["a", "a-b"]
+    out = tmp_path / "out"
+    assert main(["analyze", "--manifest", str(manifest), "--vectorizer", "none", "--out", str(out)]) == 0
+    assert json.loads((out / "run.json").read_text())["testbeds"]["tiny"]["empty_artifacts"] == ["a", "a-b"]
 
 
 def test_synthetic_full_overlap_identical_multisets():

@@ -6,14 +6,11 @@ import pytest
 from tracex.embeddings import (
     DocVectors,
     EmbeddingError,
-    EmbeddingMatrix,
     TrainConfig,
     load_embeddings,
-    mean_doc_vector,
     train_pvdbow,
     train_skipgram,
 )
-from tracex.tokenization import TokenCounts
 
 
 def two_cluster_corpus(n_docs=30, rng_seed=5):
@@ -167,21 +164,3 @@ def test_save_load_round_trip_bit_exact(tmp_path):
     loaded = load_embeddings(path)
     assert loaded.vocab == m.vocab
     assert np.array_equal(loaded.vectors, m.vectors)
-
-
-def test_mean_doc_vector():
-    m = EmbeddingMatrix(vocab=["u", "v"], vectors=np.array([[2.0, 0.0], [0.0, 4.0]]))
-    assert np.array_equal(mean_doc_vector(TokenCounts({"u": 3}), m), np.array([2.0, 0.0]))
-    assert np.array_equal(
-        mean_doc_vector(TokenCounts({"u": 1, "v": 1}), m), np.array([1.0, 2.0])
-    )
-    with pytest.raises(EmbeddingError):
-        mean_doc_vector(TokenCounts({"oov": 2}), m)
-
-
-def test_mean_doc_vector_linear_in_counts():
-    rng = np.random.default_rng(0)
-    m = EmbeddingMatrix(vocab=["a", "b", "c"], vectors=rng.normal(size=(3, 4)))
-    c1 = TokenCounts({"a": 2, "b": 1})
-    c2 = TokenCounts({"a": 4, "b": 2})
-    assert np.allclose(mean_doc_vector(c1, m), mean_doc_vector(c2, m))

@@ -2,15 +2,14 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tracex.corpus import CandidatePair
 from tracex.infotheory import (
-    INFO_FIELDS,
     InfoRecord,
     conditional_entropies,
     counts_entropy,
@@ -197,16 +196,16 @@ bag_strategy = st.dictionaries(
 
 
 def assert_columns_match_records(src, tgt):
-    cols = info_columns(src, tgt)
+    values, masks, null_shared = info_columns(src, tgt)
+    assert set(values) == set(masks) == {f.name for f in fields(InfoRecord)} - {"null_shared"}
     for i, a in enumerate(src):
         for j, b in enumerate(tgt):
             rec = info_record(a, b)
-            assert bool(cols.null_shared[i, j]) == rec.null_shared
-            assert bool(cols.defined[i, j]) == (rec.mi is not None)
-            for name in INFO_FIELDS:
+            assert bool(null_shared[i, j]) == rec.null_shared
+            for name in values:
                 expected = getattr(rec, name)
-                got = getattr(cols, name)[i, j]
-                assert bool(cols.mask(name)[i, j]) == (expected is not None), name
+                got = values[name][i, j]
+                assert bool(masks[name][i, j]) == (expected is not None), name
                 if expected is None:
                     assert math.isnan(got), name
                 else:
@@ -230,19 +229,18 @@ def test_info_columns_degenerate_bags():
         TokenCounts({"a": 1, "b": 1}), A, B, TokenCounts({"for": 10**6, "if": 1}),
     ]
     assert_columns_match_records(bags, bags)
-    cols = info_columns(bags, bags)
-    assert cols.h_pool[1, 2] == 0.0 and cols.mi[1, 2] == 0.0  # same point mass
-    assert cols.si.shape == (len(bags), len(bags))
+    values, _, _ = info_columns(bags, bags)
+    assert values["h_pool"][1, 2] == 0.0 and values["mi"][1, 2] == 0.0  # same point mass
+    assert values["si"].shape == (len(bags), len(bags))
 
 
 def test_check_finite_only_over_defined_entries():
-    cols = info_columns([TokenCounts({}), A], [B])
-    cands = [CandidatePair("s0", "t0", False), CandidatePair("s1", "t0", True)]
-    columns = {name: getattr(cols, name).ravel() for name in INFO_FIELDS}
-    masks = {name: cols.mask(name).ravel() for name in INFO_FIELDS}
-    assert math.isnan(columns["mi"][0]) and not masks["mi"][0]
-    _check_finite(columns, masks, cands)  # NaN at the undefined pair is fine
-    columns["mi"] = columns["mi"].copy()
-    columns["mi"][1] = np.nan
+    values, masks, _ = info_columns([TokenCounts({}), A], [B])
+    records = {"source_id": ["s0", "s1"], "target_id": ["t0", "t0"]}
+    records.update((name, v.ravel()) for name, v in values.items())
+    masks = {name: m.ravel() for name, m in masks.items()}
+    assert math.isnan(records["mi"][0]) and not masks["mi"][0]
+    _check_finite(records, masks)  # NaN at the undefined pair is fine
+    records["mi"][1] = np.nan
     with pytest.raises(NumericError, match=r"mi for pair \(s1, t0\)"):
-        _check_finite(columns, masks, cands)
+        _check_finite(records, masks)

@@ -24,17 +24,14 @@ def matrix(**vectors):
     return EmbeddingMatrix(vocab=vocab, vectors=np.array([vectors[t] for t in vocab], float))
 
 
-def columns(src, tgt, m, src_vecs=None, tgt_vecs=None):
-    """semantic_columns on lists of count dicts; vectors default to None."""
-    return semantic_columns(
-        [TokenCounts(c) for c in src], [TokenCounts(c) for c in tgt], m,
-        src_vecs or [None] * len(src), tgt_vecs or [None] * len(tgt),
-    )
+def columns(src, tgt, m, doc_vecs=None):
+    """semantic_columns on lists of count dicts."""
+    return semantic_columns([TokenCounts(c) for c in src], [TokenCounts(c) for c in tgt], m, doc_vecs)
 
 
 def test_semantic_columns_cos_and_euc_basics():
     u, v = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-    values, masks, _ = columns([{}], [{}] * 4, None, [u], [u, v, -u, np.zeros(2)])
+    values, masks, _ = columns([{}], [{}] * 4, None, [u, u, v, -u, np.zeros(2)])
     assert values["cos"][0, :3] == pytest.approx([0.0, 1.0, 2.0])
     assert np.isnan(values["cos"][0, 3])  # zero vector: cosine undefined
     assert masks["cos"].tolist() == [[True, True, True, False]]
@@ -44,7 +41,7 @@ def test_semantic_columns_cos_and_euc_basics():
 
 def test_semantic_columns_euclidean_hand_case():
     src = [np.array([0.0, 0.0]), np.array([1.0, 2.0])]
-    values, _, _ = columns([{}, {}], [{}], None, src, [np.array([3.0, 4.0])])
+    values, _, _ = columns([{}, {}], [{}], None, [*src, np.array([3.0, 4.0])])
     assert values["euc"][:, 0] == pytest.approx([5.0, np.sqrt(8)])
 
 
@@ -126,7 +123,7 @@ def test_relaxed_is_lower_bound():
 def test_semantic_columns_full():
     m = matrix(x=[1.0, 0.0], y=[0.0, 1.0])
     u, v = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-    values, masks, relaxed = columns([{"x": 1}], [{"y": 1}], m, [u], [v])
+    values, masks, relaxed = columns([{"x": 1}], [{"y": 1}], m, [u, v])
     assert values["wmd"][0, 0] == pytest.approx(np.sqrt(2))
     assert values["wmd_sim"][0, 0] == pytest.approx(1 / (1 + np.sqrt(2)))
     assert values["scm"][0, 0] == 0.0
@@ -151,6 +148,26 @@ def test_semantic_columns_undefined_oov():
         assert not masks[name][0, 0], name
 
 
+def test_semantic_columns_mean_word_vectors():
+    """Without document vectors, COS and EUC compare each artifact's
+    count-weighted mean in-vocab word vector."""
+    m = matrix(u=[2.0, 0.0], v=[0.0, 4.0])
+    values, masks, _ = columns([{"u": 3}, {"u": 1, "v": 1, "oov": 5}], [{"v": 1}, {"oov": 2}], m)
+    # means (2, 0) and (1, 2) against (0, 4); the OOV-only target has none
+    assert values["euc"][:, 0] == pytest.approx([np.sqrt(20.0), np.sqrt(5.0)])
+    for name in ("cos", "euc", "cos_sim"):
+        assert masks[name][:, 0].all() and not masks[name][:, 1].any(), name
+        assert np.isnan(values[name][:, 1]).all(), name
+
+
+def test_semantic_columns_mean_vector_ignores_count_scale():
+    rng = np.random.default_rng(0)
+    m = EmbeddingMatrix(vocab=["a", "b", "c"], vectors=rng.normal(size=(3, 4)))
+    values, _, _ = columns([{"a": 2, "b": 1}], [{"a": 4, "b": 2}], m)
+    assert values["cos"][0, 0] == pytest.approx(0.0, abs=1e-12)
+    assert values["euc"][0, 0] == pytest.approx(0.0, abs=1e-12)
+
+
 def test_semantic_columns_without_vectors_are_undefined():
     values, masks, relaxed = columns([{"x": 1}, {}], [{"x": 2}], None)
     for name in SEMANTIC_FIELDS:
@@ -162,7 +179,7 @@ def test_semantic_columns_without_vectors_are_undefined():
 def test_semantic_columns_overflow_is_defined_and_not_finite():
     m = matrix(x=[1e200, -1e200], y=[-1e200, 1e200])
     big = [np.array([1e200, -1e200])]
-    values, masks, _ = columns([{"x": 1}], [{"y": 1}], m, big, [-big[0]])
+    values, masks, _ = columns([{"x": 1}], [{"y": 1}], m, [*big, -big[0]])
     for name in ("wmd", "cos", "euc"):
         assert masks[name][0, 0] and not np.isfinite(values[name][0, 0]), name
 
@@ -197,7 +214,7 @@ def reference_cos(u, v):
 def test_semantic_columns_match_single_pair_functions(src, tgt, vectors):
     m = EmbeddingMatrix(vocab=VOCAB, vectors=np.array(vectors))
     values, masks, relaxed = columns(
-        [c for c, _ in src], [c for c, _ in tgt], m, [v for _, v in src], [v for _, v in tgt])
+        [c for c, _ in src], [c for c, _ in tgt], m, [v for _, v in src + tgt])
     for i, (ca, va) in enumerate(src):
         for j, (cb, vb) in enumerate(tgt):
             a, b = TokenCounts(ca), TokenCounts(cb)

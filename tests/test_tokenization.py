@@ -26,8 +26,7 @@ def test_empty_input():
     assert conventional_tokenize("") == []
 
 
-def test_stopwords_opt_in():
-    assert conventional_tokenize("the loop", stopwords={"the"}) == ["loop"]
+def test_no_stopwords_dropped():
     assert conventional_tokenize("the loop") == ["the", "loop"]
 
 
