@@ -109,7 +109,8 @@ def cmd_analyze(args) -> int:
 def cmd_validate(args) -> int:
     tb = load_testbed(args.manifest)
     # conventional tokenization, the default preprocessing of analyze
-    empty = [a.id for a in tb.sources + tb.targets if not conventional_tokenize(a.raw_text)]
+    empty = {side: [a.id for a in artifacts if not conventional_tokenize(a.raw_text)]
+             for side, artifacts in (("sources", tb.sources), ("targets", tb.targets))}
     report = {
         "name": tb.name,
         "all": tb.n_all,
@@ -122,7 +123,7 @@ def cmd_validate(args) -> int:
     else:
         print(
             f"{tb.name}: {tb.n_all} candidates, {tb.n_links} links, "
-            f"{tb.n_non_links} non-links, {len(empty)} empty artifacts"
+            f"{tb.n_non_links} non-links, {sum(map(len, empty.values()))} empty artifacts"
         )
     return 0
 

@@ -114,14 +114,15 @@ class TestbedResult:
     records: dict  # see tracex.report
     evaluation: dict
     undefined_counts: dict[str, int]
-    empty_artifacts: list[str]  # ids whose token sequence is empty; admitted, but flagged
+    # ids of the sources and of the targets whose token sequence is empty;
+    # admitted, but flagged
+    empty_artifacts: dict[str, list[str]]
 
 
 def analyze_testbed(tb: Testbed, cfg: RunConfig) -> TestbedResult:
     sources = sorted(tb.sources, key=lambda a: a.id)
     targets = sorted(tb.targets, key=lambda a: a.id)
-    artifacts = sources + targets
-    seqs = tokenize_texts([a.raw_text for a in artifacts], cfg)
+    seqs = tokenize_texts([a.raw_text for a in sources + targets], cfg)
     counts = [count_tokens(seq) for seq in seqs]
     word_matrix, doc_vecs = _build_embeddings(seqs, cfg)
     n = len(sources)
@@ -141,7 +142,8 @@ def analyze_testbed(tb: Testbed, cfg: RunConfig) -> TestbedResult:
     _check_finite(records, masks)  # from here on NaN marks exactly the undefined
 
     undefined = {metric: int(np.isnan(records[metric]).sum()) for metric in SCORE_METRICS}
-    empty = [a.id for a, seq in zip(artifacts, seqs) if not seq]
+    empty = {"sources": [a.id for a, seq in zip(sources, seqs[:n]) if not seq],
+             "targets": [a.id for a, seq in zip(targets, seqs[n:]) if not seq]}
     return TestbedResult(tb, records, _evaluate(records), undefined, empty)
 
 

@@ -2,7 +2,9 @@
 
 Word Mover's Distance uses Euclidean ground cost between token vectors and
 exact optimal transport; bags too large for the exact solver fall back to
-the relaxed lower bound with a flag. Out-of-vocabulary tokens are dropped;
+the relaxed lower bound with a flag. `semantic_columns` hands the exact
+pairs of a testbed to the solver together, in batches of at most
+EXACT_WMD_PAIR_LIMIT padded cells. Out-of-vocabulary tokens are dropped;
 a pair whose side becomes empty gets undefined distances.
 
 `semantic_columns` scores every pair of a testbed, doing per-artifact work
@@ -12,14 +14,15 @@ once per artifact; `wmd` and `soft_cosine` score one pair.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 
 import numpy as np
 
 from tracex.embeddings import EmbeddingMatrix
 from tracex.tokenization import TokenCounts
-from tracex.transport import transport_cost
+from tracex.transport import transport_cost, transport_costs
 
-EXACT_WMD_PAIR_LIMIT = 65536
+EXACT_WMD_PAIR_LIMIT = 65536  # cells of one exact problem, and of one padded batch
 
 
 def _in_vocab(counts: TokenCounts, m: EmbeddingMatrix) -> tuple[list[str], np.ndarray]:
@@ -83,6 +86,22 @@ def _wmd_from_cost(wa: np.ndarray, wb: np.ndarray, cost: np.ndarray) -> tuple[fl
     return transport_cost(wa, wb, cost), False
 
 
+def _shape_batches(exact: list[tuple[int, int, int, int]]) -> Iterator[list[tuple[int, int]]]:
+    """The (i, j) pairs of exact, in order, cut into batches whose padded
+    size, pairs times largest m times largest n, stays within
+    EXACT_WMD_PAIR_LIMIT; sorting exact by shape first keeps padding small."""
+    batch: list[tuple[int, int]] = []
+    big_m = big_n = 0
+    for m, n, i, j in exact:
+        big_m, big_n = max(big_m, m), max(big_n, n)
+        if batch and (len(batch) + 1) * big_m * big_n > EXACT_WMD_PAIR_LIMIT:
+            yield batch
+            batch, big_m, big_n = [], m, n
+        batch.append((i, j))
+    if batch:
+        yield batch
+
+
 def wmd(a: TokenCounts, b: TokenCounts, m: EmbeddingMatrix) -> tuple[float, bool]:
     """Word Mover's Distance and a flag marking the relaxed fallback.
 
@@ -136,14 +155,24 @@ def semantic_columns(
     relaxed = np.zeros(shape, dtype=bool)
     with np.errstate(all="ignore"):  # a defined non-finite value is reported by the caller
         bags = [[_bag(c, word_matrix) for c in side] for side in (src_counts, tgt_counts)]
+        exact = []  # (m, n, i, j) of the pairs small enough for the exact solver
         for i, a in enumerate(bags[0]):
             for j, b in enumerate(bags[1]):
                 if a is None or b is None:
                     continue
                 (rows_a, w_a, vecs_a, unit_a, *_), (rows_b, w_b, vecs_b, unit_b, *_) = a, b
-                cost = _ground_cost(vecs_a, vecs_b)
-                wmd_col[i, j], relaxed[i, j] = _wmd_from_cost(w_a, w_b, cost)
+                if len(w_a) * len(w_b) <= EXACT_WMD_PAIR_LIMIT:
+                    exact.append((len(w_a), len(w_b), i, j))
+                else:
+                    wmd_col[i, j], relaxed[i, j] = _wmd_from_cost(w_a, w_b, _ground_cost(vecs_a, vecs_b))
                 scm_num[i, j] = w_a @ _term_sim(unit_a, rows_a, unit_b, rows_b) @ w_b
+        for batch in _shape_batches(sorted(exact)):
+            pairs = [(i, j, _ground_cost(bags[0][i][2], bags[1][j][2])) for i, j in batch]
+            pairs = [p for p in pairs if np.isfinite(p[2]).all()]  # overflow: NaN, never solved
+            if pairs:
+                rows, cols, _ = zip(*pairs)
+                wmd_col[rows, cols] = transport_costs(
+                    [(bags[0][i][1], bags[1][j][1], cost) for i, j, cost in pairs])
         self_s, self_t = ([np.nan if g is None else g[4] for g in side] for side in bags)
         scm = np.clip(scm_num / np.sqrt(np.outer(self_s, self_t)), 0.0, 1.0)
 

@@ -1,4 +1,4 @@
-"""Exact optimal transport between two discrete weight vectors.
+"""Exact optimal transport between discrete weight vectors, many problems at once.
 
 Min-cost flow on the dense bipartite transport graph, solved by successive
 shortest paths with node potentials: Dijkstra on reduced costs over one
@@ -6,6 +6,13 @@ label array of m + n nodes (row i is node i, column j is node m + j), each
 step finalizing the `argmin` label. Supplies are cross-scaled to integers so
 every augmentation is exact; the final cost is rescaled back to the
 probability simplex.
+
+A batch of problems runs in lockstep: every Dijkstra step takes one
+`argmin` per problem, every augmentation traces all paths together, and a
+problem leaves the batch once its supply is placed. Smaller problems are
+padded to the batch's largest shape with `+inf` costs and zero supply and
+demand, so a padded node never gets a finite label; each problem gets the
+flows and the bits it would get alone.
 """
 
 from __future__ import annotations
@@ -16,83 +23,151 @@ EXACT_TOTAL_LIMIT = 2**53  # float64 holds every integer up to here exactly
 
 
 def transport_cost(a, b, cost) -> float:
-    """Minimum cost of moving distribution a onto b under the cost matrix.
+    """Minimum cost of moving distribution a onto b under the cost matrix;
+    `transport_costs` on a batch of one."""
+    return float(transport_costs([(a, b, cost)])[0])
+
+
+def transport_costs(problems) -> np.ndarray:
+    """Minimum transport cost of each (a, b, cost) problem, as a float array.
 
     a and b are nonnegative integer weight vectors; they are normalized
     internally, so only their proportions matter. Every cost must be finite,
     and the product of the two totals at most 2**53, so that the cross-scaled
-    supplies and every flow stay exact in float64.
+    supplies and every flow stay exact in float64. A problem that breaks
+    these rules raises ValueError naming its index in the batch.
     """
+    checked = [_checked(k, *problem) for k, problem in enumerate(problems)]
+    if not checked:
+        return np.zeros(0)
+    big_m = max(len(a) for a, _, _ in checked)
+    big_n = max(len(b) for _, b, _ in checked)
+    supply, demand = np.zeros((len(checked), big_m)), np.zeros((len(checked), big_n))
+    cost = np.full((len(checked), big_m, big_n), np.inf)
+    for k, (a, b, c) in enumerate(checked):
+        # Cross-scale so supplies and demands are integers with equal totals.
+        supply[k, :len(a)], demand[k, :len(b)] = a * b.sum(), b * a.sum()
+        cost[k, :len(a), :len(b)] = c
+    flows = _min_cost_flows(supply, demand, cost)
+    return np.array([
+        (flows[k, :len(a), :len(b)] * c).sum() / (int(a.sum()) * int(b.sum()))
+        for k, (a, b, c) in enumerate(checked)
+    ])
+
+
+def _checked(k: int, a, b, cost) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
     cost = np.asarray(cost, dtype=np.float64)
     if cost.shape != (len(a), len(b)):
-        raise ValueError(f"cost shape {cost.shape} does not match ({len(a)}, {len(b)})")
+        raise ValueError(f"problem {k}: cost shape {cost.shape} does not match ({len(a)}, {len(b)})")
     if not np.isfinite(cost).all():
-        raise ValueError("transport costs must be finite")
+        raise ValueError(f"problem {k}: transport costs must be finite")
     ta, tb = int(a.sum()), int(b.sum())
     if ta <= 0 or tb <= 0:
-        raise ValueError("both weight vectors must have positive total")
+        raise ValueError(f"problem {k}: both weight vectors must have positive total")
     if ta * tb > EXACT_TOTAL_LIMIT:
-        raise ValueError(f"weight totals {ta} * {tb} exceed the exact bound 2**53")
-
-    # Cross-scale so supplies and demands are integers with equal totals.
-    plan = _min_cost_transport(a * tb, b * ta, cost)
-    return float((plan * cost).sum() / (ta * tb))
+        raise ValueError(f"problem {k}: weight totals {ta} * {tb} exceed the exact bound 2**53")
+    return a, b, cost
 
 
-def _min_cost_transport(supply, demand, cost) -> np.ndarray:
-    """Successive shortest paths. Reduced cost of the forward arc i->j is
-    cost[i,j] + pot[i] - pot[m+j]; flow-carrying arcs admit the reverse arc
-    at the negated reduced cost. Potentials keep all reduced costs
-    nonnegative so Dijkstra stays valid with float costs. Ties finalize rows
-    before columns and lower indices first. Only nodes not yet finalized are
-    relaxed: round-off can make a reduced cost slightly negative, and
-    relabelling a finalized node would put a cycle into the predecessor
-    chain. The search stops at the first finalized column with demand left."""
-    m, n = cost.shape
-    flow = np.zeros((m, n))
-    residual = np.concatenate([supply, demand]).astype(np.float64)  # rows, then columns
-    pot = np.zeros(m + n)
+def _min_cost_flows(supply, demand, cost) -> np.ndarray:
+    """Successive shortest paths on a (B, M, N) cost stack; returns the flows.
 
-    while (residual[:m] > 0).any():
-        dist = np.full(m + n, np.inf)
-        dist[:m][residual[:m] > 0] = 0.0
-        label = dist.copy()  # dist of nodes not yet final, inf once final
-        prev = np.full(m + n, -1, dtype=np.int64)  # node the best path came from
-        done = np.zeros(m + n, dtype=bool)
-        while True:
-            u = int(np.argmin(label))
-            if label[u] == np.inf:
+    Reduced cost of the forward arc i->j is cost[i,j] + pot[i] - pot[M+j];
+    flow-carrying arcs admit the reverse arc at the negated reduced cost.
+    Potentials keep all reduced costs nonnegative so Dijkstra stays valid
+    with float costs. Ties finalize rows before columns and lower indices
+    first. Only nodes not yet finalized are relaxed: round-off can make a
+    reduced cost slightly negative, and relabelling a finalized node would
+    put a cycle into the predecessor chain. A problem's search stops at its
+    first finalized column with demand left.
+
+    Every array keeps one row per problem of the batch, so a finished
+    problem costs no copy; it only drops out of the index of live problems.
+    Node u of problem p has the flat index p * (M + N) + u."""
+    n_problems, m, n = cost.shape
+    w = m + n
+    flow = np.zeros((n_problems, m, n))
+    residual = np.concatenate([supply, demand], axis=1)  # rows, then columns
+    pot = np.zeros((n_problems, w))
+    # label: the distance of nodes not yet final, inf once final. final: the
+    # distance of final nodes, inf before. Relaxing a node needs a new
+    # distance below its label by the 1e-15 margin; limit holds that bound,
+    # -inf once the node is final.
+    label, limit, final = (np.empty((n_problems, w)) for _ in range(3))
+    prev = np.empty((n_problems, w), dtype=np.int64)  # node the best path came from
+    end = np.zeros(n_problems, dtype=np.int64)  # the column node each search stops at
+    root = np.zeros(n_problems, dtype=np.int64)  # the source row each path starts at
+    bottleneck = np.zeros(n_problems)
+    cost_rows = cost.reshape(-1, n)  # the forward arc costs of (problem, row), one row each
+    label_f, limit_f, final_f, prev_f, pot_f, residual_f = (
+        x.reshape(-1) for x in (label, limit, final, prev, pot, residual))  # views
+
+    while True:
+        live = np.flatnonzero((residual[:, :m] > 0).any(axis=1))  # supply left to place
+        if not live.size:
+            return flow
+        label.fill(np.inf)
+        label[:, :m][residual[:, :m] > 0] = 0.0
+        np.subtract(label, 1e-15, out=limit)
+        final.fill(np.inf)
+        prev.fill(-1)
+        s = live  # problems still searching
+        while s.size:
+            u = label.argmin(axis=1)[s]
+            at = s * w + u
+            d = label_f[at]
+            if (d == np.inf).any():
                 raise RuntimeError("transport problem infeasible")
-            done[u], label[u] = True, np.inf
-            if u < m:  # forward arcs to every column
-                nodes = m + np.arange(n)
-                nd = dist[u] + cost[u] + pot[u] - pot[m:]
-            elif residual[u] > 0:
-                break
-            else:  # reverse arcs to the rows that send flow into this column
-                nodes = np.flatnonzero(flow[:, u - m] > 0)
-                nd = dist[u] - (cost[nodes, u - m] + pot[nodes] - pot[u])
-            better = (nd < dist[nodes] - 1e-15) & ~done[nodes]
-            nodes, nd = nodes[better], nd[better]
-            dist[nodes], label[nodes], prev[nodes] = nd, nd, u
-        pot += np.minimum(dist, dist[u])
+            final_f[at], label_f[at], limit_f[at] = d, np.inf, -np.inf
+            row = u < m
+            stop = ~row & (residual_f[at] > 0)
 
-        # Trace the augmenting path back to a source row; find its bottleneck.
-        path: list[tuple[int, int, int]] = []  # (row, col, +1 forward / -1 backward)
-        bottleneck, j = residual[u], u
-        while True:
-            i = int(prev[j])
-            path.append((i, j - m, +1))
-            if prev[i] < 0:
-                bottleneck = min(bottleneck, residual[i])
-                break
-            j = int(prev[i])
-            path.append((i, j - m, -1))
-            bottleneck = min(bottleneck, flow[i, j - m])
-        for r, c, direction in path:
-            flow[r, c] += direction * bottleneck
-        residual[i] -= bottleneck
-        residual[u] -= bottleneck
-    return flow
+            r, ur = s[row], u[row]  # forward arcs to every column
+            if r.size:
+                nd = d[row][:, None] + cost_rows[r * m + ur] + pot_f[at[row]][:, None] - pot[r, m:]
+                better = np.flatnonzero(nd < limit[r, m:])
+                k = better // n  # flat index in nd -> flat index of the column node
+                to = better + (r * w + m - np.arange(r.size) * n)[k]
+                nd = nd.reshape(-1)[better]
+                label_f[to], limit_f[to], prev_f[to] = nd, nd - 1e-15, ur[k]
+
+            scan = ~(row | stop)  # reverse arcs to the rows that send flow into the column
+            c, uc = s[scan], u[scan]
+            if c.size:
+                nd = d[scan][:, None] - (cost[c, :, uc - m] + pot[c, :m] - pot_f[at[scan]][:, None])
+                better = np.flatnonzero((flow[c, :, uc - m] > 0) & (nd < limit[c, :m]))
+                k = better // m
+                to = better + (c * w - np.arange(c.size) * m)[k]
+                nd = nd.reshape(-1)[better]
+                label_f[to], limit_f[to], prev_f[to] = nd, nd - 1e-15, uc[k]
+
+            end[s[stop]] = u[stop]
+            s = s[~stop]
+        e = end[live]
+        dist = np.minimum(final[live], label[live])
+        pot[live] += np.minimum(dist, dist[np.arange(live.size), e][:, None])
+
+        # Trace every augmenting path back to a source row, in lockstep; each
+        # path alternates forward arcs (row -> column) and backward arcs.
+        bottleneck[live] = residual[live, e]
+        forward, backward = [], []  # (problem, row, column) per arc, in arrays
+        t, j = live, e
+        while t.size:
+            i = prev[t, j]
+            forward.append((t, i, j - m))
+            source = prev[t, i] < 0
+            root[t[source]] = i[source]
+            t, i = t[~source], i[~source]
+            j = prev[t, i]
+            backward.append((t, i, j - m))
+            bottleneck[t] = np.minimum(bottleneck[t], flow[t, i, j - m])
+        start = root[live]
+        bottleneck[live] = np.minimum(bottleneck[live], residual[live, start])
+        for t, i, col in forward:
+            flow[t, i, col] += bottleneck[t]
+        for t, i, col in backward:
+            flow[t, i, col] -= bottleneck[t]
+        residual[live, start] -= bottleneck[live]
+        residual[live, e] -= bottleneck[live]

@@ -74,11 +74,12 @@ def test_empty_artifacts_flagged_not_rejected(tmp_path, capsys):
     manifest = make_testbed(tmp_path, {"R1": "words"}, targets, ["R1 C2"])
     assert len(load_testbed(manifest).targets) == 3
     assert main(["validate", str(manifest), "--json"]) == 0
-    assert json.loads(capsys.readouterr().out)["empty_artifacts"] == ["C1", "C3"]
+    empty = {"sources": [], "targets": ["C1", "C3"]}
+    assert json.loads(capsys.readouterr().out)["empty_artifacts"] == empty
     out = tmp_path / "out"
     assert main(["analyze", "--manifest", str(manifest), "--vectorizer", "none", "--out", str(out)]) == 0
     meta = json.loads((out / "run.json").read_text())
-    assert meta["testbeds"]["tiny"]["empty_artifacts"] == ["C1", "C3"]
+    assert meta["testbeds"]["tiny"]["empty_artifacts"] == empty
 
 
 def test_records_sorted_by_id_and_labeled():
@@ -93,7 +94,7 @@ def test_records_sorted_by_id_and_labeled():
     assert list(zip(records["source_id"], records["target_id"], records["is_link"].tolist())) == [
         ("a", "x", True), ("a", "y", False), ("b", "x", False), ("b", "y", False),
     ]
-    assert result.empty_artifacts == ["a"]
+    assert result.empty_artifacts == {"sources": ["a"], "targets": []}
 
 
 @pytest.mark.parametrize("vectorizer", ["skipgram", "pvdbow"])
@@ -115,10 +116,24 @@ def test_empty_artifacts_in_id_order(tmp_path, capsys):
     manifest = make_testbed(tmp_path, sources, {"t": "more words"}, ["s t"])
     assert [a.id for a in load_testbed(manifest).sources] == ["a", "a-b", "s"]
     assert main(["validate", str(manifest), "--json"]) == 0
-    assert json.loads(capsys.readouterr().out)["empty_artifacts"] == ["a", "a-b"]
+    empty = {"sources": ["a", "a-b"], "targets": []}
+    assert json.loads(capsys.readouterr().out)["empty_artifacts"] == empty
     out = tmp_path / "out"
     assert main(["analyze", "--manifest", str(manifest), "--vectorizer", "none", "--out", str(out)]) == 0
-    assert json.loads((out / "run.json").read_text())["testbeds"]["tiny"]["empty_artifacts"] == ["a", "a-b"]
+    assert json.loads((out / "run.json").read_text())["testbeds"]["tiny"]["empty_artifacts"] == empty
+
+
+def test_empty_source_and_target_sharing_an_id_stay_apart(tmp_path, capsys):
+    # one list of bare ids printed these two as two identical entries
+    manifest = make_testbed(tmp_path, {"a-b": "", "s": "words"}, {"a-b": "! ?", "t": "more words"}, ["s t"])
+    empty = {"sources": ["a-b"], "targets": ["a-b"]}
+    assert main(["validate", str(manifest), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["empty_artifacts"] == empty
+    assert main(["validate", str(manifest)]) == 0
+    assert "2 empty artifacts" in capsys.readouterr().out
+    out = tmp_path / "out"
+    assert main(["analyze", "--manifest", str(manifest), "--vectorizer", "none", "--out", str(out)]) == 0
+    assert json.loads((out / "run.json").read_text())["testbeds"]["tiny"]["empty_artifacts"] == empty
 
 
 def test_synthetic_full_overlap_identical_multisets():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import resource
@@ -10,10 +11,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tracex.embeddings import EmbeddingMatrix
-from tracex.semantics import relaxed_wmd, semantic_columns, soft_cosine, wmd
-from tracex.tokenization import TokenCounts
-from tracex.transport import transport_cost
+from tracex.corpus import generate_synthetic
+from tracex.embeddings import EmbeddingMatrix, TrainConfig, train_skipgram
+from tracex.semantics import (
+    EXACT_WMD_PAIR_LIMIT,
+    _shape_batches,
+    relaxed_wmd,
+    semantic_columns,
+    soft_cosine,
+    wmd,
+)
+from tracex.tokenization import TokenCounts, conventional_tokenize, count_tokens
+from tracex.transport import transport_cost, transport_costs
 
 ROOT = Path(__file__).resolve().parent.parent
 SEMANTIC_FIELDS = ("wmd", "scm", "cos", "euc", "wmd_sim", "cos_sim")
@@ -273,12 +282,12 @@ def test_transport_large_skewed_weights_match_highs():
 
 
 @st.composite
-def degenerate_transport(draw):
+def degenerate_transport(draw, max_side=5):
     """Zero and skewed weights; integer costs in {0, 1, 2} (ties, zero-cost cells)
     or Euclidean costs between integer vectors in [-1, 1]^3 (duplicate vectors)."""
     weight = st.one_of(st.integers(0, 3), st.sampled_from([10**4, 10**6]))
-    a = draw(st.lists(weight, min_size=1, max_size=5).filter(any))
-    b = draw(st.lists(weight, min_size=1, max_size=5).filter(any))
+    a = draw(st.lists(weight, min_size=1, max_size=max_side).filter(any))
+    b = draw(st.lists(weight, min_size=1, max_size=max_side).filter(any))
     if draw(st.booleans()):
         cells = st.lists(st.sampled_from([0, 1, 2]), min_size=len(a) * len(b), max_size=len(a) * len(b))
         cost = np.array(draw(cells), dtype=float).reshape(len(a), len(b))
@@ -294,6 +303,60 @@ def degenerate_transport(draw):
 def test_transport_degenerate_inputs_match_highs(problem):
     a, b, cost = problem
     assert transport_cost(a, b, cost) == pytest.approx(highs_transport(a, b, cost), rel=1e-9, abs=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(degenerate_transport(max_side=7), min_size=1, max_size=6))
+def test_transport_costs_batch_invariant(problems):
+    """Mixed shapes share a padded batch; each problem keeps the bits it gets alone."""
+    together = transport_costs(problems)
+    assert together.shape == (len(problems),)
+    for k, (a, b, cost) in enumerate(problems):
+        alone = transport_costs([(a, b, cost)])[0]
+        assert together[k] == alone
+        assert alone == pytest.approx(highs_transport(a, b, cost), rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize("bad, message", [
+    (([1, 1], [1], [[0.5]]), "does not match"),
+    (([1, 1], [1], [[0.5], [np.nan]]), "finite"),
+    (([0, 0], [1], [[0.5], [1.0]]), "positive total"),
+    (([10**8, 1], [10**8], [[0.5], [1.0]]), r"2\*\*53"),
+])
+def test_transport_costs_name_the_failing_problem(bad, message):
+    good = ([1, 2], [3], [[0.5], [1.0]])
+    with pytest.raises(ValueError, match=rf"problem 1: .*{message}"):
+        transport_costs([good, bad, good])
+
+
+def test_transport_costs_empty_batch():
+    assert transport_costs([]).shape == (0,)
+
+
+def test_shape_batches_cap_padded_cells():
+    rng = np.random.default_rng(3)
+    exact = sorted((int(m), int(n), k, 0) for k, (m, n) in enumerate(rng.integers(1, 300, size=(400, 2))))
+    batches = list(_shape_batches(exact))
+    assert [pair for batch in batches for pair in batch] == [(i, j) for _, _, i, j in exact]
+    sizes = {i: (m, n) for m, n, i, _ in exact}
+    for batch in batches:
+        rows, cols = zip(*(sizes[i] for i, _ in batch))
+        assert len(batch) == 1 or len(batch) * max(rows) * max(cols) <= EXACT_WMD_PAIR_LIMIT
+
+
+def test_wmd_bits_pinned():
+    """Exact WMD column of an 8x8 synthetic testbed (20x20 bags, all 64 pairs
+    solved in one batch). A change to the ground cost or to the solver's
+    arithmetic or tie rules moves this pin; such a change must say why."""
+    tb = generate_synthetic(3, 8, 8, 0.6)
+    docs = [conventional_tokenize(a.raw_text) for a in tb.sources + tb.targets]
+    counts = [count_tokens(doc) for doc in docs]
+    m = train_skipgram(docs, TrainConfig(dim=8, epochs=3, seed=5)).matrix
+    values, masks, relaxed = semantic_columns(counts[:8], counts[8:], m)
+    assert masks["wmd"].all() and not relaxed.any()
+    assert hashlib.sha256(values["wmd"].tobytes()).hexdigest() == (
+        "28b8c0ba790132d9ef435c4ea966638cac3b1ce2d90795e2aaded33416199a1c"
+    )
 
 
 ZIPF_PAIR = """
