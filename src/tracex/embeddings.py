@@ -3,13 +3,18 @@
 Skip-gram word vectors and PV-DBOW document vectors (trained against a
 shared word output matrix) come from one negative-sampling loop with fixed
 settings: unigram^0.75 noise, linear learning-rate decay and minimum count
-1. Training is single-worker and bit-deterministic for a fixed seed. A
-plain-text loader accepts externally trained vectors.
+1. There is one step per predicted word: all its input rows (the skip-gram
+window's words, or the PV-DBOW document) predict it at once against 5 noise
+words they share, and each update is computed from the state before the
+step. Where a row or a target occurs more than once in a step (a word twice
+in one window, a noise word equal to the predicted word), its updates
+accumulate. Training is single-worker and bit-deterministic for a fixed
+seed; the mean loss of each epoch is returned and recorded in `run.json` as
+`epoch_losses`. A plain-text loader accepts externally trained vectors.
 """
 
 from __future__ import annotations
 
-import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -123,13 +128,19 @@ def _train_sgns(
     docs: list[list[int]],
     counts: np.ndarray,
     n_inputs: int,
-    inputs: Callable[[int, list[int], int, np.random.Generator], Sequence[int]],
+    inputs: Callable[[int, list[int], np.random.Generator], Sequence[list[int]]],
     cfg: TrainConfig,
 ) -> tuple[np.ndarray, np.ndarray, list[float]]:
-    """Negative-sampling training shared by skip-gram and PV-DBOW: each word
-    `docs[d][pos]` is predicted from every row of the n_inputs x dim input
-    matrix that `inputs(d, docs[d], pos, rng)` returns. Returns the input
-    and output matrices and the mean loss of each epoch."""
+    """Negative-sampling training shared by skip-gram and PV-DBOW.
+
+    `inputs(d, docs[d], rng)` returns, for each position of a document, the
+    rows of the n_inputs x dim input matrix that predict the word there. One
+    step predicts one word from all its rows at once, against NEGATIVES noise
+    words the rows share; every update is taken from the state before the
+    step, and a row or target that occurs twice gets both updates. Returns
+    the input and output matrices and the mean loss per (row, word)
+    prediction of each epoch.
+    """
     rng = np.random.default_rng(cfg.seed)
     weights = counts.astype(np.float64) ** NOISE_EXPONENT
     noise_cdf = np.cumsum(weights / weights.sum())
@@ -142,25 +153,31 @@ def _train_sgns(
     processed = 0
     epoch_losses: list[float] = []
     for _ in range(cfg.epochs):
-        loss_sum, loss_n = 0.0, 0
+        log_lik, loss_n = 0.0, 0
         for di in rng.permutation(len(docs)):
             doc = docs[di]
-            for pos, word in enumerate(doc):
+            rows_at = inputs(di, doc, rng)
+            noise = np.searchsorted(noise_cdf, rng.random((len(doc), NEGATIVES)))
+            targets_at = np.column_stack((doc, noise))
+            doc_preds = []
+            for rows, targets in zip(rows_at, targets_at):
                 lr = LEARNING_RATE * max(MIN_LR_FRACTION, 1.0 - processed / total_words)
                 processed += 1
-                for row in inputs(di, doc, pos, rng):
-                    negs = np.searchsorted(noise_cdf, rng.random(NEGATIVES))
-                    targets = np.concatenate(([word], negs))
-                    v = w_in[row]
-                    preds = 1.0 / (1.0 + np.exp(-(w_out[targets] @ v)))
-                    grad = preds - labels
-                    grad_v = grad @ w_out[targets]
-                    w_out[targets] -= lr * grad[:, None] * v
-                    w_in[row] -= lr * grad_v
-                    log_lik = math.log(preds[0] + EPS) + np.log(1.0 - preds[1:] + EPS).sum()
-                    loss_sum -= float(log_lik)
-                    loss_n += 1
-        epoch_losses.append(loss_sum / max(1, loss_n))
+                if not rows:
+                    continue
+                v = w_in[rows]
+                o = w_out[targets]
+                preds = 1.0 / (1.0 + np.exp(-(v @ o.T)))
+                grad = preds - labels
+                np.subtract.at(w_out, targets, lr * (grad.T @ v))
+                np.subtract.at(w_in, rows, lr * (grad @ o))
+                doc_preds.append(preds)
+            if doc_preds:  # one loss term per (row, word) prediction
+                preds = np.concatenate(doc_preds)
+                log_lik += np.log(preds[:, 0] + EPS).sum()
+                log_lik += np.log(1.0 - preds[:, 1:] + EPS).sum()
+                loss_n += len(preds)
+        epoch_losses.append(-float(log_lik) / max(1, loss_n))
     return w_in, w_out, epoch_losses
 
 
@@ -170,18 +187,21 @@ class TrainedWordModel:
     epoch_losses: list[float]
 
 
-def _window(di: int, doc: list[int], pos: int, rng: np.random.Generator) -> list[int]:
-    """The words within a random span of 1 to WINDOW positions on each side."""
-    span = int(rng.integers(1, WINDOW + 1))
-    lo, hi = max(0, pos - span), min(len(doc), pos + span + 1)
-    return [doc[c] for c in range(lo, hi) if c != pos]
+def _windows(di: int, doc: list[int], rng: np.random.Generator) -> list[list[int]]:
+    """For each position, the words within a random span of 1 to WINDOW
+    positions on each side."""
+    spans = rng.integers(1, WINDOW + 1, size=len(doc)).tolist()
+    return [
+        doc[max(0, pos - span) : pos] + doc[pos + 1 : pos + 1 + span]
+        for pos, span in enumerate(spans)
+    ]
 
 
 def train_skipgram(corpus: list[list[str]], cfg: TrainConfig) -> TrainedWordModel:
     """Skip-gram with negative sampling; deterministic for a fixed seed."""
     vocab, counts, docs = _build_vocab(corpus)
     docs = [d for d in docs if d]
-    w_in, _, epoch_losses = _train_sgns(docs, counts, len(vocab), _window, cfg)
+    w_in, _, epoch_losses = _train_sgns(docs, counts, len(vocab), _windows, cfg)
     return TrainedWordModel(
         matrix=EmbeddingMatrix(vocab=vocab, vectors=w_in), epoch_losses=epoch_losses
     )
@@ -200,7 +220,7 @@ def train_pvdbow(docs: list[tuple[str, list[str]]], cfg: TrainConfig) -> DocVect
     text via negative sampling against a shared word output matrix."""
     vocab, counts, encoded = _build_vocab([tokens for _, tokens in docs])
     d_vecs, w_out, epoch_losses = _train_sgns(
-        encoded, counts, len(docs), lambda di, doc, pos, rng: (di,), cfg
+        encoded, counts, len(docs), lambda di, doc, rng: [[di]] * len(doc), cfg
     )
     return DocVectors(
         doc_ids=[doc_id for doc_id, _ in docs],

@@ -117,6 +117,7 @@ class TestbedResult:
     # ids of the sources and of the targets whose token sequence is empty;
     # admitted, but flagged
     empty_artifacts: dict[str, list[str]]
+    epoch_losses: list[float]  # [] when nothing was trained
 
 
 def analyze_testbed(tb: Testbed, cfg: RunConfig) -> TestbedResult:
@@ -124,7 +125,7 @@ def analyze_testbed(tb: Testbed, cfg: RunConfig) -> TestbedResult:
     targets = sorted(tb.targets, key=lambda a: a.id)
     seqs = tokenize_texts([a.raw_text for a in sources + targets], cfg)
     counts = [count_tokens(seq) for seq in seqs]
-    word_matrix, doc_vecs = _build_embeddings(seqs, cfg)
+    word_matrix, doc_vecs, epoch_losses = _build_embeddings(seqs, cfg)
     n = len(sources)
     info, info_masks, null_shared = info_columns(counts[:n], counts[n:])
     sem, sem_masks, wmd_relaxed = semantic_columns(counts[:n], counts[n:], word_matrix, doc_vecs)
@@ -144,24 +145,26 @@ def analyze_testbed(tb: Testbed, cfg: RunConfig) -> TestbedResult:
     undefined = {metric: int(np.isnan(records[metric]).sum()) for metric in SCORE_METRICS}
     empty = {"sources": [a.id for a, seq in zip(sources, seqs[:n]) if not seq],
              "targets": [a.id for a, seq in zip(targets, seqs[n:]) if not seq]}
-    return TestbedResult(tb, records, _evaluate(records), undefined, empty)
+    return TestbedResult(tb, records, _evaluate(records), undefined, empty, epoch_losses)
 
 
 def _build_embeddings(
     seqs: list[list[str]], cfg: RunConfig
-) -> tuple[EmbeddingMatrix | None, list[np.ndarray | None] | None]:
-    """Word matrix for WMD/SCM, plus the document vector of each sequence for
-    COS/EUC under PV-DBOW (None: mean word vectors)."""
+) -> tuple[EmbeddingMatrix | None, list[np.ndarray | None] | None, list[float]]:
+    """Word matrix for WMD/SCM, the document vector of each sequence for
+    COS/EUC under PV-DBOW (None: mean word vectors), and the training loss
+    of each epoch ([] when nothing is trained)."""
     if cfg.vectorizer == "none":
-        return None, None
+        return None, None, []
     train_cfg = cfg.train_config()
     if cfg.vectorizer == "pvdbow":
         dv = train_pvdbow([(str(k), seq) for k, seq in enumerate(seqs) if seq], train_cfg)
         vectors = iter(dv.vectors)
-        return dv.word_matrix, [next(vectors) if seq else None for seq in seqs]
+        return dv.word_matrix, [next(vectors) if seq else None for seq in seqs], dv.epoch_losses
     if cfg.embedding_path:
-        return load_embeddings(cfg.embedding_path), None
-    return train_skipgram([seq for seq in seqs if seq], train_cfg).matrix, None
+        return load_embeddings(cfg.embedding_path), None, []
+    trained = train_skipgram([seq for seq in seqs if seq], train_cfg)
+    return trained.matrix, None, trained.epoch_losses
 
 
 def _check_finite(records: dict, masks: dict[str, np.ndarray]) -> None:
@@ -221,6 +224,7 @@ def run_analysis(cfg: RunConfig) -> list[TestbedResult]:
                 "links": r.testbed.n_links,
                 "non_links": r.testbed.n_non_links,
                 "empty_artifacts": r.empty_artifacts,
+                "epoch_losses": r.epoch_losses,
                 "undefined_pair_counts": r.undefined_counts,
             }
             for r in results

@@ -58,6 +58,18 @@ def test_analyze_writes_report_tree(synth_manifest, tmp_path):
     assert meta["testbeds"]["synthetic-5"]["all"] == 16
 
 
+@pytest.mark.parametrize("vectorizer, n_losses", [("skipgram", 3), ("pvdbow", 3), ("none", 0)])
+def test_run_json_records_epoch_losses(synth_manifest, tmp_path, vectorizer, n_losses):
+    out = tmp_path / "out"
+    assert main([
+        "analyze", "--manifest", str(synth_manifest), "--vectorizer", vectorizer,
+        "--dim", "4", "--epochs", "3", "--seed", "2", "--out", str(out),
+    ]) == 0
+    losses = json.loads((out / "run.json").read_text())["testbeds"]["synthetic-5"]["epoch_losses"]
+    assert len(losses) == n_losses
+    assert all(np.isfinite(loss) and loss > 0 for loss in losses)
+
+
 def test_analyze_vectorizer_none(synth_manifest, tmp_path):
     out = tmp_path / "o2"
     assert main([
@@ -168,6 +180,8 @@ def test_train_embeddings_and_load(tmp_path, synth_manifest):
         (out / "reports" / "synthetic-5" / "evaluation.json").read_text()
     )
     assert evaluation["scores"]["wmd_sim"]["n_defined"] == 0
+    meta = json.loads((out / "run.json").read_text())
+    assert meta["testbeds"]["synthetic-5"]["epoch_losses"] == []  # loaded, not trained
 
 
 def test_cases_subcommand(synth_manifest, tmp_path, capsys):

@@ -3,14 +3,19 @@ import hashlib
 import numpy as np
 import pytest
 
+from tracex.corpus import generate_synthetic
 from tracex.embeddings import (
+    EPS,
+    LEARNING_RATE,
     DocVectors,
     EmbeddingError,
     TrainConfig,
+    _train_sgns,
     load_embeddings,
     train_pvdbow,
     train_skipgram,
 )
+from tracex.tokenization import conventional_tokenize
 
 
 def two_cluster_corpus(n_docs=30, rng_seed=5):
@@ -96,19 +101,66 @@ def test_trainer_bits_pinned():
     sg = train_skipgram(PIN_CORPUS, cfg)
     assert sg.matrix.vocab == ["config", "error", "file", "parse", "handler", "log", "open", "read"]
     assert sha256(sg.matrix.vectors) == (
-        "2cceb19df2b2b3d3da2aa768e6483dad4086034b4925ffa38681434a11cc39b2"
+        "62eee9776c63f4bc30aa77be96798891a6aa492614c298bd1df58cad2904cb12"
     )
-    assert sg.epoch_losses == [4.158527973536878, 4.158217575977872, 4.157489231733694]
+    assert sg.epoch_losses == [4.158478711793039, 4.157503752027862, 4.156782229603289]
 
     pv = train_pvdbow([(f"d{i}", d) for i, d in enumerate(PIN_CORPUS)], cfg)
     assert pv.vectors.shape == (4, 4)  # the empty document keeps its row
     assert sha256(pv.vectors) == (
-        "2518d8b12554ba2942007589cb04f228209eb43d5a98375019d69f4f0713c57a"
+        "67b69d93ac97e48dd52a0a6d51bb36c5f60130d89047a4ee31461537ae6010d7"
     )
     assert sha256(pv.word_matrix.vectors) == (
-        "c7d8aac5603b83d2f21c1f6b9256393c29c207c7165aab7bff038ac53b957423"
+        "3c71d44bfb2f8e0985f8d458a91a286b9ffacc5ab011fa729a19e84680cefa5b"
     )
-    assert pv.epoch_losses == [4.158742454459519, 4.158375859087516, 4.158186985516561]
+    assert pv.epoch_losses == [4.158748665972162, 4.158240143193684, 4.1580015071109155]
+
+
+def test_every_gradient_of_a_repeated_target_is_applied():
+    """One-word vocabulary: the predicted word and all 5 noise words are row 0.
+    The output matrix starts at zero, so the single step predicts 1/2 for all
+    six and row 0 receives the sum of their gradients, (1/2 - 1) + 5 * 1/2 = 2,
+    times the document vector, which that step leaves as it was."""
+    pv = train_pvdbow([("d", ["tok"])], TrainConfig(dim=4, epochs=1, seed=0))
+    assert np.allclose(
+        pv.word_matrix.vectors[0], -LEARNING_RATE * 2.0 * pv.vectors[0], rtol=1e-12, atol=0
+    )
+
+
+def test_repeated_rows_in_one_step_accumulate():
+    """Two steps on a one-word vocabulary, by hand: row 1 predicts the word,
+    then a window holding row 0 twice does. Every update of a step comes from
+    the state before it, and each copy of row 0 adds its own."""
+    docs, counts, cfg = [[0, 0]], np.array([2]), TrainConfig(dim=3, epochs=1, seed=4)
+    w0, _, _ = _train_sgns(docs, counts, 2, lambda di, doc, rng: [[], []], cfg)  # no step
+    w_in, w_out, losses = _train_sgns(docs, counts, 2, lambda di, doc, rng: [[1], [0, 0]], cfg)
+
+    lr1, lr2 = LEARNING_RATE, LEARNING_RATE * 0.5
+    o1 = -lr1 * 2.0 * w0[1]  # first step: six gradients summing to 2, as above
+    p = 1.0 / (1.0 + np.exp(-(w0[0] @ o1)))
+    per_row = (p - 1.0) + 5 * p  # gradients of one row's six targets, summed
+    np.testing.assert_allclose(w_out[0], o1 - lr2 * 2 * per_row * w0[0], rtol=1e-12)
+    np.testing.assert_allclose(w_in[0], w0[0] - lr2 * 2 * per_row * o1, rtol=1e-12)
+    np.testing.assert_array_equal(w_in[1], w0[1])
+    first = -6 * np.log(0.5 + EPS)
+    second = -(np.log(p + EPS) + 5 * np.log(1.0 - p + EPS))
+    assert losses == [pytest.approx((first + 2 * second) / 3, rel=1e-12)]
+
+
+# Final epoch loss of the per-(row, word) trainer that preceded the batched
+# step, on the corpus below (dim 16, 20 epochs, seed 3).
+PER_ROW_C7_FINAL_LOSS = 2.507070524282271
+
+
+def test_skipgram_converges_like_per_row_trainer():
+    """Criterion 7's corpus as the pipeline trains it: one step per predicted
+    word must end within 1% of the per-row trainer's final loss."""
+    tb = generate_synthetic(3, 30, 30, 0.9)
+    artifacts = sorted(tb.sources, key=lambda a: a.id) + sorted(tb.targets, key=lambda a: a.id)
+    corpus = [conventional_tokenize(a.raw_text) for a in artifacts]
+    trained = train_skipgram(corpus, TrainConfig(dim=16, epochs=20, seed=3))
+    assert len(trained.epoch_losses) == 20
+    assert trained.epoch_losses[-1] == pytest.approx(PER_ROW_C7_FINAL_LOSS, rel=0.01)
 
 
 def test_pvdbow_near_duplicates_closer_than_disjoint():
