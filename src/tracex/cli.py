@@ -44,8 +44,9 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--vectorizer", default="skipgram",
                          choices=["skipgram", "pvdbow", "none"])
     analyze.add_argument("--embeddings", default=None,
-                         help="load pretrained word vectors instead of training")
-    analyze.add_argument("--bpe-model", default=None, help="prebuilt BPE model JSON")
+                         help="load pretrained word vectors instead of training (skipgram only)")
+    analyze.add_argument("--bpe-model", default=None,
+                         help="prebuilt BPE model JSON (bpe8k or bpe32k only)")
     analyze.add_argument("--seed", type=int, default=0)
     analyze.add_argument("--out", default="out")
     analyze.add_argument("--dim", type=int, default=50)

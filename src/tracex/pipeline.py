@@ -90,6 +90,10 @@ class RunConfig:
             raise ConfigError(f"unknown preprocessing: {self.preprocessing}")
         if self.vectorizer not in ("skipgram", "pvdbow", "none"):
             raise ConfigError(f"unknown vectorizer: {self.vectorizer}")
+        if self.embedding_path and self.vectorizer != "skipgram":
+            raise ConfigError(f"embeddings are loaded only by the skipgram vectorizer, not {self.vectorizer}")
+        if self.bpe_model_path and self.preprocessing not in BPE_VOCAB_SIZES:
+            raise ConfigError(f"a BPE model needs bpe8k or bpe32k preprocessing, not {self.preprocessing}")
         OrphanPolicy(self.orphan_quantile, self.orphan_metric)  # validates both
         self.train_config()  # validates the training options
 

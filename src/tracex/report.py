@@ -16,9 +16,12 @@ H_pool - H(Y) (semantically the loss) and `ci_loss` carries H_pool - H(X)
 from __future__ import annotations
 
 import csv
+import heapq
+import io
 import json
 import math
 from dataclasses import asdict, dataclass
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -117,10 +120,10 @@ def extreme_cases(records: dict, metric: str, k: int = 5) -> list[CaseListing]:
         raise ReportError("k must be >= 1")
     values = records[metric].tolist()
     src, tgt = records["source_id"], records["target_id"]
-    by_id = sorted(np.flatnonzero(~np.isnan(records[metric])).tolist(),
-                   key=lambda i: (src[i], tgt[i]))
-    top = sorted(by_id, key=lambda i: -values[i])[:k]
-    bottom = sorted(by_id, key=lambda i: values[i])[:k]
+    defined = np.flatnonzero(~np.isnan(records[metric])).tolist()
+    # nsmallest(k, it, key) equals sorted(it, key=key)[:k], ties in row order
+    top = heapq.nsmallest(k, defined, key=lambda i: (-values[i], src[i], tgt[i]))
+    bottom = heapq.nsmallest(k, defined, key=lambda i: (values[i], src[i], tgt[i]))
     return _listing(f"max_{metric}", records, values, top) + _listing(
         f"min_{metric}", records, values, bottom)
 
@@ -167,30 +170,59 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _cells(values) -> list[str]:
-    """CSV text of a record column: ids, true/false, or float repr ('' if NaN)."""
-    if isinstance(values, list):
-        return values
+RECORD_BLOCK_ROWS = 512  # rows per write; a block's text is a few hundred KB
+
+
+def _column(values) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """A record column for records.csv and for records.jsonl, each as (texts,
+    index of each row's text) with one text per distinct value: ids quoted
+    by csv.writer and by json.dumps, flags as true/false, floats by repr (as
+    json writes them) and NaN as '' in CSV and null in JSON. Floats are told
+    apart by bit pattern, so -0.0 stays apart from 0.0."""
+    if isinstance(values, list):  # ids
+        index = {v: i for i, v in enumerate(dict.fromkeys(values))}
+        inverse = np.fromiter(map(index.__getitem__, values), np.intp, len(values))
+        return ((np.array([_csv_field(v) for v in index], dtype=object), inverse),
+                (np.array([json.dumps(v) for v in index], dtype=object), inverse))
     if values.dtype == bool:
-        return ["true" if v else "false" for v in values.tolist()]
-    return ["" if math.isnan(v) else repr(v) for v in values.tolist()]
+        distinct, inverse = np.unique(values, return_inverse=True)
+        texts = ["true" if v else "false" for v in distinct.tolist()]
+    else:
+        distinct, inverse = np.unique(values.view(np.int64), return_inverse=True)
+        texts = ["" if math.isnan(v) else repr(v) for v in distinct.view(np.float64).tolist()]
+    csv_texts = np.array(texts, dtype=object)
+    return (csv_texts, inverse), (np.where(csv_texts == "", "null", csv_texts), inverse)
+
+
+def _csv_field(value: str) -> str:
+    """`value` as a field of a row that records.csv's csv.writer writes."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([value, ""])
+    return buf.getvalue()[:-2]
+
+
+def _write_rows(path: Path, head: str, parts: list, n_rows: int) -> None:
+    """Write `head`, then one line per row: the concatenation of `parts`,
+    each a constant string or a column (texts, index of each row's text),
+    RECORD_BLOCK_ROWS rows per write."""
+    with path.open("w", encoding="utf-8", newline="") as fh:
+        fh.write(head)
+        for start in range(0, n_rows, RECORD_BLOCK_ROWS):
+            block = slice(start, start + RECORD_BLOCK_ROWS)
+            cells = [repeat(p) if isinstance(p, str) else p[0][p[1][block]].tolist() for p in parts]
+            fh.write("".join(map("".join, zip(*cells))))
 
 
 def write_records(records: dict, csv_path: Path, jsonl_path: Path) -> None:
-    """Write records.csv and records.jsonl, formatting each value once: json
-    writes floats by repr too, so a JSONL line is the CSV cells under sorted
-    keys, ids quoted and '' as null, as json.dumps(row, sort_keys=True)."""
-    cells = {c: _cells(records[c]) for c in RECORD_COLUMNS}
-    with csv_path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(RECORD_COLUMNS)
-        writer.writerows(zip(*cells.values()))
-    keys = sorted(cells)
-    line = "{{" + ", ".join(f'"{k}": {{}}' for k in keys) + "}}\n"
-    values = [map(json.dumps, cells[k]) if k in ID_COLUMNS else [v or "null" for v in cells[k]]
-              for k in keys]
-    with jsonl_path.open("w", encoding="utf-8") as fh:
-        fh.writelines(line.format(*row) for row in zip(*values))
+    """Write records.csv (csv.writer's quoting, LF line ends) and
+    records.jsonl (each line json.dumps(row, sort_keys=True)), formatting each
+    distinct value of a column once and writing the rows in blocks."""
+    cols = {c: _column(records[c]) for c in RECORD_COLUMNS}
+    csv_line = [p for c in RECORD_COLUMNS for p in (",", cols[c][0])]
+    json_line = [p for c in sorted(cols) for p in (f', "{c}": ', cols[c][1])]
+    n_rows = len(records["source_id"])
+    _write_rows(csv_path, ",".join(RECORD_COLUMNS) + "\n", csv_line[1:] + ["\n"], n_rows)
+    _write_rows(jsonl_path, "", ["{" + json_line[0][2:], *json_line[1:], "}\n"], n_rows)
 
 
 def _is_kind(value, kind: type) -> bool:

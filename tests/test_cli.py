@@ -223,6 +223,10 @@ def run_cli(*argv):
     ["analyze", "--dim", "0"],
     ["analyze", "--epochs", "0"],
     ["analyze", "--vectorizer", "pvdbow", "--dim", "-1"],
+    ["analyze", "--vectorizer", "pvdbow", "--embeddings", "absent.txt"],
+    ["analyze", "--vectorizer", "none", "--embeddings", "absent.txt"],
+    ["analyze", "--bpe-model", "absent.json"],
+    ["analyze", "--preproc", "conventional", "--bpe-model", "absent.json"],
     ["train-embeddings", "--dim", "0"],
     ["train-embeddings", "--epochs", "0"],
 ])

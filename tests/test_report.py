@@ -1,17 +1,23 @@
 import csv
+import hashlib
+import io
 import json
 import math
+import struct
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from tracex.cli import main
 from tracex.corpus import ConfigError
 from tracex.report import (
     BOOL_COLUMNS,
     BY_LINKS_METRICS,
     ID_COLUMNS,
+    RECORD_BLOCK_ROWS,
     RECORD_COLUMNS,
     CaseListing,
     OrphanPolicy,
@@ -101,6 +107,32 @@ def test_extreme_cases_tie_break_by_id():
     listings = extreme_cases(recs, "noise", k=3)
     maxima = [c for c in listings if c.kind == "max_noise"]
     assert [(c.source_id, c.target_id) for c in maxima] == [("a", "x"), ("a", "y"), ("b", "x")]
+
+
+def _extreme_reference(recs, metric, k):
+    """extreme_cases by full sorts: defined rows in id order, then stable sorts."""
+    values = recs[metric].tolist()
+    src, tgt = recs["source_id"], recs["target_id"]
+    by_id = sorted((i for i, v in enumerate(values) if not math.isnan(v)), key=lambda i: (src[i], tgt[i]))
+    ranked = {"max": sorted(by_id, key=lambda i: -values[i])[:k],
+              "min": sorted(by_id, key=lambda i: values[i])[:k]}
+    return [(f"{side}_{metric}", src[i], tgt[i], bool(recs["is_link"][i]), repr(values[i]), rank)
+            for side in ("max", "min") for rank, i in enumerate(ranked[side], start=1)]
+
+
+@given(st.data())
+def test_extreme_cases_match_full_sorts(data):
+    n = data.draw(st.integers(0, 14))
+    pairs = st.tuples(st.sampled_from("abc"), st.sampled_from("xy"))  # duplicate pairs
+    values = st.sampled_from([0.0, -0.0, 1.0, 2.5, -1.0, math.nan])  # ties and NaN
+    rows = [row(s, t, link, loss=v, noise=w) for (s, t), link, v, w in data.draw(st.lists(
+        st.tuples(pairs, st.booleans(), values, values), min_size=n, max_size=n))]
+    recs = records(*rows)
+    k = data.draw(st.integers(1, n + 3))
+    for metric in ("loss", "noise"):
+        got = [(c.kind, c.source_id, c.target_id, c.is_link, repr(c.value), c.rank)
+               for c in extreme_cases(recs, metric, k)]
+        assert got == _extreme_reference(recs, metric, k)
 
 
 def test_detect_orphans_top_candidate_first():
@@ -227,6 +259,76 @@ def test_records_jsonl_lines_are_canonical_json(tmp_path_factory, rows):
     for line, r in zip(lines, rows):
         assert line == json.dumps(json.loads(line), sort_keys=True)
         assert json.loads(line) == r
+
+
+def _cell_texts(values) -> list[str]:
+    """A record column's CSV cells, formatted value by value: ids as they
+    are, true/false, float repr and '' for NaN."""
+    if isinstance(values, list):
+        return values
+    if values.dtype == bool:
+        return ["true" if v else "false" for v in values.tolist()]
+    return ["" if math.isnan(v) else repr(v) for v in values.tolist()]
+
+
+def _float_of_bits(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+# -0.0 beside 0.0, and NaNs with the sign bit set or a payload
+EDGE_FLOATS = [0.0, -0.0, 1.0, math.nan,
+               _float_of_bits(0xFFF8000000000000), _float_of_bits(0x7FF8000000000123)]
+
+
+@st.composite
+def repetitive_records(draw):
+    """A records table whose values repeat across rows: every column draws
+    its rows from a few values (tricky ids and EDGE_FLOATS among them)."""
+    n = draw(st.integers(0, 10))
+    any_ids = st.text(alphabet=st.characters(codec="utf-8"), max_size=6)
+    id_pool = draw(st.lists(st.one_of(any_ids, tricky_ids, st.just("a\rb")), min_size=1, max_size=3))
+    float_pool = draw(st.lists(st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_infinity=False)),
+                               min_size=1, max_size=4))
+    column = {c: st.sampled_from(id_pool) if c in ID_COLUMNS else st.booleans() if c in BOOL_COLUMNS
+              else st.sampled_from(float_pool) for c in RECORD_COLUMNS}
+    cells = {c: draw(st.lists(column[c], min_size=n, max_size=n)) for c in RECORD_COLUMNS}
+    return {c: v if c in ID_COLUMNS else np.array(v, dtype=bool if c in BOOL_COLUMNS else np.float64)
+            for c, v in cells.items()}
+
+
+@given(repetitive_records(), st.sampled_from([1, 3, RECORD_BLOCK_ROWS]))
+def test_records_bytes_match_cell_by_cell_reference(tmp_path_factory, recs, block_rows):
+    out = tmp_path_factory.mktemp("records")
+    with mock.patch("tracex.report.RECORD_BLOCK_ROWS", block_rows):  # rows split across writes
+        write_records(recs, out / "records.csv", out / "records.jsonl")
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(RECORD_COLUMNS)
+    writer.writerows(zip(*(_cell_texts(recs[c]) for c in RECORD_COLUMNS)))
+    assert (out / "records.csv").read_bytes() == buf.getvalue().encode("utf-8")
+    values = [recs[c] if c in ID_COLUMNS else recs[c].tolist() for c in RECORD_COLUMNS]
+    rows = [{c: None if type(v) is float and math.isnan(v) else v for c, v in zip(RECORD_COLUMNS, r)}
+            for r in zip(*values)]
+    expected = "".join(json.dumps(r, sort_keys=True) + "\n" for r in rows)
+    assert (out / "records.jsonl").read_bytes() == expected.encode("utf-8")
+
+
+def test_records_bytes_pinned(tmp_path):
+    """Exact records.csv, records.jsonl and cases.jsonl of a fixed synthetic
+    testbed under --vectorizer none. A change to how records are computed or
+    written moves this pin; such a change must say why."""
+    assert main(["synth", "--seed", "7", "--sources", "12", "--targets", "10",
+                 "--overlap", "0.6", "--out", str(tmp_path / "tb")]) == 0
+    assert main(["analyze", "--manifest", str(tmp_path / "tb" / "manifest.json"),
+                 "--vectorizer", "none", "--out", str(tmp_path / "out")]) == 0
+    report_dir = tmp_path / "out" / "reports" / "synthetic-7"
+    digests = {name: hashlib.sha256((report_dir / name).read_bytes()).hexdigest()
+               for name in ("records.csv", "records.jsonl", "cases.jsonl")}
+    assert digests == {
+        "records.csv": "0ce523832f2aec21d07d70c10a75b364e02f1ca1c87526a392e82ab5830a7e96",
+        "records.jsonl": "f09d1de8ca779644621651008c4f49eb66b7ce9dfc3a064f6a346b09c53ad215",
+        "cases.jsonl": "bcc332bf5679f08b8646df51233c2e1b6c920253034acaf1435edeb9b3bab1af",
+    }
 
 
 VALID = {c: row("a", "x", True)[c] for c in RECORD_COLUMNS}
