@@ -186,9 +186,7 @@ def cmd_cases(args) -> int:
     if args.k < 1:
         raise ConfigError(f"--k must be >= 1, got {args.k}")
     records = read_records(Path(args.records))
-    listings = extreme_cases(records, args.metric, args.k)
-    if records["is_link"].any():
-        listings += detect_orphans(records, policy)
+    listings = extreme_cases(records, args.metric, args.k) + detect_orphans(records, policy)
     for c in listings:
         print(json.dumps(asdict(c), sort_keys=True) if args.json else
               f"{c.kind}#{c.rank}: {c.source_id} -> {c.target_id} = {c.value:.4f}")

@@ -66,9 +66,6 @@ class EmbeddingMatrix:
     def dim(self) -> int:
         return self.vectors.shape[1]
 
-    def vector(self, token: str) -> np.ndarray:
-        return self.vectors[self.index[token]]
-
     def save(self, path: str | Path) -> None:
         lines = [f"{len(self.vocab)} {self.dim}"]
         for token, row in zip(self.vocab, self.vectors):

@@ -8,8 +8,8 @@ by the target, and noise = h_pool - h_x is target information absent from
 the source, so mi + loss = h_x and mi + noise = h_y hold exactly.
 All logarithms are base 2; values are bits.
 
-`info_record` scores one pair; `info_columns` scores every pair of a
-testbed at once and is what the pipeline uses.
+`info_columns` scores every pair of a testbed at once; it is the one
+implementation of these measures. `info_record` reads one pair from it.
 """
 
 from __future__ import annotations
@@ -32,54 +32,6 @@ def counts_entropy(counts: TokenCounts) -> float:
         return 0.0  # point mass: avoid log-cancellation residue
     # H = log2(total) - (1/total) sum c log2 c, exact for integer counts
     return math.log2(total) - sum(c * math.log2(c) for c in support) / total
-
-
-def pool(a: TokenCounts, b: TokenCounts) -> TokenCounts:
-    """Multiset union: per-token sum of counts."""
-    merged = dict(a.counts)
-    for t, c in b.counts.items():
-        merged[t] = merged.get(t, 0) + c
-    return TokenCounts({t: c for t, c in merged.items() if c > 0})
-
-
-def pooled_mutual_information(a: TokenCounts, b: TokenCounts) -> float:
-    """MI = H(a) + H(b) - H(pool(a, b)). May be negative for disjoint bags."""
-    return counts_entropy(a) + counts_entropy(b) - counts_entropy(pool(a, b))
-
-
-def conditional_entropies(a: TokenCounts, b: TokenCounts) -> tuple[float, float]:
-    """Return (loss, noise) = (H_pool - H(b), H_pool - H(a))."""
-    h_pool = counts_entropy(pool(a, b))
-    return h_pool - counts_entropy(b), h_pool - counts_entropy(a)
-
-
-def min_shared_counts(a: TokenCounts, b: TokenCounts) -> TokenCounts:
-    """Per-token minimum over the union vocabulary, zero entries retained, in
-    first-seen order so that sums over it do not depend on string hashing."""
-    vocab = {**a.counts, **b.counts}
-    return TokenCounts({t: min(a.counts.get(t, 0), b.counts.get(t, 0)) for t in vocab})
-
-
-def msi_entropy(a: TokenCounts, b: TokenCounts) -> float:
-    """Entropy of the normalized min-shared vector; 0 when the vector is null."""
-    shared = min_shared_counts(a, b)
-    if shared.total == 0:
-        return 0.0
-    return counts_entropy(shared)
-
-
-def extropy(probs: list[float]) -> float:
-    """J = -sum (1 - p_i) log2(1 - p_i); terms at p=0 and p=1 contribute 0."""
-    return 0.0 - sum((1.0 - p) * math.log2(1.0 - p) for p in probs if 0.0 < p < 1.0)
-
-
-def msi_extropy(a: TokenCounts, b: TokenCounts) -> float:
-    """Extropy of the normalized min-shared vector over its stored entries."""
-    shared = min_shared_counts(a, b)
-    total = shared.total
-    if total == 0:
-        return 0.0
-    return extropy([c / total for c in shared.counts.values()])
 
 
 @dataclass
@@ -107,34 +59,12 @@ class InfoRecord:
 
 
 def info_record(src_counts: TokenCounts, tgt_counts: TokenCounts) -> InfoRecord:
-    """Compute every pairwise information measure for one candidate pair."""
-    shared = min_shared_counts(src_counts, tgt_counts)
-    null_shared = shared.total == 0
-    si = msi_entropy(src_counts, tgt_counts)
-    sx = msi_extropy(src_counts, tgt_counts)
-
-    src_empty = src_counts.total == 0
-    tgt_empty = tgt_counts.total == 0
-    if src_empty or tgt_empty:
-        h_x = None if src_empty else counts_entropy(src_counts)
-        h_y = None if tgt_empty else counts_entropy(tgt_counts)
-        return InfoRecord(
-            h_x=h_x, h_y=h_y, h_pool=None, mi=None, loss=None, noise=None,
-            si=si, sx=sx, d1=None, d2=None, d3=None,
-            null_shared=null_shared,
-        )
-
-    h_x = counts_entropy(src_counts)
-    h_y = counts_entropy(tgt_counts)
-    h_pool = counts_entropy(pool(src_counts, tgt_counts))
-    mi = h_x + h_y - h_pool
-    loss = h_pool - h_y
-    noise = h_pool - h_x
+    """Every information measure for one candidate pair: cell (0, 0) of
+    info_columns, with None where a measure is undefined."""
+    values, masks, null_shared = info_columns([src_counts], [tgt_counts])
     return InfoRecord(
-        h_x=h_x, h_y=h_y, h_pool=h_pool, mi=mi, loss=loss, noise=noise,
-        si=si, sx=sx,
-        d1=h_y - h_x, d2=h_y - loss, d3=h_x - noise,
-        null_shared=null_shared,
+        **{name: float(v[0, 0]) if masks[name][0, 0] else None for name, v in values.items()},
+        null_shared=bool(null_shared[0, 0]),
     )
 
 
@@ -156,7 +86,7 @@ def _artifact_stats(bags: list[TokenCounts]):
 def info_columns(
     src_counts: list[TokenCounts], tgt_counts: list[TokenCounts]
 ) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray], np.ndarray]:
-    """Every info_record measure for every pair of src_counts x tgt_counts,
+    """Every InfoRecord measure for every pair of src_counts x tgt_counts,
     a mask per measure and the null_shared flags, as (n_src, n_tgt) arrays.
 
     h_x needs a non-empty source, h_y a non-empty target, and the other
@@ -166,7 +96,7 @@ def info_columns(
     is both artifacts' own sums plus a correction over shared tokens: each
     source gathers its support from one target count matrix over the tokens
     found on both sides, and that gather is also the min-shared vector for
-    si/sx. Values match info_record up to summation order.
+    si/sx.
     """
     vocab = [{t for bag in bags for t, c in bag.counts.items() if c > 0}
              for bags in (src_counts, tgt_counts)]

@@ -30,7 +30,6 @@ from tracex.evaluation import EvaluationError, correlation_table, pr_auc, roc_au
 from tracex.infotheory import info_columns
 from tracex.report import (
     OrphanPolicy,
-    ReportError,
     by_links_table,
     detect_orphans,
     extreme_cases,
@@ -254,13 +253,9 @@ def write_report_tree(result: TestbedResult, cfg: RunConfig, out_dir: Path) -> N
         out_dir / "correlations.csv",
     )
 
+    policy = OrphanPolicy(quantile=cfg.orphan_quantile, metric=cfg.orphan_metric)
     listings = extreme_cases(records, "loss") + extreme_cases(records, "noise")
-    if tb.n_links > 0:
-        policy = OrphanPolicy(quantile=cfg.orphan_quantile, metric=cfg.orphan_metric)
-        try:
-            listings += detect_orphans(records, policy)
-        except ReportError:
-            pass  # no defined link metric; census still emitted below
+    listings += detect_orphans(records, policy)
     write_cases_jsonl(listings, out_dir / "cases.jsonl")
 
     for color in ("loss", "noise"):

@@ -140,12 +140,13 @@ def _quantile(sorted_values: list[float], q: float) -> float:
 
 
 def detect_orphans(records: dict, policy: OrphanPolicy = OrphanPolicy()) -> list[CaseListing]:
-    """Non-link pairs whose metric reaches the high quantile of true links."""
+    """Non-link pairs whose metric reaches the high quantile of true links;
+    none when no true link has the metric defined."""
     column = records[policy.metric]
     is_link = records["is_link"]
     link_values = sorted(column[is_link & ~np.isnan(column)].tolist())
     if not link_values:
-        raise ReportError("orphan detection needs at least one true link with a defined metric")
+        return []
     threshold = _quantile(link_values, policy.quantile)
     values = column.tolist()
     src, tgt = records["source_id"], records["target_id"]

@@ -8,19 +8,20 @@ EXACT_WMD_PAIR_LIMIT padded cells. Out-of-vocabulary tokens are dropped;
 a pair whose side becomes empty gets undefined distances.
 
 `semantic_columns` scores every pair of a testbed, doing per-artifact work
-once per artifact; `wmd` and `soft_cosine` score one pair.
+once per artifact; it is the one implementation of these distances.
+`wmd` and `soft_cosine` read one pair from it.
 """
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterator
 
 import numpy as np
 
 from tracex.embeddings import EmbeddingMatrix
 from tracex.tokenization import TokenCounts
-from tracex.transport import transport_cost, transport_costs
+# transport_cost stays a module attribute: perfbench's span tracer wraps it by name.
+from tracex.transport import transport_cost, transport_costs  # noqa: F401
 
 EXACT_WMD_PAIR_LIMIT = 65536  # cells of one exact problem, and of one padded batch
 
@@ -45,27 +46,6 @@ def _term_sim(unit_a, rows_a, unit_b, rows_b) -> np.ndarray:
     return sim
 
 
-def soft_cosine(a: TokenCounts, b: TokenCounts, m: EmbeddingMatrix) -> float:
-    """Soft cosine over the union in-vocab term set.
-
-    Term similarity s_ij = max(0, cos(v_i, v_j))^2 with unit diagonal;
-    relu^2 is not guaranteed PSD, so denominators are clamped.
-    """
-    ta, wa = _in_vocab(a, m)
-    tb, wb = _in_vocab(b, m)
-    if not ta or not tb:
-        raise ValueError("soft cosine undefined: a side has no in-vocab tokens")
-    terms = sorted(set(ta) | set(tb))
-    unit, rows = _unit(np.stack([m.vector(t) for t in terms])), np.arange(len(terms))
-    sim = _term_sim(unit, rows, unit, rows)
-    idx = {t: i for i, t in enumerate(terms)}
-    va, vb = np.zeros(len(terms)), np.zeros(len(terms))
-    va[[idx[t] for t in ta]], vb[[idx[t] for t in tb]] = wa, wb
-    num = float(va @ sim @ vb)
-    den = math.sqrt(max(1e-12, float(va @ sim @ va)) * max(1e-12, float(vb @ sim @ vb)))
-    return float(min(1.0, max(0.0, num / den)))
-
-
 def relaxed_wmd(weights_a: np.ndarray, weights_b: np.ndarray, cost: np.ndarray) -> float:
     """Lower bound: max of the two one-sided nearest-neighbor relaxations."""
     pa = weights_a / weights_a.sum()
@@ -76,14 +56,6 @@ def relaxed_wmd(weights_a: np.ndarray, weights_b: np.ndarray, cost: np.ndarray) 
 def _ground_cost(va: np.ndarray, vb: np.ndarray) -> np.ndarray:
     diff = va[:, None, :] - vb[None, :, :]
     return np.sqrt((diff * diff).sum(axis=2))
-
-
-def _wmd_from_cost(wa: np.ndarray, wb: np.ndarray, cost: np.ndarray) -> tuple[float, bool]:
-    if not np.isfinite(cost).all():
-        return math.nan, False  # overflowing vectors: never handed to the solver
-    if cost.size > EXACT_WMD_PAIR_LIMIT:
-        return relaxed_wmd(wa.astype(float), wb.astype(float), cost), True
-    return transport_cost(wa, wb, cost), False
 
 
 def _shape_batches(exact: list[tuple[int, int, int, int]]) -> Iterator[list[tuple[int, int]]]:
@@ -102,20 +74,26 @@ def _shape_batches(exact: list[tuple[int, int, int, int]]) -> Iterator[list[tupl
         yield batch
 
 
-def wmd(a: TokenCounts, b: TokenCounts, m: EmbeddingMatrix) -> tuple[float, bool]:
-    """Word Mover's Distance and a flag marking the relaxed fallback.
+def _cell(a: TokenCounts, b: TokenCounts, m: EmbeddingMatrix, name: str) -> tuple[float, bool]:
+    """The value of column `name` and the wmd_relaxed flag at cell (0, 0) of
+    semantic_columns([a], [b], m); ValueError where that column is undefined."""
+    values, masks, relaxed = semantic_columns([a], [b], m)
+    if not masks[name][0, 0]:
+        raise ValueError(f"{name} undefined: a side has no in-vocab tokens")
+    return float(values[name][0, 0]), bool(relaxed[0, 0])
 
-    Exact transport when |support_a| * |support_b| <= EXACT_WMD_PAIR_LIMIT,
-    otherwise the relaxed lower bound (flag True). NaN when a ground cost
-    overflows.
-    """
-    ta, wa = _in_vocab(a, m)
-    tb, wb = _in_vocab(b, m)
-    if not ta or not tb:
-        raise ValueError("WMD undefined: a side has no in-vocab tokens")
-    va = np.stack([m.vector(t) for t in ta])
-    vb = np.stack([m.vector(t) for t in tb])
-    return _wmd_from_cost(wa, wb, _ground_cost(va, vb))
+
+def wmd(a: TokenCounts, b: TokenCounts, m: EmbeddingMatrix) -> tuple[float, bool]:
+    """Word Mover's Distance of one pair and a flag marking the relaxed
+    fallback, taken by pairs of more than EXACT_WMD_PAIR_LIMIT ground-cost
+    cells; NaN when a ground cost overflows. Cell (0, 0) of semantic_columns."""
+    return _cell(a, b, m, "wmd")
+
+
+def soft_cosine(a: TokenCounts, b: TokenCounts, m: EmbeddingMatrix) -> float:
+    """Soft cosine of one pair, with term similarity max(0, cos)^2 and a unit
+    diagonal. Cell (0, 0) of semantic_columns."""
+    return _cell(a, b, m, "scm")[0]
 
 
 def _bag(counts: TokenCounts, m: EmbeddingMatrix | None):
@@ -147,8 +125,7 @@ def semantic_columns(
     mean in-vocab word vector. Masks come from the inputs: wmd/scm need a
     word matrix and an in-vocab token on both sides, euc both document
     vectors, cos also nonzero norms. NaN marks undefined; a NaN under a mask
-    is a numeric failure for the caller. WMD equals `wmd` bit for bit, the
-    rest up to summation order.
+    is a numeric failure for the caller.
     """
     shape = (len(src_counts), len(tgt_counts))
     wmd_col, scm_num = np.full(shape, np.nan), np.full(shape, np.nan)
@@ -164,7 +141,9 @@ def semantic_columns(
                 if len(w_a) * len(w_b) <= EXACT_WMD_PAIR_LIMIT:
                     exact.append((len(w_a), len(w_b), i, j))
                 else:
-                    wmd_col[i, j], relaxed[i, j] = _wmd_from_cost(w_a, w_b, _ground_cost(vecs_a, vecs_b))
+                    cost = _ground_cost(vecs_a, vecs_b)
+                    if np.isfinite(cost).all():  # overflow: NaN, never bounded
+                        wmd_col[i, j], relaxed[i, j] = relaxed_wmd(w_a, w_b, cost), True
                 scm_num[i, j] = w_a @ _term_sim(unit_a, rows_a, unit_b, rows_b) @ w_b
         for batch in _shape_batches(sorted(exact)):
             pairs = [(i, j, _ground_cost(bags[0][i][2], bags[1][j][2])) for i, j in batch]

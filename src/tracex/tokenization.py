@@ -167,8 +167,3 @@ def _encode_word(word: str, ranks: dict[tuple[str, str], int]) -> list[str]:
     if len(symbols) > 1 and symbols[-1] == EOW:
         symbols[-2:] = [symbols[-2] + EOW]
     return symbols
-
-
-def bpe_decode(tokens: list[str]) -> str:
-    """Invert bpe_encode up to whitespace normalization."""
-    return "".join(tokens).replace(EOW, " ").strip()

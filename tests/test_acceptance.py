@@ -13,20 +13,14 @@ import pytest
 
 from tracex.corpus import generate_synthetic, load_testbed, write_testbed
 from tracex.evaluation import roc_auc
-from tracex.infotheory import (
-    conditional_entropies,
-    counts_entropy,
-    min_shared_counts,
-    msi_entropy,
-    msi_extropy,
-    pool,
-    pooled_mutual_information,
-)
+from tracex.infotheory import info_columns, info_record
 from tracex.pipeline import RunConfig, analyze_testbed, run_analysis
 from tracex.report import RECORD_COLUMNS, BY_LINKS_METRICS, information_table
 from tracex.semantics import relaxed_wmd
 from tracex.tokenization import TokenCounts, conventional_tokenize, count_tokens
-from tracex.transport import transport_cost
+from tracex.transport import transport_costs
+
+from oracles import min_shared_counts
 
 # Published per-testbed means: (name, h_x, h_y, noise, loss, mi).  Frozen
 # reference data; the identity checks below validate that the implemented
@@ -79,14 +73,8 @@ def test_criterion_1_published_identity_fixture():
     rng = np.random.default_rng(0)
     for _ in range(100):
         a, b = random_counts(rng), random_counts(rng)
-        h_x, h_y = counts_entropy(a), counts_entropy(b)
-        loss, noise = conditional_entropies(a, b)
-        record = {
-            "h_x": h_x, "h_y": h_y, "mi": pooled_mutual_information(a, b),
-            "loss": loss, "noise": noise, "si": msi_entropy(a, b), "sx": msi_extropy(a, b),
-            "d1": h_y - h_x, "d2": h_y - loss, "d3": h_x - noise,
-        }
-        records = {key: np.array([value]) for key, value in record.items()}
+        values, _, _ = info_columns([a], [b])
+        records = {key: column.ravel() for key, column in values.items()}
         table = information_table(records, "fixture")
         assert abs(table["mi"] + table["ci_noise"] - table["h_x"]) <= 1e-9
         assert abs(table["mi"] + table["ci_loss"] - table["h_y"]) <= 1e-9
@@ -97,19 +85,21 @@ def test_criterion_2_worked_examples():
     # a two-word title collapses to a single token: zero bits, exactly
     tokens = conventional_tokenize("B dtimeout")
     assert tokens == ["dtimeout"]
-    assert counts_entropy(count_tokens(tokens)) == 0.0
+    title = count_tokens(tokens)
+    assert info_record(title, title).h_x == 0.0
     # non-gating calibration: small code file lands near 4.16 bits
-    snippet_entropy = counts_entropy(count_tokens(conventional_tokenize(CODE_SNIPPET)))
-    assert snippet_entropy == pytest.approx(4.16, abs=0.5)
+    snippet = count_tokens(conventional_tokenize(CODE_SNIPPET))
+    assert info_record(snippet, snippet).h_x == pytest.approx(4.16, abs=0.5)
 
 
 def test_criterion_3_min_shared_example():
     a = TokenCounts({"for": 14, "if": 3, "return": 10})
     b = TokenCounts({"for": 10, "if": 0, "return": 20})
-    shared = min_shared_counts(a, b)
+    shared = min_shared_counts(a, b)  # the definition, from the reference
     assert shared.counts == {"for": 10, "if": 0, "return": 10}
-    assert msi_entropy(a, b) == 1.0
-    assert msi_extropy(a, b) == msi_entropy(a, b)  # binary case: Sx = Si
+    record = info_record(a, b)
+    assert record.si == 1.0
+    assert record.sx == record.si  # binary case: Sx = Si
 
 
 def test_criterion_4_exact_property_suite():
@@ -117,17 +107,16 @@ def test_criterion_4_exact_property_suite():
     rng = np.random.default_rng(42)
     for _ in range(10_000):
         a, b = random_counts(rng), random_counts(rng)
-        h_a, h_b = counts_entropy(a), counts_entropy(b)
+        ab, ba = info_record(a, b), info_record(b, a)
+        h_a, h_b = ab.h_x, ab.h_y
         # entropy bounds
         assert 0.0 <= h_a <= math.log2(len(a.counts)) + 1e-12
         # exact identities mi + loss = h_x, mi + noise = h_y
-        mi = pooled_mutual_information(a, b)
-        loss, noise = conditional_entropies(a, b)
-        assert abs(mi + loss - h_a) <= 1e-9
-        assert abs(mi + noise - h_b) <= 1e-9
-        # symmetry
-        assert mi == pytest.approx(pooled_mutual_information(b, a), abs=1e-9)
-        assert min_shared_counts(a, b).counts == min_shared_counts(b, a).counts
+        assert abs(ab.mi + ab.loss - h_a) <= 1e-9
+        assert abs(ab.mi + ab.noise - h_b) <= 1e-9
+        # symmetry; the min-shared vector is symmetric, so si, sx and the flag are too
+        assert ab.mi == pytest.approx(ba.mi, abs=1e-9)
+        assert (ab.si, ab.sx, ab.null_shared) == (ba.si, ba.sx, ba.null_shared)
         # disjoint-support closed form
         disjoint_b = TokenCounts({f"x_{t}": c for t, c in b.counts.items()})
         w_a = a.total / (a.total + disjoint_b.total)
@@ -135,7 +124,7 @@ def test_criterion_4_exact_property_suite():
         for w in (w_a, 1.0 - w_a):
             if 0.0 < w < 1.0:
                 binary -= w * math.log2(w)
-        h_pool = counts_entropy(pool(a, disjoint_b))
+        h_pool = info_record(a, disjoint_b).h_pool
         assert abs(h_pool - (w_a * h_a + (1 - w_a) * h_b + binary)) <= 1e-9
     assert time.perf_counter() - start < 30.0
 
@@ -143,6 +132,7 @@ def test_criterion_4_exact_property_suite():
 def test_criterion_5_transport_oracle():
     linprog = pytest.importorskip("scipy.optimize").linprog
     rng = np.random.default_rng(7)
+    problems, optima = [], []
     for _ in range(500):
         n, m = int(rng.integers(1, 6)), int(rng.integers(1, 6))
         a = rng.integers(1, 10, size=n).astype(float)
@@ -160,14 +150,20 @@ def test_criterion_5_transport_oracle():
         b_eq = np.concatenate([a / a.sum(), b / b.sum()])
         lp = linprog(cost.ravel(), A_eq=np.array(a_eq), b_eq=b_eq, method="highs")
         assert lp.success
-        assert transport_cost(a, b, cost) == pytest.approx(lp.fun, abs=1e-6)
+        problems.append((a, b, cost))
+        optima.append(lp.fun)
+    for exact, optimum in zip(transport_costs(problems), optima):
+        assert exact == pytest.approx(optimum, abs=1e-6)
     # the relaxed score never exceeds the exact optimum
+    problems = []
     for _ in range(10_000):
         n, m = int(rng.integers(1, 5)), int(rng.integers(1, 5))
         a = rng.integers(1, 8, size=n).astype(float)
         b = rng.integers(1, 8, size=m).astype(float)
         cost = rng.random((n, m)) * 2.0
-        assert transport_cost(a, b, cost) >= relaxed_wmd(a, b, cost) - 1e-9
+        problems.append((a, b, cost))
+    for exact, (a, b, cost) in zip(transport_costs(problems), problems):
+        assert exact >= relaxed_wmd(a, b, cost) - 1e-9
 
 
 def brute_force_auc(labels, scores):

@@ -92,7 +92,7 @@ def test_analyze_vectorizer_none_is_silent(synth_manifest, tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
-def test_only_link_from_empty_source_skips_orphans(tmp_path):
+def test_only_link_from_empty_source_skips_orphans(tmp_path, capsys):
     tb = tmp_path / "tb"
     for sub, files in (("src", {"A": "", "B": "alpha beta"}),
                        ("tgt", {"X": "alpha", "Y": "beta gamma"})):
@@ -112,6 +112,11 @@ def test_only_link_from_empty_source_skips_orphans(tmp_path):
     lines = (out / "reports" / "empty-link" / "cases.jsonl").read_text().splitlines()
     kinds = {json.loads(line)["kind"] for line in lines}
     assert kinds == {"max_loss", "min_loss", "max_noise", "min_noise"}
+    # `cases` on the same records skips orphan detection too
+    capsys.readouterr()
+    assert main(["cases", str(out / "reports" / "empty-link" / "records.jsonl"), "--json"]) == 0
+    kinds = {json.loads(line)["kind"] for line in capsys.readouterr().out.splitlines()}
+    assert kinds == {"max_loss", "min_loss"}
 
 
 def test_records_independent_of_string_hashing(synth_manifest, tmp_path):

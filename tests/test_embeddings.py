@@ -41,9 +41,9 @@ def test_skipgram_clusters_cooccurring_tokens():
     intra, inter = [], []
     for i, ta in enumerate(a_tokens):
         for tb in a_tokens[i + 1 :]:
-            intra.append(cosine(m.vector(ta), m.vector(tb)))
+            intra.append(cosine(m.vectors[m.index[ta]], m.vectors[m.index[tb]]))
         for tb in b_tokens:
-            inter.append(cosine(m.vector(ta), m.vector(tb)))
+            inter.append(cosine(m.vectors[m.index[ta]], m.vectors[m.index[tb]]))
     assert np.mean(intra) > np.mean(inter)
 
 
@@ -191,7 +191,7 @@ def test_load_embeddings_basic(tmp_path):
     m = load_embeddings(path)
     assert m.vocab == ["a", "b"]
     assert m.dim == 3
-    assert np.array_equal(m.vector("b"), np.array([0.0, 1.0, 0.0]))
+    assert np.array_equal(m.vectors[m.index["b"]], np.array([0.0, 1.0, 0.0]))
 
 
 def test_load_embeddings_bad_arity(tmp_path):

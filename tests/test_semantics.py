@@ -24,6 +24,8 @@ from tracex.semantics import (
 from tracex.tokenization import TokenCounts, conventional_tokenize, count_tokens
 from tracex.transport import transport_cost, transport_costs
 
+import oracles
+
 ROOT = Path(__file__).resolve().parent.parent
 SEMANTIC_FIELDS = ("wmd", "scm", "cos", "euc", "wmd_sim", "cos_sim")
 
@@ -80,6 +82,12 @@ def test_soft_cosine_oov_side_error():
     m = matrix(x=[1, 0])
     with pytest.raises(ValueError):
         soft_cosine(TokenCounts({"x": 1}), TokenCounts({"oov": 1}), m)
+
+
+def test_wmd_oov_side_error():
+    m = matrix(x=[1, 0])
+    with pytest.raises(ValueError):
+        wmd(TokenCounts({"oov": 1}), TokenCounts({"x": 1}), m)
 
 
 def test_wmd_identical_bags():
@@ -228,8 +236,8 @@ def test_semantic_columns_match_single_pair_functions(src, tgt, vectors):
         for j, (cb, vb) in enumerate(tgt):
             a, b = TokenCounts(ca), TokenCounts(cb)
             want = {
-                "wmd": reference(lambda *x: wmd(*x)[0], a, b, m),
-                "scm": reference(soft_cosine, a, b, m),
+                "wmd": reference(lambda *x: oracles.wmd(*x)[0], a, b, m),
+                "scm": reference(oracles.soft_cosine, a, b, m),
                 "cos": reference_cos(va, vb),
                 "euc": None if va is None or vb is None else float(np.linalg.norm(va - vb)),
             }
@@ -244,7 +252,7 @@ def test_semantic_columns_match_single_pair_functions(src, tgt, vectors):
                     assert got == want[name], name  # bit-identical
                 else:
                     assert got == pytest.approx(want[name], rel=1e-12, abs=1e-12), name
-            single = reference(wmd, a, b, m)
+            single = reference(oracles.wmd, a, b, m)
             assert relaxed[i, j] == (single is not None and single[1])
 
 
@@ -312,7 +320,7 @@ def test_transport_costs_batch_invariant(problems):
     together = transport_costs(problems)
     assert together.shape == (len(problems),)
     for k, (a, b, cost) in enumerate(problems):
-        alone = transport_costs([(a, b, cost)])[0]
+        alone = transport_cost(a, b, cost)
         assert together[k] == alone
         assert alone == pytest.approx(highs_transport(a, b, cost), rel=1e-9, abs=1e-12)
 
@@ -401,7 +409,7 @@ def test_exact_wmd_on_zipf_pair_matches_highs(tmp_path, monkeypatch):
     bags = [count_tokens(conventional_tokenize(inputs.texts[k])) for k in ("source:S003", "target:T004")]
     tokens = [sorted(bag.counts) for bag in bags]
     weights = [np.array([bag.counts[t] for t in toks], float) for bag, toks in zip(bags, tokens)]
-    va, vb = (np.array([m.vector(t) for t in toks]) for toks in tokens)
+    va, vb = (m.vectors[[m.index[t] for t in toks]] for toks in tokens)
     cost = np.linalg.norm(va[:, None, :] - vb[None, :, :], axis=2)
     n, k = cost.shape
     a_eq = np.vstack([np.kron(np.eye(n), np.ones(k)), np.kron(np.ones(n), np.eye(k))])
