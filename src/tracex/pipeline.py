@@ -121,6 +121,7 @@ class TestbedResult:
     # admitted, but flagged
     empty_artifacts: dict[str, list[str]]
     epoch_losses: list[float]  # [] when nothing was trained
+    wmd_pairs: dict[str, int]  # pairs solved exactly and bounded, and solver batches
 
 
 def analyze_testbed(tb: Testbed, cfg: RunConfig) -> TestbedResult:
@@ -131,7 +132,8 @@ def analyze_testbed(tb: Testbed, cfg: RunConfig) -> TestbedResult:
     word_matrix, doc_vecs, epoch_losses = _build_embeddings(seqs, cfg)
     n = len(sources)
     info, info_masks, null_shared = info_columns(counts[:n], counts[n:])
-    sem, sem_masks, wmd_relaxed = semantic_columns(counts[:n], counts[n:], word_matrix, doc_vecs)
+    wmd_pairs: dict[str, int] = {}
+    sem, sem_masks, wmd_relaxed = semantic_columns(counts[:n], counts[n:], word_matrix, doc_vecs, wmd_pairs)
 
     links = {(l.source_id, l.target_id) for l in tb.links}
     records = {
@@ -148,7 +150,7 @@ def analyze_testbed(tb: Testbed, cfg: RunConfig) -> TestbedResult:
     undefined = {metric: int(np.isnan(records[metric]).sum()) for metric in SCORE_METRICS}
     empty = {"sources": [a.id for a, seq in zip(sources, seqs[:n]) if not seq],
              "targets": [a.id for a, seq in zip(targets, seqs[n:]) if not seq]}
-    return TestbedResult(tb, records, _evaluate(records), undefined, empty, epoch_losses)
+    return TestbedResult(tb, records, _evaluate(records), undefined, empty, epoch_losses, wmd_pairs)
 
 
 def _build_embeddings(
@@ -229,6 +231,7 @@ def run_analysis(cfg: RunConfig) -> list[TestbedResult]:
                 "empty_artifacts": r.empty_artifacts,
                 "epoch_losses": r.epoch_losses,
                 "undefined_pair_counts": r.undefined_counts,
+                "wmd_pairs": r.wmd_pairs,
             }
             for r in results
         },

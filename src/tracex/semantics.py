@@ -4,26 +4,31 @@ Word Mover's Distance uses Euclidean ground cost between token vectors and
 exact optimal transport; bags too large for the exact solver fall back to
 the relaxed lower bound with a flag. `semantic_columns` hands the exact
 pairs of a testbed to the solver together, in batches of at most
-EXACT_WMD_PAIR_LIMIT padded cells. Out-of-vocabulary tokens are dropped;
-a pair whose side becomes empty gets undefined distances.
+EXACT_WMD_BATCH_CELLS padded cells: each batch's ground-cost blocks are
+written straight into the solver's padded `+inf` cost stack
+(`tracex.transport.stacked_transport_costs`). Out-of-vocabulary tokens are
+dropped; a pair whose side becomes empty gets undefined distances.
 
 `semantic_columns` scores every pair of a testbed, doing per-artifact work
-once per artifact; it is the one implementation of these distances.
-`wmd` and `soft_cosine` read one pair from it.
+once per artifact; it is the one implementation of these distances. Its WMD
+part and its SCM part are separate steps over the same bags, so `wmd` reads
+one pair's WMD and `soft_cosine` one pair's SCM without computing the other.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
+from typing import NamedTuple
 
 import numpy as np
 
 from tracex.embeddings import EmbeddingMatrix
 from tracex.tokenization import TokenCounts
 # transport_cost stays a module attribute: perfbench's span tracer wraps it by name.
-from tracex.transport import transport_cost, transport_costs  # noqa: F401
+from tracex.transport import stacked_transport_costs, transport_cost  # noqa: F401
 
-EXACT_WMD_PAIR_LIMIT = 65536  # cells of one exact problem, and of one padded batch
+EXACT_WMD_PAIR_LIMIT = 65536  # ground-cost cells of one exact problem
+EXACT_WMD_BATCH_CELLS = 2 * EXACT_WMD_PAIR_LIMIT  # padded cells of one solver batch
 
 
 def _in_vocab(counts: TokenCounts, m: EmbeddingMatrix) -> tuple[list[str], np.ndarray]:
@@ -53,53 +58,42 @@ def relaxed_wmd(weights_a: np.ndarray, weights_b: np.ndarray, cost: np.ndarray) 
     return float(max(pa @ cost.min(axis=1), pb @ cost.min(axis=0)))
 
 
-def _ground_cost(va: np.ndarray, vb: np.ndarray) -> np.ndarray:
+def _ground_cost(va: np.ndarray, vb: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Euclidean distances between the rows of va and vb, into out if given."""
     diff = va[:, None, :] - vb[None, :, :]
-    return np.sqrt((diff * diff).sum(axis=2))
+    return np.sqrt((diff * diff).sum(axis=2), out=out)
 
 
-def _shape_batches(exact: list[tuple[int, int, int, int]]) -> Iterator[list[tuple[int, int]]]:
-    """The (i, j) pairs of exact, in order, cut into batches whose padded
-    size, pairs times largest m times largest n, stays within
-    EXACT_WMD_PAIR_LIMIT; sorting exact by shape first keeps padding small."""
-    batch: list[tuple[int, int]] = []
+def _shape_batches(exact: list[tuple[int, int, int, int]]) -> Iterator[tuple[list, tuple[int, int, int]]]:
+    """The (m, n, i, j) entries of exact, in order, cut into batches, each
+    with its padded stack shape (entries, largest m, largest n); a stack
+    stays within EXACT_WMD_BATCH_CELLS cells. Sorting exact by shape first
+    keeps padding small."""
+    batch: list[tuple[int, int, int, int]] = []
     big_m = big_n = 0
-    for m, n, i, j in exact:
+    for entry in exact:
+        m, n = entry[:2]
+        if batch and (len(batch) + 1) * max(big_m, m) * max(big_n, n) > EXACT_WMD_BATCH_CELLS:
+            yield batch, (len(batch), big_m, big_n)
+            batch, big_m, big_n = [], 0, 0
+        batch.append(entry)
         big_m, big_n = max(big_m, m), max(big_n, n)
-        if batch and (len(batch) + 1) * big_m * big_n > EXACT_WMD_PAIR_LIMIT:
-            yield batch
-            batch, big_m, big_n = [], m, n
-        batch.append((i, j))
     if batch:
-        yield batch
+        yield batch, (len(batch), big_m, big_n)
 
 
-def _cell(a: TokenCounts, b: TokenCounts, m: EmbeddingMatrix, name: str) -> tuple[float, bool]:
-    """The value of column `name` and the wmd_relaxed flag at cell (0, 0) of
-    semantic_columns([a], [b], m); ValueError where that column is undefined."""
-    values, masks, relaxed = semantic_columns([a], [b], m)
-    if not masks[name][0, 0]:
-        raise ValueError(f"{name} undefined: a side has no in-vocab tokens")
-    return float(values[name][0, 0]), bool(relaxed[0, 0])
+class _Bag(NamedTuple):
+    """An artifact's in-vocab tokens, as one side of every pair it is in."""
+    rows: np.ndarray  # word-matrix rows
+    weights: np.ndarray  # counts, int64
+    vecs: np.ndarray
+    unit: np.ndarray  # vecs scaled to unit length
+    self_term: float  # soft-cosine self term w.S.w
+    mean: np.ndarray  # count-weighted mean vector
 
 
-def wmd(a: TokenCounts, b: TokenCounts, m: EmbeddingMatrix) -> tuple[float, bool]:
-    """Word Mover's Distance of one pair and a flag marking the relaxed
-    fallback, taken by pairs of more than EXACT_WMD_PAIR_LIMIT ground-cost
-    cells; NaN when a ground cost overflows. Cell (0, 0) of semantic_columns."""
-    return _cell(a, b, m, "wmd")
-
-
-def soft_cosine(a: TokenCounts, b: TokenCounts, m: EmbeddingMatrix) -> float:
-    """Soft cosine of one pair, with term similarity max(0, cos)^2 and a unit
-    diagonal. Cell (0, 0) of semantic_columns."""
-    return _cell(a, b, m, "scm")[0]
-
-
-def _bag(counts: TokenCounts, m: EmbeddingMatrix | None):
-    """An artifact's in-vocab word-matrix rows, weights, vectors, unit vectors,
-    soft-cosine self term w.S.w and count-weighted mean vector; None when it
-    has no in-vocab token."""
+def _bag(counts: TokenCounts, m: EmbeddingMatrix | None) -> _Bag | None:
+    """An artifact's bag; None when it has no in-vocab token."""
     tokens, weights = _in_vocab(counts, m) if m is not None else ([], None)
     if not tokens:
         return None
@@ -108,7 +102,93 @@ def _bag(counts: TokenCounts, m: EmbeddingMatrix | None):
     unit = _unit(vecs)
     self_term = max(1e-12, float(weights @ _term_sim(unit, rows, unit, rows) @ weights))
     w = weights.astype(np.float64)
-    return rows, weights, vecs, unit, self_term, (w[:, None] * vecs).sum(axis=0) / w.sum()
+    return _Bag(rows, weights, vecs, unit, self_term, (w[:, None] * vecs).sum(axis=0) / w.sum())
+
+
+def _wmd_column(src: list[_Bag | None], tgt: list[_Bag | None],
+                wmd_pairs: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """WMD of every (source, target) pair of bags and the wmd_relaxed flags.
+
+    NaN where a side has no bag, and where a ground cost overflows: such a
+    pair is never bounded or solved. Pairs of more than EXACT_WMD_PAIR_LIMIT
+    ground-cost cells get the relaxed bound; the others are solved exactly,
+    batch by batch, each batch's blocks written straight into one padded
+    cost stack. wmd_pairs, when given, receives the number of pairs solved
+    exactly ("exact") and bounded ("relaxed"), and of solver batches ("batches").
+    """
+    shape = (len(src), len(tgt))
+    wmd_col = np.full(shape, np.nan)
+    relaxed = np.zeros(shape, dtype=bool)
+    exact = []  # (m, n, i, j) of the pairs small enough for the exact solver
+    for i, a in enumerate(src):
+        for j, b in enumerate(tgt):
+            if a is None or b is None:
+                continue
+            if len(a.weights) * len(b.weights) <= EXACT_WMD_PAIR_LIMIT:
+                exact.append((len(a.weights), len(b.weights), i, j))
+            else:
+                cost = _ground_cost(a.vecs, b.vecs)
+                if np.isfinite(cost).all():
+                    wmd_col[i, j], relaxed[i, j] = relaxed_wmd(a.weights, b.weights, cost), True
+    batches = list(_shape_batches(sorted(exact)))
+    # One buffer holds each batch's stack in turn: the largest is allocated once.
+    buffer = np.empty(max((b * m * n for _, (b, m, n) in batches), default=0))
+    n_exact = n_batches = 0
+    for batch, shape in batches:
+        cost = buffer[:shape[0] * shape[1] * shape[2]].reshape(shape)
+        cost.fill(np.inf)
+        solved: list[tuple[int, int]] = []
+        for m, n, i, j in batch:
+            block = _ground_cost(src[i].vecs, tgt[j].vecs, out=cost[len(solved), :m, :n])
+            if np.isfinite(block).all():
+                solved.append((i, j))
+            else:  # the slot is padding again, for the next pair
+                block.fill(np.inf)
+        if solved:
+            rows, cols = zip(*solved)
+            wmd_col[rows, cols] = stacked_transport_costs(
+                cost[:len(solved)], [src[i].weights for i in rows], [tgt[j].weights for j in cols])
+            n_exact, n_batches = n_exact + len(solved), n_batches + 1
+    if wmd_pairs is not None:
+        wmd_pairs.update(exact=n_exact, relaxed=int(relaxed.sum()), batches=n_batches)
+    return wmd_col, relaxed
+
+
+def _scm_column(src: list[_Bag | None], tgt: list[_Bag | None]) -> np.ndarray:
+    """Soft cosine of every (source, target) pair of bags; NaN where a side has none."""
+    scm_num = np.full((len(src), len(tgt)), np.nan)
+    for i, a in enumerate(src):
+        for j, b in enumerate(tgt):
+            if a is not None and b is not None:
+                scm_num[i, j] = a.weights @ _term_sim(a.unit, a.rows, b.unit, b.rows) @ b.weights
+    self_s, self_t = ([np.nan if g is None else g.self_term for g in side] for side in (src, tgt))
+    return np.clip(scm_num / np.sqrt(np.outer(self_s, self_t)), 0.0, 1.0)
+
+
+def _pair_bags(a: TokenCounts, b: TokenCounts, m: EmbeddingMatrix, name: str):
+    """One-bag sides for the pair (a, b); ValueError where semantic_columns
+    leaves column `name` undefined."""
+    src, tgt = [_bag(a, m)], [_bag(b, m)]
+    if src[0] is None or tgt[0] is None:
+        raise ValueError(f"{name} undefined: a side has no in-vocab tokens")
+    return src, tgt
+
+
+def wmd(a: TokenCounts, b: TokenCounts, m: EmbeddingMatrix) -> tuple[float, bool]:
+    """Word Mover's Distance of one pair and a flag marking the relaxed
+    fallback, taken by pairs of more than EXACT_WMD_PAIR_LIMIT ground-cost
+    cells; NaN when a ground cost overflows. Cell (0, 0) of semantic_columns,
+    computed without its other columns."""
+    with np.errstate(all="ignore"):
+        values, relaxed = _wmd_column(*_pair_bags(a, b, m, "wmd"))
+    return float(values[0, 0]), bool(relaxed[0, 0])
+
+
+def soft_cosine(a: TokenCounts, b: TokenCounts, m: EmbeddingMatrix) -> float:
+    """Soft cosine of one pair, with term similarity max(0, cos)^2 and a unit
+    diagonal. Cell (0, 0) of semantic_columns, computed without its WMD."""
+    with np.errstate(all="ignore"):
+        return float(_scm_column(*_pair_bags(a, b, m, "scm"))[0, 0])
 
 
 def semantic_columns(
@@ -116,6 +196,7 @@ def semantic_columns(
     tgt_counts: list[TokenCounts],
     word_matrix: EmbeddingMatrix | None,
     doc_vecs: list[np.ndarray | None] | None = None,
+    wmd_pairs: dict | None = None,
 ) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray], np.ndarray]:
     """wmd scm cos euc wmd_sim cos_sim for every pair of src_counts x tgt_counts,
     a mask per column and the wmd_relaxed flags, as (n_src, n_tgt) arrays.
@@ -125,38 +206,17 @@ def semantic_columns(
     mean in-vocab word vector. Masks come from the inputs: wmd/scm need a
     word matrix and an in-vocab token on both sides, euc both document
     vectors, cos also nonzero norms. NaN marks undefined; a NaN under a mask
-    is a numeric failure for the caller.
+    is a numeric failure for the caller. wmd_pairs, when given, receives
+    the counts of pairs solved exactly and bounded, and of solver batches.
     """
     shape = (len(src_counts), len(tgt_counts))
-    wmd_col, scm_num = np.full(shape, np.nan), np.full(shape, np.nan)
-    relaxed = np.zeros(shape, dtype=bool)
     with np.errstate(all="ignore"):  # a defined non-finite value is reported by the caller
         bags = [[_bag(c, word_matrix) for c in side] for side in (src_counts, tgt_counts)]
-        exact = []  # (m, n, i, j) of the pairs small enough for the exact solver
-        for i, a in enumerate(bags[0]):
-            for j, b in enumerate(bags[1]):
-                if a is None or b is None:
-                    continue
-                (rows_a, w_a, vecs_a, unit_a, *_), (rows_b, w_b, vecs_b, unit_b, *_) = a, b
-                if len(w_a) * len(w_b) <= EXACT_WMD_PAIR_LIMIT:
-                    exact.append((len(w_a), len(w_b), i, j))
-                else:
-                    cost = _ground_cost(vecs_a, vecs_b)
-                    if np.isfinite(cost).all():  # overflow: NaN, never bounded
-                        wmd_col[i, j], relaxed[i, j] = relaxed_wmd(w_a, w_b, cost), True
-                scm_num[i, j] = w_a @ _term_sim(unit_a, rows_a, unit_b, rows_b) @ w_b
-        for batch in _shape_batches(sorted(exact)):
-            pairs = [(i, j, _ground_cost(bags[0][i][2], bags[1][j][2])) for i, j in batch]
-            pairs = [p for p in pairs if np.isfinite(p[2]).all()]  # overflow: NaN, never solved
-            if pairs:
-                rows, cols, _ = zip(*pairs)
-                wmd_col[rows, cols] = transport_costs(
-                    [(bags[0][i][1], bags[1][j][1], cost) for i, j, cost in pairs])
-        self_s, self_t = ([np.nan if g is None else g[4] for g in side] for side in bags)
-        scm = np.clip(scm_num / np.sqrt(np.outer(self_s, self_t)), 0.0, 1.0)
+        wmd_col, relaxed = _wmd_column(*bags, wmd_pairs)
+        scm = _scm_column(*bags)
 
         if doc_vecs is None:
-            doc_vecs = [None if g is None else g[5] for side in bags for g in side]
+            doc_vecs = [None if g is None else g.mean for side in bags for g in side]
         src_vecs, tgt_vecs = doc_vecs[:shape[0]], doc_vecs[shape[0]:]
         dim = next((len(v) for v in doc_vecs if v is not None), 0)
         src, tgt = (np.array([np.full(dim, np.nan) if v is None else v for v in vecs])

@@ -9,10 +9,13 @@ probability simplex.
 
 A batch of problems runs in lockstep: every Dijkstra step takes one
 `argmin` per problem, every augmentation traces all paths together, and a
-problem leaves the batch once its supply is placed. Smaller problems are
-padded to the batch's largest shape with `+inf` costs and zero supply and
-demand, so a padded node never gets a finite label; each problem gets the
-flows and the bits it would get alone.
+problem leaves the batch once its supply is placed. The batch is one padded
+(B, M, N) cost stack: problem k's costs fill cost[k, :m_k, :n_k] and every
+other cell is `+inf`, and padded nodes have zero supply and demand, so a
+padded node never gets a finite label; each problem gets the flows and the
+bits it would get alone. Callers that build costs write them straight into
+such a stack (`stacked_transport_costs`); `transport_costs` pads a list of
+problems into one and solves it the same way.
 """
 
 from __future__ import annotations
@@ -32,47 +35,63 @@ def transport_costs(problems) -> np.ndarray:
     """Minimum transport cost of each (a, b, cost) problem, as a float array.
 
     a and b are nonnegative integer weight vectors; they are normalized
-    internally, so only their proportions matter. Every cost must be finite,
-    and the product of the two totals at most 2**53, so that the cross-scaled
-    supplies and every flow stay exact in float64. A problem that breaks
-    these rules raises ValueError naming its index in the batch.
+    internally, so only their proportions matter. The problems are padded
+    into one cost stack for `stacked_transport_costs`, whose rules they
+    follow; a cost matrix not of shape (len(a), len(b)) raises ValueError
+    naming its index in the batch too.
     """
-    checked = [_checked(k, *problem) for k, problem in enumerate(problems)]
-    if not checked:
+    problems = [(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64),
+                 np.asarray(cost, dtype=np.float64)) for a, b, cost in problems]
+    if not problems:
         return np.zeros(0)
-    big_m = max(len(a) for a, _, _ in checked)
-    big_n = max(len(b) for _, b, _ in checked)
-    supply, demand = np.zeros((len(checked), big_m)), np.zeros((len(checked), big_n))
-    cost = np.full((len(checked), big_m, big_n), np.inf)
-    for k, (a, b, c) in enumerate(checked):
-        # Cross-scale so supplies and demands are integers with equal totals.
-        supply[k, :len(a)], demand[k, :len(b)] = a * b.sum(), b * a.sum()
+    cost = np.full((len(problems), max(len(a) for a, _, _ in problems),
+                    max(len(b) for _, b, _ in problems)), np.inf)
+    for k, (a, b, c) in enumerate(problems):
+        if c.shape != (len(a), len(b)):
+            raise ValueError(f"problem {k}: cost shape {c.shape} does not match ({len(a)}, {len(b)})")
         cost[k, :len(a), :len(b)] = c
-    flows = _min_cost_flows(supply, demand, cost)
+    return stacked_transport_costs(cost, [a for a, _, _ in problems], [b for _, b, _ in problems])
+
+
+def stacked_transport_costs(cost: np.ndarray, weights_a, weights_b) -> np.ndarray:
+    """Minimum transport cost of each problem of a padded (B, M, N) cost stack.
+
+    Problem k moves the int64 weight vector weights_a[k] onto weights_b[k]
+    under the costs cost[k, :len(a), :len(b)]; every other cell of the stack
+    must be +inf. Each problem's costs must be finite, both its totals
+    positive and their product at most 2**53, so that the cross-scaled
+    supplies and every flow stay exact in float64. A problem that breaks
+    these rules, or does not fit the stack, raises ValueError naming its
+    index k. The stack is read, not written.
+    """
+    n_problems, big_m, big_n = cost.shape
+    if len(weights_a) != n_problems or len(weights_b) != n_problems:
+        raise ValueError(f"{n_problems} problems, but {len(weights_a)} and {len(weights_b)} weight vectors")
+    # Cross-scaled supplies, then demands: integers with equal totals.
+    residual = np.zeros((n_problems, big_m + big_n))
+    totals = []
+    for k, (a, b) in enumerate(zip(weights_a, weights_b)):
+        if len(a) > big_m or len(b) > big_n:
+            raise ValueError(f"problem {k}: weights ({len(a)}, {len(b)}) do not match stack ({big_m}, {big_n})")
+        if not np.isfinite(cost[k, :len(a), :len(b)]).all():
+            raise ValueError(f"problem {k}: transport costs must be finite")
+        ta, tb = int(a.sum()), int(b.sum())
+        if ta <= 0 or tb <= 0:
+            raise ValueError(f"problem {k}: both weight vectors must have positive total")
+        if ta * tb > EXACT_TOTAL_LIMIT:
+            raise ValueError(f"problem {k}: weight totals {ta} * {tb} exceed the exact bound 2**53")
+        residual[k, :len(a)], residual[k, big_m:big_m + len(b)] = a * tb, b * ta
+        totals.append(ta * tb)
+    flow = _min_cost_flows(residual, cost)
     return np.array([
-        (flows[k, :len(a), :len(b)] * c).sum() / (int(a.sum()) * int(b.sum()))
-        for k, (a, b, c) in enumerate(checked)
+        (flow[k, :len(a), :len(b)] * cost[k, :len(a), :len(b)]).sum() / total
+        for k, (a, b, total) in enumerate(zip(weights_a, weights_b, totals))
     ])
 
 
-def _checked(k: int, a, b, cost) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    a = np.asarray(a, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64)
-    cost = np.asarray(cost, dtype=np.float64)
-    if cost.shape != (len(a), len(b)):
-        raise ValueError(f"problem {k}: cost shape {cost.shape} does not match ({len(a)}, {len(b)})")
-    if not np.isfinite(cost).all():
-        raise ValueError(f"problem {k}: transport costs must be finite")
-    ta, tb = int(a.sum()), int(b.sum())
-    if ta <= 0 or tb <= 0:
-        raise ValueError(f"problem {k}: both weight vectors must have positive total")
-    if ta * tb > EXACT_TOTAL_LIMIT:
-        raise ValueError(f"problem {k}: weight totals {ta} * {tb} exceed the exact bound 2**53")
-    return a, b, cost
-
-
-def _min_cost_flows(supply, demand, cost) -> np.ndarray:
+def _min_cost_flows(residual, cost) -> np.ndarray:
     """Successive shortest paths on a (B, M, N) cost stack; returns the flows.
+    residual holds each problem's supplies, then its demands, and is used up.
 
     Reduced cost of the forward arc i->j is cost[i,j] + pot[i] - pot[M+j];
     flow-carrying arcs admit the reverse arc at the negated reduced cost.
@@ -89,7 +108,6 @@ def _min_cost_flows(supply, demand, cost) -> np.ndarray:
     n_problems, m, n = cost.shape
     w = m + n
     flow = np.zeros((n_problems, m, n))
-    residual = np.concatenate([supply, demand], axis=1)  # rows, then columns
     pot = np.zeros((n_problems, w))
     # label: the distance of nodes not yet final, inf once final. final: the
     # distance of final nodes, inf before. Relaxing a node needs a new

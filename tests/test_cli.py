@@ -70,6 +70,36 @@ def test_run_json_records_epoch_losses(synth_manifest, tmp_path, vectorizer, n_l
     assert all(np.isfinite(loss) and loss > 0 for loss in losses)
 
 
+def test_run_json_counts_wmd_pairs(tmp_path):
+    """run.json's wmd_pairs counts the pairs solved exactly, the pairs given
+    the relaxed bound and the solver batches; a rerun writes the same bytes."""
+    words = [a + b + c for a in "abcdefg" for b in "abcdefg" for c in "abcdefg"][:300]
+    tb = tmp_path / "tb"
+    for sub, files in (("src", {"big": " ".join(words), "small": "aaa aab"}),
+                       ("tgt", {"big": " ".join(words), "tiny": "aac"})):
+        (tb / sub).mkdir(parents=True)
+        for name, text in files.items():
+            (tb / sub / f"{name}.txt").write_text(text)
+    (tb / "oracle.txt").write_text("big big\nsmall tiny\n")
+    (tb / "manifest.json").write_text(json.dumps({
+        "name": "bags", "source_dir": "src", "target_dir": "tgt", "oracle_file": "oracle.txt",
+    }))
+    vectors = np.random.default_rng(4).normal(size=(len(words), 2))
+    EmbeddingMatrix(vocab=words, vectors=vectors).save(tmp_path / "vecs.txt")
+    runs = []
+    for name, args in (("a", ["--embeddings", str(tmp_path / "vecs.txt")]),
+                       ("b", ["--embeddings", str(tmp_path / "vecs.txt")]),
+                       ("none", ["--vectorizer", "none"])):
+        out = tmp_path / name
+        assert main(["analyze", "--manifest", str(tb / "manifest.json"), "--out", str(out), *args]) == 0
+        runs.append((out / "run.json").read_bytes())
+    # big x big has 300 x 300 cells, past the exact limit; the three exact
+    # pairs (2x1, 2x300 and 300x1 cells) pad past one batch's cells together
+    assert json.loads(runs[0])["testbeds"]["bags"]["wmd_pairs"] == {"exact": 3, "relaxed": 1, "batches": 2}
+    assert runs[0] == runs[1]
+    assert json.loads(runs[2])["testbeds"]["bags"]["wmd_pairs"] == {"exact": 0, "relaxed": 0, "batches": 0}
+
+
 def test_analyze_vectorizer_none(synth_manifest, tmp_path):
     out = tmp_path / "o2"
     assert main([

@@ -8,12 +8,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import tracex.semantics as semantics
 from tracex.corpus import generate_synthetic
 from tracex.embeddings import EmbeddingMatrix
 from tracex.semantics import (
+    EXACT_WMD_BATCH_CELLS,
     EXACT_WMD_PAIR_LIMIT,
     _shape_batches,
     relaxed_wmd,
@@ -22,7 +24,7 @@ from tracex.semantics import (
     wmd,
 )
 from tracex.tokenization import TokenCounts, conventional_tokenize, count_tokens
-from tracex.transport import transport_cost, transport_costs
+from tracex.transport import stacked_transport_costs, transport_cost, transport_costs
 
 import oracles
 
@@ -82,6 +84,26 @@ def test_soft_cosine_oov_side_error():
     m = matrix(x=[1, 0])
     with pytest.raises(ValueError):
         soft_cosine(TokenCounts({"x": 1}), TokenCounts({"oov": 1}), m)
+
+
+def test_soft_cosine_solves_no_transport_problem(monkeypatch):
+    """soft_cosine reads the SCM step of semantic_columns alone: with the
+    exact solver refusing every call it returns the engine's bits."""
+    rng = np.random.default_rng(8)
+    vocab = [f"w{k}" for k in range(120)]
+    m = EmbeddingMatrix(vocab=vocab, vectors=rng.normal(size=(120, 16)))
+    a, b = (TokenCounts({t: int(rng.integers(1, 4)) for t in rng.choice(vocab, 100, replace=False)})
+            for _ in range(2))
+    values, _, relaxed = semantic_columns([a], [b], m)
+    assert not relaxed[0, 0]  # 100 x 100 cells: an exact problem
+
+    def refuse(*args):
+        raise AssertionError("soft_cosine solved a transport problem")
+
+    monkeypatch.setattr(semantics, "stacked_transport_costs", refuse)
+    assert soft_cosine(a, b, m) == values["scm"][0, 0]
+    with pytest.raises(AssertionError, match="solved a transport problem"):
+        wmd(a, b, m)
 
 
 def test_wmd_oov_side_error():
@@ -256,6 +278,37 @@ def test_semantic_columns_match_single_pair_functions(src, tgt, vectors):
             assert relaxed[i, j] == (single is not None and single[1])
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(bags, min_size=1, max_size=3),
+    st.lists(bags, min_size=1, max_size=3),
+    st.lists(small_vectors, min_size=len(VOCAB), max_size=len(VOCAB)),
+)
+def test_overflowing_pair_mid_batch_keeps_neighbours(src, tgt, vectors):
+    """Source 1 is source 0 with one in-vocab token swapped for a word whose
+    vector overflows the ground cost, so its pairs sit between equal shapes
+    of one batch. They stay NaN (the solver would reject them); every other
+    pair keeps the bits of its own single-pair solve."""
+    in_vocab = [t for t, c in src[0].items() if c > 0 and t in VOCAB]
+    assume(in_vocab)
+    swapped = {("huge" if t == in_vocab[0] else t): c for t, c in src[0].items()}
+    src = [src[0], swapped, src[0], *src[1:]]
+    m = EmbeddingMatrix(vocab=VOCAB + ["huge"], vectors=np.array([*vectors, np.full(3, 1e200)]))
+    values, masks, relaxed = columns(src, tgt, m)
+    for i, ca in enumerate(src):
+        for j, cb in enumerate(tgt):
+            with np.errstate(over="ignore"):
+                want = reference(oracles.wmd, TokenCounts(ca), TokenCounts(cb), m)
+            got = values["wmd"][i, j]
+            if want is None:
+                assert not masks["wmd"][i, j] and np.isnan(got)
+            elif np.isnan(want[0]):
+                assert masks["wmd"][i, j] and np.isnan(got) and not relaxed[i, j]
+            else:
+                assert got == want[0]  # bit-identical
+    assert np.isnan(values["wmd"][1][masks["wmd"][1]]).all()
+
+
 def test_transport_rejects_non_finite_costs():
     for bad in (np.inf, np.nan):
         with pytest.raises(ValueError, match="finite"):
@@ -337,19 +390,62 @@ def test_transport_costs_name_the_failing_problem(bad, message):
         transport_costs([good, bad, good])
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(degenerate_transport(max_side=7), min_size=1, max_size=6),
+       st.integers(0, 3), st.integers(0, 3))
+def test_stacked_transport_costs_match_single_problems(problems, extra_m, extra_n):
+    """A hand-built stack, padded past its largest problem, gives each
+    problem the bits it gets alone and is left as it was."""
+    big_m = max(len(a) for a, _, _ in problems) + extra_m
+    big_n = max(len(b) for _, b, _ in problems) + extra_n
+    cost = np.full((len(problems), big_m, big_n), np.inf)
+    for k, (a, b, c) in enumerate(problems):
+        cost[k, :len(a), :len(b)] = c
+    stack = cost.copy()
+    got = stacked_transport_costs(cost, [np.array(a, dtype=np.int64) for a, _, _ in problems],
+                                  [np.array(b, dtype=np.int64) for _, b, _ in problems])
+    assert np.array_equal(cost, stack)
+    assert got.tolist() == [transport_cost(*problem) for problem in problems]
+
+
+@pytest.mark.parametrize("a, b, block, message", [
+    ([1, 1, 1], [1], [[0.5], [1.0]], "do not match"),
+    ([1, 1], [1], [[0.5], [np.nan]], "finite"),
+    ([0, 0], [1], [[0.5], [1.0]], "positive total"),
+    ([10**8, 1], [10**8], [[0.5], [1.0]], r"2\*\*53"),
+])
+def test_stacked_transport_costs_name_the_failing_problem(a, b, block, message):
+    cost = np.full((3, 2, 2), np.inf)
+    cost[:, :2, :1] = [[0.5], [1.0]]
+    cost[1, :2, :1] = block
+    weights_a = [np.array(w, dtype=np.int64) for w in ([1, 2], a, [1, 2])]
+    weights_b = [np.array(w, dtype=np.int64) for w in ([3], b, [3])]
+    with pytest.raises(ValueError, match=rf"problem 1: .*{message}"):
+        stacked_transport_costs(cost, weights_a, weights_b)
+
+
 def test_transport_costs_empty_batch():
     assert transport_costs([]).shape == (0,)
 
 
 def test_shape_batches_cap_padded_cells():
+    """Batches keep exact's order, come with their padded stack shape, stay
+    within EXACT_WMD_BATCH_CELLS cells, twice the cells of the largest exact
+    problem, and are cut only where the next entry would break that cap."""
+    assert EXACT_WMD_BATCH_CELLS == 2 * EXACT_WMD_PAIR_LIMIT == 131072
     rng = np.random.default_rng(3)
     exact = sorted((int(m), int(n), k, 0) for k, (m, n) in enumerate(rng.integers(1, 300, size=(400, 2))))
     batches = list(_shape_batches(exact))
-    assert [pair for batch in batches for pair in batch] == [(i, j) for _, _, i, j in exact]
-    sizes = {i: (m, n) for m, n, i, _ in exact}
-    for batch in batches:
-        rows, cols = zip(*(sizes[i] for i, _ in batch))
-        assert len(batch) == 1 or len(batch) * max(rows) * max(cols) <= EXACT_WMD_PAIR_LIMIT
+    assert [entry for batch, _ in batches for entry in batch] == exact
+
+    def padded(entries):
+        return len(entries), max(m for m, *_ in entries), max(n for _, n, *_ in entries)
+
+    for (batch, shape), following in zip(batches, [b for b, _ in batches[1:]] + [None]):
+        assert shape == padded(batch)
+        assert np.prod(shape) <= EXACT_WMD_BATCH_CELLS
+        if following is not None:
+            assert np.prod(padded(batch + following[:1])) > EXACT_WMD_BATCH_CELLS
 
 
 def test_wmd_bits_pinned():
