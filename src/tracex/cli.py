@@ -98,12 +98,10 @@ def cmd_analyze(args) -> int:
     # --vectorizer none leaves the semantic metrics undefined on purpose
     expected = SEMANTIC_METRICS if cfg.vectorizer == "none" else []
     for result in results:
-        undefined = {m: n for m, n in result.undefined_counts.items() if n and m not in expected}
+        undefined = {m: n for m, n in result.run["undefined_pair_counts"].items()
+                     if n and m not in expected}
         if undefined:
-            print(
-                f"{result.testbed.name}: undefined pair counts {undefined}",
-                file=sys.stderr,
-            )
+            print(f"{result.testbed.name}: undefined pair counts {undefined}", file=sys.stderr)
     return 0
 
 
@@ -157,6 +155,8 @@ def _read_corpus(paths: list[str]) -> list[str]:
 
 
 def cmd_train_bpe(args) -> int:
+    if args.vocab_size < 1:
+        raise ConfigError(f"--vocab-size must be >= 1, got {args.vocab_size}")
     with _claiming(args.out):
         model = train_bpe(_read_corpus(args.paths), args.vocab_size)
         with _creating(args.out):

@@ -48,8 +48,6 @@ class TraceLink:
 @dataclass
 class Testbed:
     name: str
-    link_type: str
-    language_tag: str
     sources: list[Artifact]
     targets: list[Artifact]
     links: set[TraceLink] = field(default_factory=set)
@@ -88,9 +86,9 @@ class Testbed:
 def load_testbed(manifest_path: str | Path) -> Testbed:
     """Load a testbed from a JSON manifest.
 
-    The manifest holds {"name", "link_type", "language_tag", "source_dir",
-    "target_dir", "oracle_file"}; directories contain one file per artifact
-    (id = basename without extension), the oracle is answer-file style:
+    The manifest holds {"name", "source_dir", "target_dir", "oracle_file"};
+    other keys are ignored. Directories contain one file per artifact (id =
+    basename without extension), the oracle is answer-file style:
     ``source_id target_id_1 target_id_2 ...`` per line, '#' comments ignored.
     """
     manifest_path = Path(manifest_path)
@@ -109,14 +107,7 @@ def load_testbed(manifest_path: str | Path) -> Testbed:
     sources = _read_artifact_dir(base / manifest["source_dir"], "source")
     targets = _read_artifact_dir(base / manifest["target_dir"], "target")
     links = _read_oracle(base / manifest["oracle_file"])
-    return Testbed(
-        name=manifest["name"],
-        link_type=manifest.get("link_type", ""),
-        language_tag=manifest.get("language_tag", ""),
-        sources=sources,
-        targets=targets,
-        links=links,
-    )
+    return Testbed(name=manifest["name"], sources=sources, targets=targets, links=links)
 
 
 def _read_artifact_dir(directory: Path, role: str) -> list[Artifact]:
@@ -153,16 +144,14 @@ def _read_oracle(path: Path) -> set[TraceLink]:
     return links
 
 
-def generate_synthetic(
-    seed: int,
-    n_src: int,
-    n_tgt: int,
-    overlap: float,
-    tokens_per_artifact: int = 20,
-) -> Testbed:
+TOKENS_PER_ARTIFACT = 20  # distinct tokens per synthetic artifact
+
+
+def generate_synthetic(seed: int, n_src: int, n_tgt: int, overlap: float) -> Testbed:
     """Generate a deterministic testbed with planted links.
 
     Links are planted on the diagonal (i-th source to i-th target). Each
+    artifact has TOKENS_PER_ARTIFACT distinct tokens, each 1-3 times. Each
     linked target shares ``overlap`` of its source's token vocabulary (same
     counts) and fills the rest with fresh tokens; non-linked pairs share
     nothing.
@@ -182,35 +171,29 @@ def generate_synthetic(
                 minted.add(tok)
                 return tok
 
+    def fresh(n: int) -> list[tuple[str, int]]:
+        return [(mint_token(), rng.randint(1, 3)) for _ in range(n)]
+
     def render(bag: list[tuple[str, int]]) -> str:
         words = [tok for tok, count in bag for _ in range(count)]
         rng.shuffle(words)
         return " ".join(words)
 
-    m = tokens_per_artifact
-    k_shared = round(overlap * m)
+    k_shared = round(overlap * TOKENS_PER_ARTIFACT)
     sources, targets, links = [], [], set()
     source_bags: list[list[tuple[str, int]]] = []
     for i in range(n_src):
-        bag = [(mint_token(), rng.randint(1, 3)) for _ in range(m)]
+        bag = fresh(TOKENS_PER_ARTIFACT)
         source_bags.append(bag)
         sources.append(Artifact(f"SRC{i:03d}", render(bag)))
     for j in range(n_tgt):
         if j < n_src:
-            shared = source_bags[j][:k_shared]
-            bag = shared + [(mint_token(), rng.randint(1, 3)) for _ in range(m - k_shared)]
+            bag = source_bags[j][:k_shared] + fresh(TOKENS_PER_ARTIFACT - k_shared)
             links.add(TraceLink(f"SRC{j:03d}", f"TGT{j:03d}"))
         else:
-            bag = [(mint_token(), rng.randint(1, 3)) for _ in range(m)]
+            bag = fresh(TOKENS_PER_ARTIFACT)
         targets.append(Artifact(f"TGT{j:03d}", render(bag)))
-    return Testbed(
-        name=f"synthetic-{seed}",
-        link_type="synth",
-        language_tag="en",
-        sources=sources,
-        targets=targets,
-        links=links,
-    )
+    return Testbed(name=f"synthetic-{seed}", sources=sources, targets=targets, links=links)
 
 
 def write_testbed(tb: Testbed, out_dir: str | Path) -> Path:
@@ -229,8 +212,6 @@ def write_testbed(tb: Testbed, out_dir: str | Path) -> Path:
     (out / "oracle.txt").write_text("\n".join(oracle_lines) + "\n", encoding="utf-8")
     manifest = {
         "name": tb.name,
-        "link_type": tb.link_type,
-        "language_tag": tb.language_tag,
         "source_dir": "sources",
         "target_dir": "targets",
         "oracle_file": "oracle.txt",

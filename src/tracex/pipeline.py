@@ -115,13 +115,8 @@ def tokenize_texts(texts: list[str], cfg: RunConfig) -> list[list[str]]:
 class TestbedResult:
     testbed: Testbed
     records: dict  # see tracex.report
-    evaluation: dict
-    undefined_counts: dict[str, int]
-    # ids of the sources and of the targets whose token sequence is empty;
-    # admitted, but flagged
-    empty_artifacts: dict[str, list[str]]
-    epoch_losses: list[float]  # [] when nothing was trained
-    wmd_pairs: dict[str, int]  # pairs solved exactly and bounded, and solver batches
+    evaluation: dict  # the evaluation.json document
+    run: dict  # the testbed's entry under "testbeds" in run.json
 
 
 def analyze_testbed(tb: Testbed, cfg: RunConfig) -> TestbedResult:
@@ -147,10 +142,27 @@ def analyze_testbed(tb: Testbed, cfg: RunConfig) -> TestbedResult:
     masks = {name: mask.ravel() for name, mask in {**info_masks, **sem_masks}.items()}
     _check_finite(records, masks)  # from here on NaN marks exactly the undefined
 
+    counts = {"all": tb.n_all, "links": tb.n_links, "non_links": tb.n_non_links}
     undefined = {metric: int(np.isnan(records[metric]).sum()) for metric in SCORE_METRICS}
-    empty = {"sources": [a.id for a, seq in zip(sources, seqs[:n]) if not seq],
-             "targets": [a.id for a, seq in zip(targets, seqs[n:]) if not seq]}
-    return TestbedResult(tb, records, _evaluate(records), undefined, empty, epoch_losses, wmd_pairs)
+    evaluation = {
+        "testbed": tb.name,
+        "counts": counts,
+        "aggregation": "per candidate pair",
+        "null_shared": null_shared_census(records),
+        "undefined_pair_counts": undefined,
+        "scores": _scores(records),
+    }
+    run = {
+        **counts,
+        # ids of the sources and of the targets whose token sequence is
+        # empty; admitted, but flagged
+        "empty_artifacts": {"sources": [a.id for a, seq in zip(sources, seqs[:n]) if not seq],
+                            "targets": [a.id for a, seq in zip(targets, seqs[n:]) if not seq]},
+        "epoch_losses": epoch_losses,  # [] when nothing was trained
+        "undefined_pair_counts": undefined,
+        "wmd_pairs": wmd_pairs,  # pairs solved exactly and bounded, and solver batches
+    }
+    return TestbedResult(tb, records, evaluation, run)
 
 
 def _build_embeddings(
@@ -182,8 +194,10 @@ def _check_finite(records: dict, masks: dict[str, np.ndarray]) -> None:
             raise NumericError(f"non-finite {name} for pair {pair}")
 
 
-def _evaluate(records: dict) -> dict:
-    out: dict = {"scores": {}}
+def _scores(records: dict) -> dict:
+    """ROC and PR AUC of each score metric as a link classifier, over the
+    pairs where it is defined."""
+    out: dict = {}
     for metric, sign in SCORE_METRICS.items():
         mask = ~np.isnan(records[metric])
         n_defined = int(mask.sum())
@@ -193,7 +207,7 @@ def _evaluate(records: dict) -> dict:
                 entry[key] = fn(records["is_link"][mask], sign * records[metric][mask])
             except EvaluationError:  # also raised when no value is defined
                 entry[key] = None
-        out["scores"][metric] = entry
+        out[metric] = entry
     return out
 
 
@@ -223,18 +237,7 @@ def run_analysis(cfg: RunConfig) -> list[TestbedResult]:
         "config": {
             k: v for k, v in asdict(cfg).items() if k not in ("bpe_model_path", "out_dir")
         },
-        "testbeds": {
-            r.testbed.name: {
-                "all": r.testbed.n_all,
-                "links": r.testbed.n_links,
-                "non_links": r.testbed.n_non_links,
-                "empty_artifacts": r.empty_artifacts,
-                "epoch_losses": r.epoch_losses,
-                "undefined_pair_counts": r.undefined_counts,
-                "wmd_pairs": r.wmd_pairs,
-            }
-            for r in results
-        },
+        "testbeds": {r.testbed.name: r.run for r in results},
     }
     with _creating(out_root / "run.json"):
         (out_root / "run.json").write_text(
@@ -246,10 +249,8 @@ def run_analysis(cfg: RunConfig) -> list[TestbedResult]:
 def write_report_tree(result: TestbedResult, cfg: RunConfig, out_dir: Path) -> None:
     """Write one testbed's reports into the existing directory out_dir."""
     records = result.records
-    tb = result.testbed
-
     write_records(records, out_dir / "records.csv", out_dir / "records.jsonl")
-    write_information_csv([information_table(records, tb.name)], out_dir / "information.csv")
+    write_information_csv(information_table(records, result.testbed.name), out_dir / "information.csv")
     write_by_links_csv(by_links_table(records), out_dir / "by_links.csv")
     write_correlations_csv(
         correlation_table(records, SEMANTIC_METRICS, INFO_METRICS),
@@ -263,17 +264,8 @@ def write_report_tree(result: TestbedResult, cfg: RunConfig, out_dir: Path) -> N
 
     for color in ("loss", "noise"):
         (out_dir / f"scatter_{color}.svg").write_text(
-            scatter_svg(records, color_key=color) + "\n", encoding="utf-8"
+            scatter_svg(records, color) + "\n", encoding="utf-8"
         )
-
-    evaluation = {
-        "testbed": tb.name,
-        "counts": {"all": tb.n_all, "links": tb.n_links, "non_links": tb.n_non_links},
-        "aggregation": "per candidate pair",
-        "null_shared": null_shared_census(records),
-        "undefined_pair_counts": result.undefined_counts,
-        **result.evaluation,
-    }
     (out_dir / "evaluation.json").write_text(
-        json.dumps(evaluation, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        json.dumps(result.evaluation, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )

@@ -163,14 +163,6 @@ def null_shared_census(records: dict) -> dict[str, int]:
     }
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 RECORD_BLOCK_ROWS = 512  # rows per write; a block's text is a few hundred KB
 
 
@@ -249,37 +241,34 @@ def read_records(path: Path) -> dict:
     return {c: v if kind[c] is str else np.array(v, dtype=kind[c]) for c, v in columns.items()}
 
 
-def write_information_csv(table_rows: list[dict], path: Path) -> None:
-    columns = ["experiment", "testbed", "h_x", "h_y", "d1", "ci_noise", "d2", "ci_loss", "d3", "mi", "si", "sx"]
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    """A header and rows by csv.writer: None as '', floats by repr."""
     with path.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
-        for row in table_rows:
-            writer.writerow([_fmt(row.get(c)) for c in columns])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_information_csv(table: dict, path: Path) -> None:
+    """information_table's row under its keys."""
+    _write_csv(path, list(table), [list(table.values())])
+
+
+def _summary_cells(stats: SummaryStats | None) -> tuple:
+    return (stats.mean, stats.std, stats.n) if stats else (None, None, 0)
 
 
 def write_by_links_csv(segregated: dict[str, dict[str, SummaryStats | None]], path: Path) -> None:
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["metric", "link", "link_std", "link_n", "nol", "nol_std", "nol_n"])
-        for metric in BY_LINKS_METRICS:
-            link = segregated["link"].get(metric)
-            nol = segregated["non_link"].get(metric)
-            writer.writerow([
-                metric,
-                _fmt(link.mean if link else None), _fmt(link.std if link else None),
-                link.n if link else 0,
-                _fmt(nol.mean if nol else None), _fmt(nol.std if nol else None),
-                nol.n if nol else 0,
-            ])
+    _write_csv(path, ["metric", "link", "link_std", "link_n", "nol", "nol_std", "nol_n"], (
+        [metric, *_summary_cells(segregated["link"][metric]),
+         *_summary_cells(segregated["non_link"][metric])]
+        for metric in BY_LINKS_METRICS
+    ))
 
 
 def write_correlations_csv(cells, path: Path) -> None:
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["semantic_metric", "info_metric", "pearson_r", "n"])
-        for cell in cells:
-            writer.writerow([cell.metric_a, cell.metric_b, _fmt(cell.pearson_r), cell.n])
+    _write_csv(path, ["semantic_metric", "info_metric", "pearson_r", "n"],
+               ([c.metric_a, c.metric_b, c.pearson_r, c.n] for c in cells))
 
 
 def write_cases_jsonl(listings: list[CaseListing], path: Path) -> None:
@@ -288,33 +277,23 @@ def write_cases_jsonl(listings: list[CaseListing], path: Path) -> None:
             fh.write(json.dumps(asdict(c), sort_keys=True) + "\n")
 
 
-def scatter_svg(
-    records: dict,
-    x_key: str = "wmd_sim",
-    y_key: str = "mi",
-    color_key: str = "loss",
-    width: int = 640,
-    height: int = 480,
-) -> str:
-    """Self-contained SVG scatter: x=similarity, y=MI, color=loss or noise."""
-    axis_labels = {
-        "wmd_sim": "WMD similarity", "cos_sim": "COS similarity", "scm": "SCM similarity",
-        "mi": "Mutual Information (bits)", "loss": "Loss (bits)", "noise": "Noise (bits)",
-    }
-    defined = ~(np.isnan(records[x_key]) | np.isnan(records[y_key]) | np.isnan(records[color_key]))
-    xs, ys, cs = (records[key][defined].tolist() for key in (x_key, y_key, color_key))
-    margin = 50
+def scatter_svg(records: dict, color_key: str = "loss") -> str:
+    """Self-contained SVG scatter: x=WMD similarity, y=MI, color=loss or noise."""
+    width, height, margin = 640, 480, 50
+    color_label = {"loss": "Loss (bits)", "noise": "Noise (bits)"}[color_key]
+    defined = ~(np.isnan(records["wmd_sim"]) | np.isnan(records["mi"]) | np.isnan(records[color_key]))
+    xs, ys, cs = (records[key][defined].tolist() for key in ("wmd_sim", "mi", color_key))
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
         f'<line x1="{margin}" y1="{height - margin}" x2="{width - margin}" y2="{height - margin}" stroke="black"/>',
         f'<line x1="{margin}" y1="{margin}" x2="{margin}" y2="{height - margin}" stroke="black"/>',
         f'<text x="{width // 2}" y="{height - 12}" text-anchor="middle" font-size="13">'
-        f'{axis_labels.get(x_key, x_key)}</text>',
+        'WMD similarity</text>',
         f'<text x="16" y="{height // 2}" text-anchor="middle" font-size="13" '
-        f'transform="rotate(-90 16 {height // 2})">{axis_labels.get(y_key, y_key)}</text>',
+        f'transform="rotate(-90 16 {height // 2})">Mutual Information (bits)</text>',
         f'<text x="{width - margin}" y="{margin - 20}" text-anchor="end" font-size="12">'
-        f'color: {axis_labels.get(color_key, color_key)}</text>',
+        f'color: {color_label}</text>',
     ]
     if xs:
         x_lo, x_hi = min(xs), max(xs)

@@ -34,8 +34,8 @@ def conventional_tokenize(text: str) -> list[str]:
 
 @dataclass
 class TokenCounts:
-    """Multiset of tokens. Zero-count entries appear only in materialized
-    min-shared vectors."""
+    """Multiset of tokens. Zero counts are accepted; every measure ignores
+    them."""
 
     counts: dict[str, int] = field(default_factory=dict)
 

@@ -264,13 +264,14 @@ def run_cli(*argv):
     ["analyze", "--preproc", "conventional", "--bpe-model", "absent.json"],
     ["train-embeddings", "--dim", "0"],
     ["train-embeddings", "--epochs", "0"],
+    ["train-bpe", "--vocab-size", "0"],
 ])
 def test_orphan_options_are_config_errors_before_any_work(synth_manifest, tmp_path, capsys, argv):
     out = tmp_path / "out"
     command, *options = argv
     if command == "analyze":
         target = ["--manifest", str(synth_manifest), "--out", str(out)]
-    elif command == "train-embeddings":  # checked before the corpus is read
+    elif command in ("train-embeddings", "train-bpe"):  # checked before the corpus is read
         target = [str(tmp_path / "absent.txt"), "--out", str(out / "vecs.txt")]
     else:
         target = [str(tmp_path / "absent.jsonl")]  # checked before the file is read
@@ -396,6 +397,20 @@ def test_failed_training_leaves_no_output(tmp_path, command):
     out = tmp_path / "model"
     options = ["--vocab-size", "40"] if command == "train-bpe" else []
     assert main([command, str(tmp_path / "absent.txt"), *options, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_bpe_vocab_size_below_one_is_a_config_error(tmp_path, capsys):
+    """A --vocab-size below 1 fails as configuration before --out is opened;
+    one that does not exceed the corpus's characters fails as data."""
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("low lower lowest\n", encoding="utf-8")
+    out = tmp_path / "bpe.json"
+    assert main(["train-bpe", str(corpus), "--vocab-size", "0", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not out.exists()
+    assert main(["train-bpe", str(corpus), "--vocab-size", "1", "--out", str(out)]) == 2
+    assert "base charset size" in capsys.readouterr().err
     assert not out.exists()
 
 

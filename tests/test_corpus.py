@@ -84,7 +84,7 @@ def test_empty_artifacts_flagged_not_rejected(tmp_path, capsys):
 
 def test_records_sorted_by_id_and_labeled():
     tb = CorpusTestbed(
-        name="t", link_type="", language_tag="",
+        name="t",
         sources=[Artifact("b", "beta"), Artifact("a", "")],
         targets=[Artifact("y", "why"), Artifact("x", "ex")],
         links={TraceLink("a", "x")},
@@ -94,7 +94,7 @@ def test_records_sorted_by_id_and_labeled():
     assert list(zip(records["source_id"], records["target_id"], records["is_link"].tolist())) == [
         ("a", "x", True), ("a", "y", False), ("b", "x", False), ("b", "y", False),
     ]
-    assert result.empty_artifacts == {"sources": ["a"], "targets": []}
+    assert result.run["empty_artifacts"] == {"sources": ["a"], "targets": []}
 
 
 @pytest.mark.parametrize("vectorizer", ["skipgram", "pvdbow"])

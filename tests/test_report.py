@@ -203,6 +203,12 @@ def test_scatter_svg_labels_and_determinism():
     assert svg.count("<circle") == 2  # the pair without wmd_sim is not drawn
     assert svg == scatter_svg(recs)
     assert scatter_svg(records()).startswith("<svg")
+    digests = {color: hashlib.sha256(scatter_svg(recs, color).encode("utf-8")).hexdigest()
+               for color in ("loss", "noise")}
+    assert digests == {
+        "loss": "876af703465d97b62eb76a6dbe52f46990ce4a67d870bb45a89eeafe3640018d",
+        "noise": "fbaa0d9c9211e8dd909d6a98410c596080fc4bdddd9ad9a04bd5e29e4d9dd23a",
+    }
 
 
 def test_case_listing_json_shape(tmp_path):
@@ -312,7 +318,7 @@ def test_records_bytes_match_cell_by_cell_reference(tmp_path_factory, recs, bloc
 
 
 def test_records_bytes_pinned(tmp_path):
-    """Exact records.csv, records.jsonl and cases.jsonl of a fixed synthetic
+    """Exact report files and run.json testbed entry of a fixed synthetic
     testbed under --vectorizer none. A change to how records are computed or
     written moves this pin; such a change must say why."""
     assert main(["synth", "--seed", "7", "--sources", "12", "--targets", "10",
@@ -321,12 +327,25 @@ def test_records_bytes_pinned(tmp_path):
                  "--vectorizer", "none", "--out", str(tmp_path / "out")]) == 0
     report_dir = tmp_path / "out" / "reports" / "synthetic-7"
     digests = {name: hashlib.sha256((report_dir / name).read_bytes()).hexdigest()
-               for name in ("records.csv", "records.jsonl", "cases.jsonl")}
+               for name in ("records.csv", "records.jsonl", "cases.jsonl", "information.csv",
+                            "by_links.csv", "correlations.csv", "evaluation.json",
+                            "scatter_loss.svg", "scatter_noise.svg")}
     assert digests == {
         "records.csv": "0ce523832f2aec21d07d70c10a75b364e02f1ca1c87526a392e82ab5830a7e96",
         "records.jsonl": "f09d1de8ca779644621651008c4f49eb66b7ce9dfc3a064f6a346b09c53ad215",
         "cases.jsonl": "bcc332bf5679f08b8646df51233c2e1b6c920253034acaf1435edeb9b3bab1af",
+        "information.csv": "55ce352b07fdc4708e3042eb78d90964e0ec7a70ac9cea209699bfeccfb4f6f5",
+        "by_links.csv": "4431ca0d09521652159bb50e802ea56731badeed052bb124468330c3ec18b2a5",
+        "correlations.csv": "b91f446574f26d2f46282fe51ac92ab01ceb8db9ca1a6dda907b9c329be6e9aa",
+        "evaluation.json": "cf978f90bd26d00d6d339881b2df4860c61f5be0908da2a771da2f240c578eef",
+        "scatter_loss.svg": "cbc141843b6761a1989d9daea8cc6f8327db737a1a3db3d349fe44615460679b",
+        "scatter_noise.svg": "eaa3a2eb23402812d777e508750140f5b1f4df354953527299396cc60b108566",
     }
+    # run.json's config holds the run's own paths; its testbeds part does not
+    testbeds = json.loads((tmp_path / "out" / "run.json").read_text(encoding="utf-8"))["testbeds"]
+    assert hashlib.sha256(json.dumps(testbeds, sort_keys=True).encode("utf-8")).hexdigest() == (
+        "0739c20e18b5257a1dde032968b0f8f8a827260679b2019becb4293e6b6d4cec"
+    )
 
 
 VALID = {c: row("a", "x", True)[c] for c in RECORD_COLUMNS}
