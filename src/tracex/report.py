@@ -7,22 +7,28 @@ float64 array with NaN exactly where its metric is undefined. `analyze`
 makes RECORD_COLUMNS (those of records.csv/.jsonl) plus `d2` and `d3`.
 
 Tables and case listings are pure views of the records; emission is
-deterministic byte-for-byte given identical inputs. Column naming keeps
-both conventions from the published-table layout: `ci_noise` carries
-H_pool - H(Y) (semantically the loss) and `ci_loss` carries H_pool - H(X)
-(semantically the noise), so mi + ci_noise = h_x and mi + ci_loss = h_y.
+deterministic byte-for-byte given identical inputs. write_records writes
+both records files in one pass over row blocks: columns with few distinct
+values keep one text per distinct value, every other column is formatted
+block by block, so its memory follows the block and not the row count.
+Case listings rank with stable NumPy sorts, ties in id order.
+
+Column naming keeps both conventions from the published-table layout:
+`ci_noise` carries H_pool - H(Y) (semantically the loss) and `ci_loss`
+carries H_pool - H(X) (semantically the noise), so mi + ci_noise = h_x and
+mi + ci_loss = h_y.
 """
 
 from __future__ import annotations
 
 import csv
-import heapq
 import io
 import json
 import math
 from dataclasses import asdict, dataclass
 from itertools import repeat
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -104,12 +110,30 @@ def by_links_table(records: dict) -> dict[str, dict[str, SummaryStats | None]]:
     return out
 
 
-def _listing(kind: str, records: dict, values: list[float], ranked: list[int]) -> list[CaseListing]:
+def _listing(kind: str, records: dict, column: np.ndarray, ranked: np.ndarray) -> list[CaseListing]:
     return [
         CaseListing(kind, records["source_id"][i], records["target_id"][i],
-                    bool(records["is_link"][i]), values[i], rank)
-        for rank, i in enumerate(ranked, start=1)
+                    bool(records["is_link"][i]), float(column[i]), rank)
+        for rank, i in enumerate(ranked.tolist(), start=1)
     ]
+
+
+def _ranked(records: dict, column: np.ndarray, rows: np.ndarray, descending: bool,
+            k: int | None = None) -> np.ndarray:
+    """`rows`, ascending and never NaN in `column`, by value (highest first
+    when descending), ties in (source id, target id) order and then in row
+    order; the first k only, when k is given. The rows that can place are
+    put in id order and then sorted by value, both by stable NumPy sorts."""
+    values = -column[rows] if descending else column[rows]
+    if k is not None and k < len(rows):
+        keep = values <= np.partition(values, k - 1)[k - 1]  # the k lowest and their ties
+        rows, values = rows[keep], values[keep]
+    ranks = []
+    for ids in ([records[c][i] for i in rows.tolist()] for c in ("target_id", "source_id")):
+        rank = {v: i for i, v in enumerate(sorted(set(ids)))}
+        ranks.append(np.fromiter(map(rank.__getitem__, ids), np.intp, len(ids)))
+    by_id = np.lexsort(ranks)  # source id first; equal pairs keep row order
+    return rows[by_id[np.argsort(values[by_id], kind="stable")][:k]]
 
 
 def extreme_cases(records: dict, metric: str, k: int = 5) -> list[CaseListing]:
@@ -118,14 +142,10 @@ def extreme_cases(records: dict, metric: str, k: int = 5) -> list[CaseListing]:
         raise ReportError(f"extreme_cases metric must be loss or noise, got {metric}")
     if k < 1:
         raise ReportError("k must be >= 1")
-    values = records[metric].tolist()
-    src, tgt = records["source_id"], records["target_id"]
-    defined = np.flatnonzero(~np.isnan(records[metric])).tolist()
-    # nsmallest(k, it, key) equals sorted(it, key=key)[:k], ties in row order
-    top = heapq.nsmallest(k, defined, key=lambda i: (-values[i], src[i], tgt[i]))
-    bottom = heapq.nsmallest(k, defined, key=lambda i: (values[i], src[i], tgt[i]))
-    return _listing(f"max_{metric}", records, values, top) + _listing(
-        f"min_{metric}", records, values, bottom)
+    column = records[metric]
+    defined = np.flatnonzero(~np.isnan(column))
+    return (_listing(f"max_{metric}", records, column, _ranked(records, column, defined, True, k))
+            + _listing(f"min_{metric}", records, column, _ranked(records, column, defined, False, k)))
 
 
 def _quantile(sorted_values: list[float], q: float) -> float:
@@ -140,19 +160,17 @@ def _quantile(sorted_values: list[float], q: float) -> float:
 
 
 def detect_orphans(records: dict, policy: OrphanPolicy = OrphanPolicy()) -> list[CaseListing]:
-    """Non-link pairs whose metric reaches the high quantile of true links;
-    none when no true link has the metric defined."""
+    """Non-link pairs whose metric reaches the high quantile of true links,
+    highest first, ties broken by id order; none when no true link has the
+    metric defined."""
     column = records[policy.metric]
     is_link = records["is_link"]
-    link_values = sorted(column[is_link & ~np.isnan(column)].tolist())
+    link_values = np.sort(column[is_link & ~np.isnan(column)]).tolist()
     if not link_values:
         return []
     threshold = _quantile(link_values, policy.quantile)
-    values = column.tolist()
-    src, tgt = records["source_id"], records["target_id"]
-    hits = sorted(np.flatnonzero(~is_link & (column >= threshold)).tolist(),
-                  key=lambda i: (-values[i], src[i], tgt[i]))
-    return _listing("orphan_link", records, values, hits)
+    hits = np.flatnonzero(~is_link & (column >= threshold))
+    return _listing("orphan_link", records, column, _ranked(records, column, hits, True))
 
 
 def null_shared_census(records: dict) -> dict[str, int]:
@@ -164,27 +182,41 @@ def null_shared_census(records: dict) -> dict[str, int]:
 
 
 RECORD_BLOCK_ROWS = 512  # rows per write; a block's text is a few hundred KB
+# A column whose values recur this often on average keeps one text table: it
+# holds at most rows / 8 texts, where texts per block would repeat repr calls.
+TABLE_REPEATS = 8
 
 
-def _column(values) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """A record column for records.csv and for records.jsonl, each as (texts,
-    index of each row's text) with one text per distinct value: ids quoted
-    by csv.writer and by json.dumps, flags as true/false, floats by repr (as
-    json writes them) and NaN as '' in CSV and null in JSON. Floats are told
-    apart by bit pattern, so -0.0 stays apart from 0.0."""
-    if isinstance(values, list):  # ids
+def _keyed(values) -> tuple[np.ndarray, Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]]:
+    """A record column as integer keys, one per row and equal exactly where
+    two rows' cells are, and the function from sorted distinct keys to their
+    texts in records.csv and in records.jsonl: ids quoted by csv.writer and
+    by json.dumps, flags as true/false, floats by repr (as json writes them)
+    and NaN as '' in CSV and null in JSON. Floats are keyed by bit pattern,
+    so -0.0 stays apart from 0.0."""
+    if isinstance(values, list):  # ids, keyed by first appearance
         index = {v: i for i, v in enumerate(dict.fromkeys(values))}
-        inverse = np.fromiter(map(index.__getitem__, values), np.intp, len(values))
-        return ((np.array([_csv_field(v) for v in index], dtype=object), inverse),
-                (np.array([json.dumps(v) for v in index], dtype=object), inverse))
+        ids = list(index)
+        # the narrowest dtype: 1 or 2 bytes per row for up to 65,535 ids
+        keys = np.fromiter(map(index.__getitem__, values), np.min_scalar_type(len(ids)), len(values))
+        return keys, lambda d: (np.array([_csv_field(ids[i]) for i in d.tolist()], dtype=object),
+                                np.array([json.dumps(ids[i]) for i in d.tolist()], dtype=object))
     if values.dtype == bool:
-        distinct, inverse = np.unique(values, return_inverse=True)
-        texts = ["true" if v else "false" for v in distinct.tolist()]
-    else:
-        distinct, inverse = np.unique(values.view(np.int64), return_inverse=True)
-        texts = ["" if math.isnan(v) else repr(v) for v in distinct.view(np.float64).tolist()]
-    csv_texts = np.array(texts, dtype=object)
-    return (csv_texts, inverse), (np.where(csv_texts == "", "null", csv_texts), inverse)
+        return values.view(np.uint8), lambda d: (_FLAG_TEXTS[d], _FLAG_TEXTS[d])
+    return values.view(np.int64), _float_texts
+
+
+_FLAG_TEXTS = np.array(["false", "true"], dtype=object)
+
+
+def _float_texts(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Float bit patterns as repr, NaN patched to '' (CSV) and null (JSON)."""
+    values = bits.view(np.float64)
+    csv_texts = np.array(list(map(repr, values.tolist())), dtype=object)
+    json_texts = csv_texts.copy()
+    nan = np.isnan(values)
+    csv_texts[nan], json_texts[nan] = "", "null"
+    return csv_texts, json_texts
 
 
 def _csv_field(value: str) -> str:
@@ -194,28 +226,57 @@ def _csv_field(value: str) -> str:
     return buf.getvalue()[:-2]
 
 
-def _write_rows(path: Path, head: str, parts: list, n_rows: int) -> None:
-    """Write `head`, then one line per row: the concatenation of `parts`,
-    each a constant string or a column (texts, index of each row's text),
-    RECORD_BLOCK_ROWS rows per write."""
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        fh.write(head)
-        for start in range(0, n_rows, RECORD_BLOCK_ROWS):
-            block = slice(start, start + RECORD_BLOCK_ROWS)
-            cells = [repeat(p) if isinstance(p, str) else p[0][p[1][block]].tolist() for p in parts]
-            fh.write("".join(map("".join, zip(*cells))))
+def _block_cells(values) -> Callable[[slice], list[list[str]]]:
+    """The function from a block of rows to a record column's cells in
+    records.csv and in records.jsonl. A column whose rows repeat their values
+    at least TABLE_REPEATS times on average formats each distinct value once
+    for the whole column; any other column formats the distinct values of
+    each block, so its texts take memory by the block, not by the column."""
+    keys, texts = _keyed(values)
+    distinct = np.sort(keys)
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = distinct[1:] != distinct[:-1]
+    distinct = distinct[first]  # np.unique hashes: 20-30 times slower on distinct floats
+    if len(distinct) * TABLE_REPEATS > len(keys):
+        def by_block(block: slice) -> list[list[str]]:
+            block_distinct, at = np.unique(keys[block], return_inverse=True)
+            return [t[at].tolist() for t in texts(block_distinct)]
+        return by_block
+    tables = texts(distinct)
+
+    def by_table(block: slice) -> list[list[str]]:
+        at = np.searchsorted(distinct, keys[block])
+        return [t[at].tolist() for t in tables]
+    return by_table
+
+
+def _rows(head: str, columns: list[list[str]], seps: list[str]) -> str:
+    """Lines of `head`, then each column's cell followed by its separator."""
+    parts = [repeat(head), *(p for cells, sep in zip(columns, seps) for p in (cells, repeat(sep)))]
+    return "".join(map("".join, zip(*parts)))
 
 
 def write_records(records: dict, csv_path: Path, jsonl_path: Path) -> None:
     """Write records.csv (csv.writer's quoting, LF line ends) and
-    records.jsonl (each line json.dumps(row, sort_keys=True)), formatting each
-    distinct value of a column once and writing the rows in blocks."""
-    cols = {c: _column(records[c]) for c in RECORD_COLUMNS}
-    csv_line = [p for c in RECORD_COLUMNS for p in (",", cols[c][0])]
-    json_line = [p for c in sorted(cols) for p in (f', "{c}": ', cols[c][1])]
-    n_rows = len(records["source_id"])
-    _write_rows(csv_path, ",".join(RECORD_COLUMNS) + "\n", csv_line[1:] + ["\n"], n_rows)
-    _write_rows(jsonl_path, "", ["{" + json_line[0][2:], *json_line[1:], "}\n"], n_rows)
+    records.jsonl (each line json.dumps(row, sort_keys=True)) in one pass
+    over blocks of RECORD_BLOCK_ROWS rows, each written to both files. A
+    line joins constant separators and its cells' texts (_block_cells):
+    columns with few distinct values (ids, flags, per-artifact entropies,
+    undefined measures) keep one text per distinct value; every other column
+    is formatted block by block. Beyond the records themselves, memory is
+    then a few bytes of keys per row plus one block's texts:
+    test_records_memory_follows_the_block_not_the_table bounds it."""
+    cells = {c: _block_cells(records[c]) for c in RECORD_COLUMNS}
+    csv_seps = [","] * (len(RECORD_COLUMNS) - 1) + ["\n"]
+    json_columns = sorted(RECORD_COLUMNS)
+    json_seps = [f', "{c}": ' for c in json_columns[1:]] + ["}\n"]
+    with csv_path.open("w", encoding="utf-8", newline="") as csv_fh, \
+            jsonl_path.open("w", encoding="utf-8", newline="") as jsonl_fh:
+        csv_fh.write(",".join(RECORD_COLUMNS) + "\n")
+        for start in range(0, len(records["source_id"]), RECORD_BLOCK_ROWS):
+            block = {c: f(slice(start, start + RECORD_BLOCK_ROWS)) for c, f in cells.items()}
+            csv_fh.write(_rows("", [block[c][0] for c in RECORD_COLUMNS], csv_seps))
+            jsonl_fh.write(_rows(f'{{"{json_columns[0]}": ', [block[c][1] for c in json_columns], json_seps))
 
 
 def _is_kind(value, kind: type) -> bool:

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import struct
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -19,6 +20,7 @@ from tracex.report import (
     ID_COLUMNS,
     RECORD_BLOCK_ROWS,
     RECORD_COLUMNS,
+    TABLE_REPEATS,
     CaseListing,
     OrphanPolicy,
     ReportError,
@@ -133,6 +135,37 @@ def test_extreme_cases_match_full_sorts(data):
         got = [(c.kind, c.source_id, c.target_id, c.is_link, repr(c.value), c.rank)
                for c in extreme_cases(recs, metric, k)]
         assert got == _extreme_reference(recs, metric, k)
+
+
+def _orphans_reference(recs, policy):
+    """detect_orphans by sorted() over (-value, source id, target id) keys."""
+    values, is_link = recs[policy.metric].tolist(), recs["is_link"].tolist()
+    src, tgt = recs["source_id"], recs["target_id"]
+    links = sorted(v for v, link in zip(values, is_link) if link and not math.isnan(v))
+    if not links:
+        return []
+    pos = policy.quantile * (len(links) - 1)
+    lo, hi = math.floor(pos), math.ceil(pos)
+    threshold = links[lo] if lo == hi else links[lo] * (1 - (pos - lo)) + links[hi] * (pos - lo)
+    hits = sorted((i for i, v in enumerate(values) if not is_link[i] and v >= threshold),
+                  key=lambda i: (-values[i], src[i], tgt[i]))
+    return [("orphan_link", src[i], tgt[i], False, repr(values[i]), rank)
+            for rank, i in enumerate(hits, start=1)]
+
+
+@given(st.data())
+def test_detect_orphans_match_sorted_keys(data):
+    n = data.draw(st.integers(0, 14))
+    pairs = st.tuples(st.sampled_from("cab"), st.sampled_from("yx"))  # rows in any order, duplicates
+    values = st.sampled_from([0.0, -0.0, 1.0, 2.5, -1.0, math.nan])  # ties, -0.0 and NaN
+    rows = [row(s, t, link, mi=v, si=w) for (s, t), link, v, w in data.draw(st.lists(
+        st.tuples(pairs, st.booleans(), values, values), min_size=n, max_size=n))]
+    recs = records(*rows)
+    policy = OrphanPolicy(quantile=data.draw(st.sampled_from([0.01, 0.25, 0.5, 0.99])),
+                          metric=data.draw(st.sampled_from(["mi", "si"])))
+    got = [(c.kind, c.source_id, c.target_id, c.is_link, repr(c.value), c.rank)
+           for c in detect_orphans(recs, policy)]
+    assert got == _orphans_reference(recs, policy)
 
 
 def test_detect_orphans_top_candidate_first():
@@ -300,8 +333,48 @@ def repetitive_records(draw):
             for c, v in cells.items()}
 
 
-@given(repetitive_records(), st.sampled_from([1, 3, RECORD_BLOCK_ROWS]))
-def test_records_bytes_match_cell_by_cell_reference(tmp_path_factory, recs, block_rows):
+def _floats_with_distinct(rng, pool: np.ndarray, k: int, n: int) -> np.ndarray:
+    """n floats, in random order, with exactly k distinct bit patterns of pool."""
+    return rng.permutation(np.concatenate([pool[:k], rng.choice(pool[:k], n - k)]))
+
+
+@st.composite
+def mixed_records(draw, n: int):
+    """An n-row records table whose float columns take both paths of
+    write_records. `h_x` has exactly the most distinct values that keep one
+    text table for the column, `h_y` one more. `si` and `sx` repeat 0.0,
+    -0.0 and two NaN payloads. The other float columns are mostly distinct
+    (random bit patterns and normal draws) and are formatted block by block;
+    `mi` opens with the values of `si`'s pool, in one block for blocks of 4
+    rows or more."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bits = rng.integers(0, 2**64, n, dtype=np.uint64, endpoint=False).view(np.float64)
+    fresh = np.where(rng.random(n) < 0.5, bits, rng.standard_normal(n))
+    edges = np.array(EDGE_FLOATS)
+    pool = np.concatenate([edges, fresh])
+    pool = pool[np.unique(pool.view(np.int64), return_index=True)[1]]  # distinct bit patterns
+    pool = rng.permutation(pool)
+    repeats = min(n, max(n // TABLE_REPEATS, 1))
+    ids = draw(st.lists(st.one_of(tricky_ids, st.just("a\rb")), min_size=1, max_size=4))
+    recs = {c: [ids[i] for i in rng.integers(0, len(ids), n)] for c in ID_COLUMNS}
+    for c in RECORD_COLUMNS:
+        if c in BOOL_COLUMNS:
+            recs[c] = rng.random(n) < 0.5
+        elif c in ("si", "sx"):
+            recs[c] = _floats_with_distinct(rng, edges[[0, 1, 4, 5]], min(n, 4), n)
+        elif c not in ID_COLUMNS:
+            k = {"h_x": repeats, "h_y": min(n, repeats + 1)}.get(c, min(n, len(pool)))
+            recs[c] = _floats_with_distinct(rng, pool, k, n)
+    recs["mi"][:4] = edges[[0, 1, 4, 5]][:n]
+    return recs
+
+
+@given(st.data(), st.sampled_from([1, 3, RECORD_BLOCK_ROWS]))
+def test_records_bytes_match_cell_by_cell_reference(tmp_path_factory, data, block_rows):
+    # mixed tables of block multiples and their neighbours, and of 24 or 25 rows
+    sizes = st.sampled_from(sorted({0, 1, block_rows - 1, block_rows, block_rows + 1, 2 * block_rows,
+                                    3 * TABLE_REPEATS, 3 * TABLE_REPEATS + 1}))
+    recs = data.draw(st.one_of(repetitive_records(), sizes.flatmap(mixed_records)))
     out = tmp_path_factory.mktemp("records")
     with mock.patch("tracex.report.RECORD_BLOCK_ROWS", block_rows):  # rows split across writes
         write_records(recs, out / "records.csv", out / "records.jsonl")
@@ -315,6 +388,39 @@ def test_records_bytes_match_cell_by_cell_reference(tmp_path_factory, recs, bloc
             for r in zip(*values)]
     expected = "".join(json.dumps(r, sort_keys=True) + "\n" for r in rows)
     assert (out / "records.jsonl").read_bytes() == expected.encode("utf-8")
+
+
+def _distinct_floats_records(n_sources: int, n_targets: int) -> dict:
+    """An analyze-shaped records table whose float columns are all distinct."""
+    rng = np.random.default_rng(n_sources)
+    n = n_sources * n_targets
+    return {
+        "source_id": [f"S{i:04d}" for i in range(n_sources) for _ in range(n_targets)],
+        "target_id": [f"T{j:04d}" for _ in range(n_sources) for j in range(n_targets)],
+        **{c: rng.random(n) < 0.1 for c in BOOL_COLUMNS},
+        **{c: rng.standard_normal(n) for c in RECORD_COLUMNS if c not in ID_COLUMNS + BOOL_COLUMNS},
+    }
+
+
+def _traced_peak(recs, out) -> int:
+    """The peak of the memory that write_records allocates, in bytes."""
+    tracemalloc.start()
+    try:
+        write_records(recs, out / "records.csv", out / "records.jsonl")
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_records_memory_follows_the_block_not_the_table(tmp_path):
+    block = _distinct_floats_records(4, RECORD_BLOCK_ROWS // 4)
+    _traced_peak(block, tmp_path)  # first call: lazy imports and caches
+    one_block = _traced_peak(block, tmp_path)
+    small = _traced_peak(_distinct_floats_records(100, 200), tmp_path)
+    large = _traced_peak(_distinct_floats_records(400, 200), tmp_path)
+    assert large < 16 << 20, large
+    # 60,000 more rows cost less than writing a table of one block
+    assert large - small < one_block, (small, large, one_block)
 
 
 def test_records_bytes_pinned(tmp_path):
