@@ -30,8 +30,16 @@ EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a configuration error (exit 1), not argparse's exit 2;
+    subparsers are made of the same class."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tracex",
         description="Information-theoretic analysis of software trace links",
     )
@@ -195,15 +203,16 @@ def cmd_cases(args) -> int:
 
 def cmd_synth(args) -> int:
     tb = generate_synthetic(args.seed, args.sources, args.targets, args.overlap)
-    with _creating(args.out):
-        manifest = write_testbed(tb, args.out)
+    out = Path(args.out)
+    with _creating(out):
+        if out.is_dir() and any(out.iterdir()):  # its files would join the new testbed
+            raise ConfigError(f"output directory {out} is not empty")
+        manifest = write_testbed(tb, out)
     print(manifest)
     return 0
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     handlers = {
         "analyze": cmd_analyze,
         "validate": cmd_validate,
@@ -213,6 +222,7 @@ def main(argv: list[str] | None = None) -> int:
         "synth": cmd_synth,
     }
     try:
+        args = build_parser().parse_args(argv)
         return handlers[args.command](args)
     except (CorpusError, BpeModelError, BpeTrainingError, EmbeddingError, ReportError) as exc:
         print(f"error: {exc}", file=sys.stderr)

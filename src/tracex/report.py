@@ -10,8 +10,8 @@ Tables and case listings are pure views of the records; emission is
 deterministic byte-for-byte given identical inputs. write_records writes
 both records files in one pass over row blocks: columns with few distinct
 values keep one text per distinct value, every other column is formatted
-block by block, so its memory follows the block and not the row count.
-Case listings rank with stable NumPy sorts, ties in id order.
+block by block, so its memory follows the block and not the row count. read_records reads
+the file back line by line, a block of rows at a time. Case listings rank with stable NumPy sorts, ties in id order.
 
 Column naming keeps both conventions from the published-table layout:
 `ci_noise` carries H_pool - H(Y) (semantically the loss) and `ci_loss`
@@ -25,10 +25,11 @@ import csv
 import io
 import json
 import math
+from contextlib import closing
 from dataclasses import asdict, dataclass
-from itertools import repeat
+from itertools import islice, repeat
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -286,20 +287,38 @@ def _is_kind(value, kind: type) -> bool:
     return type(value) is kind
 
 
+def _json_lines(path: Path) -> Iterator:
+    """The JSON value of each non-blank line of path, read line by line;
+    ReportError where the file is unreadable, not UTF-8 or a line not JSON."""
+    try:
+        with path.open(encoding="utf-8") as fh:
+            for line in fh:
+                if line != "\n":
+                    yield json.loads(line)
+    except (OSError, ValueError) as exc:
+        raise ReportError(f"cannot read records file {path}: {exc}") from exc
+
+
 def read_records(path: Path) -> dict:
     """Read a records.jsonl written by write_records back into records; ReportError
-    unless every line maps exactly RECORD_COLUMNS to values of their type."""
-    try:
-        rows = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines() if line]
-    except (OSError, ValueError) as exc:  # unreadable, not UTF-8 or not JSON
-        raise ReportError(f"cannot read records file {path}: {exc}") from exc
+    unless every line maps exactly RECORD_COLUMNS to values of their type. Rows
+    go into the columns RECORD_BLOCK_ROWS at a time, so memory follows the
+    columns, not the file's text."""
     kind = {c: str if c in ID_COLUMNS else bool if c in BOOL_COLUMNS else float for c in RECORD_COLUMNS}
-    for r in rows:
-        if not (isinstance(r, dict) and r.keys() == kind.keys()
-                and all(_is_kind(v, kind[c]) for c, v in r.items())):
-            raise ReportError(f"{path}: not a record of the columns {', '.join(RECORD_COLUMNS)}: {r!r}")
-    columns = {c: [r[c] for r in rows] for c in RECORD_COLUMNS}
-    return {c: v if kind[c] is str else np.array(v, dtype=kind[c]) for c, v in columns.items()}
+    # ids: one str per row; other columns: one array per block, after an empty one
+    columns = {c: [] if kind[c] is str else [np.zeros(0, dtype=kind[c])] for c in RECORD_COLUMNS}
+    with closing(_json_lines(path)) as rows:  # closes the file when a row is rejected
+        while block := list(islice(rows, RECORD_BLOCK_ROWS)):
+            for r in block:
+                if not (isinstance(r, dict) and r.keys() == kind.keys()
+                        and all(_is_kind(v, kind[c]) for c, v in r.items())):
+                    raise ReportError(f"{path}: not a record of the columns {', '.join(RECORD_COLUMNS)}: {r!r}")
+            for c, column in columns.items():
+                if kind[c] is str:
+                    column.extend(r[c] for r in block)
+                else:
+                    column.append(np.array([r[c] for r in block], dtype=kind[c]))
+    return {c: v if kind[c] is str else np.concatenate(v) for c, v in columns.items()}
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:

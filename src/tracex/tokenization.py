@@ -34,10 +34,17 @@ def conventional_tokenize(text: str) -> list[str]:
 
 @dataclass
 class TokenCounts:
-    """Multiset of tokens. Zero counts are accepted; every measure ignores
-    them."""
+    """Multiset of tokens. Counts are nonnegative integers, given as ints or
+    as integral floats and stored as ints; any other count raises
+    ValueError. Zero counts are accepted; every measure ignores them."""
 
     counts: dict[str, int] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        for token, c in self.counts.items():
+            if not (c >= 0 and float(c).is_integer()):
+                raise ValueError(f"count of token {token!r} must be a nonnegative integer, got {c!r}")
+        self.counts = {t: int(c) for t, c in self.counts.items()}
 
     @property
     def total(self) -> int:

@@ -13,9 +13,8 @@ problem leaves the batch once its supply is placed. The batch is one padded
 (B, M, N) cost stack: problem k's costs fill cost[k, :m_k, :n_k] and every
 other cell is `+inf`, and padded nodes have zero supply and demand, so a
 padded node never gets a finite label; each problem gets the flows and the
-bits it would get alone. Callers that build costs write them straight into
-such a stack (`stacked_transport_costs`); `transport_costs` pads a list of
-problems into one and solves it the same way.
+bits it would get alone. `stacked_transport_costs` is the one entry point
+and checks each problem's input once; `transport_cost` is a stack of one.
 """
 
 from __future__ import annotations
@@ -26,51 +25,44 @@ EXACT_TOTAL_LIMIT = 2**53  # float64 holds every integer up to here exactly
 
 
 def transport_cost(a, b, cost) -> float:
-    """Minimum cost of moving distribution a onto b under the cost matrix;
-    `transport_costs` on a batch of one."""
-    return float(transport_costs([(a, b, cost)])[0])
+    """Minimum cost of moving distribution a onto b under the cost matrix of
+    shape (len(a), len(b)); `stacked_transport_costs` on a stack of one."""
+    cost = np.asarray(cost, dtype=np.float64)
+    if cost.shape != (len(a), len(b)):
+        raise ValueError(f"problem 0: cost shape {cost.shape} does not match ({len(a)}, {len(b)})")
+    return float(stacked_transport_costs(cost[None], [a], [b])[0])
 
 
-def transport_costs(problems) -> np.ndarray:
-    """Minimum transport cost of each (a, b, cost) problem, as a float array.
-
-    a and b are nonnegative integer weight vectors; they are normalized
-    internally, so only their proportions matter. The problems are padded
-    into one cost stack for `stacked_transport_costs`, whose rules they
-    follow; a cost matrix not of shape (len(a), len(b)) raises ValueError
-    naming its index in the batch too.
-    """
-    problems = [(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64),
-                 np.asarray(cost, dtype=np.float64)) for a, b, cost in problems]
-    if not problems:
-        return np.zeros(0)
-    cost = np.full((len(problems), max(len(a) for a, _, _ in problems),
-                    max(len(b) for _, b, _ in problems)), np.inf)
-    for k, (a, b, c) in enumerate(problems):
-        if c.shape != (len(a), len(b)):
-            raise ValueError(f"problem {k}: cost shape {c.shape} does not match ({len(a)}, {len(b)})")
-        cost[k, :len(a), :len(b)] = c
-    return stacked_transport_costs(cost, [a for a, _, _ in problems], [b for _, b, _ in problems])
+def _weights(w, k: int) -> np.ndarray:
+    """Problem k's weights as int64; ValueError unless nonnegative integers."""
+    w = np.asarray(w)
+    with np.errstate(invalid="ignore"):  # NaN, inf and huge floats cast to garbage, caught below
+        cast = w.astype(np.int64, copy=False) if w.dtype.kind in "iuf" else None
+    if cast is None or (w.dtype.kind == "f" and not np.array_equal(cast, w)) or (cast.size and cast.min() < 0):
+        raise ValueError(f"problem {k}: weights must be nonnegative integers")
+    return cast
 
 
 def stacked_transport_costs(cost: np.ndarray, weights_a, weights_b) -> np.ndarray:
     """Minimum transport cost of each problem of a padded (B, M, N) cost stack.
 
-    Problem k moves the int64 weight vector weights_a[k] onto weights_b[k]
-    under the costs cost[k, :len(a), :len(b)]; every other cell of the stack
-    must be +inf. Each problem's costs must be finite, both its totals
+    Problem k moves weights_a[k] onto weights_b[k] under the costs
+    cost[k, :len(a), :len(b)]; every other cell must be +inf. Weights are
+    nonnegative integers, as integer arrays or integral floats; only their
+    proportions matter. Each problem's costs must be finite, both its totals
     positive and their product at most 2**53, so that the cross-scaled
     supplies and every flow stay exact in float64. A problem that breaks
     these rules, or does not fit the stack, raises ValueError naming its
-    index k. The stack is read, not written.
+    index k. The stack is read, not written; an empty stack gives an empty array.
     """
     n_problems, big_m, big_n = cost.shape
     if len(weights_a) != n_problems or len(weights_b) != n_problems:
         raise ValueError(f"{n_problems} problems, but {len(weights_a)} and {len(weights_b)} weight vectors")
     # Cross-scaled supplies, then demands: integers with equal totals.
     residual = np.zeros((n_problems, big_m + big_n))
-    totals = []
+    shapes = []  # (m, n, total) of each problem
     for k, (a, b) in enumerate(zip(weights_a, weights_b)):
+        a, b = _weights(a, k), _weights(b, k)
         if len(a) > big_m or len(b) > big_n:
             raise ValueError(f"problem {k}: weights ({len(a)}, {len(b)}) do not match stack ({big_m}, {big_n})")
         if not np.isfinite(cost[k, :len(a), :len(b)]).all():
@@ -81,12 +73,10 @@ def stacked_transport_costs(cost: np.ndarray, weights_a, weights_b) -> np.ndarra
         if ta * tb > EXACT_TOTAL_LIMIT:
             raise ValueError(f"problem {k}: weight totals {ta} * {tb} exceed the exact bound 2**53")
         residual[k, :len(a)], residual[k, big_m:big_m + len(b)] = a * tb, b * ta
-        totals.append(ta * tb)
+        shapes.append((len(a), len(b), ta * tb))
     flow = _min_cost_flows(residual, cost)
-    return np.array([
-        (flow[k, :len(a), :len(b)] * cost[k, :len(a), :len(b)]).sum() / total
-        for k, (a, b, total) in enumerate(zip(weights_a, weights_b, totals))
-    ])
+    return np.array([(flow[k, :m, :n] * cost[k, :m, :n]).sum() / total
+                     for k, (m, n, total) in enumerate(shapes)])
 
 
 def _min_cost_flows(residual, cost) -> np.ndarray:
@@ -118,7 +108,7 @@ def _min_cost_flows(residual, cost) -> np.ndarray:
     end = np.zeros(n_problems, dtype=np.int64)  # the column node each search stops at
     root = np.zeros(n_problems, dtype=np.int64)  # the source row each path starts at
     bottleneck = np.zeros(n_problems)
-    cost_rows = cost.reshape(-1, n)  # the forward arc costs of (problem, row), one row each
+    cost_rows = cost.reshape(n_problems * m, n)  # the forward arc costs of (problem, row), one row each
     label_f, limit_f, final_f, prev_f, pot_f, residual_f = (
         x.reshape(-1) for x in (label, limit, final, prev, pot, residual))  # views
 
@@ -164,8 +154,7 @@ def _min_cost_flows(residual, cost) -> np.ndarray:
             end[s[stop]] = u[stop]
             s = s[~stop]
         e = end[live]
-        dist = np.minimum(final[live], label[live])
-        pot[live] += np.minimum(dist, dist[np.arange(live.size), e][:, None])
+        pot[live] += np.minimum(final[live], final[live, e][:, None])  # labels not final are >= d_e
 
         # Trace every augmenting path back to a source row, in lockstep; each
         # path alternates forward arcs (row -> column) and backward arcs.

@@ -3,7 +3,8 @@
 These score one (source, target) pair from its token-count dicts, one
 measure at a time, with none of the engines' shared per-artifact arrays.
 The engine property tests compare `info_columns` and `semantic_columns`
-against them; the library never calls them.
+against them; the library never calls them. `padded_stack` lays transport
+problems out as the solver's padded cost stack.
 """
 
 from __future__ import annotations
@@ -151,3 +152,14 @@ def wmd(a: TokenCounts, b: TokenCounts, m: EmbeddingMatrix) -> tuple[float, bool
     if cost.size > EXACT_WMD_PAIR_LIMIT:
         return relaxed_wmd(wa.astype(float), wb.astype(float), cost), True
     return transport_cost(wa, wb, cost), False
+
+
+def padded_stack(problems, extra_m: int = 0, extra_n: int = 0):
+    """(a, b, cost) problems as `stacked_transport_costs` arguments: one +inf
+    cost stack, extra_m rows and extra_n columns past the largest problem,
+    and the weight vectors of each side."""
+    cost = np.full((len(problems), max((len(a) for a, _, _ in problems), default=0) + extra_m,
+                    max((len(b) for _, b, _ in problems), default=0) + extra_n), np.inf)
+    for k, (a, b, c) in enumerate(problems):
+        cost[k, :len(a), :len(b)] = c
+    return cost, [a for a, _, _ in problems], [b for _, b, _ in problems]

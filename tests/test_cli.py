@@ -243,6 +243,38 @@ def test_synth_deterministic_bytes(tmp_path):
             assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_synth_refuses_a_non_empty_out(tmp_path, capsys):
+    out = tmp_path / "tb"
+    assert main(["synth", "--seed", "1", "--sources", "6", "--targets", "6", "--out", str(out)]) == 0
+    files = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    # seed 1's SRC003-TGT005 would be loaded beside seed 2's 3x3 testbed
+    assert main(["synth", "--seed", "2", "--sources", "3", "--targets", "3", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("config error:")
+    assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == files
+    (tmp_path / "empty").mkdir()
+    assert main(["synth", "--seed", "2", "--sources", "3", "--targets", "3",
+                 "--out", str(tmp_path / "empty")]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["bogus"],
+    ["analyze"],
+    ["analyze", "--manifest", "m.json", "--vectorizer", "foo"],
+    ["analyze", "--manifest", "m.json", "--dim", "abc"],
+    ["cases", "records.jsonl", "--metric", "mi"],
+])
+def test_usage_errors_are_config_errors(capsys, argv):
+    assert main(argv) == 1  # argparse alone exits 2, the data-error code
+    assert capsys.readouterr().err.startswith("config error: tracex")
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--help"])
+    assert exc.value.code == 0
+    assert "--manifest" in capsys.readouterr().out
+
+
 def run_cli(*argv):
     """tracex in a child interpreter, so that a traceback would show on stderr."""
     return subprocess.run(

@@ -423,6 +423,20 @@ def test_records_memory_follows_the_block_not_the_table(tmp_path):
     assert large - small < one_block, (small, large, one_block)
 
 
+def test_read_records_memory_follows_the_columns(tmp_path):
+    write_records(_distinct_floats_records(100, 200), tmp_path / "records.csv", tmp_path / "records.jsonl")
+    read_records(tmp_path / "records.jsonl")  # first call: lazy imports and caches
+    tracemalloc.start()
+    try:
+        got = read_records(tmp_path / "records.jsonl")
+        size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(got["mi"]) == 20_000
+    # the file's text or one dict per row, held whole, takes several times the columns
+    assert peak <= 3 * size, (peak, size)
+
+
 def test_records_bytes_pinned(tmp_path):
     """Exact report files and run.json testbed entry of a fixed synthetic
     testbed under --vectorizer none. A change to how records are computed or

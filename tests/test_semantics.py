@@ -24,7 +24,7 @@ from tracex.semantics import (
     wmd,
 )
 from tracex.tokenization import TokenCounts, conventional_tokenize, count_tokens
-from tracex.transport import stacked_transport_costs, transport_cost, transport_costs
+from tracex.transport import stacked_transport_costs, transport_cost
 
 import oracles
 
@@ -367,45 +367,20 @@ def test_transport_degenerate_inputs_match_highs(problem):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(degenerate_transport(max_side=7), min_size=1, max_size=6))
-def test_transport_costs_batch_invariant(problems):
-    """Mixed shapes share a padded batch; each problem keeps the bits it gets alone."""
-    together = transport_costs(problems)
-    assert together.shape == (len(problems),)
-    for k, (a, b, cost) in enumerate(problems):
-        alone = transport_cost(a, b, cost)
-        assert together[k] == alone
-        assert alone == pytest.approx(highs_transport(a, b, cost), rel=1e-9, abs=1e-12)
-
-
-@pytest.mark.parametrize("bad, message", [
-    (([1, 1], [1], [[0.5]]), "does not match"),
-    (([1, 1], [1], [[0.5], [np.nan]]), "finite"),
-    (([0, 0], [1], [[0.5], [1.0]]), "positive total"),
-    (([10**8, 1], [10**8], [[0.5], [1.0]]), r"2\*\*53"),
-])
-def test_transport_costs_name_the_failing_problem(bad, message):
-    good = ([1, 2], [3], [[0.5], [1.0]])
-    with pytest.raises(ValueError, match=rf"problem 1: .*{message}"):
-        transport_costs([good, bad, good])
-
-
-@settings(max_examples=60, deadline=None)
 @given(st.lists(degenerate_transport(max_side=7), min_size=1, max_size=6),
        st.integers(0, 3), st.integers(0, 3))
 def test_stacked_transport_costs_match_single_problems(problems, extra_m, extra_n):
-    """A hand-built stack, padded past its largest problem, gives each
-    problem the bits it gets alone and is left as it was."""
-    big_m = max(len(a) for a, _, _ in problems) + extra_m
-    big_n = max(len(b) for _, b, _ in problems) + extra_n
-    cost = np.full((len(problems), big_m, big_n), np.inf)
-    for k, (a, b, c) in enumerate(problems):
-        cost[k, :len(a), :len(b)] = c
+    """Mixed shapes share a stack, padded past its largest problem; each
+    problem keeps the bits it gets alone, and the stack is left as it was."""
+    cost, weights_a, weights_b = oracles.padded_stack(problems, extra_m, extra_n)
     stack = cost.copy()
-    got = stacked_transport_costs(cost, [np.array(a, dtype=np.int64) for a, _, _ in problems],
-                                  [np.array(b, dtype=np.int64) for _, b, _ in problems])
+    got = stacked_transport_costs(cost, weights_a, weights_b)
     assert np.array_equal(cost, stack)
-    assert got.tolist() == [transport_cost(*problem) for problem in problems]
+    assert got.shape == (len(problems),)
+    for k, (a, b, c) in enumerate(problems):
+        alone = transport_cost(a, b, c)
+        assert got[k] == alone
+        assert alone == pytest.approx(highs_transport(a, b, c), rel=1e-9, abs=1e-12)
 
 
 @pytest.mark.parametrize("a, b, block, message", [
@@ -413,19 +388,42 @@ def test_stacked_transport_costs_match_single_problems(problems, extra_m, extra_
     ([1, 1], [1], [[0.5], [np.nan]], "finite"),
     ([0, 0], [1], [[0.5], [1.0]], "positive total"),
     ([10**8, 1], [10**8], [[0.5], [1.0]], r"2\*\*53"),
+    ([1.5, 1], [1], [[0.5], [1.0]], "nonnegative integers"),
+    ([1, 2], [-1], [[0.5], [1.0]], "nonnegative integers"),
 ])
 def test_stacked_transport_costs_name_the_failing_problem(a, b, block, message):
     cost = np.full((3, 2, 2), np.inf)
     cost[:, :2, :1] = [[0.5], [1.0]]
     cost[1, :2, :1] = block
-    weights_a = [np.array(w, dtype=np.int64) for w in ([1, 2], a, [1, 2])]
-    weights_b = [np.array(w, dtype=np.int64) for w in ([3], b, [3])]
     with pytest.raises(ValueError, match=rf"problem 1: .*{message}"):
-        stacked_transport_costs(cost, weights_a, weights_b)
+        stacked_transport_costs(cost, [[1, 2], a, [1, 2]], [[3], b, [3]])
 
 
-def test_transport_costs_empty_batch():
-    assert transport_costs([]).shape == (0,)
+def test_transport_cost_checks_the_cost_shape():
+    with pytest.raises(ValueError, match=r"problem 0: cost shape \(1, 1\) does not match \(2, 1\)"):
+        transport_cost([1, 1], [1], [[0.5]])
+
+
+@pytest.mark.parametrize("a", [[1.5, 1], [1, -1, 2], [np.nan, 1], [np.inf, 1], [1e30, 1],
+                               [10**20, 1], ["1", "1"], [True, False]])
+def test_transport_weights_must_be_nonnegative_integers(a):
+    # cast to int, [1.5, 1] would read as [1, 1], at cost 0 where the optimum is 0.1
+    with pytest.raises(ValueError, match="problem 0: weights must be nonnegative integers"):
+        transport_cost(a, [1, 1], np.ones((len(a), 2)) - np.eye(len(a), 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(degenerate_transport())
+def test_transport_integral_weights_of_any_dtype_give_the_same_bits(problem):
+    a, b, cost = problem
+    want = transport_cost(a, b, cost)
+    for dtype in (np.float64, np.int32, np.uint32):
+        assert transport_cost(np.array(a, dtype=dtype), np.array(b, dtype=dtype), cost) == want
+
+
+@pytest.mark.parametrize("shape", [(0, 0, 0), (0, 2, 3), (0, 3, 0)])
+def test_stacked_transport_costs_empty_stack(shape):
+    assert stacked_transport_costs(np.zeros(shape), [], []).shape == (0,)
 
 
 def test_shape_batches_cap_padded_cells():

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -6,6 +7,7 @@ from tracex.tokenization import (
     EOW,
     BpeModel,
     BpeTrainingError,
+    TokenCounts,
     bpe_encode,
     conventional_tokenize,
     count_tokens,
@@ -47,6 +49,19 @@ def test_count_tokens_examples():
     assert count_tokens([]).counts == {}
     counts = count_tokens(["for"] * 14 + ["if"] * 3 + ["return"] * 10)
     assert counts.counts == {"for": 14, "if": 3, "return": 10}
+
+
+@pytest.mark.parametrize("count, stored", [(1.5, None), (-1, None), (2.0, 2), (np.int64(3), 3)])
+def test_token_counts_are_nonnegative_integers(count, stored):
+    # Every measure must see the same bag: a count of 1.5 would read as 1 in
+    # WMD's integer weights, and a count of -1 would enter the total but not
+    # the support of the entropies.
+    if stored is None:
+        with pytest.raises(ValueError, match="'a' must be a nonnegative integer"):
+            TokenCounts({"a": count, "b": 1, "c": 0})
+    else:
+        counts = TokenCounts({"a": count, "b": 1, "c": 0}).counts
+        assert counts == {"a": stored, "b": 1, "c": 0} and type(counts["a"]) is int
 
 
 def test_bpe_first_merge():
