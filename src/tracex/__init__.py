@@ -7,7 +7,7 @@ reports (information tables, by-link tables, correlations, edge cases).
 """
 
 from tracex.embeddings import TrainConfig, train_skipgram
-from tracex.evaluation import roc_auc
+from tracex.evaluation import roc_auc, tie_groups
 from tracex.infotheory import info_record
 from tracex.semantics import soft_cosine, wmd
 from tracex.tokenization import conventional_tokenize, count_tokens
@@ -19,6 +19,7 @@ __all__ = [
     "info_record",
     "roc_auc",
     "soft_cosine",
+    "tie_groups",
     "train_skipgram",
     "wmd",
 ]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -18,56 +19,67 @@ class EvaluationError(ValueError):
     """Raised for single-class score sets, empty inputs, or length mismatches."""
 
 
-def _as_arrays(labels, scores) -> tuple[np.ndarray, np.ndarray]:
+class TieGroups(NamedTuple):
+    """A labelled score set as its runs of equal scores, in ascending score
+    order: the size of each run and the positives in it."""
+    sizes: np.ndarray
+    positives: np.ndarray
+
+
+def tie_groups(labels, scores) -> TieGroups:
+    """The tie groups of scores from one stable ascending sort."""
     labels = np.asarray(labels, dtype=bool)
     scores = np.asarray(scores, dtype=np.float64)
     if labels.shape != scores.shape:
         raise EvaluationError("labels and scores must have equal length")
     if not np.isfinite(scores).all():
         raise EvaluationError("scores must be finite")
-    return labels, scores
+    order = np.argsort(scores, kind="stable")
+    ranked, labels = scores[order], labels[order]
+    first = np.ones(len(ranked), dtype=bool)
+    first[1:] = ranked[1:] != ranked[:-1]
+    del order, ranked  # a grid's scratch: free each sorted copy once read
+    starts = np.flatnonzero(first)
+    return TieGroups(np.diff(starts, append=len(first)), np.add.reduceat(labels, starts, dtype=np.intp))
 
 
-def _tie_groups(sorted_scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """First and last index of each run of equal values in a sorted array."""
-    starts = np.flatnonzero(np.r_[True, sorted_scores[1:] != sorted_scores[:-1]])
-    ends = np.r_[starts[1:], len(sorted_scores)] - 1
-    return starts, ends
-
-
-def roc_auc(labels, scores) -> float:
-    """Mann-Whitney AUC: higher scores should mark positives."""
-    labels, scores = _as_arrays(labels, scores)
-    n_pos = int(labels.sum())
-    n_neg = len(labels) - n_pos
+def roc_auc(groups: TieGroups) -> float:
+    """Mann-Whitney AUC: higher scores should mark positives. Each positive
+    takes its tie group's average 1-based rank; those ranks are half-integers
+    whose sums stay below 2**53, so the rank sum is exact in any order."""
+    n_pos = int(groups.positives.sum())
+    n_neg = int(groups.sizes.sum()) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise EvaluationError("roc_auc needs at least one positive and one negative")
-    order = np.argsort(scores, kind="stable")
-    starts, ends = _tie_groups(scores[order])
-    ranks = np.empty(len(scores))
-    # average 1-based rank of each tie group
-    ranks[order] = np.repeat((starts + ends) / 2.0 + 1.0, ends - starts + 1)
-    rank_sum = ranks[labels].sum()
+    hit = np.flatnonzero(groups.positives)
+    ends = np.cumsum(groups.sizes)[hit]  # 1-based rank of each group's last score
+    rank_sum = (groups.positives[hit] * ((2 * ends - groups.sizes[hit] + 1) / 2.0)).sum()
     u = rank_sum - n_pos * (n_pos + 1) / 2.0
     return float(u / (n_pos * n_neg))
 
 
-def pr_auc(labels, scores) -> float:
-    """Trapezoidal area under the precision-recall curve."""
-    labels, scores = _as_arrays(labels, scores)
-    n_pos = int(labels.sum())
+def pr_auc(groups: TieGroups) -> float:
+    """Trapezoidal area under the precision-recall curve, one point per tie
+    group from the highest score down; the true positives at a group's end
+    do not depend on the order within the group."""
+    n_pos = int(groups.positives.sum())
     if n_pos == 0:
         raise EvaluationError("pr_auc needs at least one positive")
-    # (recall, precision) at every distinct threshold, descending scores
-    order = np.argsort(-scores, kind="stable")
-    _, ends = _tie_groups(scores[order])
-    tp = np.cumsum(labels[order])[ends]
-    precision = tp / (ends + 1)
-    # Anchor at recall 0 with the first threshold's precision.
-    recall = np.r_[0.0, tp / n_pos]
-    precision = np.r_[precision[0], precision]
+    # (recall, precision) at every distinct threshold, descending scores,
+    # anchored at recall 0 with the first threshold's precision. Built in
+    # place: a metric over a grid of pairs has about one group per pair.
+    tp = np.cumsum(groups.positives[::-1])
+    precision = np.empty(len(tp) + 1)
+    np.divide(tp, np.cumsum(groups.sizes[::-1]), out=precision[1:])
+    precision[0] = precision[1]
+    recall = np.zeros(len(tp) + 1)
+    np.divide(tp, n_pos, out=recall[1:])
+    del tp
+    steps = np.diff(recall)
+    del recall
+    steps *= precision[:-1] + precision[1:]
+    steps /= 2.0
     # cumsum adds left to right, as a running float sum would
-    steps = (recall[1:] - recall[:-1]) * (precision[:-1] + precision[1:]) / 2.0
     return float(np.cumsum(steps)[-1])
 
 

@@ -83,6 +83,15 @@ def _artifact_stats(bags: list[TokenCounts]):
     return total, size, xlogx, h
 
 
+def _target_index(tgt_counts: list[TokenCounts], col: dict[str, int]):
+    """Each shared token's targets and counts, token by token: token k is
+    held by targets[ptr[k]:ptr[k + 1]], with counts[ptr[k]:ptr[k + 1]]."""
+    entries = sorted((col[t], j, c) for j, bag in enumerate(tgt_counts)
+                     for t, c in bag.counts.items() if c > 0 and t in col)
+    token, targets, counts = np.array(entries, dtype=np.int64).reshape(-1, 3).T
+    return np.searchsorted(token, np.arange(len(col) + 1)), targets, counts.astype(np.float64)
+
+
 def info_columns(
     src_counts: list[TokenCounts], tgt_counts: list[TokenCounts]
 ) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray], np.ndarray]:
@@ -94,17 +103,17 @@ def info_columns(
 
     h_x and h_y are computed once per artifact. The pooled sum of c log2 c
     is both artifacts' own sums plus a correction over shared tokens: each
-    source gathers its support from one target count matrix over the tokens
-    found on both sides, and that gather is also the min-shared vector for
-    si/sx.
+    source gathers the target counts of its tokens found on both sides from
+    a per-token (target, count) index into one (targets x its tokens) block,
+    and that block is also the min-shared vector for si/sx. The block is
+    F-ordered, as a column gather from a dense count matrix would be, so its
+    row sums add in that order; beyond the output columns, memory is one
+    source's block and the index, not targets x vocabulary.
     """
     vocab = [{t for bag in bags for t, c in bag.counts.items() if c > 0}
              for bags in (src_counts, tgt_counts)]
     col = {t: k for k, t in enumerate(vocab[0] & vocab[1])}
-    tgt = np.zeros((len(tgt_counts), len(col)), dtype=np.int32)
-    for j, bag in enumerate(tgt_counts):
-        for t in bag.counts.keys() & col.keys():
-            tgt[j, col[t]] = bag.counts[t]
+    ptr, targets, counts = _target_index(tgt_counts, col)
 
     n_x, size_x, xlogx_x, h_x = _artifact_stats(src_counts)
     n_y, size_y, xlogx_y, h_y = _artifact_stats(tgt_counts)
@@ -116,9 +125,13 @@ def info_columns(
         gather = [(col[t], c) for t, c in bag.counts.items() if c > 0 and t in col]
         if not gather:
             continue
-        cols, a = zip(*gather)
-        a = np.array(a, dtype=np.float64)
-        b = tgt[:, list(cols)].astype(np.float64)
+        cols, a = (np.array(v) for v in zip(*gather))
+        a = a.astype(np.float64)
+        held = ptr[cols + 1] - ptr[cols]  # index entries of each token, in turn
+        at = np.repeat(ptr[cols] - np.cumsum(held) + held, held) + np.arange(held.sum())
+        block = np.zeros((len(cols), shape[1]))
+        block[np.repeat(np.arange(len(cols)), held), targets[at]] = counts[at]
+        b = block.T  # F-ordered (targets x tokens): see the docstring
         pooled[i] += (_xlog2x(a + b) - _xlog2x(a) - _xlog2x(b)).sum(axis=1)
         # Sorted, left-to-right sums make si/sx a function of the shared
         # multiset alone, so pairs with equal shared counts tie exactly.
@@ -134,15 +147,22 @@ def info_columns(
         sx[i] = 0.0 - np.cumsum(q * np.log2(np.where(inner, q, 1.0)), axis=1)[:, -1]
 
     defined = (n_x > 0)[:, None] & (n_y > 0)[None, :]
-    pooled_total = np.where(defined, n_x[:, None] + n_y[None, :], 1.0)
-    h_pool = np.log2(pooled_total) - pooled / pooled_total
-    h_pool[size_x[:, None] + size_y[None, :] - shared_size == 1] = 0.0  # point mass
+    h_pool = np.add.outer(n_x, n_y)  # the pooled totals, then H_pool in place
+    h_pool[~defined] = 1.0
+    pooled /= h_pool
+    np.log2(h_pool, out=h_pool)
+    h_pool -= pooled
+    del pooled
+    # a single pooled token: both bags are that one token
+    h_pool[(size_x == 1)[:, None] & (size_y == 1)[None, :] & (shared_size == 1)] = 0.0
     h_pool[~defined] = np.nan
     hx = np.repeat(h_x[:, None], shape[1], axis=1)
     hy = np.repeat(h_y[None, :], shape[0], axis=0)
     loss = h_pool - hy
     noise = h_pool - hx
-    values = {"h_x": hx, "h_y": hy, "h_pool": h_pool, "mi": hx + hy - h_pool,
+    mi = hx + hy
+    mi -= h_pool
+    values = {"h_x": hx, "h_y": hy, "h_pool": h_pool, "mi": mi,
               "loss": loss, "noise": noise, "si": si, "sx": sx,
               "d1": hy - hx, "d2": hy - loss, "d3": hx - noise}
     everywhere = np.ones(shape, dtype=bool)

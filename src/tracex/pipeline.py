@@ -12,6 +12,7 @@ column of one records table (`tracex.report`).
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -26,7 +27,7 @@ from tracex.embeddings import (
     train_pvdbow,
     train_skipgram,
 )
-from tracex.evaluation import EvaluationError, correlation_table, pr_auc, roc_auc
+from tracex.evaluation import EvaluationError, correlation_table, pr_auc, roc_auc, tie_groups
 from tracex.infotheory import info_columns
 from tracex.report import (
     OrphanPolicy,
@@ -101,14 +102,18 @@ class RunConfig:
 
 
 def tokenize_texts(texts: list[str], cfg: RunConfig) -> list[list[str]]:
-    """The token sequence of each text; trains or loads BPE when requested."""
+    """The token sequence of each text; trains or loads BPE when requested.
+    The sequences share one str object per distinct token."""
     if cfg.preprocessing not in BPE_VOCAB_SIZES:
-        return [conventional_tokenize(text) for text in texts]
-    if cfg.bpe_model_path:
-        model = BpeModel.load(cfg.bpe_model_path)
+        seqs = [conventional_tokenize(text) for text in texts]
     else:
-        model = train_bpe(texts, BPE_VOCAB_SIZES[cfg.preprocessing])
-    return [bpe_encode(model, text) for text in texts]
+        if cfg.bpe_model_path:
+            model = BpeModel.load(cfg.bpe_model_path)
+        else:
+            model = train_bpe(texts, BPE_VOCAB_SIZES[cfg.preprocessing])
+        words: dict[str, list[str]] = {}  # each distinct word is encoded once
+        seqs = [bpe_encode(model, text, words) for text in texts]
+    return [list(map(sys.intern, seq)) for seq in seqs]
 
 
 @dataclass
@@ -130,11 +135,13 @@ def analyze_testbed(tb: Testbed, cfg: RunConfig) -> TestbedResult:
     wmd_pairs: dict[str, int] = {}
     sem, sem_masks, wmd_relaxed = semantic_columns(counts[:n], counts[n:], word_matrix, doc_vecs, wmd_pairs)
 
-    links = {(l.source_id, l.target_id) for l in tb.links}
+    row, col = ({a.id: k for k, a in enumerate(side)} for side in (sources, targets))
+    is_link = np.zeros(len(sources) * len(targets), dtype=bool)
+    is_link[[row[l.source_id] * len(targets) + col[l.target_id] for l in tb.links]] = True
     records = {
         "source_id": [s.id for s in sources for _ in targets],
         "target_id": [t.id for _ in sources for t in targets],
-        "is_link": np.array([(s.id, t.id) in links for s in sources for t in targets], dtype=bool),
+        "is_link": is_link,
         "null_shared": null_shared.ravel(),
         "wmd_relaxed": wmd_relaxed.ravel(),
         **{name: column.ravel() for name, column in {**info, **sem}.items()},
@@ -196,15 +203,16 @@ def _check_finite(records: dict, masks: dict[str, np.ndarray]) -> None:
 
 def _scores(records: dict) -> dict:
     """ROC and PR AUC of each score metric as a link classifier, over the
-    pairs where it is defined."""
+    pairs where it is defined; both read one sort of those pairs' scores."""
     out: dict = {}
     for metric, sign in SCORE_METRICS.items():
         mask = ~np.isnan(records[metric])
         n_defined = int(mask.sum())
         entry: dict = {"n_defined": n_defined, "n_excluded": len(mask) - n_defined}
+        groups = tie_groups(records["is_link"][mask], sign * records[metric][mask])
         for key, fn in (("roc_auc", roc_auc), ("pr_auc", pr_auc)):
             try:
-                entry[key] = fn(records["is_link"][mask], sign * records[metric][mask])
+                entry[key] = fn(groups)
             except EvaluationError:  # also raised when no value is defined
                 entry[key] = None
         out[metric] = entry

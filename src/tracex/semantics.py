@@ -29,6 +29,7 @@ from tracex.transport import stacked_transport_costs, transport_cost  # noqa: F4
 
 EXACT_WMD_PAIR_LIMIT = 65536  # ground-cost cells of one exact problem
 EXACT_WMD_BATCH_CELLS = 2 * EXACT_WMD_PAIR_LIMIT  # padded cells of one solver batch
+SEMANTIC_COLUMNS = ("wmd", "scm", "cos", "euc", "wmd_sim", "cos_sim")
 
 
 def _in_vocab(counts: TokenCounts, m: EmbeddingMatrix) -> tuple[list[str], np.ndarray]:
@@ -210,6 +211,12 @@ def semantic_columns(
     the counts of pairs solved exactly and bounded, and of solver batches.
     """
     shape = (len(src_counts), len(tgt_counts))
+    if word_matrix is None and doc_vecs is None:  # no vectors: nothing is defined
+        if wmd_pairs is not None:
+            wmd_pairs.update(exact=0, relaxed=0, batches=0)
+        undefined, nowhere = np.full(shape, np.nan), np.zeros(shape, dtype=bool)
+        undefined.flags.writeable = nowhere.flags.writeable = False
+        return dict.fromkeys(SEMANTIC_COLUMNS, undefined), dict.fromkeys(SEMANTIC_COLUMNS, nowhere), nowhere
     with np.errstate(all="ignore"):  # a defined non-finite value is reported by the caller
         bags = [[_bag(c, word_matrix) for c in side] for side in (src_counts, tgt_counts)]
         wmd_col, relaxed = _wmd_column(*bags, wmd_pairs)
@@ -232,4 +239,6 @@ def semantic_columns(
               "wmd_sim": 1.0 / (1.0 + wmd_col), "cos_sim": 1.0 / (1.0 + cos)}
     masks = {"wmd": bag_mask, "scm": bag_mask, "cos": cos_mask, "euc": euc_mask,
              "wmd_sim": bag_mask, "cos_sim": cos_mask}
-    return {name: np.where(masks[name], v, np.nan) for name, v in values.items()}, masks, relaxed
+    for name, column in values.items():  # each a fresh array of this call
+        np.copyto(column, np.nan, where=~masks[name])
+    return values, masks, relaxed

@@ -12,6 +12,7 @@ import json
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 EOW = "</w>"
@@ -68,6 +69,11 @@ class BpeModel:
     merges: list[tuple[str, str]]
     vocab: set[str]
     target_vocab_size: int
+
+    @cached_property
+    def ranks(self) -> dict[tuple[str, str], int]:
+        """Each merge's position in merges, built once per model."""
+        return {pair: i for i, pair in enumerate(self.merges)}
 
     def save(self, path: str | Path) -> None:
         doc = {"vocab_size": self.target_vocab_size, "merges": [list(m) for m in self.merges]}
@@ -143,19 +149,20 @@ def _apply_merge(symbols: list[str], pair: tuple[str, str]) -> None:
             i += 1
 
 
-def bpe_encode(model: BpeModel, text: str) -> list[str]:
+def bpe_encode(model: BpeModel, text: str, words: dict[str, list[str]] | None = None) -> list[str]:
     """Whitespace-split and decompose each word by the trained merges.
 
     Unseen characters pass through as singleton tokens; a trailing bare
-    end-of-word marker is fused into the word's final symbol.
+    end-of-word marker is fused into the word's final symbol. words, when
+    given, maps words of this model already encoded to their symbols and
+    gains the new ones: texts that pass one dict encode each word once.
     """
-    ranks = {pair: i for i, pair in enumerate(model.merges)}
+    words = {} if words is None else words
     out: list[str] = []
-    cache: dict[str, list[str]] = {}
     for word in text.split():
-        if word not in cache:
-            cache[word] = _encode_word(word, ranks)
-        out.extend(cache[word])
+        if word not in words:
+            words[word] = _encode_word(word, model.ranks)
+        out.extend(words[word])
     return out
 
 

@@ -10,6 +10,7 @@ from tracex.evaluation import (
     pr_auc,
     roc_auc,
     summarize,
+    tie_groups,
 )
 from tracex.report import BY_LINKS_METRICS, by_links_table
 
@@ -22,14 +23,14 @@ def brute_force_auc(labels, scores):
 
 
 def test_roc_auc_basics():
-    assert roc_auc([1, 1, 0, 0], [0.9, 0.8, 0.2, 0.1]) == 1.0
-    assert roc_auc([1, 0, 1, 0], [0.5, 0.5, 0.5, 0.5]) == 0.5
-    assert roc_auc([1, 1, 0, 0], [0.9, 0.4, 0.5, 0.1]) == pytest.approx(0.75)
+    assert roc_auc(tie_groups([1, 1, 0, 0], [0.9, 0.8, 0.2, 0.1])) == 1.0
+    assert roc_auc(tie_groups([1, 0, 1, 0], [0.5, 0.5, 0.5, 0.5])) == 0.5
+    assert roc_auc(tie_groups([1, 1, 0, 0], [0.9, 0.4, 0.5, 0.1])) == pytest.approx(0.75)
 
 
 def test_roc_auc_single_class_error():
     with pytest.raises(EvaluationError):
-        roc_auc([1, 1], [0.5, 0.7])
+        roc_auc(tie_groups([1, 1], [0.5, 0.7]))
 
 
 def test_roc_auc_monotone_transform_invariance():
@@ -37,7 +38,7 @@ def test_roc_auc_monotone_transform_invariance():
     labels = rng.random(100) < 0.3
     labels[0], labels[1] = True, False
     scores = rng.normal(size=100)
-    assert roc_auc(labels, scores) == pytest.approx(roc_auc(labels, np.exp(scores)))
+    assert roc_auc(tie_groups(labels, scores)) == pytest.approx(roc_auc(tie_groups(labels, np.exp(scores))))
 
 
 def test_roc_auc_sign_flip():
@@ -45,7 +46,7 @@ def test_roc_auc_sign_flip():
     labels = rng.random(50) < 0.4
     labels[0], labels[1] = True, False
     scores = rng.normal(size=50)
-    assert roc_auc(labels, -scores) == pytest.approx(1.0 - roc_auc(labels, scores))
+    assert roc_auc(tie_groups(labels, -scores)) == pytest.approx(1.0 - roc_auc(tie_groups(labels, scores)))
 
 
 @given(st.integers(min_value=0, max_value=10_000))
@@ -55,7 +56,7 @@ def test_roc_auc_equals_brute_force(seed):
     labels = rng.random(n) < 0.5
     labels[0], labels[1] = True, False
     scores = rng.integers(0, 6, size=n).astype(float)  # many ties
-    assert roc_auc(labels, scores) == pytest.approx(brute_force_auc(labels, scores), abs=1e-12)
+    assert roc_auc(tie_groups(labels, scores)) == pytest.approx(brute_force_auc(labels, scores), abs=1e-12)
 
 
 tied_case = st.lists(
@@ -67,7 +68,7 @@ tied_case = st.lists(
 def test_roc_auc_heavy_ties_equals_mann_whitney_count(pairs):
     labels, scores = zip(*pairs)
     scores = [s / 2.0 for s in scores]  # at most 7 distinct values
-    assert roc_auc(labels, scores) == pytest.approx(brute_force_auc(labels, scores), abs=1e-12)
+    assert roc_auc(tie_groups(labels, scores)) == pytest.approx(brute_force_auc(labels, scores), abs=1e-12)
 
 
 def trapezoid_pr_auc(labels, scores):
@@ -88,13 +89,13 @@ def trapezoid_pr_auc(labels, scores):
 @given(tied_case)
 def test_pr_auc_heavy_ties_equals_threshold_sweep(pairs):
     labels, scores = zip(*pairs)
-    assert pr_auc(labels, scores) == pytest.approx(trapezoid_pr_auc(labels, scores), abs=1e-12)
+    assert pr_auc(tie_groups(labels, scores)) == pytest.approx(trapezoid_pr_auc(labels, scores), abs=1e-12)
 
 
 def test_pr_auc_perfect_ranking():
-    assert pr_auc([1, 1, 0, 0, 0], [5, 4, 3, 2, 1]) == pytest.approx(1.0)
-    assert pr_auc([1], [0.9]) == pytest.approx(1.0)
-    assert pr_auc([1, 0], [0.9, 0.5]) == pytest.approx(1.0)
+    assert pr_auc(tie_groups([1, 1, 0, 0, 0], [5, 4, 3, 2, 1])) == pytest.approx(1.0)
+    assert pr_auc(tie_groups([1], [0.9])) == pytest.approx(1.0)
+    assert pr_auc(tie_groups([1, 0], [0.9, 0.5])) == pytest.approx(1.0)
 
 
 def test_pr_auc_random_scores_near_positive_rate():
@@ -103,21 +104,21 @@ def test_pr_auc_random_scores_near_positive_rate():
     p = 0.2
     labels = rng.random(n) < p
     scores = rng.random(n)
-    assert pr_auc(labels, scores) == pytest.approx(p, abs=0.02)
+    assert pr_auc(tie_groups(labels, scores)) == pytest.approx(p, abs=0.02)
 
 
 def test_pr_auc_duplicate_threshold_stable():
     labels = [1, 0, 1, 0, 0]
     scores = [0.9, 0.7, 0.5, 0.3, 0.1]
-    base = pr_auc(labels, scores)
-    again = pr_auc(labels + [0], scores + [0.3])  # re-use an existing threshold
+    base = pr_auc(tie_groups(labels, scores))
+    again = pr_auc(tie_groups(labels + [0], scores + [0.3]))  # re-use an existing threshold
     assert 0.0 <= base <= 1.0
     assert 0.0 <= again <= 1.0
 
 
 def test_pr_auc_needs_positive():
     with pytest.raises(EvaluationError):
-        pr_auc([0, 0], [0.1, 0.2])
+        pr_auc(tie_groups([0, 0], [0.1, 0.2]))
 
 
 def test_pearson_basics():

@@ -4,7 +4,9 @@ import io
 import json
 import math
 import struct
+import sys
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -13,7 +15,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tracex.cli import main
-from tracex.corpus import ConfigError
+from tracex.corpus import ConfigError, load_testbed
+from tracex.pipeline import RunConfig, analyze_testbed
 from tracex.report import (
     BOOL_COLUMNS,
     BY_LINKS_METRICS,
@@ -435,6 +438,36 @@ def test_read_records_memory_follows_the_columns(tmp_path):
     assert len(got["mi"]) == 20_000
     # the file's text or one dict per row, held whole, takes several times the columns
     assert peak <= 3 * size, (peak, size)
+
+
+def _table_bytes(records: dict) -> int:
+    """Bytes the records table holds: each distinct array buffer once, and
+    the id lists' pointers (the id strings are the artifacts' own)."""
+    buffers = {id(v if v.base is None else v.base): v.nbytes
+               for v in records.values() if isinstance(v, np.ndarray)}
+    return sum(buffers.values()) + sum(sys.getsizeof(v) for v in records.values() if isinstance(v, list))
+
+
+def test_scoring_memory_follows_the_records_table(tmp_path, monkeypatch):
+    """analyze_testbed on a 150x150 info-large-shaped testbed under
+    --vectorizer none: tokens, counts and scoring scratch on top of the
+    records table it returns stay under 0.8 times that table."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import workloads
+
+    testbed = workloads.zipf_testbed(11, **dict(workloads.INFO_LARGE, n_src=150, n_tgt=150))
+    tb = load_testbed(workloads.write_manifest_tree("zipf", *testbed, tmp_path))
+    cfg = RunConfig(manifests=[], vectorizer="none")
+    analyze_testbed(tb, cfg)  # first call: lazy imports and caches
+    tracemalloc.start()
+    try:
+        result = analyze_testbed(tb, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a dense targets x vocabulary count matrix, six semantic grids where one
+    # would do, or two sorts per AUC take this past 1.8
+    assert peak <= 1.8 * _table_bytes(result.records), (peak, _table_bytes(result.records))
 
 
 def test_records_bytes_pinned(tmp_path):

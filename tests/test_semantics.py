@@ -208,11 +208,19 @@ def test_semantic_columns_mean_vector_ignores_count_scale():
 
 
 def test_semantic_columns_without_vectors_are_undefined():
-    values, masks, relaxed = columns([{"x": 1}, {}], [{"x": 2}], None)
+    """--vectorizer none: the six columns are one read-only all-NaN array,
+    and no pair is bounded or solved."""
+    wmd_pairs: dict = {}
+    values, masks, relaxed = semantic_columns(
+        [TokenCounts({"x": 1}), TokenCounts({})], [TokenCounts({"x": 2})], None, None, wmd_pairs)
     for name in SEMANTIC_FIELDS:
+        assert values[name] is values["wmd"], name
         assert values[name].shape == (2, 1)
         assert np.isnan(values[name]).all() and not masks[name].any(), name
+    with pytest.raises(ValueError, match="read-only"):
+        values["scm"][0, 0] = 0.0
     assert not relaxed.any()
+    assert wmd_pairs == {"batches": 0, "exact": 0, "relaxed": 0}
 
 
 def test_semantic_columns_overflow_is_defined_and_not_finite():

@@ -3,6 +3,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import tracex.tokenization as tokenization
+from tracex.corpus import generate_synthetic
+from tracex.pipeline import RunConfig, tokenize_texts
 from tracex.tokenization import (
     EOW,
     BpeModel,
@@ -112,6 +115,28 @@ def test_bpe_round_trip(words):
     model = train_bpe([text], vocab_size=len(set("".join(words))) + 10)
     decoded = "".join(bpe_encode(model, text)).replace(EOW, " ").strip()
     assert decoded == text
+
+
+@pytest.mark.parametrize("preprocessing", ["conventional", "bpe8k"])
+def test_tokenize_texts_encodes_each_distinct_word_once(preprocessing, monkeypatch):
+    """A testbed's texts share one BPE word cache and one merge-rank table,
+    so each distinct word is encoded once, and its sequences share one str
+    per distinct token; the tokens are those of each text encoded alone."""
+    tb = generate_synthetic(3, 6, 6, 0.6)
+    texts = [a.raw_text for a in tb.sources + tb.targets]
+    encoded = []
+    encode_word = tokenization._encode_word
+    monkeypatch.setattr(tokenization, "_encode_word",
+                        lambda word, ranks: encoded.append(word) or encode_word(word, ranks))
+    seqs = tokenize_texts(texts, RunConfig(manifests=[], preprocessing=preprocessing, vectorizer="none"))
+    if preprocessing == "bpe8k":
+        assert sorted(encoded) == sorted({w for text in texts for w in text.split()})
+        model = train_bpe(texts, 8000)
+        assert model.ranks is model.ranks
+        assert seqs == [bpe_encode(model, text) for text in texts]
+    else:
+        assert seqs == [conventional_tokenize(text) for text in texts]
+    assert len({id(t) for seq in seqs for t in seq}) == len({t for seq in seqs for t in seq})
 
 
 def test_bpe_model_save_load(tmp_path):
