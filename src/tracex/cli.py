@@ -1,6 +1,7 @@
 """Command-line entry points.
 
-Exit codes: 0 ok, 1 configuration error, 2 data error, 3 numeric failure.
+Exit codes: 0 ok, 1 configuration error, 2 data error, 3 numeric failure,
+4 out of memory.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from tracex.tokenization import BpeModelError, BpeTrainingError, conventional_to
 EXIT_CONFIG = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
+EXIT_MEMORY = 4
 
 
 class _Parser(argparse.ArgumentParser):
@@ -233,6 +235,9 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except MemoryError as exc:  # NumPy's names the array it could not allocate
+        print(f"out of memory: {exc or 'an allocation failed'}", file=sys.stderr)
+        return EXIT_MEMORY
 
 
 if __name__ == "__main__":

@@ -27,20 +27,31 @@ class TieGroups(NamedTuple):
 
 
 def tie_groups(labels, scores) -> TieGroups:
-    """The tie groups of scores from one stable ascending sort."""
+    """The tie groups of scores from one stable ascending sort. Each array
+    goes once it has been read, the inputs too when the caller holds no
+    other reference to them: over a grid of pairs every one is pair-sized."""
     labels = np.asarray(labels, dtype=bool)
     scores = np.asarray(scores, dtype=np.float64)
     if labels.shape != scores.shape:
         raise EvaluationError("labels and scores must have equal length")
     if not np.isfinite(scores).all():
         raise EvaluationError("scores must be finite")
+    n = len(scores)
     order = np.argsort(scores, kind="stable")
-    ranked, labels = scores[order], labels[order]
-    first = np.ones(len(ranked), dtype=bool)
-    first[1:] = ranked[1:] != ranked[:-1]
-    del order, ranked  # a grid's scratch: free each sorted copy once read
+    scores = scores[order]
+    labels = labels[order]
+    del order
+    first = np.ones(n, dtype=bool)
+    np.not_equal(scores[1:], scores[:-1], out=first[1:])
+    del scores
     starts = np.flatnonzero(first)
-    return TieGroups(np.diff(starts, append=len(first)), np.add.reduceat(labels, starts, dtype=np.intp))
+    del first
+    positives = np.add.reduceat(labels, starts, dtype=np.intp)
+    del labels
+    sizes = np.empty_like(starts)  # the gaps between starts, and from the last to n
+    np.subtract(starts[1:], starts[:-1], out=sizes[:-1])
+    sizes[-1:] = n - starts[-1:]
+    return TieGroups(sizes, positives)
 
 
 def roc_auc(groups: TieGroups) -> float:
@@ -58,6 +69,9 @@ def roc_auc(groups: TieGroups) -> float:
     return float(u / (n_pos * n_neg))
 
 
+AREA_BLOCK = 4096  # thresholds per step of pr_auc
+
+
 def pr_auc(groups: TieGroups) -> float:
     """Trapezoidal area under the precision-recall curve, one point per tie
     group from the highest score down; the true positives at a group's end
@@ -66,21 +80,28 @@ def pr_auc(groups: TieGroups) -> float:
     if n_pos == 0:
         raise EvaluationError("pr_auc needs at least one positive")
     # (recall, precision) at every distinct threshold, descending scores,
-    # anchored at recall 0 with the first threshold's precision. Built in
-    # place: a metric over a grid of pairs has about one group per pair.
-    tp = np.cumsum(groups.positives[::-1])
-    precision = np.empty(len(tp) + 1)
-    np.divide(tp, np.cumsum(groups.sizes[::-1]), out=precision[1:])
-    precision[0] = precision[1]
-    recall = np.zeros(len(tp) + 1)
-    np.divide(tp, n_pos, out=recall[1:])
-    del tp
-    steps = np.diff(recall)
-    del recall
-    steps *= precision[:-1] + precision[1:]
-    steps /= 2.0
-    # cumsum adds left to right, as a running float sum would
-    return float(np.cumsum(steps)[-1])
+    # anchored at recall 0 with the first threshold's precision. A metric
+    # over a grid of pairs has about one group per pair, so the curve is
+    # walked block by block: the counts, the last point and the area carry
+    # over, and the area adds left to right from 0, as a running float sum
+    # would (no trapezoid is -0.0).
+    positives, sizes = groups.positives[::-1], groups.sizes[::-1]
+    tp = seen = 0
+    recall, precision, area = 0.0, None, 0.0  # at the last point
+    for start in range(0, len(sizes), AREA_BLOCK):
+        block_tp = tp + np.cumsum(positives[start:start + AREA_BLOCK])
+        block_seen = seen + np.cumsum(sizes[start:start + AREA_BLOCK])
+        tp, seen = int(block_tp[-1]), int(block_seen[-1])
+        block_precision = block_tp / block_seen
+        block_recall = block_tp / n_pos
+        if precision is None:
+            precision = block_precision[0]
+        steps = np.diff(block_recall, prepend=recall)
+        steps *= np.concatenate(([precision], block_precision[:-1])) + block_precision
+        steps /= 2.0
+        area = np.cumsum(np.concatenate(([area], steps)))[-1]
+        recall, precision = block_recall[-1], block_precision[-1]
+    return float(area)
 
 
 def pearson(xs, ys) -> float:

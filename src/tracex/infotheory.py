@@ -10,6 +10,8 @@ All logarithms are base 2; values are bits.
 
 `info_columns` scores every pair of a testbed at once; it is the one
 implementation of these measures. `info_record` reads one pair from it.
+Float sums run left to right from 0 as explicit accumulations, so their
+bits do not depend on the Python version (3.12's sum() compensates).
 """
 
 from __future__ import annotations
@@ -31,7 +33,10 @@ def counts_entropy(counts: TokenCounts) -> float:
     if len(support) == 1:
         return 0.0  # point mass: avoid log-cancellation residue
     # H = log2(total) - (1/total) sum c log2 c, exact for integer counts
-    return math.log2(total) - sum(c * math.log2(c) for c in support) / total
+    xlogx = 0.0
+    for c in support:
+        xlogx += c * math.log2(c)
+    return math.log2(total) - xlogx / total
 
 
 @dataclass
@@ -41,6 +46,7 @@ class InfoRecord:
     d2 and d3 follow the published-table convention: d2 = h_y minus the
     reported noise column (which numerically equals this loss) and
     d3 = h_x minus the reported loss column (numerically this noise).
+    They are formed from this pair's own fields, not by info_columns.
     Fields are None when a side is empty (flagged, not fatal).
     """
 
@@ -60,10 +66,14 @@ class InfoRecord:
 
 def info_record(src_counts: TokenCounts, tgt_counts: TokenCounts) -> InfoRecord:
     """Every information measure for one candidate pair: cell (0, 0) of
-    info_columns, with None where a measure is undefined."""
+    info_columns, with None where a measure is undefined, and d2 and d3."""
     values, masks, null_shared = info_columns([src_counts], [tgt_counts])
+    record = {name: float(v[0, 0]) if masks[name][0, 0] else None for name, v in values.items()}
+    defined = record["loss"] is not None
     return InfoRecord(
-        **{name: float(v[0, 0]) if masks[name][0, 0] else None for name, v in values.items()},
+        **record,
+        d2=record["h_y"] - record["loss"] if defined else None,
+        d3=record["h_x"] - record["noise"] if defined else None,
         null_shared=bool(null_shared[0, 0]),
     )
 
@@ -95,8 +105,10 @@ def _target_index(tgt_counts: list[TokenCounts], col: dict[str, int]):
 def info_columns(
     src_counts: list[TokenCounts], tgt_counts: list[TokenCounts]
 ) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray], np.ndarray]:
-    """Every InfoRecord measure for every pair of src_counts x tgt_counts,
-    a mask per measure and the null_shared flags, as (n_src, n_tgt) arrays.
+    """Every InfoRecord measure but d2 and d3 for every pair of
+    src_counts x tgt_counts, a mask per measure and the null_shared flags,
+    as (n_src, n_tgt) arrays. d2 and d3 are differences of these columns:
+    the report and info_record form them where they are read.
 
     h_x needs a non-empty source, h_y a non-empty target, and the other
     measures except si/sx need both; undefined entries hold NaN.
@@ -108,7 +120,8 @@ def info_columns(
     and that block is also the min-shared vector for si/sx. The block is
     F-ordered, as a column gather from a dense count matrix would be, so its
     row sums add in that order; beyond the output columns, memory is one
-    source's block and the index, not targets x vocabulary.
+    source's block and the index, not targets x vocabulary, and both go
+    before the output columns are built.
     """
     vocab = [{t for bag in bags for t, c in bag.counts.items() if c > 0}
              for bags in (src_counts, tgt_counts)]
@@ -119,7 +132,7 @@ def info_columns(
     n_y, size_y, xlogx_y, h_y = _artifact_stats(tgt_counts)
     shape = (len(src_counts), len(tgt_counts))
     pooled = xlogx_x[:, None] + xlogx_y[None, :]
-    shared_size = np.zeros(shape, dtype=np.int64)
+    shared_size = np.zeros(shape, dtype=np.uint8)  # tokens both sides hold, counted up to 2
     si, sx = np.zeros(shape), np.zeros(shape)
     for i, bag in enumerate(src_counts):
         gather = [(col[t], c) for t, c in bag.counts.items() if c > 0 and t in col]
@@ -139,12 +152,13 @@ def info_columns(
         total = shared.sum(axis=1)
         safe = np.where(total > 0, total, 1.0)
         size = (shared > 0).sum(axis=1)
-        shared_size[i] = size
+        shared_size[i] = np.minimum(size, 2)
         s_xlogx = np.cumsum(_xlog2x(shared), axis=1)[:, -1]
         si[i] = np.where(size > 1, np.log2(safe) - s_xlogx / safe, 0.0)
         q = 1.0 - shared / safe[:, None]
         inner = (q > 0.0) & (q < 1.0)
         sx[i] = 0.0 - np.cumsum(q * np.log2(np.where(inner, q, 1.0)), axis=1)[:, -1]
+    del vocab, col, ptr, targets, counts  # the per-token index: gone before the output columns
 
     defined = (n_x > 0)[:, None] & (n_y > 0)[None, :]
     h_pool = np.add.outer(n_x, n_y)  # the pooled totals, then H_pool in place
@@ -163,8 +177,7 @@ def info_columns(
     mi = hx + hy
     mi -= h_pool
     values = {"h_x": hx, "h_y": hy, "h_pool": h_pool, "mi": mi,
-              "loss": loss, "noise": noise, "si": si, "sx": sx,
-              "d1": hy - hx, "d2": hy - loss, "d3": hx - noise}
+              "loss": loss, "noise": noise, "si": si, "sx": sx, "d1": hy - hx}
     everywhere = np.ones(shape, dtype=bool)
     masks = {name: defined for name in values}
     masks.update(h_x=~np.isnan(hx), h_y=~np.isnan(hy), si=everywhere, sx=everywhere)

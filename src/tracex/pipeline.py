@@ -30,6 +30,7 @@ from tracex.embeddings import (
 from tracex.evaluation import EvaluationError, correlation_table, pr_auc, roc_auc, tie_groups
 from tracex.infotheory import info_columns
 from tracex.report import (
+    IdColumn,
     OrphanPolicy,
     by_links_table,
     detect_orphans,
@@ -138,16 +139,19 @@ def analyze_testbed(tb: Testbed, cfg: RunConfig) -> TestbedResult:
     row, col = ({a.id: k for k, a in enumerate(side)} for side in (sources, targets))
     is_link = np.zeros(len(sources) * len(targets), dtype=bool)
     is_link[[row[l.source_id] * len(targets) + col[l.target_id] for l in tb.links]] = True
+    # pair k is (source k // n_targets, target k % n_targets); sides are in id order
+    codes = [np.arange(len(side), dtype=np.min_scalar_type(len(side))) for side in (sources, targets)]
     records = {
-        "source_id": [s.id for s in sources for _ in targets],
-        "target_id": [t.id for _ in sources for t in targets],
+        "source_id": IdColumn(np.repeat(codes[0], len(targets)), [a.id for a in sources]),
+        "target_id": IdColumn(np.tile(codes[1], len(sources)), [a.id for a in targets]),
         "is_link": is_link,
         "null_shared": null_shared.ravel(),
         "wmd_relaxed": wmd_relaxed.ravel(),
         **{name: column.ravel() for name, column in {**info, **sem}.items()},
     }
-    masks = {name: mask.ravel() for name, mask in {**info_masks, **sem_masks}.items()}
-    _check_finite(records, masks)  # from here on NaN marks exactly the undefined
+    # from here on NaN marks exactly the undefined; the masks go
+    _check_finite(records, {name: mask.ravel() for name, mask in {**info_masks, **sem_masks}.items()})
+    del info_masks, sem_masks
 
     counts = {"all": tb.n_all, "links": tb.n_links, "non_links": tb.n_non_links}
     undefined = {metric: int(np.isnan(records[metric]).sum()) for metric in SCORE_METRICS}
@@ -197,26 +201,39 @@ def _check_finite(records: dict, masks: dict[str, np.ndarray]) -> None:
         bad = mask & ~np.isfinite(records[name])
         if bad.any():
             k = int(np.argmax(bad))
-            pair = f"({records['source_id'][k]}, {records['target_id'][k]})"
+            src, tgt = records["source_id"], records["target_id"]
+            pair = f"({src.names[src.codes[k]]}, {tgt.names[tgt.codes[k]]})"
             raise NumericError(f"non-finite {name} for pair {pair}")
 
 
 def _scores(records: dict) -> dict:
     """ROC and PR AUC of each score metric as a link classifier, over the
-    pairs where it is defined; both read one sort of those pairs' scores."""
-    out: dict = {}
-    for metric, sign in SCORE_METRICS.items():
-        mask = ~np.isnan(records[metric])
-        n_defined = int(mask.sum())
-        entry: dict = {"n_defined": n_defined, "n_excluded": len(mask) - n_defined}
-        groups = tie_groups(records["is_link"][mask], sign * records[metric][mask])
-        for key, fn in (("roc_auc", roc_auc), ("pr_auc", pr_auc)):
-            try:
-                entry[key] = fn(groups)
-            except EvaluationError:  # also raised when no value is defined
-                entry[key] = None
-        out[metric] = entry
-    return out
+    pairs where it is defined; both read one sort of those pairs' scores.
+    One metric's scratch is gone before the next metric's is made."""
+    return {metric: _metric_scores(records["is_link"], records[metric], sign)
+            for metric, sign in SCORE_METRICS.items()}
+
+
+def _metric_scores(is_link: np.ndarray, values: np.ndarray, sign: float) -> dict:
+    mask = ~np.isnan(values)
+    n_defined = int(mask.sum())
+    entry: dict = {"n_defined": n_defined, "n_excluded": len(mask) - n_defined}
+    # the signed scores are a masked copy that tie_groups alone holds, so it
+    # frees them once they are sorted
+    groups = tie_groups(is_link[mask], _signed(values[mask], sign))
+    del mask
+    for key, fn in (("roc_auc", roc_auc), ("pr_auc", pr_auc)):
+        try:
+            entry[key] = fn(groups)
+        except EvaluationError:  # also raised when no value is defined
+            entry[key] = None
+    return entry
+
+
+def _signed(scores: np.ndarray, sign: float) -> np.ndarray:
+    """scores times sign, in place: x * -1.0 is exact negation and x * 1.0 is x."""
+    scores *= sign
+    return scores
 
 
 def run_analysis(cfg: RunConfig) -> list[TestbedResult]:

@@ -1,17 +1,20 @@
 """Interpretive report surfaces over the per-pair records.
 
 `records`, the one per-pair table from scoring to the files, maps each
-column name to one value per candidate pair, in candidate order: ids are
-lists of str, BOOL_COLUMNS are bool arrays, and every other column is a
-float64 array with NaN exactly where its metric is undefined. `analyze`
-makes RECORD_COLUMNS (those of records.csv/.jsonl) plus `d2` and `d3`.
+column name to one value per candidate pair, in candidate order: each id
+column is an `IdColumn` (a code per row into its side's sorted ids),
+BOOL_COLUMNS are bool arrays, and every other column is a float64 array
+with NaN exactly where its metric is undefined. `analyze` makes exactly
+RECORD_COLUMNS, those of records.csv/.jsonl; nothing else it holds grows
+with the pair count.
 
 Tables and case listings are pure views of the records; emission is
 deterministic byte-for-byte given identical inputs. write_records writes
 both records files in one pass over row blocks: columns with few distinct
 values keep one text per distinct value, every other column is formatted
 block by block, so its memory follows the block and not the row count. read_records reads
-the file back line by line, a block of rows at a time. Case listings rank with stable NumPy sorts, ties in id order.
+the file back line by line, a block of rows at a time. Case listings rank with stable NumPy sorts,
+ties in id order, which is code order. Testbed means sum block by block as well.
 
 Column naming keeps both conventions from the published-table layout:
 `ci_noise` carries H_pool - H(Y) (semantically the loss) and `ci_loss`
@@ -52,6 +55,15 @@ class ReportError(ValueError):
 
 
 @dataclass(frozen=True)
+class IdColumn:
+    """A record id column: row k's id is names[codes[k]]. `names` holds the
+    side's distinct ids once, in sorted order, so code order is id order;
+    `codes` is an unsigned array of np.min_scalar_type(len(names))."""
+    codes: np.ndarray
+    names: list[str]
+
+
+@dataclass(frozen=True)
 class OrphanPolicy:
     quantile: float = 0.99
     metric: str = "mi"
@@ -73,10 +85,23 @@ class CaseListing:
     rank: int
 
 
-def _mean(records: dict, key: str) -> float | None:
-    values = records[key][~np.isnan(records[key])].tolist()
-    # left-to-right Python sum: np.mean's pairwise sum moves the last bits
-    return sum(values) / len(values) if values else None
+MEAN_BLOCK_ROWS = 8192  # rows per step of a testbed mean: 64 KiB of floats
+
+
+def _mean(column: np.ndarray, minus: np.ndarray | None = None) -> float | None:
+    """Mean of the non-NaN values of column, or of column - minus row by row,
+    read block by block. The sum runs left to right from 0, each block
+    carrying on from the last, as Python 3.11's sum() of a list adds:
+    np.mean's pairwise sum would move the last bits, and 0 + -0.0 is 0.0."""
+    total, count = 0.0, 0
+    for start in range(0, len(column), MEAN_BLOCK_ROWS):
+        rows = slice(start, start + MEAN_BLOCK_ROWS)
+        block = column[rows] if minus is None else column[rows] - minus[rows]
+        block = block[~np.isnan(block)]
+        if len(block):
+            total = float(np.cumsum(np.concatenate(([total], block)))[-1])
+            count += len(block)
+    return total / count if count else None
 
 
 def information_table(records: dict, testbed: str) -> dict:
@@ -85,14 +110,14 @@ def information_table(records: dict, testbed: str) -> dict:
     return {
         "experiment": "",
         "testbed": testbed,
-        "h_x": _mean(records, "h_x"),
-        "h_y": _mean(records, "h_y"),
-        "d1": _mean(records, "d1"),
-        "ci_noise": _mean(records, "loss"),   # H_pool - H(Y): printed noise column
-        "d2": _mean(records, "d2"),
-        "ci_loss": _mean(records, "noise"),   # H_pool - H(X): printed loss column
-        "d3": _mean(records, "d3"),
-        "mi": _mean(records, "mi"),
+        "h_x": _mean(records["h_x"]),
+        "h_y": _mean(records["h_y"]),
+        "d1": _mean(records["d1"]),
+        "ci_noise": _mean(records["loss"]),   # H_pool - H(Y): printed noise column
+        "d2": _mean(records["h_y"], records["loss"]),
+        "ci_loss": _mean(records["noise"]),   # H_pool - H(X): printed loss column
+        "d3": _mean(records["h_x"], records["noise"]),
+        "mi": _mean(records["mi"]),
         "si": summarize(records["si"]).formatted() if len(records["si"]) else "",
         "sx": summarize(records["sx"]).formatted() if len(records["sx"]) else "",
     }
@@ -112,11 +137,11 @@ def by_links_table(records: dict) -> dict[str, dict[str, SummaryStats | None]]:
 
 
 def _listing(kind: str, records: dict, column: np.ndarray, ranked: np.ndarray) -> list[CaseListing]:
-    return [
-        CaseListing(kind, records["source_id"][i], records["target_id"][i],
-                    bool(records["is_link"][i]), float(column[i]), rank)
-        for rank, i in enumerate(ranked.tolist(), start=1)
-    ]
+    src, tgt = records["source_id"], records["target_id"]
+    rows = zip(src.codes[ranked].tolist(), tgt.codes[ranked].tolist(),
+               records["is_link"][ranked].tolist(), column[ranked].tolist())
+    return [CaseListing(kind, src.names[s], tgt.names[t], link, value, rank)
+            for rank, (s, t, link, value) in enumerate(rows, start=1)]
 
 
 def _ranked(records: dict, column: np.ndarray, rows: np.ndarray, descending: bool,
@@ -124,16 +149,16 @@ def _ranked(records: dict, column: np.ndarray, rows: np.ndarray, descending: boo
     """`rows`, ascending and never NaN in `column`, by value (highest first
     when descending), ties in (source id, target id) order and then in row
     order; the first k only, when k is given. The rows that can place are
-    put in id order and then sorted by value, both by stable NumPy sorts."""
-    values = -column[rows] if descending else column[rows]
+    put in id order (code order) and then sorted by value, both by stable
+    NumPy sorts."""
+    values = column[rows]
+    if descending:
+        np.negative(values, out=values)
     if k is not None and k < len(rows):
         keep = values <= np.partition(values, k - 1)[k - 1]  # the k lowest and their ties
         rows, values = rows[keep], values[keep]
-    ranks = []
-    for ids in ([records[c][i] for i in rows.tolist()] for c in ("target_id", "source_id")):
-        rank = {v: i for i, v in enumerate(sorted(set(ids)))}
-        ranks.append(np.fromiter(map(rank.__getitem__, ids), np.intp, len(ids)))
-    by_id = np.lexsort(ranks)  # source id first; equal pairs keep row order
+    # source id first; equal pairs keep row order
+    by_id = np.lexsort([records[c].codes[rows] for c in ("target_id", "source_id")])
     return rows[by_id[np.argsort(values[by_id], kind="stable")][:k]]
 
 
@@ -193,15 +218,12 @@ def _keyed(values) -> tuple[np.ndarray, Callable[[np.ndarray], tuple[np.ndarray,
     two rows' cells are, and the function from sorted distinct keys to their
     texts in records.csv and in records.jsonl: ids quoted by csv.writer and
     by json.dumps, flags as true/false, floats by repr (as json writes them)
-    and NaN as '' in CSV and null in JSON. Floats are keyed by bit pattern,
-    so -0.0 stays apart from 0.0."""
-    if isinstance(values, list):  # ids, keyed by first appearance
-        index = {v: i for i, v in enumerate(dict.fromkeys(values))}
-        ids = list(index)
-        # the narrowest dtype: 1 or 2 bytes per row for up to 65,535 ids
-        keys = np.fromiter(map(index.__getitem__, values), np.min_scalar_type(len(ids)), len(values))
-        return keys, lambda d: (np.array([_csv_field(ids[i]) for i in d.tolist()], dtype=object),
-                                np.array([json.dumps(ids[i]) for i in d.tolist()], dtype=object))
+    and NaN as '' in CSV and null in JSON. Ids are keyed by their codes;
+    floats by bit pattern, so -0.0 stays apart from 0.0."""
+    if isinstance(values, IdColumn):
+        names = values.names
+        return values.codes, lambda d: (np.array([_csv_field(names[i]) for i in d.tolist()], dtype=object),
+                                        np.array([json.dumps(names[i]) for i in d.tolist()], dtype=object))
     if values.dtype == bool:
         return values.view(np.uint8), lambda d: (_FLAG_TEXTS[d], _FLAG_TEXTS[d])
     return values.view(np.int64), _float_texts
@@ -274,7 +296,7 @@ def write_records(records: dict, csv_path: Path, jsonl_path: Path) -> None:
     with csv_path.open("w", encoding="utf-8", newline="") as csv_fh, \
             jsonl_path.open("w", encoding="utf-8", newline="") as jsonl_fh:
         csv_fh.write(",".join(RECORD_COLUMNS) + "\n")
-        for start in range(0, len(records["source_id"]), RECORD_BLOCK_ROWS):
+        for start in range(0, len(records["is_link"]), RECORD_BLOCK_ROWS):
             block = {c: f(slice(start, start + RECORD_BLOCK_ROWS)) for c, f in cells.items()}
             csv_fh.write(_rows("", [block[c][0] for c in RECORD_COLUMNS], csv_seps))
             jsonl_fh.write(_rows(f'{{"{json_columns[0]}": ', [block[c][1] for c in json_columns], json_seps))
@@ -299,14 +321,25 @@ def _json_lines(path: Path) -> Iterator:
         raise ReportError(f"cannot read records file {path}: {exc}") from exc
 
 
+def _sorted_codes(first: dict[str, int], codes: np.ndarray) -> IdColumn:
+    """The id column whose rows have the ids of `codes`, numbered by first
+    appearance in `first`, renumbered in sorted id order."""
+    names = sorted(first)
+    renumber = np.empty(len(names), dtype=np.min_scalar_type(len(names)))
+    renumber[[first[name] for name in names]] = np.arange(len(names))
+    return IdColumn(renumber[codes], names)
+
+
 def read_records(path: Path) -> dict:
     """Read a records.jsonl written by write_records back into records; ReportError
     unless every line maps exactly RECORD_COLUMNS to values of their type. Rows
     go into the columns RECORD_BLOCK_ROWS at a time, so memory follows the
-    columns, not the file's text."""
+    columns, not the file's text. Ids are coded by first appearance as they
+    are read, then renumbered in sorted id order."""
     kind = {c: str if c in ID_COLUMNS else bool if c in BOOL_COLUMNS else float for c in RECORD_COLUMNS}
-    # ids: one str per row; other columns: one array per block, after an empty one
-    columns = {c: [] if kind[c] is str else [np.zeros(0, dtype=kind[c])] for c in RECORD_COLUMNS}
+    first: dict[str, dict[str, int]] = {c: {} for c in ID_COLUMNS}  # each side's code by first appearance
+    # one array per block, after an empty one
+    columns = {c: [np.zeros(0, dtype=np.uint32 if kind[c] is str else kind[c])] for c in RECORD_COLUMNS}
     with closing(_json_lines(path)) as rows:  # closes the file when a row is rejected
         while block := list(islice(rows, RECORD_BLOCK_ROWS)):
             for r in block:
@@ -315,10 +348,12 @@ def read_records(path: Path) -> dict:
                     raise ReportError(f"{path}: not a record of the columns {', '.join(RECORD_COLUMNS)}: {r!r}")
             for c, column in columns.items():
                 if kind[c] is str:
-                    column.extend(r[c] for r in block)
+                    codes = first[c]
+                    column.append(np.array([codes.setdefault(r[c], len(codes)) for r in block], dtype=np.uint32))
                 else:
                     column.append(np.array([r[c] for r in block], dtype=kind[c]))
-    return {c: v if kind[c] is str else np.concatenate(v) for c, v in columns.items()}
+    return {c: _sorted_codes(first[c], np.concatenate(v)) if kind[c] is str else np.concatenate(v)
+            for c, v in columns.items()}
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:

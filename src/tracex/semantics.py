@@ -1,8 +1,9 @@
 """Semantic distances between candidate pairs: EUC, COS, SCM, WMD.
 
 Word Mover's Distance uses Euclidean ground cost between token vectors and
-exact optimal transport; bags too large for the exact solver fall back to
-the relaxed lower bound with a flag. `semantic_columns` hands the exact
+exact optimal transport; bags too large for the exact solver (by cells, or
+by weight totals past its 2**53 bound) fall back to the relaxed lower
+bound with a flag. `semantic_columns` hands the exact
 pairs of a testbed to the solver together, in batches of at most
 EXACT_WMD_BATCH_CELLS padded cells: each batch's ground-cost blocks are
 written straight into the solver's padded `+inf` cost stack
@@ -25,7 +26,7 @@ import numpy as np
 from tracex.embeddings import EmbeddingMatrix
 from tracex.tokenization import TokenCounts
 # transport_cost stays a module attribute: perfbench's span tracer wraps it by name.
-from tracex.transport import stacked_transport_costs, transport_cost  # noqa: F401
+from tracex.transport import EXACT_TOTAL_LIMIT, stacked_transport_costs, transport_cost  # noqa: F401
 
 EXACT_WMD_PAIR_LIMIT = 65536  # ground-cost cells of one exact problem
 EXACT_WMD_BATCH_CELLS = 2 * EXACT_WMD_PAIR_LIMIT  # padded cells of one solver batch
@@ -87,6 +88,7 @@ class _Bag(NamedTuple):
     """An artifact's in-vocab tokens, as one side of every pair it is in."""
     rows: np.ndarray  # word-matrix rows
     weights: np.ndarray  # counts, int64
+    total: int  # sum of the counts
     vecs: np.ndarray
     unit: np.ndarray  # vecs scaled to unit length
     self_term: float  # soft-cosine self term w.S.w
@@ -103,7 +105,8 @@ def _bag(counts: TokenCounts, m: EmbeddingMatrix | None) -> _Bag | None:
     unit = _unit(vecs)
     self_term = max(1e-12, float(weights @ _term_sim(unit, rows, unit, rows) @ weights))
     w = weights.astype(np.float64)
-    return _Bag(rows, weights, vecs, unit, self_term, (w[:, None] * vecs).sum(axis=0) / w.sum())
+    return _Bag(rows, weights, int(weights.sum()), vecs, unit, self_term,
+                (w[:, None] * vecs).sum(axis=0) / w.sum())
 
 
 def _wmd_column(src: list[_Bag | None], tgt: list[_Bag | None],
@@ -112,7 +115,8 @@ def _wmd_column(src: list[_Bag | None], tgt: list[_Bag | None],
 
     NaN where a side has no bag, and where a ground cost overflows: such a
     pair is never bounded or solved. Pairs of more than EXACT_WMD_PAIR_LIMIT
-    ground-cost cells get the relaxed bound; the others are solved exactly,
+    ground-cost cells, or whose weight totals multiply past the solver's
+    EXACT_TOTAL_LIMIT, get the relaxed bound; the others are solved exactly,
     batch by batch, each batch's blocks written straight into one padded
     cost stack. wmd_pairs, when given, receives the number of pairs solved
     exactly ("exact") and bounded ("relaxed"), and of solver batches ("batches").
@@ -125,7 +129,7 @@ def _wmd_column(src: list[_Bag | None], tgt: list[_Bag | None],
         for j, b in enumerate(tgt):
             if a is None or b is None:
                 continue
-            if len(a.weights) * len(b.weights) <= EXACT_WMD_PAIR_LIMIT:
+            if len(a.weights) * len(b.weights) <= EXACT_WMD_PAIR_LIMIT and a.total * b.total <= EXACT_TOTAL_LIMIT:
                 exact.append((len(a.weights), len(b.weights), i, j))
             else:
                 cost = _ground_cost(a.vecs, b.vecs)

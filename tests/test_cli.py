@@ -471,6 +471,22 @@ def test_overflowing_vectors_are_numeric_errors(synth_manifest, tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_out_of_memory_exits_4(synth_manifest, tmp_path):
+    """An allocation past the address-space cap ends in one line and exit 4,
+    not a traceback: a 400-million-wide embedding, in a child interpreter
+    under the benchmark harness's 1.5 GiB RLIMIT_AS."""
+    cap = 3 << 29
+    code = (f"import resource, sys; resource.setrlimit(resource.RLIMIT_AS, ({cap}, {cap})); "
+            "from tracex.cli import main; sys.exit(main(sys.argv[1:]))")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "analyze", "--manifest", str(synth_manifest),
+         "--dim", "400000000", "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=120, env=dict(os.environ, OPENBLAS_NUM_THREADS="1"),
+    )
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stderr.startswith("out of memory: ") and proc.stderr.count("\n") == 1, proc.stderr
+
+
 def test_artifact_id_with_carriage_return_exit_2(synth_manifest, capsys):
     (synth_manifest.parent / "targets" / "TGT\r009.txt").write_text("alpha beta")
     assert main(["validate", str(synth_manifest)]) == 2

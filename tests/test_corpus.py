@@ -15,6 +15,7 @@ from tracex.corpus import (
     write_testbed,
 )
 from tracex.pipeline import RunConfig, analyze_testbed
+from tracex.report import RECORD_COLUMNS, IdColumn
 from tracex.tokenization import conventional_tokenize, count_tokens
 
 
@@ -91,7 +92,10 @@ def test_records_sorted_by_id_and_labeled():
     )
     result = analyze_testbed(tb, RunConfig(manifests=[], vectorizer="none"))
     records = result.records
-    assert list(zip(records["source_id"], records["target_id"], records["is_link"].tolist())) == [
+    src, tgt = records["source_id"], records["target_id"]
+    assert (src.names, tgt.names) == (["a", "b"], ["x", "y"])
+    rows = zip(src.codes.tolist(), tgt.codes.tolist(), records["is_link"].tolist())
+    assert [(src.names[s], tgt.names[t], link) for s, t, link in rows] == [
         ("a", "x", True), ("a", "y", False), ("b", "x", False), ("b", "y", False),
     ]
     assert result.run["empty_artifacts"] == {"sources": ["a"], "targets": []}
@@ -107,7 +111,28 @@ def test_records_do_not_depend_on_artifact_order(vectorizer):
     reversed_records = analyze_testbed(tb, cfg).records
     assert records.keys() == reversed_records.keys()
     for name, column in records.items():
-        assert np.asarray(column).tobytes() == np.asarray(reversed_records[name]).tobytes(), name
+        other = reversed_records[name]
+        if isinstance(column, IdColumn):
+            assert column.names == other.names, name
+            column, other = column.codes, other.codes
+        assert column.dtype == other.dtype and column.tobytes() == other.tobytes(), name
+
+
+@pytest.mark.parametrize("vectorizer", ["skipgram", "none"])
+def test_records_hold_no_per_pair_python_object(vectorizer):
+    """Every records column is a NumPy array of fixed-size values, or an
+    IdColumn whose codes are and whose names are one str per artifact."""
+    tb = generate_synthetic(3, 5, 4, 0.6)
+    records = analyze_testbed(tb, RunConfig(manifests=[], vectorizer=vectorizer, dim=4, epochs=1)).records
+    assert set(records) == set(RECORD_COLUMNS)
+    for name, column in records.items():
+        if isinstance(column, IdColumn):
+            artifacts = tb.sources if name == "source_id" else tb.targets
+            assert column.names == sorted(a.id for a in artifacts), name
+            assert column.codes.dtype == np.uint8, name
+            column = column.codes
+        assert isinstance(column, np.ndarray) and column.dtype != object, name
+        assert column.shape == (20,), name
 
 
 def test_empty_artifacts_in_id_order(tmp_path, capsys):

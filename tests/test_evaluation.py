@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -90,6 +92,16 @@ def trapezoid_pr_auc(labels, scores):
 def test_pr_auc_heavy_ties_equals_threshold_sweep(pairs):
     labels, scores = zip(*pairs)
     assert pr_auc(tie_groups(labels, scores)) == pytest.approx(trapezoid_pr_auc(labels, scores), abs=1e-12)
+
+
+@given(tied_case, st.sampled_from([1, 2, 3, 4096]))
+def test_pr_auc_bits_equal_the_sweep_in_blocks_of_any_size(pairs, block):
+    """The curve walked block by block adds the sweep's trapezoids in the
+    sweep's order, so the bits are the plain loop's."""
+    labels, scores = zip(*pairs)
+    with mock.patch("tracex.evaluation.AREA_BLOCK", block):
+        got = pr_auc(tie_groups(labels, scores))
+    assert got.hex() == trapezoid_pr_auc(labels, scores).hex()
 
 
 def test_pr_auc_perfect_ranking():

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from tracex.infotheory import InfoRecord, counts_entropy, info_columns, info_record
 from tracex.pipeline import NumericError, _check_finite
+from tracex.report import IdColumn
 from tracex.tokenization import TokenCounts, count_tokens
 
 import oracles
@@ -180,12 +181,19 @@ bag_strategy = st.dictionaries(
 
 
 def assert_columns_match_records(src, tgt):
+    """info_columns against the reference, pair by pair; d2 and d3, which
+    info_columns leaves to its readers, through info_record."""
     values, masks, null_shared = info_columns(src, tgt)
-    assert set(values) == set(masks) == {f.name for f in fields(InfoRecord)} - {"null_shared"}
+    assert set(values) == set(masks) == {f.name for f in fields(InfoRecord)} - {"null_shared", "d2", "d3"}
     for i, a in enumerate(src):
         for j, b in enumerate(tgt):
             rec = oracles.info_record(a, b)
             assert bool(null_shared[i, j]) == rec.null_shared
+            got_record = info_record(a, b)
+            for name in ("d2", "d3"):
+                expected, got = getattr(rec, name), getattr(got_record, name)
+                assert (got is None) == (expected is None), name
+                assert got is None or abs(got - expected) <= 1e-12, (name, got, expected)
             for name in values:
                 expected = getattr(rec, name)
                 got = values[name][i, j]
@@ -220,7 +228,8 @@ def test_info_columns_degenerate_bags():
 
 def test_check_finite_only_over_defined_entries():
     values, masks, _ = info_columns([TokenCounts({}), A], [B])
-    records = {"source_id": ["s0", "s1"], "target_id": ["t0", "t0"]}
+    records = {"source_id": IdColumn(np.array([0, 1], dtype=np.uint8), ["s0", "s1"]),
+               "target_id": IdColumn(np.array([0, 0], dtype=np.uint8), ["t0"])}
     records.update((name, v.ravel()) for name, v in values.items())
     masks = {name: m.ravel() for name, m in masks.items()}
     assert math.isnan(records["mi"][0]) and not masks["mi"][0]

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from tracex.cli import main
 from tracex.corpus import ConfigError, load_testbed
+from tracex.embeddings import EmbeddingMatrix
 from tracex.pipeline import RunConfig, analyze_testbed
 from tracex.report import (
     BOOL_COLUMNS,
@@ -25,6 +26,7 @@ from tracex.report import (
     RECORD_COLUMNS,
     TABLE_REPEATS,
     CaseListing,
+    IdColumn,
     OrphanPolicy,
     ReportError,
     by_links_table,
@@ -44,7 +46,7 @@ def row(src, tgt, is_link, **overrides):
         "source_id": src, "target_id": tgt, "is_link": is_link,
         "h_x": 2.0, "h_y": 3.0, "h_pool": 4.0, "mi": 1.0,
         "loss": 1.0, "noise": 2.0, "si": 0.5, "sx": 0.4,
-        "d1": 1.0, "d2": 2.0, "d3": 0.0, "null_shared": False,
+        "d1": 1.0, "null_shared": False,
         "wmd": 1.0, "scm": 0.3, "cos": 0.2, "euc": 0.5,
         "wmd_sim": 0.5, "cos_sim": 0.83, "wmd_relaxed": False,
     }
@@ -52,10 +54,22 @@ def row(src, tgt, is_link, **overrides):
     return base
 
 
+def id_column(ids: list[str]) -> IdColumn:
+    """The IdColumn of one id per row: codes into the sorted distinct ids."""
+    names = sorted(set(ids))
+    code = {name: k for k, name in enumerate(names)}
+    return IdColumn(np.array([code[i] for i in ids], dtype=np.min_scalar_type(len(names))), names)
+
+
+def row_ids(column: IdColumn) -> list[str]:
+    """An IdColumn's id of each row."""
+    return [column.names[k] for k in column.codes.tolist()]
+
+
 def records(*rows, columns=None):
     """The records table (layout in tracex.report) of row() dicts, None as NaN."""
     return {
-        c: [r[c] for r in rows] if c in ID_COLUMNS
+        c: id_column([r[c] for r in rows]) if c in ID_COLUMNS
         else np.array([r[c] for r in rows], dtype=bool if c in BOOL_COLUMNS else np.float64)
         for c in columns or row("", "", False)
     }
@@ -77,6 +91,21 @@ def test_information_table_zero_loss_noise_for_identical_pairs():
     table = information_table(records(row("a", "x", True, loss=0.0, noise=0.0)), "tb")
     assert table["ci_noise"] == 0.0
     assert table["ci_loss"] == 0.0
+
+
+@pytest.mark.parametrize("block_rows", [1, 4, 8192])
+def test_information_table_means_add_left_to_right_from_zero(block_rows):
+    """The means add left to right from 0, block by block, on any Python:
+    3.12's sum() compensates and makes this h_x 2/13, 3.11's makes it 0."""
+    values = [0.1] * 10 + [1e16, 1.0, -1e16]
+    recs = records(*(row("a", f"t{i:02d}", False, h_x=v, h_y=-0.0, loss=0.0, noise=-v)
+                     for i, v in enumerate(values)))
+    with mock.patch("tracex.report.MEAN_BLOCK_ROWS", block_rows):
+        table = information_table(recs, "tb")
+    assert table["h_x"] == 0.0
+    assert repr(table["h_y"]) == "0.0"  # 0 + -0.0, as sum() starts
+    assert table["d2"] == 0.0  # h_y - loss, row by row
+    assert table["d3"] == 0.0  # h_x - noise = 2 h_x: 0.2 ten times, then 2e16, 2.0, -2e16
 
 
 def test_by_links_column_set():
@@ -117,7 +146,7 @@ def test_extreme_cases_tie_break_by_id():
 def _extreme_reference(recs, metric, k):
     """extreme_cases by full sorts: defined rows in id order, then stable sorts."""
     values = recs[metric].tolist()
-    src, tgt = recs["source_id"], recs["target_id"]
+    src, tgt = row_ids(recs["source_id"]), row_ids(recs["target_id"])
     by_id = sorted((i for i, v in enumerate(values) if not math.isnan(v)), key=lambda i: (src[i], tgt[i]))
     ranked = {"max": sorted(by_id, key=lambda i: -values[i])[:k],
               "min": sorted(by_id, key=lambda i: values[i])[:k]}
@@ -143,7 +172,7 @@ def test_extreme_cases_match_full_sorts(data):
 def _orphans_reference(recs, policy):
     """detect_orphans by sorted() over (-value, source id, target id) keys."""
     values, is_link = recs[policy.metric].tolist(), recs["is_link"].tolist()
-    src, tgt = recs["source_id"], recs["target_id"]
+    src, tgt = row_ids(recs["source_id"]), row_ids(recs["target_id"])
     links = sorted(v for v, link in zip(values, is_link) if link and not math.isnan(v))
     if not links:
         return []
@@ -279,7 +308,10 @@ def test_records_round_trip(tmp_path_factory, rows, tricky_id):
     assert list(got) == RECORD_COLUMNS
     for c in RECORD_COLUMNS:
         if c in ID_COLUMNS:
-            assert got[c] == recs[c], c
+            # codes in sorted id order, of the narrowest dtype
+            assert got[c].names == recs[c].names, c
+            assert got[c].codes.dtype == recs[c].codes.dtype, c
+            assert got[c].codes.tolist() == recs[c].codes.tolist(), c
         else:
             assert got[c].dtype == recs[c].dtype, c
             # NaN equals NaN; repr tells -0.0 from 0.0
@@ -304,8 +336,8 @@ def test_records_jsonl_lines_are_canonical_json(tmp_path_factory, rows):
 def _cell_texts(values) -> list[str]:
     """A record column's CSV cells, formatted value by value: ids as they
     are, true/false, float repr and '' for NaN."""
-    if isinstance(values, list):
-        return values
+    if isinstance(values, IdColumn):
+        return row_ids(values)
     if values.dtype == bool:
         return ["true" if v else "false" for v in values.tolist()]
     return ["" if math.isnan(v) else repr(v) for v in values.tolist()]
@@ -332,7 +364,7 @@ def repetitive_records(draw):
     column = {c: st.sampled_from(id_pool) if c in ID_COLUMNS else st.booleans() if c in BOOL_COLUMNS
               else st.sampled_from(float_pool) for c in RECORD_COLUMNS}
     cells = {c: draw(st.lists(column[c], min_size=n, max_size=n)) for c in RECORD_COLUMNS}
-    return {c: v if c in ID_COLUMNS else np.array(v, dtype=bool if c in BOOL_COLUMNS else np.float64)
+    return {c: id_column(v) if c in ID_COLUMNS else np.array(v, dtype=bool if c in BOOL_COLUMNS else np.float64)
             for c, v in cells.items()}
 
 
@@ -358,8 +390,8 @@ def mixed_records(draw, n: int):
     pool = pool[np.unique(pool.view(np.int64), return_index=True)[1]]  # distinct bit patterns
     pool = rng.permutation(pool)
     repeats = min(n, max(n // TABLE_REPEATS, 1))
-    ids = draw(st.lists(st.one_of(tricky_ids, st.just("a\rb")), min_size=1, max_size=4))
-    recs = {c: [ids[i] for i in rng.integers(0, len(ids), n)] for c in ID_COLUMNS}
+    names = draw(st.lists(st.one_of(tricky_ids, st.just("a\rb")), min_size=1, max_size=4))
+    recs = {c: id_column([names[i] for i in rng.integers(0, len(names), n)]) for c in ID_COLUMNS}
     for c in RECORD_COLUMNS:
         if c in BOOL_COLUMNS:
             recs[c] = rng.random(n) < 0.5
@@ -386,7 +418,7 @@ def test_records_bytes_match_cell_by_cell_reference(tmp_path_factory, data, bloc
     writer.writerow(RECORD_COLUMNS)
     writer.writerows(zip(*(_cell_texts(recs[c]) for c in RECORD_COLUMNS)))
     assert (out / "records.csv").read_bytes() == buf.getvalue().encode("utf-8")
-    values = [recs[c] if c in ID_COLUMNS else recs[c].tolist() for c in RECORD_COLUMNS]
+    values = [row_ids(recs[c]) if c in ID_COLUMNS else recs[c].tolist() for c in RECORD_COLUMNS]
     rows = [{c: None if type(v) is float and math.isnan(v) else v for c, v in zip(RECORD_COLUMNS, r)}
             for r in zip(*values)]
     expected = "".join(json.dumps(r, sort_keys=True) + "\n" for r in rows)
@@ -398,8 +430,8 @@ def _distinct_floats_records(n_sources: int, n_targets: int) -> dict:
     rng = np.random.default_rng(n_sources)
     n = n_sources * n_targets
     return {
-        "source_id": [f"S{i:04d}" for i in range(n_sources) for _ in range(n_targets)],
-        "target_id": [f"T{j:04d}" for _ in range(n_sources) for j in range(n_targets)],
+        "source_id": id_column([f"S{i:04d}" for i in range(n_sources) for _ in range(n_targets)]),
+        "target_id": id_column([f"T{j:04d}" for _ in range(n_sources) for j in range(n_targets)]),
         **{c: rng.random(n) < 0.1 for c in BOOL_COLUMNS},
         **{c: rng.standard_normal(n) for c in RECORD_COLUMNS if c not in ID_COLUMNS + BOOL_COLUMNS},
     }
@@ -440,12 +472,32 @@ def test_read_records_memory_follows_the_columns(tmp_path):
     assert peak <= 3 * size, (peak, size)
 
 
+def test_report_views_memory_follows_a_few_columns():
+    """information_table, extreme_cases and detect_orphans over a 150x150
+    table hold a few float columns' worth at most: no Python float per pair."""
+    recs = _distinct_floats_records(150, 150)
+    column = recs["mi"].nbytes
+    views = {"information_table": lambda: information_table(recs, "tb"),
+             "extreme_cases": lambda: extreme_cases(recs, "loss") + extreme_cases(recs, "noise"),
+             "detect_orphans": lambda: detect_orphans(recs, OrphanPolicy())}
+    for name, view in views.items():
+        view()  # first call: lazy imports and caches
+        tracemalloc.start()
+        try:
+            view()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * column, (name, peak / column)
+
+
 def _table_bytes(records: dict) -> int:
     """Bytes the records table holds: each distinct array buffer once, and
-    the id lists' pointers (the id strings are the artifacts' own)."""
-    buffers = {id(v if v.base is None else v.base): v.nbytes
-               for v in records.values() if isinstance(v, np.ndarray)}
-    return sum(buffers.values()) + sum(sys.getsizeof(v) for v in records.values() if isinstance(v, list))
+    each id column's codes and its list of names (the id strings are the
+    artifacts' own)."""
+    arrays = [v.codes if isinstance(v, IdColumn) else v for v in records.values()]
+    buffers = {id(v if v.base is None else v.base): v.nbytes for v in arrays}
+    return sum(buffers.values()) + sum(sys.getsizeof(v.names) for v in records.values() if isinstance(v, IdColumn))
 
 
 def test_scoring_memory_follows_the_records_table(tmp_path, monkeypatch):
@@ -470,19 +522,33 @@ def test_scoring_memory_follows_the_records_table(tmp_path, monkeypatch):
     assert peak <= 1.8 * _table_bytes(result.records), (peak, _table_bytes(result.records))
 
 
+PINNED_FILES = ("records.csv", "records.jsonl", "cases.jsonl", "information.csv", "by_links.csv",
+                "correlations.csv", "evaluation.json", "scatter_loss.svg", "scatter_noise.svg")
+
+
+def _analyze_digests(manifest: Path, out: Path, *args: str) -> tuple[dict[str, str], str]:
+    """Run analyze on one testbed; the sha256 of each report file, and of
+    run.json's testbeds entry (run.json's config holds the run's own paths)."""
+    assert main(["analyze", "--manifest", str(manifest), "--out", str(out), *args]) == 0
+    (report_dir,) = (out / "reports").iterdir()
+    digests = {name: hashlib.sha256((report_dir / name).read_bytes()).hexdigest() for name in PINNED_FILES}
+    testbeds = json.loads((out / "run.json").read_text(encoding="utf-8"))["testbeds"]
+    return digests, hashlib.sha256(json.dumps(testbeds, sort_keys=True).encode("utf-8")).hexdigest()
+
+
+def _synth_manifest(tmp_path: Path, seed: int, sources: int, targets: int, overlap: float) -> Path:
+    assert main(["synth", "--seed", str(seed), "--sources", str(sources), "--targets", str(targets),
+                 "--overlap", str(overlap), "--out", str(tmp_path / "tb")]) == 0
+    return tmp_path / "tb" / "manifest.json"
+
+
+# The pins below fix the exact report files of each analyze path. A change to
+# how records are computed or written moves a pin; such a change must say why.
+
 def test_records_bytes_pinned(tmp_path):
-    """Exact report files and run.json testbed entry of a fixed synthetic
-    testbed under --vectorizer none. A change to how records are computed or
-    written moves this pin; such a change must say why."""
-    assert main(["synth", "--seed", "7", "--sources", "12", "--targets", "10",
-                 "--overlap", "0.6", "--out", str(tmp_path / "tb")]) == 0
-    assert main(["analyze", "--manifest", str(tmp_path / "tb" / "manifest.json"),
-                 "--vectorizer", "none", "--out", str(tmp_path / "out")]) == 0
-    report_dir = tmp_path / "out" / "reports" / "synthetic-7"
-    digests = {name: hashlib.sha256((report_dir / name).read_bytes()).hexdigest()
-               for name in ("records.csv", "records.jsonl", "cases.jsonl", "information.csv",
-                            "by_links.csv", "correlations.csv", "evaluation.json",
-                            "scatter_loss.svg", "scatter_noise.svg")}
+    """A fixed synthetic testbed under --vectorizer none."""
+    manifest = _synth_manifest(tmp_path, 7, 12, 10, 0.6)
+    digests, testbeds = _analyze_digests(manifest, tmp_path / "out", "--vectorizer", "none")
     assert digests == {
         "records.csv": "0ce523832f2aec21d07d70c10a75b364e02f1ca1c87526a392e82ab5830a7e96",
         "records.jsonl": "f09d1de8ca779644621651008c4f49eb66b7ce9dfc3a064f6a346b09c53ad215",
@@ -494,11 +560,80 @@ def test_records_bytes_pinned(tmp_path):
         "scatter_loss.svg": "cbc141843b6761a1989d9daea8cc6f8327db737a1a3db3d349fe44615460679b",
         "scatter_noise.svg": "eaa3a2eb23402812d777e508750140f5b1f4df354953527299396cc60b108566",
     }
-    # run.json's config holds the run's own paths; its testbeds part does not
-    testbeds = json.loads((tmp_path / "out" / "run.json").read_text(encoding="utf-8"))["testbeds"]
-    assert hashlib.sha256(json.dumps(testbeds, sort_keys=True).encode("utf-8")).hexdigest() == (
-        "0739c20e18b5257a1dde032968b0f8f8a827260679b2019becb4293e6b6d4cec"
-    )
+    assert testbeds == "0739c20e18b5257a1dde032968b0f8f8a827260679b2019becb4293e6b6d4cec"
+
+
+def test_skipgram_tree_pinned(tmp_path):
+    """The same testbed with trained skip-gram vectors: exact WMD, SCM,
+    COS/EUC over mean word vectors, and the epoch losses in run.json."""
+    manifest = _synth_manifest(tmp_path, 7, 12, 10, 0.6)
+    digests, testbeds = _analyze_digests(manifest, tmp_path / "out", "--dim", "8", "--epochs", "3",
+                                         "--seed", "3")
+    assert digests == {
+        "records.csv": "62a6306714a58d99edf34bcfd4fe3cefe1a0ea9127d4f7f76a96bbe8d5d2b253",
+        "records.jsonl": "bec3da46ff4cd3476ac1e928fa2053356ddf072ca9b8e30a33060304490b0b12",
+        "cases.jsonl": "bcc332bf5679f08b8646df51233c2e1b6c920253034acaf1435edeb9b3bab1af",
+        "information.csv": "55ce352b07fdc4708e3042eb78d90964e0ec7a70ac9cea209699bfeccfb4f6f5",
+        "by_links.csv": "690463556f4841029d38dc25f8036ed710412fc24fce8dbe653726eec91d069a",
+        "correlations.csv": "8670bca5e89d4b0267986efe9ac85375771e8e7a814d4c62a58d142d7eb25727",
+        "evaluation.json": "6dae919f284dc1dfa3b64c67923c8b765c297f548b35e40f08f86c74a391ccde",
+        "scatter_loss.svg": "4574c10b235a3440091b7075373b279b7f0ecaccc5bf807083aa4c550802037c",
+        "scatter_noise.svg": "4fe60f1ef62b7cb0453d7b38a75842e9cf98c4c50be5311839a7ca5efd6110d3",
+    }
+    assert testbeds == "6a622dee00fc38116758893e2f7065e8cd0451f4692eb0e7b487fb8a7e0b082c"
+
+
+def test_bpe_pvdbow_tree_pinned(tmp_path):
+    """BPE tokens trained on the testbed (bpe8k) and PV-DBOW document vectors."""
+    manifest = _synth_manifest(tmp_path, 9, 6, 6, 0.7)
+    digests, testbeds = _analyze_digests(manifest, tmp_path / "out", "--preproc", "bpe8k",
+                                         "--vectorizer", "pvdbow", "--dim", "8", "--epochs", "3",
+                                         "--seed", "3")
+    assert digests == {
+        "records.csv": "dc122115ac6c67ae71db3acbd9f38e92b8d46028d02d1c81f003131cb13e1ee7",
+        "records.jsonl": "6816f913dafbda11990e95aea2ada0ee52a5273c82546d30762a2e0058cd9005",
+        "cases.jsonl": "07393541fd41ef073e9af4c168ed82ed3f1bb4be21db67575caefef9b6d9b47b",
+        "information.csv": "de38764f98c38c9f08398215ee6de6148389834a08f18f1e3c2df8a6bd4c5f45",
+        "by_links.csv": "1d1b4283a9df13e8638e1f530b8ebfa8915ce00a82e8e0db301ef7bbfd9c626e",
+        "correlations.csv": "8e0fa70b38e6a5e1b2852789f1d5ab22bf9db14c85d80905c08e318bd2c3e15d",
+        "evaluation.json": "9b2d8106b15807625f7c15b36c3557aba7e67492040be06c39d844785e128f26",
+        "scatter_loss.svg": "8ead8e2927b7437b52db93c0eeee1464b66f7371b53ff86b3872c950dcad67c2",
+        "scatter_noise.svg": "9f6bd3b0a87f1c18aba0f7aacfface2a058485ec7aaa7fd44b972c180a190a83",
+    }
+    assert testbeds == "ae06881357daa317cca1dddff5a5c64613cfef0172c92cd5e2dcbc519314c0dd"
+
+
+def test_given_vectors_tree_pinned(tmp_path):
+    """Seeded word vectors (--embeddings) on bags that take every WMD branch:
+    an empty source, a target with no in-vocab token, one pair of 257 x 256
+    in-vocab tokens past the exact limit (wmd_relaxed), and exact pairs."""
+    words = [a + b + c for a in "abcdefg" for b in "abcdefg" for c in "abcdefg"]
+    tb = tmp_path / "tb"
+    for side, files in (("src", {"big": " ".join(words[:257]), "small": "aaa aab aab", "empty": ""}),
+                        ("tgt", {"big": " ".join(words[1:257]), "tiny": "aac aaa", "oov": "qqq rrrr"})):
+        (tb / side).mkdir(parents=True)
+        for name, text in files.items():
+            (tb / side / f"{name}.txt").write_text(text)
+    (tb / "oracle.txt").write_text("big big\nsmall tiny\n")
+    (tb / "manifest.json").write_text(json.dumps({
+        "name": "bags", "source_dir": "src", "target_dir": "tgt", "oracle_file": "oracle.txt",
+    }))
+    vectors = np.random.default_rng(4).normal(size=(len(words), 3))
+    EmbeddingMatrix(vocab=words, vectors=vectors).save(tmp_path / "vecs.txt")
+    digests, testbeds = _analyze_digests(tb / "manifest.json", tmp_path / "out",
+                                         "--embeddings", str(tmp_path / "vecs.txt"))
+    assert digests == {
+        "records.csv": "8531d6f89850e8d993c616313db572fc47839be223e23a166b00c2def0fc95d2",
+        "records.jsonl": "c912b4d57a96bf785944fb9bcb16d5895432b457c021eb22f9c76172285ec0b9",
+        "cases.jsonl": "f1af06ee8b0f7b2a712a685d5f020bdf342786a81ff5880aeed5d0987ae1bedc",
+        "information.csv": "ab376c098dc71cc1a8e79000de451d0c23840fddc4262c1d12894bebaf89245a",
+        "by_links.csv": "f75232fc4ad641d076038487f5f6b0a308730585602d89b61234665c7958b743",
+        "correlations.csv": "b64c04f5f3152fbd85f175f373bd112fba46d21e2fde9090fe2bdbfc3826374a",
+        "evaluation.json": "4081a9b002d526d0b3217caefeeffa37ba138466165841b9f055e4114349f3c8",
+        "scatter_loss.svg": "ec0dcd21f326245c4046d97ae114cb6ee0c642ae50bc4e389c2729ca4507d173",
+        "scatter_noise.svg": "3e33902fdcd11c1fe49fac780d8ac8e64186ca00ac43e7de8ab798bba6b4e089",
+    }
+    assert testbeds == "648a1944c18858a30ed0c928ea5cea100bd7831e8f5bfbf189d99c9765c52e69"
 
 
 VALID = {c: row("a", "x", True)[c] for c in RECORD_COLUMNS}

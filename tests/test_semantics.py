@@ -223,6 +223,23 @@ def test_semantic_columns_without_vectors_are_undefined():
     assert wmd_pairs == {"batches": 0, "exact": 0, "relaxed": 0}
 
 
+def test_weight_totals_past_the_exact_bound_get_the_relaxed_bound():
+    """A pair whose weight totals multiply past 2**53 is bounded and flagged,
+    as a pair of too many cells is; the pair beside it is still solved."""
+    m = matrix(a=[0.0, 0.0], b=[1.0, 0.0], c=[0.0, 2.0])
+    src = [TokenCounts({"a": 10**8, "b": 1}), TokenCounts({"a": 1, "b": 1})]
+    tgt = [TokenCounts({"a": 10**8, "c": 3})]
+    wmd_pairs: dict = {}
+    values, masks, relaxed = semantic_columns(src, tgt, m, None, wmd_pairs)
+    assert relaxed.tolist() == [[True], [False]]
+    assert wmd_pairs == {"exact": 1, "relaxed": 1, "batches": 1}
+    weights = [np.array([10**8, 1]), np.array([10**8, 3])]
+    cost = np.array([[0.0, 2.0], [1.0, np.sqrt(5.0)]])
+    assert values["wmd"][0, 0] == relaxed_wmd(*weights, cost)
+    assert values["wmd"][1, 0] == wmd(src[1], tgt[0], m)[0]
+    assert masks["wmd"].all()
+
+
 def test_semantic_columns_overflow_is_defined_and_not_finite():
     m = matrix(x=[1e200, -1e200], y=[-1e200, 1e200])
     big = [np.array([1e200, -1e200])]
