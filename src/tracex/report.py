@@ -10,11 +10,14 @@ with the pair count.
 
 Tables and case listings are pure views of the records; emission is
 deterministic byte-for-byte given identical inputs. write_records writes
-both records files in one pass over row blocks: columns with few distinct
-values keep one text per distinct value, every other column is formatted
-block by block, so its memory follows the block and not the row count. read_records reads
+both records files in one pass over row blocks: a column that holds one
+cell on every row is folded into the line templates once; ids, flags and
+floats with few distinct values keep one text per distinct value; the
+distinct-heavy float columns are formatted row by row, block by block, so
+their memory follows the block and not the row count. read_records reads
 the file back line by line, a block of rows at a time. Case listings rank with stable NumPy sorts,
-ties in id order, which is code order. Testbed means sum block by block as well.
+ties in id order, which is code order; a top-k listing holds one copy of
+its column. Testbed means sum block by block as well.
 
 Column naming keeps both conventions from the published-table layout:
 `ci_noise` carries H_pool - H(Y) (semantically the loss) and `ci_loss`
@@ -144,19 +147,26 @@ def _listing(kind: str, records: dict, column: np.ndarray, ranked: np.ndarray) -
             for rank, (s, t, link, value) in enumerate(rows, start=1)]
 
 
-def _ranked(records: dict, column: np.ndarray, rows: np.ndarray, descending: bool,
+def _ranked(records: dict, column: np.ndarray, selected: np.ndarray, descending: bool,
             k: int | None = None) -> np.ndarray:
-    """`rows`, ascending and never NaN in `column`, by value (highest first
-    when descending), ties in (source id, target id) order and then in row
-    order; the first k only, when k is given. The rows that can place are
-    put in id order (code order) and then sorted by value, both by stable
-    NumPy sorts."""
+    """The rows of the bool mask `selected`, never NaN in `column`, by value
+    (highest first when descending), ties in (source id, target id) order
+    and then in row order; the first k only, when k is given. The rows that
+    can place are put in id order (code order) and then sorted by value, both
+    by stable NumPy sorts. Beyond the rows that can place, this holds one
+    copy of the selected values."""
+    if k is not None and k < np.count_nonzero(selected):
+        values = column[selected]
+        if descending:
+            np.negative(values, out=values)
+        values.partition(k - 1)
+        threshold = values[k - 1]
+        # the k lowest and their ties, from the column itself: negation is exact
+        selected = selected & (column >= -threshold if descending else column <= threshold)
+    rows = np.flatnonzero(selected)
     values = column[rows]
     if descending:
         np.negative(values, out=values)
-    if k is not None and k < len(rows):
-        keep = values <= np.partition(values, k - 1)[k - 1]  # the k lowest and their ties
-        rows, values = rows[keep], values[keep]
     # source id first; equal pairs keep row order
     by_id = np.lexsort([records[c].codes[rows] for c in ("target_id", "source_id")])
     return rows[by_id[np.argsort(values[by_id], kind="stable")][:k]]
@@ -169,7 +179,7 @@ def extreme_cases(records: dict, metric: str, k: int = 5) -> list[CaseListing]:
     if k < 1:
         raise ReportError("k must be >= 1")
     column = records[metric]
-    defined = np.flatnonzero(~np.isnan(column))
+    defined = ~np.isnan(column)
     return (_listing(f"max_{metric}", records, column, _ranked(records, column, defined, True, k))
             + _listing(f"min_{metric}", records, column, _ranked(records, column, defined, False, k)))
 
@@ -195,7 +205,7 @@ def detect_orphans(records: dict, policy: OrphanPolicy = OrphanPolicy()) -> list
     if not link_values:
         return []
     threshold = _quantile(link_values, policy.quantile)
-    hits = np.flatnonzero(~is_link & (column >= threshold))
+    hits = ~is_link & (column >= threshold)
     return _listing("orphan_link", records, column, _ranked(records, column, hits, True))
 
 
@@ -208,38 +218,12 @@ def null_shared_census(records: dict) -> dict[str, int]:
 
 
 RECORD_BLOCK_ROWS = 512  # rows per write; a block's text is a few hundred KB
-# A column whose values recur this often on average keeps one text table: it
-# holds at most rows / 8 texts, where texts per block would repeat repr calls.
+# A float column whose values recur this often on average keeps one text
+# table: it holds at most rows / 8 texts, and formatting it row by row
+# instead would repeat each repr call 8 times or more.
 TABLE_REPEATS = 8
 
-
-def _keyed(values) -> tuple[np.ndarray, Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]]:
-    """A record column as integer keys, one per row and equal exactly where
-    two rows' cells are, and the function from sorted distinct keys to their
-    texts in records.csv and in records.jsonl: ids quoted by csv.writer and
-    by json.dumps, flags as true/false, floats by repr (as json writes them)
-    and NaN as '' in CSV and null in JSON. Ids are keyed by their codes;
-    floats by bit pattern, so -0.0 stays apart from 0.0."""
-    if isinstance(values, IdColumn):
-        names = values.names
-        return values.codes, lambda d: (np.array([_csv_field(names[i]) for i in d.tolist()], dtype=object),
-                                        np.array([json.dumps(names[i]) for i in d.tolist()], dtype=object))
-    if values.dtype == bool:
-        return values.view(np.uint8), lambda d: (_FLAG_TEXTS[d], _FLAG_TEXTS[d])
-    return values.view(np.int64), _float_texts
-
-
 _FLAG_TEXTS = np.array(["false", "true"], dtype=object)
-
-
-def _float_texts(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Float bit patterns as repr, NaN patched to '' (CSV) and null (JSON)."""
-    values = bits.view(np.float64)
-    csv_texts = np.array(list(map(repr, values.tolist())), dtype=object)
-    json_texts = csv_texts.copy()
-    nan = np.isnan(values)
-    csv_texts[nan], json_texts[nan] = "", "null"
-    return csv_texts, json_texts
 
 
 def _csv_field(value: str) -> str:
@@ -249,33 +233,84 @@ def _csv_field(value: str) -> str:
     return buf.getvalue()[:-2]
 
 
-def _block_cells(values) -> Callable[[slice], list[list[str]]]:
-    """The function from a block of rows to a record column's cells in
-    records.csv and in records.jsonl. A column whose rows repeat their values
-    at least TABLE_REPEATS times on average formats each distinct value once
-    for the whole column; any other column formats the distinct values of
-    each block, so its texts take memory by the block, not by the column."""
-    keys, texts = _keyed(values)
-    distinct = np.sort(keys)
-    first = np.ones(len(keys), dtype=bool)
-    first[1:] = distinct[1:] != distinct[:-1]
-    distinct = distinct[first]  # np.unique hashes: 20-30 times slower on distinct floats
-    if len(distinct) * TABLE_REPEATS > len(keys):
-        def by_block(block: slice) -> list[list[str]]:
-            block_distinct, at = np.unique(keys[block], return_inverse=True)
-            return [t[at].tolist() for t in texts(block_distinct)]
-        return by_block
-    tables = texts(distinct)
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """The distinct keys, sorted. np.unique hashes: 20-30 times slower on
+    distinct floats."""
+    ordered = np.sort(keys)
+    first = np.ones(len(ordered), dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    return ordered[first]
 
-    def by_table(block: slice) -> list[list[str]]:
+
+def _column_cells(values) -> tuple[str, str] | Callable[[slice], tuple[list[str], list[str]]]:
+    """A record column's cells in records.csv and in records.jsonl: ids
+    quoted by csv.writer and by json.dumps, flags as true/false, floats by
+    repr and NaN as '' in CSV and null in JSON. A column whose rows all hold
+    one cell gives that cell's (CSV, JSON) texts; any other column gives the
+    function from a block of rows to its cells. Ids, flags, and floats that
+    repeat at least TABLE_REPEATS times on average keep one text per distinct
+    value for the whole column; other floats are formatted row by row, so
+    their texts take memory by the block, not by the column. Ids are keyed by
+    their codes; floats by bit pattern, so -0.0 stays apart from 0.0."""
+    if isinstance(values, IdColumn):
+        keys, names = values.codes, values.names
+        distinct = _distinct(keys)
+        tables = (np.array([_csv_field(names[i]) for i in distinct.tolist()], dtype=object),
+                  np.array([json.dumps(names[i]) for i in distinct.tolist()], dtype=object))
+    elif values.dtype == bool:
+        keys = values.view(np.uint8)
+        distinct = _distinct(keys)
+        tables = (_FLAG_TEXTS[distinct], _FLAG_TEXTS[distinct])
+    else:
+        keys = values.view(np.int64)
+        distinct = _distinct(keys)
+        if len(distinct) > 1 and len(distinct) * TABLE_REPEATS > len(keys):
+            return lambda block: _float_cells(values[block])
+        tables = tuple(np.array(t, dtype=object) for t in _float_cells(distinct.view(np.float64)))
+    if len(distinct) == 1:
+        return tables[0][0], tables[1][0]
+
+    def by_table(block: slice) -> tuple[list[str], list[str]]:
         at = np.searchsorted(distinct, keys[block])
-        return [t[at].tolist() for t in tables]
+        return tables[0][at].tolist(), tables[1][at].tolist()
     return by_table
 
 
-def _rows(head: str, columns: list[list[str]], seps: list[str]) -> str:
-    """Lines of `head`, then each column's cell followed by its separator."""
-    parts = [repeat(head), *(p for cells, sep in zip(columns, seps) for p in (cells, repeat(sep)))]
+def _float_cells(values: np.ndarray) -> tuple[list[str], list[str]]:
+    """Floats as CSV and JSON cells: repr (as json writes them), NaN as ''
+    and null. The two lists are one list unless a value is NaN."""
+    texts = list(map(repr, values.tolist()))
+    nan = np.flatnonzero(np.isnan(values)).tolist()
+    if not nan:
+        return texts, texts
+    json_texts = texts.copy()
+    for i in nan:
+        texts[i], json_texts[i] = "", "null"
+    return texts, json_texts
+
+
+def _line_template(head: str, columns: list[str], seps: list[str], cells: dict,
+                   side: int) -> tuple[list[str], list[str]]:
+    """A line as constant texts and the columns whose cells vary between
+    them: line = texts[0] + cell of columns[0] + texts[1] + ... + texts[-1].
+    A constant column's cell (its `side` text: 0 CSV, 1 JSON) and separator
+    join the text before it."""
+    texts, varying = [head], []
+    for c, sep in zip(columns, seps):
+        if isinstance(cells[c], tuple):
+            texts[-1] += cells[c][side] + sep
+        else:
+            varying.append(c)
+            texts.append(sep)
+    return texts, varying
+
+
+def _rows(texts: list[str], columns: list[list[str]], rows: int) -> str:
+    """`rows` lines of the constant texts with each column's cell between
+    them. The texts' repeats bound the lines, as a line may have no column."""
+    parts = [repeat(texts[0], rows)]
+    for cells, text in zip(columns, texts[1:]):
+        parts += [cells, repeat(text, rows)]
     return "".join(map("".join, zip(*parts)))
 
 
@@ -283,23 +318,29 @@ def write_records(records: dict, csv_path: Path, jsonl_path: Path) -> None:
     """Write records.csv (csv.writer's quoting, LF line ends) and
     records.jsonl (each line json.dumps(row, sort_keys=True)) in one pass
     over blocks of RECORD_BLOCK_ROWS rows, each written to both files. A
-    line joins constant separators and its cells' texts (_block_cells):
-    columns with few distinct values (ids, flags, per-artifact entropies,
-    undefined measures) keep one text per distinct value; every other column
-    is formatted block by block. Beyond the records themselves, memory is
-    then a few bytes of keys per row plus one block's texts:
+    line joins constant texts and its cells' texts (_column_cells): a column
+    that holds one cell on every row (such as the semantic columns under
+    --vectorizer none) is written into the constant texts once; columns with
+    few distinct values (ids, flags, per-artifact entropies) keep one text
+    per distinct value; every other column is formatted row by row, block by
+    block. Beyond the records themselves, memory is then a few bytes of keys
+    per row plus one block's texts:
     test_records_memory_follows_the_block_not_the_table bounds it."""
-    cells = {c: _block_cells(records[c]) for c in RECORD_COLUMNS}
-    csv_seps = [","] * (len(RECORD_COLUMNS) - 1) + ["\n"]
+    cells = {c: _column_cells(records[c]) for c in RECORD_COLUMNS}
     json_columns = sorted(RECORD_COLUMNS)
-    json_seps = [f', "{c}": ' for c in json_columns[1:]] + ["}\n"]
+    csv_texts, csv_varying = _line_template("", RECORD_COLUMNS, [","] * (len(RECORD_COLUMNS) - 1) + ["\n"],
+                                            cells, 0)
+    json_texts, json_varying = _line_template(f'{{"{json_columns[0]}": ', json_columns,
+                                              [f', "{c}": ' for c in json_columns[1:]] + ["}\n"], cells, 1)
+    n = len(records["is_link"])
     with csv_path.open("w", encoding="utf-8", newline="") as csv_fh, \
             jsonl_path.open("w", encoding="utf-8", newline="") as jsonl_fh:
         csv_fh.write(",".join(RECORD_COLUMNS) + "\n")
-        for start in range(0, len(records["is_link"]), RECORD_BLOCK_ROWS):
-            block = {c: f(slice(start, start + RECORD_BLOCK_ROWS)) for c, f in cells.items()}
-            csv_fh.write(_rows("", [block[c][0] for c in RECORD_COLUMNS], csv_seps))
-            jsonl_fh.write(_rows(f'{{"{json_columns[0]}": ', [block[c][1] for c in json_columns], json_seps))
+        for start in range(0, n, RECORD_BLOCK_ROWS):
+            rows = min(RECORD_BLOCK_ROWS, n - start)
+            block = {c: cells[c](slice(start, start + rows)) for c in csv_varying}
+            csv_fh.write(_rows(csv_texts, [block[c][0] for c in csv_varying], rows))
+            jsonl_fh.write(_rows(json_texts, [block[c][1] for c in json_varying], rows))
 
 
 def _is_kind(value, kind: type) -> bool:

@@ -1,7 +1,9 @@
 """Tokenization: conventional IR pipeline and trainable byte-pair encoding.
 
-The conventional pipeline splits on non-alphanumeric runs, then on
-camelCase and letter/digit boundaries, lowercases, and drops short tokens.
+The conventional pipeline takes the pieces of one regex pass: ASCII digit
+runs, and ASCII letter runs cut at camelCase boundaries. They are the pieces
+of a split on non-alphanumeric runs and then at camelCase and letter/digit
+boundaries. It lowercases them and drops short tokens.
 BPE is the classic greedy merge algorithm over whitespace-split words with
 an end-of-word marker.
 """
@@ -18,19 +20,17 @@ from pathlib import Path
 EOW = "</w>"
 MIN_TOKEN_LEN = 2  # shorter conventional tokens are dropped
 
-_NON_ALNUM_RE = re.compile(r"[^0-9A-Za-z]+")
-_BOUNDARY_RE = re.compile(
-    r"(?<=[a-z])(?=[A-Z])"
-    r"|(?<=[A-Z])(?=[A-Z][a-z])"
-    r"|(?<=[A-Za-z])(?=[0-9])"
-    r"|(?<=[0-9])(?=[A-Za-z])"
-)
+# A piece is a digit run or a letter run cut at camelCase boundaries: an
+# uppercase run before an uppercase letter that starts a lowercase word
+# ("HTTP" of "HTTPServer"), a lowercase word with an optional capital, or an
+# uppercase run. Anything else, non-ASCII letters and digits included, only
+# separates pieces, so lowercasing keeps each piece's length.
+_PIECE_RE = re.compile(r"[A-Z]+(?=[A-Z][a-z])|[A-Z]?[a-z]+|[A-Z]+|[0-9]+")
 
 
 def conventional_tokenize(text: str) -> list[str]:
     """Tokenize raw artifact text. Empty input yields an empty list."""
-    pieces = [sub.lower() for p in _NON_ALNUM_RE.split(text) if p for sub in _BOUNDARY_RE.split(p)]
-    return [p for p in pieces if len(p) >= MIN_TOKEN_LEN]
+    return [p.lower() for p in _PIECE_RE.findall(text) if len(p) >= MIN_TOKEN_LEN]
 
 
 @dataclass

@@ -3,21 +3,41 @@
 These score one (source, target) pair from its token-count dicts, one
 measure at a time, with none of the engines' shared per-artifact arrays.
 The engine property tests compare `info_columns` and `semantic_columns`
-against them; the library never calls them. `padded_stack` lays transport
-problems out as the solver's padded cost stack.
+against them; the library never calls them. `conventional_pieces` is the
+two-split reference for `conventional_tokenize`'s one regex pass.
+`padded_stack` lays transport problems out as the solver's padded cost
+stack.
 """
 
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 
 from tracex.embeddings import EmbeddingMatrix
 from tracex.infotheory import InfoRecord, counts_entropy
 from tracex.semantics import EXACT_WMD_PAIR_LIMIT, relaxed_wmd
-from tracex.tokenization import TokenCounts
+from tracex.tokenization import MIN_TOKEN_LEN, TokenCounts
 from tracex.transport import transport_cost
+
+
+_NON_ALNUM_RE = re.compile(r"[^0-9A-Za-z]+")
+_BOUNDARY_RE = re.compile(
+    r"(?<=[a-z])(?=[A-Z])"
+    r"|(?<=[A-Z])(?=[A-Z][a-z])"
+    r"|(?<=[A-Za-z])(?=[0-9])"
+    r"|(?<=[0-9])(?=[A-Za-z])"
+)
+
+
+def conventional_pieces(text: str) -> list[str]:
+    """Conventional tokens by two splits: on non-alphanumeric runs, then each
+    piece at camelCase and letter/digit boundaries; lowercased, short ones
+    dropped."""
+    pieces = [sub.lower() for p in _NON_ALNUM_RE.split(text) if p for sub in _BOUNDARY_RE.split(p)]
+    return [p for p in pieces if len(p) >= MIN_TOKEN_LEN]
 
 
 def pool(a: TokenCounts, b: TokenCounts) -> TokenCounts:

@@ -10,9 +10,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import tracex.cli as cli
 from tracex.cli import main
-from tracex.embeddings import EmbeddingMatrix
-from tracex.tokenization import conventional_tokenize
+from tracex.corpus import ConfigError, CorpusError
+from tracex.embeddings import EmbeddingError, EmbeddingMatrix
+from tracex.pipeline import NumericError
+from tracex.report import ReportError
+from tracex.tokenization import BpeModelError, BpeTrainingError, conventional_tokenize
 
 
 @pytest.fixture()
@@ -266,6 +270,50 @@ def test_synth_refuses_a_non_empty_out(tmp_path, capsys):
 def test_usage_errors_are_config_errors(capsys, argv):
     assert main(argv) == 1  # argparse alone exits 2, the data-error code
     assert capsys.readouterr().err.startswith("config error: tracex")
+
+
+def _raising(exc: BaseException):
+    def handler(args):
+        raise exc
+    return handler
+
+
+# Every exception type main maps, with its exit code and the start of its one
+# stderr line; None is an argparse usage error (no records path). The mapped
+# types are ValueErrors but for NumericError, a RuntimeError, so one error can
+# be two of them: the clauses' order decides, data and numeric before config.
+EXIT_CONTRACT = [
+    (CorpusError, 2, "error: "),
+    (BpeModelError, 2, "error: "),
+    (BpeTrainingError, 2, "error: "),
+    (EmbeddingError, 2, "error: "),
+    (ReportError, 2, "error: "),
+    (NumericError, 3, "numeric failure: "),
+    (ConfigError, 1, "config error: "),
+    (MemoryError, 4, "out of memory: "),
+    (type("EmbeddingConfigError", (EmbeddingError, ConfigError), {}), 2, "error: "),
+    (type("NumericConfigError", (NumericError, ConfigError), {}), 3, "numeric failure: "),
+    (None, 1, "config error: tracex cases: "),
+]
+
+
+@pytest.mark.parametrize("raised, code, prefix", EXIT_CONTRACT,
+                         ids=[e.__name__ if e else "usage" for e, _, _ in EXIT_CONTRACT])
+def test_each_mapped_exception_has_its_exit_code(monkeypatch, capsys, raised, code, prefix):
+    monkeypatch.setattr(cli, "cmd_cases", _raising(raised("the reason") if raised else None))
+    assert main(["cases"] if raised is None else ["cases", "records.jsonl"]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and err.count("\n") == 1 and err.endswith("\n"), err
+    assert raised is None or err == f"{prefix}the reason\n"
+
+
+@pytest.mark.parametrize("raised", [ValueError, RuntimeError, KeyError])
+def test_unmapped_exceptions_propagate(monkeypatch, raised):
+    """The mapped errors are ValueErrors (NumericError a RuntimeError), so a
+    clause that caught their base class would map these too, to some code."""
+    monkeypatch.setattr(cli, "cmd_cases", _raising(raised("a bug")))
+    with pytest.raises(raised, match="a bug"):
+        main(["cases", "records.jsonl"])
 
 
 def test_help_exits_0(capsys):

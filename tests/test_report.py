@@ -404,13 +404,9 @@ def mixed_records(draw, n: int):
     return recs
 
 
-@given(st.data(), st.sampled_from([1, 3, RECORD_BLOCK_ROWS]))
-def test_records_bytes_match_cell_by_cell_reference(tmp_path_factory, data, block_rows):
-    # mixed tables of block multiples and their neighbours, and of 24 or 25 rows
-    sizes = st.sampled_from(sorted({0, 1, block_rows - 1, block_rows, block_rows + 1, 2 * block_rows,
-                                    3 * TABLE_REPEATS, 3 * TABLE_REPEATS + 1}))
-    recs = data.draw(st.one_of(repetitive_records(), sizes.flatmap(mixed_records)))
-    out = tmp_path_factory.mktemp("records")
+def _assert_records_match_cell_by_cell(recs: dict, out: Path, block_rows: int) -> None:
+    """write_records under blocks of block_rows rows writes the bytes of
+    csv.writer over _cell_texts and of json.dumps over each row."""
     with mock.patch("tracex.report.RECORD_BLOCK_ROWS", block_rows):  # rows split across writes
         write_records(recs, out / "records.csv", out / "records.jsonl")
     buf = io.StringIO()
@@ -423,6 +419,57 @@ def test_records_bytes_match_cell_by_cell_reference(tmp_path_factory, data, bloc
             for r in zip(*values)]
     expected = "".join(json.dumps(r, sort_keys=True) + "\n" for r in rows)
     assert (out / "records.jsonl").read_bytes() == expected.encode("utf-8")
+
+
+@given(st.data(), st.sampled_from([1, 3, RECORD_BLOCK_ROWS]))
+def test_records_bytes_match_cell_by_cell_reference(tmp_path_factory, data, block_rows):
+    # mixed tables of block multiples and their neighbours, and of 24 or 25 rows
+    sizes = st.sampled_from(sorted({0, 1, block_rows - 1, block_rows, block_rows + 1, 2 * block_rows,
+                                    3 * TABLE_REPEATS, 3 * TABLE_REPEATS + 1}))
+    recs = data.draw(st.one_of(repetitive_records(), sizes.flatmap(mixed_records)))
+    _assert_records_match_cell_by_cell(recs, tmp_path_factory.mktemp("records"), block_rows)
+
+
+def _info_only_records() -> dict:
+    """A --vectorizer none-shaped table over 3 blocks of RECORD_BLOCK_ROWS:
+    the six semantic columns all NaN and wmd_relaxed all false (constant
+    columns), h_x and h_y one value per artifact, the other floats distinct,
+    with NaN in `mi` in the second block only."""
+    n_sources, n_targets = 5, (2 * RECORD_BLOCK_ROWS + 7) // 5 + 1
+    recs = _distinct_floats_records(n_sources, n_targets)
+    n = n_sources * n_targets
+    rng = np.random.default_rng(3)
+    recs["h_x"] = np.repeat(rng.random(n_sources), n_targets)
+    recs["h_y"] = np.tile(rng.random(n_targets), n_sources)
+    recs["mi"][[RECORD_BLOCK_ROWS, RECORD_BLOCK_ROWS + 9]] = math.nan
+    recs.update({c: np.full(n, math.nan) for c in ("wmd", "scm", "cos", "euc", "wmd_sim", "cos_sim")},
+                wmd_relaxed=np.zeros(n, dtype=bool))
+    return recs
+
+
+def _all_constant_records(n: int) -> dict:
+    """n copies of one row: every column holds one cell."""
+    return records(*[row('it\'s, "quoted"', "línea\nnueva", True, mi=None, si=-0.0)] * n, columns=RECORD_COLUMNS)
+
+
+def _constant_but_last_records() -> dict:
+    """Columns that hold one cell on every row but the last, in the second
+    block of RECORD_BLOCK_ROWS: an id, a flag, a float and an undefined one."""
+    rows = [row("a", "x", False, loss=1.0, scm=None)] * (RECORD_BLOCK_ROWS + 40)
+    rows.append(row("a", "y", False, loss=None, scm=0.25, wmd_relaxed=True))
+    return records(*rows, columns=RECORD_COLUMNS)
+
+
+@pytest.mark.parametrize("block_rows", [1, 3, RECORD_BLOCK_ROWS])
+@pytest.mark.parametrize("table", [
+    _info_only_records,
+    lambda: _all_constant_records(1),
+    lambda: _all_constant_records(600),
+    _constant_but_last_records,
+    lambda: records(columns=RECORD_COLUMNS),
+], ids=["info-only", "one-row", "600-copies", "constant-but-last", "no-rows"])
+def test_records_bytes_edge_tables(tmp_path, table, block_rows):
+    _assert_records_match_cell_by_cell(table(), tmp_path, block_rows)
 
 
 def _distinct_floats_records(n_sources: int, n_targets: int) -> dict:
@@ -474,7 +521,8 @@ def test_read_records_memory_follows_the_columns(tmp_path):
 
 def test_report_views_memory_follows_a_few_columns():
     """information_table, extreme_cases and detect_orphans over a 150x150
-    table hold a few float columns' worth at most: no Python float per pair."""
+    table hold a few float columns' worth at most: no Python float per pair.
+    extreme_cases holds one copy of the defined values and a few masks."""
     recs = _distinct_floats_records(150, 150)
     column = recs["mi"].nbytes
     views = {"information_table": lambda: information_table(recs, "tb"),
@@ -489,6 +537,8 @@ def test_report_views_memory_follows_a_few_columns():
         finally:
             tracemalloc.stop()
         assert peak <= 4 * column, (name, peak / column)
+        # the defined rows as an index array, or a partitioned second copy, take this past 2
+        assert name != "extreme_cases" or peak <= 2 * column, (name, peak / column)
 
 
 def _table_bytes(records: dict) -> int:

@@ -17,6 +17,8 @@ from tracex.tokenization import (
     train_bpe,
 )
 
+from oracles import conventional_pieces
+
 
 def test_short_tokens_dropped():
     assert conventional_tokenize("B dtimeout") == ["dtimeout"]
@@ -25,6 +27,27 @@ def test_short_tokens_dropped():
 def test_camel_case_split():
     assert conventional_tokenize("fireException") == ["fire", "exception"]
     assert conventional_tokenize("HTTPServer2go") == ["http", "server", "go"]
+
+
+@pytest.mark.parametrize("text, tokens", [
+    ("parseHTTPResponse", ["parse", "http", "response"]),
+    ("ABCdef", ["ab", "cdef"]),
+    ("HTTP2Server", ["http", "server"]),
+    ("x2y", []),
+    ("a", []),
+    ("", []),
+])
+def test_camel_case_and_digit_boundaries(text, tokens):
+    assert conventional_tokenize(text) == tokens == conventional_pieces(text)
+
+
+# Both cases of ASCII letters, digits and separators, beside non-ASCII
+# letters, a digit and an emoji that only separate pieces (İ lowercases to
+# two code points)
+@given(st.text(alphabet=st.sampled_from(
+    [*"abcxyzABCXYZ0129_-", " ", "\t", "\n", "é", "ß", "İ", "١", "\U0001F600"]), max_size=60))
+def test_one_pass_tokenizer_matches_two_splits(text):
+    assert conventional_tokenize(text) == conventional_pieces(text)
 
 
 def test_empty_input():
