@@ -119,7 +119,9 @@ def _wmd_column(src: list[_Bag | None], tgt: list[_Bag | None],
     EXACT_TOTAL_LIMIT, get the relaxed bound; the others are solved exactly,
     batch by batch, each batch's blocks written straight into one padded
     cost stack. wmd_pairs, when given, receives the number of pairs solved
-    exactly ("exact") and bounded ("relaxed"), and of solver batches ("batches").
+    exactly ("exact") and bounded ("relaxed"), of solver batches ("batches"),
+    and the solver's augmenting paths ("augmentations") and lockstep search
+    steps ("steps") over all batches.
     """
     shape = (len(src), len(tgt))
     wmd_col = np.full(shape, np.nan)
@@ -139,6 +141,7 @@ def _wmd_column(src: list[_Bag | None], tgt: list[_Bag | None],
     # One buffer holds each batch's stack in turn: the largest is allocated once.
     buffer = np.empty(max((b * m * n for _, (b, m, n) in batches), default=0))
     n_exact = n_batches = 0
+    solver = {"augmentations": 0, "steps": 0}
     for batch, shape in batches:
         cost = buffer[:shape[0] * shape[1] * shape[2]].reshape(shape)
         cost.fill(np.inf)
@@ -152,10 +155,10 @@ def _wmd_column(src: list[_Bag | None], tgt: list[_Bag | None],
         if solved:
             rows, cols = zip(*solved)
             wmd_col[rows, cols] = stacked_transport_costs(
-                cost[:len(solved)], [src[i].weights for i in rows], [tgt[j].weights for j in cols])
+                cost[:len(solved)], [src[i].weights for i in rows], [tgt[j].weights for j in cols], solver)
             n_exact, n_batches = n_exact + len(solved), n_batches + 1
     if wmd_pairs is not None:
-        wmd_pairs.update(exact=n_exact, relaxed=int(relaxed.sum()), batches=n_batches)
+        wmd_pairs.update(exact=n_exact, relaxed=int(relaxed.sum()), batches=n_batches, **solver)
     return wmd_col, relaxed
 
 
@@ -212,12 +215,13 @@ def semantic_columns(
     word matrix and an in-vocab token on both sides, euc both document
     vectors, cos also nonzero norms. NaN marks undefined; a NaN under a mask
     is a numeric failure for the caller. wmd_pairs, when given, receives
-    the counts of pairs solved exactly and bounded, and of solver batches.
+    the counts of pairs solved exactly and bounded, of solver batches, and
+    of the solver's augmenting paths and search steps.
     """
     shape = (len(src_counts), len(tgt_counts))
     if word_matrix is None and doc_vecs is None:  # no vectors: nothing is defined
         if wmd_pairs is not None:
-            wmd_pairs.update(exact=0, relaxed=0, batches=0)
+            wmd_pairs.update(exact=0, relaxed=0, batches=0, augmentations=0, steps=0)
         undefined, nowhere = np.full(shape, np.nan), np.zeros(shape, dtype=bool)
         undefined.flags.writeable = nowhere.flags.writeable = False
         return dict.fromkeys(SEMANTIC_COLUMNS, undefined), dict.fromkeys(SEMANTIC_COLUMNS, nowhere), nowhere

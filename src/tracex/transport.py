@@ -1,15 +1,17 @@
 """Exact optimal transport between discrete weight vectors, many problems at once.
 
 Min-cost flow on the dense bipartite transport graph, solved by successive
-shortest paths with node potentials: Dijkstra on reduced costs over one
-label array of m + n nodes (row i is node i, column j is node m + j), each
-step finalizing the `argmin` label. Supplies are cross-scaled to integers so
-every augmentation is exact; the final cost is rescaled back to the
-probability simplex.
+shortest paths with node potentials: Dijkstra on reduced costs over m + n
+nodes (row i is node i, column j is node m + j) that steps by columns. A
+round finalizes every supply row at once; each step then finalizes the
+`argmin` column label together with the rows that send flow into that
+column, as in the shortest-augmenting-path scheme of Jonker and Volgenant
+(1987). Supplies are cross-scaled to integers so every augmentation is
+exact; the final cost is rescaled back to the probability simplex.
 
-A batch of problems runs in lockstep: every Dijkstra step takes one
-`argmin` per problem, every augmentation traces all paths together, and a
-problem leaves the batch once its supply is placed. The batch is one padded
+A batch of problems runs in lockstep: every step takes one `argmin` per
+problem, every augmentation traces all paths together, and a problem
+leaves the batch once its supply is placed. The batch is one padded
 (B, M, N) cost stack: problem k's costs fill cost[k, :m_k, :n_k] and every
 other cell is `+inf`, and padded nodes have zero supply and demand, so a
 padded node never gets a finite label; each problem gets the flows and the
@@ -22,6 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 EXACT_TOTAL_LIMIT = 2**53  # float64 holds every integer up to here exactly
+SCAN_CHUNK_CELLS = 1 << 14  # bounds the (rank, problem, column) candidate array of a scan
 
 
 def transport_cost(a, b, cost) -> float:
@@ -43,7 +46,7 @@ def _weights(w, k: int) -> np.ndarray:
     return cast
 
 
-def stacked_transport_costs(cost: np.ndarray, weights_a, weights_b) -> np.ndarray:
+def stacked_transport_costs(cost: np.ndarray, weights_a, weights_b, counts: dict | None = None) -> np.ndarray:
     """Minimum transport cost of each problem of a padded (B, M, N) cost stack.
 
     Problem k moves weights_a[k] onto weights_b[k] under the costs
@@ -54,6 +57,8 @@ def stacked_transport_costs(cost: np.ndarray, weights_a, weights_b) -> np.ndarra
     supplies and every flow stay exact in float64. A problem that breaks
     these rules, or does not fit the stack, raises ValueError naming its
     index k. The stack is read, not written; an empty stack gives an empty array.
+    counts, when given, gains the solver's augmenting paths ("augmentations")
+    and lockstep search steps ("steps").
     """
     n_problems, big_m, big_n = cost.shape
     if len(weights_a) != n_problems or len(weights_b) != n_problems:
@@ -74,87 +79,150 @@ def stacked_transport_costs(cost: np.ndarray, weights_a, weights_b) -> np.ndarra
             raise ValueError(f"problem {k}: weight totals {ta} * {tb} exceed the exact bound 2**53")
         residual[k, :len(a)], residual[k, big_m:big_m + len(b)] = a * tb, b * ta
         shapes.append((len(a), len(b), ta * tb))
-    flow = _min_cost_flows(residual, cost)
+    flow = _min_cost_flows(residual, cost, counts)
     return np.array([(flow[k, :m, :n] * cost[k, :m, :n]).sum() / total
                      for k, (m, n, total) in enumerate(shapes)])
 
 
-def _min_cost_flows(residual, cost) -> np.ndarray:
+def _min_cost_flows(residual, cost, counts: dict | None = None) -> np.ndarray:
     """Successive shortest paths on a (B, M, N) cost stack; returns the flows.
     residual holds each problem's supplies, then its demands, and is used up.
+    counts, when given, gains the augmenting paths ("augmentations") and
+    the lockstep search steps ("steps").
 
     Reduced cost of the forward arc i->j is cost[i,j] + pot[i] - pot[M+j];
     flow-carrying arcs admit the reverse arc at the negated reduced cost.
     Potentials keep all reduced costs nonnegative so Dijkstra stays valid
-    with float costs. Ties finalize rows before columns and lower indices
-    first. Only nodes not yet finalized are relaxed: round-off can make a
-    reduced cost slightly negative, and relabelling a finalized node would
-    put a cycle into the predecessor chain. A problem's search stops at its
-    first finalized column with demand left.
+    with float costs. Nodes are finalized in Dijkstra order, rows before
+    columns and lower indices first on ties, and a node is relabelled only
+    while not final and only when the new distance beats its label by the
+    1e-15 margin: round-off can make a reduced cost slightly negative, and
+    relabelling a finalized node would put a cycle into the predecessor
+    chain. A problem's search stops at its first finalized column with
+    demand left.
+
+    The search steps by columns. Every supply row starts at 0, and a
+    non-supply row is reached only backwards, from a column it sends flow
+    to. In exact arithmetic every flow-carrying arc has reduced cost 0 after
+    a potential update, so those rows sit at the column's distance and,
+    rows winning ties, are the next nodes of a node-by-node search, as the
+    supply rows are its first. So each round finalizes all supply rows at
+    once, and each step takes one `argmin` over column labels per searching
+    problem, finalizes that column and, unless it stops there, its open
+    flow rows at the reverse-arc distances, then relaxes those rows'
+    forward arcs. The rows a round or step finalizes relax together, as one
+    min per (problem, column) over a (rank, problem, column) candidate
+    array; the lowest row wins a tie, as when the rows went one at a time.
+    With exact distances, as under integer costs, this gives the flows of
+    the node-by-node search bit for bit (tests/oracles.py keeps it). Where
+    round-off splits distances that tie exactly by a few ulps, the two
+    searches can order the tied nodes differently, and a cost can differ in
+    its last bits.
 
     Every array keeps one row per problem of the batch, so a finished
     problem costs no copy; it only drops out of the index of live problems.
-    Node u of problem p has the flat index p * (M + N) + u."""
+    Node u of problem p has the flat index p * (M + N) + u; column j of
+    problem p has the flat label index p * N + j."""
     n_problems, m, n = cost.shape
     w = m + n
     flow = np.zeros((n_problems, m, n))
     pot = np.zeros((n_problems, w))
-    # label: the distance of nodes not yet final, inf once final. final: the
-    # distance of final nodes, inf before. Relaxing a node needs a new
-    # distance below its label by the 1e-15 margin; limit holds that bound,
-    # -inf once the node is final.
-    label, limit, final = (np.empty((n_problems, w)) for _ in range(3))
+    final = np.empty((n_problems, w))  # the distance of final nodes, inf before
     prev = np.empty((n_problems, w), dtype=np.int64)  # node the best path came from
+    # label: the distance of columns not yet final, inf once final. Relaxing
+    # a column needs a new distance below its label by the 1e-15 margin;
+    # limit holds that bound, -inf once the column is final.
+    label, limit = np.empty((n_problems, n)), np.empty((n_problems, n))
     end = np.zeros(n_problems, dtype=np.int64)  # the column node each search stops at
     root = np.zeros(n_problems, dtype=np.int64)  # the source row each path starts at
     bottleneck = np.zeros(n_problems)
     cost_rows = cost.reshape(n_problems * m, n)  # the forward arc costs of (problem, row), one row each
-    label_f, limit_f, final_f, prev_f, pot_f, residual_f = (
-        x.reshape(-1) for x in (label, limit, final, prev, pot, residual))  # views
+    final_f, prev_f, pot_f, residual_f, label_f, limit_f = (
+        x.reshape(-1) for x in (final, prev, pot, residual, label, limit))  # views
+    row_final, col_pot = final[:, :m], pot[:, m:]
+    steps = augmentations = 0
+
+    def scan(q, k, i, d):
+        """Finalize rows i of problems q[k] at distances d and relax their
+        forward arcs; k ascending, each problem's rows ascending. Problems go
+        in chunks whose candidate arrays stay within SCAN_CHUNK_CELLS."""
+        size = np.bincount(k, minlength=q.size)
+        first = size.cumsum() - size  # each problem's first pair
+        ranks = int(size.max())
+        per = max(1, SCAN_CHUNK_CELLS // (ranks * n))
+        if per >= q.size:
+            return _scan(q, k, i, d, first, ranks)
+        for lo in range(0, q.size, per):
+            hi = min(lo + per, q.size)
+            a, b = first[lo], first[hi - 1] + size[hi - 1]
+            if b > a:
+                _scan(q[lo:hi], k[a:b] - lo, i[a:b], d[a:b], first[lo:hi] - a, int(size[lo:hi].max()))
+
+    def _scan(q, k, i, d, first, ranks):
+        p = q[k]
+        at = p * w + i
+        final_f[at] = d
+        row = cost_rows[p * m + i]  # ((d + cost) + pot_row) - pot_col, in place;
+        row += d[:, None]  # cost + d is d + cost, bit for bit
+        row += pot_f[at][:, None]
+        cand = np.full((ranks, q.size, n), np.inf)  # padding stays +inf
+        cand[np.arange(k.size) - first[k], k] = row
+        del row  # before cand's temporaries: the solver's traced peak stays at two stacks
+        cand -= col_pot[q]
+        best = cand.min(axis=0)
+        kk = (best < limit[q]).ravel().nonzero()[0]
+        g = kk // n
+        j = kk - g * n
+        nd = best.ravel()[kk]
+        by = first[g]  # the pair whose row is the column's new predecessor
+        if ranks > 1:
+            by += (cand == best).transpose(1, 2, 0)[g, j].argmax(axis=1)
+        at = q[g] * n + j
+        label_f[at], limit_f[at] = nd, nd - 1e-15
+        prev_f[q[g] * w + m + j] = i[by]
 
     while True:
-        live = np.flatnonzero((residual[:, :m] > 0).any(axis=1))  # supply left to place
+        supply = residual[:, :m] > 0
+        live = supply.any(axis=1).nonzero()[0]  # supply left to place
         if not live.size:
+            if counts is not None:
+                counts["augmentations"] = counts.get("augmentations", 0) + augmentations
+                counts["steps"] = counts.get("steps", 0) + steps
             return flow
+        augmentations += live.size
         label.fill(np.inf)
-        label[:, :m][residual[:, :m] > 0] = 0.0
-        np.subtract(label, 1e-15, out=limit)
+        limit.fill(np.inf)
         final.fill(np.inf)
         prev.fill(-1)
+        pairs = supply[live].ravel().nonzero()[0]  # every supply row is final at 0
+        k = pairs // m
+        scan(live, k, pairs - k * m, np.zeros(pairs.size))
         s = live  # problems still searching
         while s.size:
-            u = label.argmin(axis=1)[s]
-            at = s * w + u
+            steps += 1
+            j = label[s].argmin(axis=1)
+            at = s * n + j
             d = label_f[at]
             if (d == np.inf).any():
                 raise RuntimeError("transport problem infeasible")
-            final_f[at], label_f[at], limit_f[at] = d, np.inf, -np.inf
-            row = u < m
-            stop = ~row & (residual_f[at] > 0)
-
-            r, ur = s[row], u[row]  # forward arcs to every column
-            if r.size:
-                nd = d[row][:, None] + cost_rows[r * m + ur] + pot_f[at[row]][:, None] - pot[r, m:]
-                better = np.flatnonzero(nd < limit[r, m:])
-                k = better // n  # flat index in nd -> flat index of the column node
-                to = better + (r * w + m - np.arange(r.size) * n)[k]
-                nd = nd.reshape(-1)[better]
-                label_f[to], limit_f[to], prev_f[to] = nd, nd - 1e-15, ur[k]
-
-            scan = ~(row | stop)  # reverse arcs to the rows that send flow into the column
-            c, uc = s[scan], u[scan]
-            if c.size:
-                nd = d[scan][:, None] - (cost[c, :, uc - m] + pot[c, :m] - pot_f[at[scan]][:, None])
-                better = np.flatnonzero((flow[c, :, uc - m] > 0) & (nd < limit[c, :m]))
-                k = better // m
-                to = better + (c * w - np.arange(c.size) * m)[k]
-                nd = nd.reshape(-1)[better]
-                label_f[to], limit_f[to], prev_f[to] = nd, nd - 1e-15, uc[k]
-
-            end[s[stop]] = u[stop]
-            s = s[~stop]
+            u = s * w + m + j
+            final_f[u], label_f[at], limit_f[at] = d, np.inf, -np.inf
+            stop = residual_f[u] > 0
+            end[s[stop]] = m + j[stop]
+            go = ~stop
+            s, j, d, u = s[go], j[go], d[go], u[go]
+            # reverse arcs to the rows that send flow into the column and are not final
+            reach = flow[s, :, j] > 0
+            reach &= row_final[s] == np.inf
+            pairs = reach.ravel().nonzero()[0]
+            if pairs.size:
+                k = pairs // m
+                i = pairs - k * m
+                nd = (d[:, None] - (cost[s, :, j] + pot[s, :m] - pot_f[u][:, None])).ravel()[pairs]
+                prev_f[s[k] * w + i] = m + j[k]
+                scan(s, k, i, nd)
         e = end[live]
-        pot[live] += np.minimum(final[live], final[live, e][:, None])  # labels not final are >= d_e
+        pot[live] += np.minimum(final[live], final[live, e][:, None])  # nodes not final are >= d_e
 
         # Trace every augmenting path back to a source row, in lockstep; each
         # path alternates forward arcs (row -> column) and backward arcs.

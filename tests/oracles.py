@@ -6,7 +6,8 @@ The engine property tests compare `info_columns` and `semantic_columns`
 against them; the library never calls them. `conventional_pieces` is the
 two-split reference for `conventional_tokenize`'s one regex pass.
 `padded_stack` lays transport problems out as the solver's padded cost
-stack.
+stack, and `node_min_cost_flows` is the node-by-node reference of the
+solver's column-step search.
 """
 
 from __future__ import annotations
@@ -183,3 +184,126 @@ def padded_stack(problems, extra_m: int = 0, extra_n: int = 0):
     for k, (a, b, c) in enumerate(problems):
         cost[k, :len(a), :len(b)] = c
     return cost, [a for a, _, _ in problems], [b for _, b, _ in problems]
+
+
+def cross_scaled(cost, weights_a, weights_b) -> np.ndarray:
+    """The solver's residual for a padded stack: each problem's supplies
+    scaled by the demand total, then its demands scaled by the supply total."""
+    n_problems, big_m, big_n = cost.shape
+    residual = np.zeros((n_problems, big_m + big_n))
+    for k, (a, b) in enumerate(zip(weights_a, weights_b)):
+        a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+        residual[k, :len(a)], residual[k, big_m:big_m + len(b)] = a * b.sum(), b * a.sum()
+    return residual
+
+
+def node_transport(cost, weights_a, weights_b) -> tuple[np.ndarray, np.ndarray]:
+    """The costs and flows of a padded stack under `node_min_cost_flows`, with
+    `stacked_transport_costs`' final expression."""
+    flow = node_min_cost_flows(cross_scaled(cost, weights_a, weights_b), cost)
+    costs = np.array([(flow[k, :len(a), :len(b)] * cost[k, :len(a), :len(b)]).sum() / (sum(a) * sum(b))
+                      for k, (a, b) in enumerate(zip(weights_a, weights_b))])
+    return costs, flow
+
+
+def node_min_cost_flows(residual, cost) -> np.ndarray:
+    """Successive shortest paths on a (B, M, N) cost stack, finalizing one
+    node per lockstep Dijkstra step; returns the flows. residual holds each
+    problem's supplies, then its demands, and is used up. This is the
+    reference of `transport._min_cost_flows`, which must give the same bits.
+
+    Reduced cost of the forward arc i->j is cost[i,j] + pot[i] - pot[M+j];
+    flow-carrying arcs admit the reverse arc at the negated reduced cost.
+    Potentials keep all reduced costs nonnegative so Dijkstra stays valid
+    with float costs. Ties finalize rows before columns and lower indices
+    first. Only nodes not yet finalized are relaxed: round-off can make a
+    reduced cost slightly negative, and relabelling a finalized node would
+    put a cycle into the predecessor chain. A problem's search stops at its
+    first finalized column with demand left.
+
+    Every array keeps one row per problem of the batch, so a finished
+    problem costs no copy; it only drops out of the index of live problems.
+    Node u of problem p has the flat index p * (M + N) + u."""
+    n_problems, m, n = cost.shape
+    w = m + n
+    flow = np.zeros((n_problems, m, n))
+    pot = np.zeros((n_problems, w))
+    # label: the distance of nodes not yet final, inf once final. final: the
+    # distance of final nodes, inf before. Relaxing a node needs a new
+    # distance below its label by the 1e-15 margin; limit holds that bound,
+    # -inf once the node is final.
+    label, limit, final = (np.empty((n_problems, w)) for _ in range(3))
+    prev = np.empty((n_problems, w), dtype=np.int64)  # node the best path came from
+    end = np.zeros(n_problems, dtype=np.int64)  # the column node each search stops at
+    root = np.zeros(n_problems, dtype=np.int64)  # the source row each path starts at
+    bottleneck = np.zeros(n_problems)
+    cost_rows = cost.reshape(n_problems * m, n)  # the forward arc costs of (problem, row), one row each
+    label_f, limit_f, final_f, prev_f, pot_f, residual_f = (
+        x.reshape(-1) for x in (label, limit, final, prev, pot, residual))  # views
+
+    while True:
+        live = np.flatnonzero((residual[:, :m] > 0).any(axis=1))  # supply left to place
+        if not live.size:
+            return flow
+        label.fill(np.inf)
+        label[:, :m][residual[:, :m] > 0] = 0.0
+        np.subtract(label, 1e-15, out=limit)
+        final.fill(np.inf)
+        prev.fill(-1)
+        s = live  # problems still searching
+        while s.size:
+            u = label.argmin(axis=1)[s]
+            at = s * w + u
+            d = label_f[at]
+            if (d == np.inf).any():
+                raise RuntimeError("transport problem infeasible")
+            final_f[at], label_f[at], limit_f[at] = d, np.inf, -np.inf
+            row = u < m
+            stop = ~row & (residual_f[at] > 0)
+
+            r, ur = s[row], u[row]  # forward arcs to every column
+            if r.size:
+                nd = d[row][:, None] + cost_rows[r * m + ur] + pot_f[at[row]][:, None] - pot[r, m:]
+                better = np.flatnonzero(nd < limit[r, m:])
+                k = better // n  # flat index in nd -> flat index of the column node
+                to = better + (r * w + m - np.arange(r.size) * n)[k]
+                nd = nd.reshape(-1)[better]
+                label_f[to], limit_f[to], prev_f[to] = nd, nd - 1e-15, ur[k]
+
+            scan = ~(row | stop)  # reverse arcs to the rows that send flow into the column
+            c, uc = s[scan], u[scan]
+            if c.size:
+                nd = d[scan][:, None] - (cost[c, :, uc - m] + pot[c, :m] - pot_f[at[scan]][:, None])
+                better = np.flatnonzero((flow[c, :, uc - m] > 0) & (nd < limit[c, :m]))
+                k = better // m
+                to = better + (c * w - np.arange(c.size) * m)[k]
+                nd = nd.reshape(-1)[better]
+                label_f[to], limit_f[to], prev_f[to] = nd, nd - 1e-15, uc[k]
+
+            end[s[stop]] = u[stop]
+            s = s[~stop]
+        e = end[live]
+        pot[live] += np.minimum(final[live], final[live, e][:, None])  # labels not final are >= d_e
+
+        # Trace every augmenting path back to a source row, in lockstep; each
+        # path alternates forward arcs (row -> column) and backward arcs.
+        bottleneck[live] = residual[live, e]
+        forward, backward = [], []  # (problem, row, column) per arc, in arrays
+        t, j = live, e
+        while t.size:
+            i = prev[t, j]
+            forward.append((t, i, j - m))
+            source = prev[t, i] < 0
+            root[t[source]] = i[source]
+            t, i = t[~source], i[~source]
+            j = prev[t, i]
+            backward.append((t, i, j - m))
+            bottleneck[t] = np.minimum(bottleneck[t], flow[t, i, j - m])
+        start = root[live]
+        bottleneck[live] = np.minimum(bottleneck[live], residual[live, start])
+        for t, i, col in forward:
+            flow[t, i, col] += bottleneck[t]
+        for t, i, col in backward:
+            flow[t, i, col] -= bottleneck[t]
+        residual[live, start] -= bottleneck[live]
+        residual[live, e] -= bottleneck[live]

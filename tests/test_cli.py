@@ -76,7 +76,8 @@ def test_run_json_records_epoch_losses(synth_manifest, tmp_path, vectorizer, n_l
 
 def test_run_json_counts_wmd_pairs(tmp_path):
     """run.json's wmd_pairs counts the pairs solved exactly, the pairs given
-    the relaxed bound and the solver batches; a rerun writes the same bytes."""
+    the relaxed bound, the solver batches, and the solver's augmenting paths
+    and lockstep search steps; a rerun writes the same bytes."""
     words = [a + b + c for a in "abcdefg" for b in "abcdefg" for c in "abcdefg"][:300]
     tb = tmp_path / "tb"
     for sub, files in (("src", {"big": " ".join(words), "small": "aaa aab"}),
@@ -98,10 +99,13 @@ def test_run_json_counts_wmd_pairs(tmp_path):
         assert main(["analyze", "--manifest", str(tb / "manifest.json"), "--out", str(out), *args]) == 0
         runs.append((out / "run.json").read_bytes())
     # big x big has 300 x 300 cells, past the exact limit; the three exact
-    # pairs (2x1, 2x300 and 300x1 cells) pad past one batch's cells together
-    assert json.loads(runs[0])["testbeds"]["bags"]["wmd_pairs"] == {"exact": 3, "relaxed": 1, "batches": 2}
+    # pairs (2x1, 2x300 and 300x1 cells) pad past one batch's cells together.
+    # The node-by-node search took 87,727 steps for the same 602 paths.
+    assert json.loads(runs[0])["testbeds"]["bags"]["wmd_pairs"] == {
+        "exact": 3, "relaxed": 1, "batches": 2, "augmentations": 602, "steps": 42000}
     assert runs[0] == runs[1]
-    assert json.loads(runs[2])["testbeds"]["bags"]["wmd_pairs"] == {"exact": 0, "relaxed": 0, "batches": 0}
+    assert json.loads(runs[2])["testbeds"]["bags"]["wmd_pairs"] == {
+        "exact": 0, "relaxed": 0, "batches": 0, "augmentations": 0, "steps": 0}
 
 
 def test_analyze_vectorizer_none(synth_manifest, tmp_path):

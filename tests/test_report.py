@@ -610,7 +610,7 @@ def test_records_bytes_pinned(tmp_path):
         "scatter_loss.svg": "cbc141843b6761a1989d9daea8cc6f8327db737a1a3db3d349fe44615460679b",
         "scatter_noise.svg": "eaa3a2eb23402812d777e508750140f5b1f4df354953527299396cc60b108566",
     }
-    assert testbeds == "0739c20e18b5257a1dde032968b0f8f8a827260679b2019becb4293e6b6d4cec"
+    assert testbeds == "170963ec9bcd50e3e2df50ea27d35f951c0b8d164195894855ae1de16a934c1d"
 
 
 def test_skipgram_tree_pinned(tmp_path):
@@ -630,7 +630,7 @@ def test_skipgram_tree_pinned(tmp_path):
         "scatter_loss.svg": "4574c10b235a3440091b7075373b279b7f0ecaccc5bf807083aa4c550802037c",
         "scatter_noise.svg": "4fe60f1ef62b7cb0453d7b38a75842e9cf98c4c50be5311839a7ca5efd6110d3",
     }
-    assert testbeds == "6a622dee00fc38116758893e2f7065e8cd0451f4692eb0e7b487fb8a7e0b082c"
+    assert testbeds == "d95d6ffb561bac758f271f049e85ec8d24ea435a08b8626a1cbdade4abaa48b5"
 
 
 def test_bpe_pvdbow_tree_pinned(tmp_path):
@@ -650,7 +650,7 @@ def test_bpe_pvdbow_tree_pinned(tmp_path):
         "scatter_loss.svg": "8ead8e2927b7437b52db93c0eeee1464b66f7371b53ff86b3872c950dcad67c2",
         "scatter_noise.svg": "9f6bd3b0a87f1c18aba0f7aacfface2a058485ec7aaa7fd44b972c180a190a83",
     }
-    assert testbeds == "ae06881357daa317cca1dddff5a5c64613cfef0172c92cd5e2dcbc519314c0dd"
+    assert testbeds == "1ee1b89b19d21462c47685d61806291f7fb920d4f5a5bbdc3ca929fe96838819"
 
 
 def test_given_vectors_tree_pinned(tmp_path):
@@ -683,7 +683,7 @@ def test_given_vectors_tree_pinned(tmp_path):
         "scatter_loss.svg": "ec0dcd21f326245c4046d97ae114cb6ee0c642ae50bc4e389c2729ca4507d173",
         "scatter_noise.svg": "3e33902fdcd11c1fe49fac780d8ac8e64186ca00ac43e7de8ab798bba6b4e089",
     }
-    assert testbeds == "648a1944c18858a30ed0c928ea5cea100bd7831e8f5bfbf189d99c9765c52e69"
+    assert testbeds == "1c9c42b7c2207fe2c933757276777643df413dadb4e3ef5930bc025e28212492"
 
 
 VALID = {c: row("a", "x", True)[c] for c in RECORD_COLUMNS}

@@ -4,6 +4,7 @@ import os
 import resource
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,7 @@ from tracex.semantics import (
     wmd,
 )
 from tracex.tokenization import TokenCounts, conventional_tokenize, count_tokens
-from tracex.transport import stacked_transport_costs, transport_cost
+from tracex.transport import _min_cost_flows, stacked_transport_costs, transport_cost
 
 import oracles
 
@@ -220,7 +221,7 @@ def test_semantic_columns_without_vectors_are_undefined():
     with pytest.raises(ValueError, match="read-only"):
         values["scm"][0, 0] = 0.0
     assert not relaxed.any()
-    assert wmd_pairs == {"batches": 0, "exact": 0, "relaxed": 0}
+    assert wmd_pairs == {"batches": 0, "exact": 0, "relaxed": 0, "augmentations": 0, "steps": 0}
 
 
 def test_weight_totals_past_the_exact_bound_get_the_relaxed_bound():
@@ -232,7 +233,7 @@ def test_weight_totals_past_the_exact_bound_get_the_relaxed_bound():
     wmd_pairs: dict = {}
     values, masks, relaxed = semantic_columns(src, tgt, m, None, wmd_pairs)
     assert relaxed.tolist() == [[True], [False]]
-    assert wmd_pairs == {"exact": 1, "relaxed": 1, "batches": 1}
+    assert wmd_pairs == {"exact": 1, "relaxed": 1, "batches": 1, "augmentations": 3, "steps": 4}
     weights = [np.array([10**8, 1]), np.array([10**8, 3])]
     cost = np.array([[0.0, 2.0], [1.0, np.sqrt(5.0)]])
     assert values["wmd"][0, 0] == relaxed_wmd(*weights, cost)
@@ -368,19 +369,23 @@ def test_transport_large_skewed_weights_match_highs():
 
 
 @st.composite
-def degenerate_transport(draw, max_side=5):
-    """Zero and skewed weights; integer costs in {0, 1, 2} (ties, zero-cost cells)
-    or Euclidean costs between integer vectors in [-1, 1]^3 (duplicate vectors)."""
+def degenerate_transport(draw, max_side=5, integral=False):
+    """Zero and skewed weights; free, 1 x k, k x 1 and 2 x k shapes; integer
+    costs in {0, 1, 2} (ties, zero-cost cells) or Euclidean costs between
+    integer vectors in [-1, 1]^3 (duplicate vectors), or their L1 distances
+    when integral."""
     weight = st.one_of(st.integers(0, 3), st.sampled_from([10**4, 10**6]))
-    a = draw(st.lists(weight, min_size=1, max_size=max_side).filter(any))
-    b = draw(st.lists(weight, min_size=1, max_size=max_side).filter(any))
+    k, free = draw(st.integers(1, max_side)), draw(st.integers(1, max_side))
+    m, n = draw(st.sampled_from([(free, k), (1, k), (k, 1), (2, k)]))
+    a = draw(st.lists(weight, min_size=m, max_size=m).filter(any))
+    b = draw(st.lists(weight, min_size=n, max_size=n).filter(any))
     if draw(st.booleans()):
         cells = st.lists(st.sampled_from([0, 1, 2]), min_size=len(a) * len(b), max_size=len(a) * len(b))
         cost = np.array(draw(cells), dtype=float).reshape(len(a), len(b))
     else:
         point = st.tuples(*[st.integers(-1, 1)] * 3)
         va, vb = (np.array([draw(point) for _ in w], dtype=float) for w in (a, b))
-        cost = np.linalg.norm(va[:, None, :] - vb[None, :, :], axis=2)
+        cost = np.linalg.norm(va[:, None, :] - vb[None, :, :], ord=1 if integral else None, axis=2)
     return a, b, cost
 
 
@@ -406,6 +411,64 @@ def test_stacked_transport_costs_match_single_problems(problems, extra_m, extra_
         alone = transport_cost(a, b, c)
         assert got[k] == alone
         assert alone == pytest.approx(highs_transport(a, b, c), rel=1e-9, abs=1e-12)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(degenerate_transport(max_side=7, integral=True), min_size=1, max_size=6),
+       st.integers(0, 3), st.integers(0, 3))
+def test_column_steps_give_the_node_by_node_bits(problems, extra_m, extra_n):
+    """The column-step search gives the flows and costs of the node-by-node
+    search (tests/oracles.py) bit for bit, on mixed padded stacks. The costs
+    are integers, so every distance is exact and the two orders agree; with
+    irrational costs, distances that tie exactly can differ in the last bits
+    and the two searches may break such a tie differently."""
+    cost, weights_a, weights_b = oracles.padded_stack(problems, extra_m, extra_n)
+    want_costs, want_flow = oracles.node_transport(cost, weights_a, weights_b)
+    flow = _min_cost_flows(oracles.cross_scaled(cost, weights_a, weights_b), cost)
+    assert flow.tobytes() == want_flow.tobytes()
+    assert stacked_transport_costs(cost, weights_a, weights_b).tobytes() == want_costs.tobytes()
+
+
+def test_solver_memory_stays_at_two_stacks():
+    """A batch of c7's shape (327 problems of 20x20 bags): the solver's traced
+    peak stays at about two cost stacks, the flows and the search's arrays,
+    as the node-by-node search's did (2.03 stacks). Scans without chunks
+    took it to four."""
+    rng = np.random.default_rng(0)
+    vecs = rng.standard_normal((327, 2, 20, 16))
+    diff = vecs[:, 0, :, None, :] - vecs[:, 1, None, :, :]
+    cost = np.sqrt((diff * diff).sum(axis=3))
+    weights_a, weights_b = zip(*rng.integers(1, 4, (327, 2, 20)))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        stacked_transport_costs(cost, weights_a, weights_b)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.1 * cost.nbytes, peak / cost.nbytes
+
+
+NUMPY_MA = """
+import sys
+from tracex.cli import main
+out = sys.argv[1]
+assert main(["synth", "--seed", "3", "--sources", "6", "--targets", "6", "--out", out + "/tb"]) == 0
+assert main(["analyze", "--manifest", out + "/tb/manifest.json", "--out", out + "/out",
+             "--dim", "8", "--epochs", "2"]) == 0
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_skipgram_analyze_leaves_numpy_ma_unimported(tmp_path):
+    """`np.unique` imports numpy.ma lazily, 1.1 MiB of RSS; a skip-gram
+    analyze, which runs the solver, never needs it. Checked in a fresh child."""
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_MA, str(tmp_path)], capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1"),
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.split()[-1] == "False"
 
 
 @pytest.mark.parametrize("a, b, block, message", [
