@@ -4,9 +4,11 @@ Word Mover's Distance uses Euclidean ground cost between token vectors and
 exact optimal transport; bags too large for the exact solver (by cells, or
 by weight totals past its 2**53 bound) fall back to the relaxed lower
 bound with a flag. `semantic_columns` hands the exact
-pairs of a testbed to the solver together, in batches of at most
-EXACT_WMD_BATCH_CELLS padded cells: each batch's ground-cost blocks are
-written straight into the solver's padded `+inf` cost stack
+pairs of a testbed to the solver together, in batches whose padded float64
+cost stack and the solver's flow stack, one byte per cell or more as its
+largest cross-scaled supply needs (`tracex.transport.flow_dtype`), stay
+within EXACT_WMD_BATCH_BYTES: each batch's ground-cost blocks are written
+straight into the solver's padded `+inf` cost stack
 (`tracex.transport.stacked_transport_costs`). Out-of-vocabulary tokens are
 dropped; a pair whose side becomes empty gets undefined distances.
 
@@ -26,10 +28,10 @@ import numpy as np
 from tracex.embeddings import EmbeddingMatrix
 from tracex.tokenization import TokenCounts
 # transport_cost stays a module attribute: perfbench's span tracer wraps it by name.
-from tracex.transport import EXACT_TOTAL_LIMIT, stacked_transport_costs, transport_cost  # noqa: F401
+from tracex.transport import EXACT_TOTAL_LIMIT, flow_dtype, stacked_transport_costs, transport_cost  # noqa: F401
 
 EXACT_WMD_PAIR_LIMIT = 65536  # ground-cost cells of one exact problem
-EXACT_WMD_BATCH_CELLS = 2 * EXACT_WMD_PAIR_LIMIT  # padded cells of one solver batch
+EXACT_WMD_BATCH_BYTES = 2 << 20  # padded cost stack plus flow stack of one solver batch
 SEMANTIC_COLUMNS = ("wmd", "scm", "cos", "euc", "wmd_sim", "cos_sim")
 
 
@@ -66,20 +68,23 @@ def _ground_cost(va: np.ndarray, vb: np.ndarray, out: np.ndarray | None = None) 
     return np.sqrt((diff * diff).sum(axis=2), out=out)
 
 
-def _shape_batches(exact: list[tuple[int, int, int, int]]) -> Iterator[tuple[list, tuple[int, int, int]]]:
-    """The (m, n, i, j) entries of exact, in order, cut into batches, each
-    with its padded stack shape (entries, largest m, largest n); a stack
-    stays within EXACT_WMD_BATCH_CELLS cells. Sorting exact by shape first
-    keeps padding small."""
-    batch: list[tuple[int, int, int, int]] = []
-    big_m = big_n = 0
+def _shape_batches(exact: list[tuple[int, int, int, int, int]]) -> Iterator[tuple[list, tuple[int, int, int]]]:
+    """The (m, n, i, j, supply) entries of exact, in order, cut into batches,
+    each with its padded stack shape (entries, largest m, largest n). A
+    batch's padded cells each hold a float64 cost and a flow of the
+    `flow_dtype` of its largest supply, within EXACT_WMD_BATCH_BYTES; a batch
+    is cut only where the next entry would break that budget. Sorting exact
+    by shape first keeps padding small."""
+    batch: list[tuple[int, int, int, int, int]] = []
+    big_m = big_n = big_supply = 0
     for entry in exact:
-        m, n = entry[:2]
-        if batch and (len(batch) + 1) * max(big_m, m) * max(big_n, n) > EXACT_WMD_BATCH_CELLS:
+        m, n, _, _, supply = entry
+        cell = 8 + flow_dtype(max(big_supply, supply)).itemsize  # bytes of a padded cell's cost and flow
+        if batch and (len(batch) + 1) * max(big_m, m) * max(big_n, n) * cell > EXACT_WMD_BATCH_BYTES:
             yield batch, (len(batch), big_m, big_n)
-            batch, big_m, big_n = [], 0, 0
+            batch, big_m, big_n, big_supply = [], 0, 0, 0
         batch.append(entry)
-        big_m, big_n = max(big_m, m), max(big_n, n)
+        big_m, big_n, big_supply = max(big_m, m), max(big_n, n), max(big_supply, supply)
     if batch:
         yield batch, (len(batch), big_m, big_n)
 
@@ -126,13 +131,13 @@ def _wmd_column(src: list[_Bag | None], tgt: list[_Bag | None],
     shape = (len(src), len(tgt))
     wmd_col = np.full(shape, np.nan)
     relaxed = np.zeros(shape, dtype=bool)
-    exact = []  # (m, n, i, j) of the pairs small enough for the exact solver
+    exact = []  # (m, n, i, j, largest cross-scaled supply) of the pairs small enough for the exact solver
     for i, a in enumerate(src):
         for j, b in enumerate(tgt):
             if a is None or b is None:
                 continue
             if len(a.weights) * len(b.weights) <= EXACT_WMD_PAIR_LIMIT and a.total * b.total <= EXACT_TOTAL_LIMIT:
-                exact.append((len(a.weights), len(b.weights), i, j))
+                exact.append((len(a.weights), len(b.weights), i, j, int(a.weights.max()) * b.total))
             else:
                 cost = _ground_cost(a.vecs, b.vecs)
                 if np.isfinite(cost).all():
@@ -146,7 +151,7 @@ def _wmd_column(src: list[_Bag | None], tgt: list[_Bag | None],
         cost = buffer[:shape[0] * shape[1] * shape[2]].reshape(shape)
         cost.fill(np.inf)
         solved: list[tuple[int, int]] = []
-        for m, n, i, j in batch:
+        for m, n, i, j, _ in batch:
             block = _ground_cost(src[i].vecs, tgt[j].vecs, out=cost[len(solved), :m, :n])
             if np.isfinite(block).all():
                 solved.append((i, j))

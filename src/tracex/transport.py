@@ -7,7 +7,12 @@ round finalizes every supply row at once; each step then finalizes the
 `argmin` column label together with the rows that send flow into that
 column, as in the shortest-augmenting-path scheme of Jonker and Volgenant
 (1987). Supplies are cross-scaled to integers so every augmentation is
-exact; the final cost is rescaled back to the probability simplex.
+exact; the final cost is rescaled back to the probability simplex. No
+flow exceeds its row's supply, so the flows are held as unsigned integers
+of the narrowest dtype that holds the stack's largest cross-scaled supply
+(`flow_dtype`): uint8 while every supply is below 256, uint64 at the 2**53
+bound. Every flow converts to float64 exactly, so no cost depends on the
+flows' dtype.
 
 A batch of problems runs in lockstep: every step takes one `argmin` per
 problem, every augmentation traces all paths together, and a problem
@@ -36,6 +41,12 @@ def transport_cost(a, b, cost) -> float:
     return float(stacked_transport_costs(cost[None], [a], [b])[0])
 
 
+def flow_dtype(supply) -> np.dtype:
+    """The dtype of the solver's flows on a stack whose largest cross-scaled
+    supply (a row's weight times the other side's total) is `supply`."""
+    return np.min_scalar_type(int(supply))
+
+
 def _weights(w, k: int) -> np.ndarray:
     """Problem k's weights as int64; ValueError unless nonnegative integers."""
     w = np.asarray(w)
@@ -54,7 +65,7 @@ def stacked_transport_costs(cost: np.ndarray, weights_a, weights_b, counts: dict
     nonnegative integers, as integer arrays or integral floats; only their
     proportions matter. Each problem's costs must be finite, both its totals
     positive and their product at most 2**53, so that the cross-scaled
-    supplies and every flow stay exact in float64. A problem that breaks
+    supplies stay exact in float64 and fit uint64. A problem that breaks
     these rules, or does not fit the stack, raises ValueError naming its
     index k. The stack is read, not written; an empty stack gives an empty array.
     counts, when given, gains the solver's augmenting paths ("augmentations")
@@ -85,8 +96,9 @@ def stacked_transport_costs(cost: np.ndarray, weights_a, weights_b, counts: dict
 
 
 def _min_cost_flows(residual, cost, counts: dict | None = None) -> np.ndarray:
-    """Successive shortest paths on a (B, M, N) cost stack; returns the flows.
-    residual holds each problem's supplies, then its demands, and is used up.
+    """Successive shortest paths on a (B, M, N) cost stack; returns the flows,
+    in the `flow_dtype` of the stack's largest supply. residual holds each
+    problem's supplies, then its demands, and is used up.
     counts, when given, gains the augmenting paths ("augmentations") and
     the lockstep search steps ("steps").
 
@@ -122,20 +134,22 @@ def _min_cost_flows(residual, cost, counts: dict | None = None) -> np.ndarray:
     Every array keeps one row per problem of the batch, so a finished
     problem costs no copy; it only drops out of the index of live problems.
     Node u of problem p has the flat index p * (M + N) + u; column j of
-    problem p has the flat label index p * N + j."""
+    problem p has the flat label index p * N + j. Predecessors are node
+    indices or -1, held in the narrowest signed dtype."""
     n_problems, m, n = cost.shape
     w = m + n
-    flow = np.zeros((n_problems, m, n))
+    # A flow never exceeds its row's supply; each is an exact integer.
+    flow = np.zeros((n_problems, m, n), dtype=flow_dtype(residual[:, :m].max(initial=0)))
     pot = np.zeros((n_problems, w))
     final = np.empty((n_problems, w))  # the distance of final nodes, inf before
-    prev = np.empty((n_problems, w), dtype=np.int64)  # node the best path came from
+    prev = np.empty((n_problems, w), dtype=np.min_scalar_type(-w))  # node the best path came from
     # label: the distance of columns not yet final, inf once final. Relaxing
     # a column needs a new distance below its label by the 1e-15 margin;
     # limit holds that bound, -inf once the column is final.
     label, limit = np.empty((n_problems, n)), np.empty((n_problems, n))
     end = np.zeros(n_problems, dtype=np.int64)  # the column node each search stops at
     root = np.zeros(n_problems, dtype=np.int64)  # the source row each path starts at
-    bottleneck = np.zeros(n_problems)
+    bottleneck = np.zeros(n_problems, dtype=flow.dtype)
     cost_rows = cost.reshape(n_problems * m, n)  # the forward arc costs of (problem, row), one row each
     final_f, prev_f, pot_f, residual_f, label_f, limit_f = (
         x.reshape(-1) for x in (final, prev, pot, residual, label, limit))  # views
@@ -167,7 +181,7 @@ def _min_cost_flows(residual, cost, counts: dict | None = None) -> np.ndarray:
         row += pot_f[at][:, None]
         cand = np.full((ranks, q.size, n), np.inf)  # padding stays +inf
         cand[np.arange(k.size) - first[k], k] = row
-        del row  # before cand's temporaries: the solver's traced peak stays at two stacks
+        del row  # before cand's temporaries: the solver's traced peak stays within one stack
         cand -= col_pot[q]
         best = cand.min(axis=0)
         kk = (best < limit[q]).ravel().nonzero()[0]
@@ -194,9 +208,12 @@ def _min_cost_flows(residual, cost, counts: dict | None = None) -> np.ndarray:
         limit.fill(np.inf)
         final.fill(np.inf)
         prev.fill(-1)
-        pairs = supply[live].ravel().nonzero()[0]  # every supply row is final at 0
-        k = pairs // m
-        scan(live, k, pairs - k * m, np.zeros(pairs.size))
+        per = max(1, SCAN_CHUNK_CELLS // (m * n))  # problems at a time: the round's (problem, row) arrays stay small
+        for lo in range(0, live.size, per):
+            q = live[lo:lo + per]
+            pairs = supply[q].ravel().nonzero()[0]  # every supply row is final at 0
+            k = pairs // m
+            scan(q, k, pairs - k * m, np.zeros(pairs.size))
         s = live  # problems still searching
         while s.size:
             steps += 1
@@ -218,15 +235,20 @@ def _min_cost_flows(residual, cost, counts: dict | None = None) -> np.ndarray:
             if pairs.size:
                 k = pairs // m
                 i = pairs - k * m
-                nd = (d[:, None] - (cost[s, :, j] + pot[s, :m] - pot_f[u][:, None])).ravel()[pairs]
-                prev_f[s[k] * w + i] = m + j[k]
+                sk, jk = s[k], j[k]
+                nd = d[k] - (cost[sk, i, jk] + pot[sk, i] - pot_f[u[k]])
+                prev_f[sk * w + i] = m + jk
                 scan(s, k, i, nd)
         e = end[live]
-        pot[live] += np.minimum(final[live], final[live, e][:, None])  # nodes not final are >= d_e
+        d_e = np.full((n_problems, 1), np.inf)
+        d_e[live, 0] = final[live, e]
+        # In place, with no (live, M + N) copies: final is refilled each
+        # round, and a problem that did not search (d_e inf) keeps its pot.
+        np.minimum(final, d_e, out=final)  # nodes not final are >= d_e
+        np.add(pot, final, out=pot, where=d_e < np.inf)
 
         # Trace every augmenting path back to a source row, in lockstep; each
         # path alternates forward arcs (row -> column) and backward arcs.
-        bottleneck[live] = residual[live, e]
         forward, backward = [], []  # (problem, row, column) per arc, in arrays
         t, j = live, e
         while t.size:
@@ -237,9 +259,11 @@ def _min_cost_flows(residual, cost, counts: dict | None = None) -> np.ndarray:
             t, i = t[~source], i[~source]
             j = prev[t, i]
             backward.append((t, i, j - m))
-            bottleneck[t] = np.minimum(bottleneck[t], flow[t, i, j - m])
         start = root[live]
-        bottleneck[live] = np.minimum(bottleneck[live], residual[live, start])
+        # min with the source's supply before the cast: a demand alone may not fit the flows' dtype
+        bottleneck[live] = np.minimum(residual[live, start], residual[live, e])
+        for t, i, col in backward:
+            bottleneck[t] = np.minimum(bottleneck[t], flow[t, i, col])
         for t, i, col in forward:
             flow[t, i, col] += bottleneck[t]
         for t, i, col in backward:

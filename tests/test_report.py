@@ -656,7 +656,8 @@ def test_bpe_pvdbow_tree_pinned(tmp_path):
 def test_given_vectors_tree_pinned(tmp_path):
     """Seeded word vectors (--embeddings) on bags that take every WMD branch:
     an empty source, a target with no in-vocab token, one pair of 257 x 256
-    in-vocab tokens past the exact limit (wmd_relaxed), and exact pairs."""
+    in-vocab tokens past the exact limit (wmd_relaxed), and exact pairs of
+    2 x 2, 2 x 256 and 257 x 2 tokens, which share one solver batch."""
     words = [a + b + c for a in "abcdefg" for b in "abcdefg" for c in "abcdefg"]
     tb = tmp_path / "tb"
     for side, files in (("src", {"big": " ".join(words[:257]), "small": "aaa aab aab", "empty": ""}),
@@ -683,7 +684,7 @@ def test_given_vectors_tree_pinned(tmp_path):
         "scatter_loss.svg": "ec0dcd21f326245c4046d97ae114cb6ee0c642ae50bc4e389c2729ca4507d173",
         "scatter_noise.svg": "3e33902fdcd11c1fe49fac780d8ac8e64186ca00ac43e7de8ab798bba6b4e089",
     }
-    assert testbeds == "1c9c42b7c2207fe2c933757276777643df413dadb4e3ef5930bc025e28212492"
+    assert testbeds == "4be07c27ddbdc3d84e4dd288f7eebe6cdb6de5a079cf63dcf84e71eeb1cd7333"
 
 
 VALID = {c: row("a", "x", True)[c] for c in RECORD_COLUMNS}

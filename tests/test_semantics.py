@@ -9,14 +9,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import tracex.semantics as semantics
 from tracex.corpus import generate_synthetic
 from tracex.embeddings import EmbeddingMatrix
 from tracex.semantics import (
-    EXACT_WMD_BATCH_CELLS,
+    EXACT_WMD_BATCH_BYTES,
     EXACT_WMD_PAIR_LIMIT,
     _shape_batches,
     relaxed_wmd,
@@ -413,62 +413,97 @@ def test_stacked_transport_costs_match_single_problems(problems, extra_m, extra_
         assert alone == pytest.approx(highs_transport(a, b, c), rel=1e-9, abs=1e-12)
 
 
+INTEGRAL_COST = [[0.0, 1.0, 2.0], [2.0, 1.0, 0.0], [1.0, 0.0, 1.0]]
+
+
+def unsigned_for(supply: int) -> np.dtype:
+    """The narrowest unsigned dtype that holds supply: the solver's flow dtype."""
+    return np.dtype(next(t for t in (np.uint8, np.uint16, np.uint32, np.uint64) if supply <= np.iinfo(t).max))
+
+
+def wide_supply(a, b):
+    """A problem of weights a and b on the first cells of INTEGRAL_COST."""
+    return a, b, np.array(INTEGRAL_COST)[:len(a), :len(b)]
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.lists(degenerate_transport(max_side=7, integral=True), min_size=1, max_size=6),
        st.integers(0, 3), st.integers(0, 3))
+# largest cross-scaled supplies past 255, 65,535 and 2**32, totals at the 2**53
+# bound, and a demand (300) past the one-byte flows of its supplies
+@example([wide_supply([1, 3], [100, 2, 1]), wide_supply([2], [1, 1])], 1, 0)
+@example([wide_supply([300, 1], [250, 7]), wide_supply([1, 1, 1], [3])], 0, 2)
+@example([wide_supply([10**5, 3, 1], [10**5, 2]), wide_supply([1], [1])], 0, 0)
+@example([wide_supply([2**26 - 1, 1], [2**27 - 3, 2, 1]), wide_supply([5, 1], [1, 5])], 2, 1)
+@example([wide_supply([1, 1, 1], [100, 1])], 0, 0)
 def test_column_steps_give_the_node_by_node_bits(problems, extra_m, extra_n):
     """The column-step search gives the flows and costs of the node-by-node
     search (tests/oracles.py) bit for bit, on mixed padded stacks. The costs
     are integers, so every distance is exact and the two orders agree; with
     irrational costs, distances that tie exactly can differ in the last bits
-    and the two searches may break such a tie differently."""
+    and the two searches may break such a tie differently. The flows come in
+    the narrowest unsigned dtype that holds the largest cross-scaled supply."""
     cost, weights_a, weights_b = oracles.padded_stack(problems, extra_m, extra_n)
     want_costs, want_flow = oracles.node_transport(cost, weights_a, weights_b)
     flow = _min_cost_flows(oracles.cross_scaled(cost, weights_a, weights_b), cost)
-    assert flow.tobytes() == want_flow.tobytes()
+    assert flow.dtype == unsigned_for(max(max(a) * sum(b) for a, b, _ in problems))
+    assert flow.astype(np.float64).tobytes() == want_flow.tobytes()
     assert stacked_transport_costs(cost, weights_a, weights_b).tobytes() == want_costs.tobytes()
 
 
-def test_solver_memory_stays_at_two_stacks():
-    """A batch of c7's shape (327 problems of 20x20 bags): the solver's traced
-    peak stays at about two cost stacks, the flows and the search's arrays,
-    as the node-by-node search's did (2.03 stacks). Scans without chunks
-    took it to four."""
-    rng = np.random.default_rng(0)
-    vecs = rng.standard_normal((327, 2, 20, 16))
-    diff = vecs[:, 0, :, None, :] - vecs[:, 1, None, :, :]
-    cost = np.sqrt((diff * diff).sum(axis=3))
-    weights_a, weights_b = zip(*rng.integers(1, 4, (327, 2, 20)))
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        stacked_transport_costs(cost, weights_a, weights_b)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2.1 * cost.nbytes, peak / cost.nbytes
+def test_solver_memory_stays_near_one_stack():
+    """Batches of c7's shape, 20x20 bags: 327 problems as under a cap of
+    131,072 cells, 582 as under the byte budget. The solver's traced peak
+    stays within one cost stack: one-byte flows and predecessors, the
+    search's arrays and no (problems, M + N) copies (0.95 and 0.79 stacks).
+    Float64 flows took it to 2.07 stacks, and scans without chunks to four."""
+    for problems in (327, 582):
+        rng = np.random.default_rng(0)
+        vecs = rng.standard_normal((problems, 2, 20, 16))
+        diff = vecs[:, 0, :, None, :] - vecs[:, 1, None, :, :]
+        cost = np.sqrt((diff * diff).sum(axis=3))
+        weights_a, weights_b = zip(*rng.integers(1, 4, (problems, 2, 20)))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            stacked_transport_costs(cost, weights_a, weights_b)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= cost.nbytes, (problems, peak / cost.nbytes)
 
 
-NUMPY_MA = """
-import sys
+LAZY_IMPORT = """
+import json, sys
 from tracex.cli import main
-out = sys.argv[1]
+out, module, args = sys.argv[1], sys.argv[2], json.loads(sys.argv[3])
 assert main(["synth", "--seed", "3", "--sources", "6", "--targets", "6", "--out", out + "/tb"]) == 0
-assert main(["analyze", "--manifest", out + "/tb/manifest.json", "--out", out + "/out",
-             "--dim", "8", "--epochs", "2"]) == 0
-print("numpy.ma" in sys.modules)
+assert main(["analyze", "--manifest", out + "/tb/manifest.json", "--out", out + "/out", *args]) == 0
+print(module in sys.modules)
 """
+
+
+def analyze_imports(tmp_path, module: str, *args: str) -> bool:
+    """Whether an analyze of a small synthetic testbed imports `module`, in a fresh child."""
+    proc = subprocess.run(
+        [sys.executable, "-c", LAZY_IMPORT, str(tmp_path), module, json.dumps(args)],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1"),
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return proc.stdout.split()[-1] == "True"
 
 
 def test_skipgram_analyze_leaves_numpy_ma_unimported(tmp_path):
     """`np.unique` imports numpy.ma lazily, 1.1 MiB of RSS; a skip-gram
-    analyze, which runs the solver, never needs it. Checked in a fresh child."""
-    proc = subprocess.run(
-        [sys.executable, "-c", NUMPY_MA, str(tmp_path)], capture_output=True, text=True, timeout=120,
-        env=dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1"),
-    )
-    assert proc.returncode == 0, proc.stderr[-2000:]
-    assert proc.stdout.split()[-1] == "False"
+    analyze, which runs the solver, never needs it."""
+    assert not analyze_imports(tmp_path, "numpy.ma", "--dim", "8", "--epochs", "2")
+
+
+def test_info_only_analyze_leaves_numpy_random_unimported(tmp_path):
+    """numpy.random is imported lazily and costs about 6 MiB of RSS; an
+    `analyze --vectorizer none` run trains nothing and never needs it."""
+    assert not analyze_imports(tmp_path, "numpy.random", "--vectorizer", "none")
 
 
 @pytest.mark.parametrize("a, b, block, message", [
@@ -514,24 +549,40 @@ def test_stacked_transport_costs_empty_stack(shape):
     assert stacked_transport_costs(np.zeros(shape), [], []).shape == (0,)
 
 
+def batch_bytes(entries) -> int:
+    """Bytes of a batch's padded float64 cost stack and its flow stack, whose
+    unsigned dtype holds the batch's largest supply."""
+    cell = 8 + unsigned_for(max(e[4] for e in entries)).itemsize
+    return len(entries) * max(e[0] for e in entries) * max(e[1] for e in entries) * cell
+
+
 def test_shape_batches_cap_padded_cells():
     """Batches keep exact's order, come with their padded stack shape, stay
-    within EXACT_WMD_BATCH_CELLS cells, twice the cells of the largest exact
-    problem, and are cut only where the next entry would break that cap."""
-    assert EXACT_WMD_BATCH_CELLS == 2 * EXACT_WMD_PAIR_LIMIT == 131072
+    within EXACT_WMD_BATCH_BYTES, the bytes of a float64 cost and a float64
+    flow on twice the cells of the largest exact problem, and are cut only
+    where the next entry would break that budget. Supplies span every flow
+    dtype."""
+    assert EXACT_WMD_BATCH_BYTES == 2 * EXACT_WMD_PAIR_LIMIT * 16 == 2 << 20
     rng = np.random.default_rng(3)
-    exact = sorted((int(m), int(n), k, 0) for k, (m, n) in enumerate(rng.integers(1, 300, size=(400, 2))))
+    supplies = rng.choice([1, 200, 300, 70_000, 2**32 + 1, 2**53], size=400)
+    exact = sorted((int(m), int(n), k, 0, int(s))
+                   for k, ((m, n), s) in enumerate(zip(rng.integers(1, 300, size=(400, 2)), supplies)))
     batches = list(_shape_batches(exact))
     assert [entry for batch, _ in batches for entry in batch] == exact
-
-    def padded(entries):
-        return len(entries), max(m for m, *_ in entries), max(n for _, n, *_ in entries)
-
     for (batch, shape), following in zip(batches, [b for b, _ in batches[1:]] + [None]):
-        assert shape == padded(batch)
-        assert np.prod(shape) <= EXACT_WMD_BATCH_CELLS
+        assert shape == (len(batch), max(e[0] for e in batch), max(e[1] for e in batch))
+        assert batch_bytes(batch) <= EXACT_WMD_BATCH_BYTES
         if following is not None:
-            assert np.prod(padded(batch + following[:1])) > EXACT_WMD_BATCH_CELLS
+            assert batch_bytes(batch + following[:1]) > EXACT_WMD_BATCH_BYTES
+
+
+def test_shape_batches_fit_c7_in_two_batches():
+    """c7's 900 problems of 20x20 cells go in two batches while their flows
+    fit one byte (c7's supplies are at most 153) or two, and in three once
+    they need four bytes."""
+    for supply, widths in ((153, [582, 318]), (300, [524, 376]), (70_000, [436, 436, 28])):
+        exact = [(20, 20, k, 0, supply) for k in range(900)]
+        assert [shape for _, shape in _shape_batches(exact)] == [(b, 20, 20) for b in widths]
 
 
 def test_wmd_bits_pinned():
