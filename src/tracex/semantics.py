@@ -3,14 +3,10 @@
 Word Mover's Distance uses Euclidean ground cost between token vectors and
 exact optimal transport; bags too large for the exact solver (by cells, or
 by weight totals past its 2**53 bound) fall back to the relaxed lower
-bound with a flag. `semantic_columns` hands the exact
-pairs of a testbed to the solver together, in batches whose padded float64
-cost stack and the solver's flow stack, one byte per cell or more as its
-largest cross-scaled supply needs (`tracex.transport.flow_dtype`), stay
-within EXACT_WMD_BATCH_BYTES: each batch's ground-cost blocks are written
-straight into the solver's padded `+inf` cost stack
-(`tracex.transport.stacked_transport_costs`). Out-of-vocabulary tokens are
-dropped; a pair whose side becomes empty gets undefined distances.
+bound with a flag. `semantic_columns` hands the exact pairs of a testbed
+to `tracex.transport.exact_costs` together, which batches them.
+Out-of-vocabulary tokens are dropped; a pair whose side becomes empty gets
+undefined distances.
 
 `semantic_columns` scores every pair of a testbed, doing per-artifact work
 once per artifact; it is the one implementation of these distances. Its WMD
@@ -20,7 +16,6 @@ one pair's WMD and `soft_cosine` one pair's SCM without computing the other.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from typing import NamedTuple
 
 import numpy as np
@@ -28,24 +23,10 @@ import numpy as np
 from tracex.embeddings import EmbeddingMatrix
 from tracex.tokenization import TokenCounts
 # transport_cost stays a module attribute: perfbench's span tracer wraps it by name.
-from tracex.transport import EXACT_TOTAL_LIMIT, flow_dtype, stacked_transport_costs, transport_cost  # noqa: F401
+from tracex.transport import EXACT_TOTAL_LIMIT, exact_costs, transport_cost  # noqa: F401
 
 EXACT_WMD_PAIR_LIMIT = 65536  # ground-cost cells of one exact problem
-EXACT_WMD_BATCH_BYTES = 2 << 20  # padded cost stack plus flow stack of one solver batch
 SEMANTIC_COLUMNS = ("wmd", "scm", "cos", "euc", "wmd_sim", "cos_sim")
-
-
-def _in_vocab(counts: TokenCounts, m: EmbeddingMatrix) -> tuple[list[str], np.ndarray]:
-    tokens = sorted(t for t, c in counts.counts.items() if c > 0 and t in m.index)
-    weights = np.array([counts.counts[t] for t in tokens], dtype=np.int64)
-    return tokens, weights
-
-
-def _unit(vecs: np.ndarray) -> np.ndarray:
-    """Rows scaled to unit length; zero rows stay zero."""
-    norms = np.linalg.norm(vecs, axis=1)
-    norms[norms == 0.0] = 1.0
-    return vecs / norms[:, None]
 
 
 def _term_sim(unit_a, rows_a, unit_b, rows_b) -> np.ndarray:
@@ -63,30 +44,15 @@ def relaxed_wmd(weights_a: np.ndarray, weights_b: np.ndarray, cost: np.ndarray) 
 
 
 def _ground_cost(va: np.ndarray, vb: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Euclidean distances between the rows of va and vb, into out if given."""
-    diff = va[:, None, :] - vb[None, :, :]
-    return np.sqrt((diff * diff).sum(axis=2), out=out)
-
-
-def _shape_batches(exact: list[tuple[int, int, int, int, int]]) -> Iterator[tuple[list, tuple[int, int, int]]]:
-    """The (m, n, i, j, supply) entries of exact, in order, cut into batches,
-    each with its padded stack shape (entries, largest m, largest n). A
-    batch's padded cells each hold a float64 cost and a flow of the
-    `flow_dtype` of its largest supply, within EXACT_WMD_BATCH_BYTES; a batch
-    is cut only where the next entry would break that budget. Sorting exact
-    by shape first keeps padding small."""
-    batch: list[tuple[int, int, int, int, int]] = []
-    big_m = big_n = big_supply = 0
-    for entry in exact:
-        m, n, _, _, supply = entry
-        cell = 8 + flow_dtype(max(big_supply, supply)).itemsize  # bytes of a padded cell's cost and flow
-        if batch and (len(batch) + 1) * max(big_m, m) * max(big_n, n) * cell > EXACT_WMD_BATCH_BYTES:
-            yield batch, (len(batch), big_m, big_n)
-            batch, big_m, big_n, big_supply = [], 0, 0, 0
-        batch.append(entry)
-        big_m, big_n, big_supply = max(big_m, m), max(big_n, n), max(big_supply, supply)
-    if batch:
-        yield batch, (len(batch), big_m, big_n)
+    """Euclidean distances between the rows of va and vb, into out if given.
+    Rows go in blocks of EXACT_WMD_PAIR_LIMIT cells, so an exact pair is one
+    block and a relaxed pair's (cells, dim) differences stay that small."""
+    out = np.empty((len(va), len(vb))) if out is None else out
+    rows = max(1, EXACT_WMD_PAIR_LIMIT // len(vb))
+    for lo in range(0, len(va), rows):
+        diff = va[lo:lo + rows, None, :] - vb[None, :, :]
+        np.sqrt((diff * diff).sum(axis=2), out=out[lo:lo + rows])
+    return out
 
 
 class _Bag(NamedTuple):
@@ -102,12 +68,15 @@ class _Bag(NamedTuple):
 
 def _bag(counts: TokenCounts, m: EmbeddingMatrix | None) -> _Bag | None:
     """An artifact's bag; None when it has no in-vocab token."""
-    tokens, weights = _in_vocab(counts, m) if m is not None else ([], None)
+    tokens = [] if m is None else sorted(t for t, c in counts.counts.items() if c > 0 and t in m.index)
     if not tokens:
         return None
+    weights = np.array([counts.counts[t] for t in tokens], dtype=np.int64)
     rows = np.array([m.index[t] for t in tokens])
     vecs = m.vectors[rows]
-    unit = _unit(vecs)
+    norms = np.linalg.norm(vecs, axis=1)
+    norms[norms == 0.0] = 1.0  # zero rows stay zero
+    unit = vecs / norms[:, None]
     self_term = max(1e-12, float(weights @ _term_sim(unit, rows, unit, rows) @ weights))
     w = weights.astype(np.float64)
     return _Bag(rows, weights, int(weights.sum()), vecs, unit, self_term,
@@ -121,49 +90,33 @@ def _wmd_column(src: list[_Bag | None], tgt: list[_Bag | None],
     NaN where a side has no bag, and where a ground cost overflows: such a
     pair is never bounded or solved. Pairs of more than EXACT_WMD_PAIR_LIMIT
     ground-cost cells, or whose weight totals multiply past the solver's
-    EXACT_TOTAL_LIMIT, get the relaxed bound; the others are solved exactly,
-    batch by batch, each batch's blocks written straight into one padded
-    cost stack. wmd_pairs, when given, receives the number of pairs solved
-    exactly ("exact") and bounded ("relaxed"), of solver batches ("batches"),
-    and the solver's augmenting paths ("augmentations") and lockstep search
-    steps ("steps") over all batches.
+    EXACT_TOTAL_LIMIT, get the relaxed bound; the others are solved exactly
+    by `tracex.transport.exact_costs`. wmd_pairs, when given, receives the
+    number of pairs bounded ("relaxed") and the counts of `exact_costs`.
     """
     shape = (len(src), len(tgt))
     wmd_col = np.full(shape, np.nan)
     relaxed = np.zeros(shape, dtype=bool)
-    exact = []  # (m, n, i, j, largest cross-scaled supply) of the pairs small enough for the exact solver
+    rows, cols = [], []  # the pairs small enough for the exact solver
     for i, a in enumerate(src):
         for j, b in enumerate(tgt):
             if a is None or b is None:
                 continue
             if len(a.weights) * len(b.weights) <= EXACT_WMD_PAIR_LIMIT and a.total * b.total <= EXACT_TOTAL_LIMIT:
-                exact.append((len(a.weights), len(b.weights), i, j, int(a.weights.max()) * b.total))
+                rows.append(i)
+                cols.append(j)
             else:
                 cost = _ground_cost(a.vecs, b.vecs)
                 if np.isfinite(cost).all():
                     wmd_col[i, j], relaxed[i, j] = relaxed_wmd(a.weights, b.weights, cost), True
-    batches = list(_shape_batches(sorted(exact)))
-    # One buffer holds each batch's stack in turn: the largest is allocated once.
-    buffer = np.empty(max((b * m * n for _, (b, m, n) in batches), default=0))
-    n_exact = n_batches = 0
-    solver = {"augmentations": 0, "steps": 0}
-    for batch, shape in batches:
-        cost = buffer[:shape[0] * shape[1] * shape[2]].reshape(shape)
-        cost.fill(np.inf)
-        solved: list[tuple[int, int]] = []
-        for m, n, i, j, _ in batch:
-            block = _ground_cost(src[i].vecs, tgt[j].vecs, out=cost[len(solved), :m, :n])
-            if np.isfinite(block).all():
-                solved.append((i, j))
-            else:  # the slot is padding again, for the next pair
-                block.fill(np.inf)
-        if solved:
-            rows, cols = zip(*solved)
-            wmd_col[rows, cols] = stacked_transport_costs(
-                cost[:len(solved)], [src[i].weights for i in rows], [tgt[j].weights for j in cols], solver)
-            n_exact, n_batches = n_exact + len(solved), n_batches + 1
+
+    def fill(k, slot):
+        _ground_cost(src[rows[k]].vecs, tgt[cols[k]].vecs, out=slot)
+
+    costs, counts = exact_costs([src[i].weights for i in rows], [tgt[j].weights for j in cols], fill)
+    wmd_col[rows, cols] = costs
     if wmd_pairs is not None:
-        wmd_pairs.update(exact=n_exact, relaxed=int(relaxed.sum()), batches=n_batches, **solver)
+        wmd_pairs.update(relaxed=int(relaxed.sum()), **counts)
     return wmd_col, relaxed
 
 
@@ -190,8 +143,9 @@ def _pair_bags(a: TokenCounts, b: TokenCounts, m: EmbeddingMatrix, name: str):
 def wmd(a: TokenCounts, b: TokenCounts, m: EmbeddingMatrix) -> tuple[float, bool]:
     """Word Mover's Distance of one pair and a flag marking the relaxed
     fallback, taken by pairs of more than EXACT_WMD_PAIR_LIMIT ground-cost
-    cells; NaN when a ground cost overflows. Cell (0, 0) of semantic_columns,
-    computed without its other columns."""
+    cells or whose weight totals multiply past EXACT_TOTAL_LIMIT; NaN when a
+    ground cost overflows. Cell (0, 0) of semantic_columns, computed without
+    its other columns."""
     with np.errstate(all="ignore"):
         values, relaxed = _wmd_column(*_pair_bags(a, b, m, "wmd"))
     return float(values[0, 0]), bool(relaxed[0, 0])
@@ -220,13 +174,12 @@ def semantic_columns(
     word matrix and an in-vocab token on both sides, euc both document
     vectors, cos also nonzero norms. NaN marks undefined; a NaN under a mask
     is a numeric failure for the caller. wmd_pairs, when given, receives
-    the counts of pairs solved exactly and bounded, of solver batches, and
-    of the solver's augmenting paths and search steps.
+    the WMD counts of `_wmd_column`.
     """
     shape = (len(src_counts), len(tgt_counts))
     if word_matrix is None and doc_vecs is None:  # no vectors: nothing is defined
         if wmd_pairs is not None:
-            wmd_pairs.update(exact=0, relaxed=0, batches=0, augmentations=0, steps=0)
+            _wmd_column([], [], wmd_pairs)  # every count 0
         undefined, nowhere = np.full(shape, np.nan), np.zeros(shape, dtype=bool)
         undefined.flags.writeable = nowhere.flags.writeable = False
         return dict.fromkeys(SEMANTIC_COLUMNS, undefined), dict.fromkeys(SEMANTIC_COLUMNS, nowhere), nowhere

@@ -1,27 +1,24 @@
 """Exact optimal transport between discrete weight vectors, many problems at once.
 
-Min-cost flow on the dense bipartite transport graph, solved by successive
-shortest paths with node potentials: Dijkstra on reduced costs over m + n
-nodes (row i is node i, column j is node m + j) that steps by columns. A
-round finalizes every supply row at once; each step then finalizes the
-`argmin` column label together with the rows that send flow into that
-column, as in the shortest-augmenting-path scheme of Jonker and Volgenant
-(1987). Supplies are cross-scaled to integers so every augmentation is
-exact; the final cost is rescaled back to the probability simplex. No
-flow exceeds its row's supply, so the flows are held as unsigned integers
-of the narrowest dtype that holds the stack's largest cross-scaled supply
-(`flow_dtype`): uint8 while every supply is below 256, uint64 at the 2**53
-bound. Every flow converts to float64 exactly, so no cost depends on the
-flows' dtype.
+Min-cost flow on the dense bipartite transport graph, by successive shortest
+paths with node potentials and a Dijkstra that steps by columns, as in
+Jonker and Volgenant (1987); `_min_cost_flows` gives the details. Supplies
+are cross-scaled to integers, so every augmentation is exact, and the flows
+are held in the narrowest unsigned dtype of the stack's largest supply
+(`flow_dtype`): uint8 below 256, uint64 at the 2**53 bound. Each flow
+converts to float64 exactly. A batch runs in lockstep as one padded
+(B, M, N) cost stack whose padding costs `+inf` and has no supply or demand,
+so each problem gets the flows and bits it would get alone.
+`stacked_transport_costs` is the one solver entry point and checks each
+problem's input once; `transport_cost` is a stack of one.
 
-A batch of problems runs in lockstep: every step takes one `argmin` per
-problem, every augmentation traces all paths together, and a problem
-leaves the batch once its supply is placed. The batch is one padded
-(B, M, N) cost stack: problem k's costs fill cost[k, :m_k, :n_k] and every
-other cell is `+inf`, and padded nodes have zero supply and demand, so a
-padded node never gets a finite label; each problem gets the flows and the
-bits it would get alone. `stacked_transport_costs` is the one entry point
-and checks each problem's input once; `transport_cost` is a stack of one.
+`exact_costs` makes every batching decision: it sorts problems by shape,
+then by index, and cuts a batch where its padded float64 cost stack plus its
+flow stack would pass BATCH_BYTES; the caller only fills each problem's slot
+of one reused `+inf` buffer. The budget leaves out the solver's (B, M + N)
+float64 `residual`, `pot` and `final` and (B, N) `label` and `limit`: 1,280
+bytes beside a 20x20 problem's 3,200-byte cost block. Counting them would
+cut 900 such problems into 3 batches instead of 2.
 """
 
 from __future__ import annotations
@@ -29,6 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 EXACT_TOTAL_LIMIT = 2**53  # float64 holds every integer up to here exactly
+BATCH_BYTES = 2 << 20  # padded cost stack plus flow stack of one exact_costs batch
 SCAN_CHUNK_CELLS = 1 << 14  # bounds the (rank, problem, column) candidate array of a scan
 
 
@@ -45,6 +43,59 @@ def flow_dtype(supply) -> np.dtype:
     """The dtype of the solver's flows on a stack whose largest cross-scaled
     supply (a row's weight times the other side's total) is `supply`."""
     return np.min_scalar_type(int(supply))
+
+
+def exact_costs(weights_a, weights_b, fill) -> tuple[np.ndarray, dict]:
+    """Minimum transport cost of every problem k, moving the integer array
+    weights_a[k] onto weights_b[k] under the costs fill(k, slot) writes into
+    its (len(a), len(b)) slot, by the rules of `stacked_transport_costs`, or
+    NaN where the slot is not all finite; and the counts of problems solved
+    ("exact"), batches, augmenting paths ("augmentations") and search steps."""
+    shapes = [(len(a), len(b), int(a.max(initial=0)) * int(b.sum())) for a, b in zip(weights_a, weights_b)]
+    order = sorted(range(len(shapes)), key=lambda k: shapes[k][:2])  # stable: by shape, then by index
+    batches = list(_shape_batches([shapes[k] for k in order]))
+    buffer = np.empty(max((b * m * n for _, (b, m, n) in batches), default=0))  # each batch's stack in turn
+    costs = np.full(len(shapes), np.nan)
+    counts = {"exact": 0, "batches": 0, "augmentations": 0, "steps": 0}
+    done = 0
+    for _, (b, m, n) in batches:
+        cost = buffer[:b * m * n].reshape(b, m, n)
+        cost.fill(np.inf)
+        solved: list[int] = []
+        for k in order[done:done + b]:
+            slot = cost[len(solved), :shapes[k][0], :shapes[k][1]]
+            fill(k, slot)
+            if np.isfinite(slot).all():
+                solved.append(k)
+            else:  # the slot is padding again, for the next problem
+                slot.fill(np.inf)
+        done += b
+        if solved:
+            costs[solved] = stacked_transport_costs(
+                cost[:len(solved)], [weights_a[k] for k in solved], [weights_b[k] for k in solved], counts)
+            counts["exact"] += len(solved)
+            counts["batches"] += 1
+    return costs, counts
+
+
+def _shape_batches(problems):
+    """The (m, n, supply) of each problem, in order, cut into batches, each
+    with its padded stack shape (problems, largest m, largest n). A batch's
+    padded cells each hold a float64 cost and a flow of the `flow_dtype` of
+    its largest supply, within BATCH_BYTES; a batch is cut only where the
+    next problem would break that budget."""
+    batch: list[tuple[int, int, int]] = []
+    big_m = big_n = big_supply = 0
+    for problem in problems:
+        m, n, supply = problem
+        cell = 8 + flow_dtype(max(big_supply, supply)).itemsize  # bytes of a padded cell's cost and flow
+        if batch and (len(batch) + 1) * max(big_m, m) * max(big_n, n) * cell > BATCH_BYTES:
+            yield batch, (len(batch), big_m, big_n)
+            batch, big_m, big_n, big_supply = [], 0, 0, 0
+        batch.append(problem)
+        big_m, big_n, big_supply = max(big_m, m), max(big_n, n), max(big_supply, supply)
+    if batch:
+        yield batch, (len(batch), big_m, big_n)
 
 
 def _weights(w, k: int) -> np.ndarray:
@@ -98,9 +149,8 @@ def stacked_transport_costs(cost: np.ndarray, weights_a, weights_b, counts: dict
 def _min_cost_flows(residual, cost, counts: dict | None = None) -> np.ndarray:
     """Successive shortest paths on a (B, M, N) cost stack; returns the flows,
     in the `flow_dtype` of the stack's largest supply. residual holds each
-    problem's supplies, then its demands, and is used up.
-    counts, when given, gains the augmenting paths ("augmentations") and
-    the lockstep search steps ("steps").
+    problem's supplies, then its demands, and is used up; counts as in
+    `stacked_transport_costs`. A round that places no flow raises RuntimeError.
 
     Reduced cost of the forward arc i->j is cost[i,j] + pot[i] - pot[M+j];
     flow-carrying arcs admit the reverse arc at the negated reduced cost.
@@ -113,29 +163,26 @@ def _min_cost_flows(residual, cost, counts: dict | None = None) -> np.ndarray:
     chain. A problem's search stops at its first finalized column with
     demand left.
 
-    The search steps by columns. Every supply row starts at 0, and a
-    non-supply row is reached only backwards, from a column it sends flow
-    to. In exact arithmetic every flow-carrying arc has reduced cost 0 after
-    a potential update, so those rows sit at the column's distance and,
-    rows winning ties, are the next nodes of a node-by-node search, as the
-    supply rows are its first. So each round finalizes all supply rows at
-    once, and each step takes one `argmin` over column labels per searching
-    problem, finalizes that column and, unless it stops there, its open
-    flow rows at the reverse-arc distances, then relaxes those rows'
-    forward arcs. The rows a round or step finalizes relax together, as one
-    min per (problem, column) over a (rank, problem, column) candidate
-    array; the lowest row wins a tie, as when the rows went one at a time.
-    With exact distances, as under integer costs, this gives the flows of
-    the node-by-node search bit for bit (tests/oracles.py keeps it). Where
-    round-off splits distances that tie exactly by a few ulps, the two
-    searches can order the tied nodes differently, and a cost can differ in
-    its last bits.
+    The search steps by columns. Every supply row starts at 0; any other row
+    is reached only backwards, from a column it sends flow to, and in exact
+    arithmetic sits at that column's distance, as a flow-carrying arc has
+    reduced cost 0 after a potential update. As rows win ties, such rows are
+    the next nodes of a node-by-node search, as the supply rows are its
+    first. So a round finalizes all supply rows at once, and a step takes one
+    `argmin` over column labels per searching problem and finalizes that
+    column and, unless it stops there, its open flow rows at the reverse-arc
+    distances. The rows a round or step finalizes relax their forward arcs
+    together, one min per (problem, column) over a (rank, problem, column)
+    candidate array, where the lowest row wins a tie. With exact distances,
+    as under integer costs, this gives the flows of the node-by-node search
+    bit for bit (tests/oracles.py keeps it); where round-off splits an exact
+    tie by a few ulps, the two searches can order the tied nodes differently
+    and a cost can differ in its last bits.
 
-    Every array keeps one row per problem of the batch, so a finished
-    problem costs no copy; it only drops out of the index of live problems.
-    Node u of problem p has the flat index p * (M + N) + u; column j of
-    problem p has the flat label index p * N + j. Predecessors are node
-    indices or -1, held in the narrowest signed dtype."""
+    Every array keeps one row per problem, so a finished problem costs no
+    copy; it drops out of the index of live problems. Node u of problem p has
+    the flat index p * (M + N) + u, and column j the label index p * N + j.
+    Predecessors are node indices or -1, in the narrowest signed dtype."""
     n_problems, m, n = cost.shape
     w = m + n
     # A flow never exceeds its row's supply; each is an exact integer.
@@ -164,13 +211,11 @@ def _min_cost_flows(residual, cost, counts: dict | None = None) -> np.ndarray:
         first = size.cumsum() - size  # each problem's first pair
         ranks = int(size.max())
         per = max(1, SCAN_CHUNK_CELLS // (ranks * n))
-        if per >= q.size:
-            return _scan(q, k, i, d, first, ranks)
         for lo in range(0, q.size, per):
             hi = min(lo + per, q.size)
             a, b = first[lo], first[hi - 1] + size[hi - 1]
             if b > a:
-                _scan(q[lo:hi], k[a:b] - lo, i[a:b], d[a:b], first[lo:hi] - a, int(size[lo:hi].max()))
+                _scan(q[lo:hi], k[a:b] - lo, i[a:b], d[a:b], first[lo:hi] - a, ranks)
 
     def _scan(q, k, i, d, first, ranks):
         p = q[k]
@@ -264,6 +309,8 @@ def _min_cost_flows(residual, cost, counts: dict | None = None) -> np.ndarray:
         bottleneck[live] = np.minimum(residual[live, start], residual[live, e])
         for t, i, col in backward:
             bottleneck[t] = np.minimum(bottleneck[t], flow[t, i, col])
+        if not bottleneck[live].all():  # the round would repeat forever
+            raise RuntimeError("transport round placed no flow")
         for t, i, col in forward:
             flow[t, i, col] += bottleneck[t]
         for t, i, col in backward:

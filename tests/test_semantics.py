@@ -13,19 +13,19 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import tracex.semantics as semantics
+import tracex.transport as transport
 from tracex.corpus import generate_synthetic
 from tracex.embeddings import EmbeddingMatrix
 from tracex.semantics import (
-    EXACT_WMD_BATCH_BYTES,
     EXACT_WMD_PAIR_LIMIT,
-    _shape_batches,
+    _ground_cost,
     relaxed_wmd,
     semantic_columns,
     soft_cosine,
     wmd,
 )
 from tracex.tokenization import TokenCounts, conventional_tokenize, count_tokens
-from tracex.transport import _min_cost_flows, stacked_transport_costs, transport_cost
+from tracex.transport import BATCH_BYTES, _min_cost_flows, _shape_batches, stacked_transport_costs, transport_cost
 
 import oracles
 
@@ -101,7 +101,7 @@ def test_soft_cosine_solves_no_transport_problem(monkeypatch):
     def refuse(*args):
         raise AssertionError("soft_cosine solved a transport problem")
 
-    monkeypatch.setattr(semantics, "stacked_transport_costs", refuse)
+    monkeypatch.setattr(semantics, "exact_costs", refuse)
     assert soft_cosine(a, b, m) == values["scm"][0, 0]
     with pytest.raises(AssertionError, match="solved a transport problem"):
         wmd(a, b, m)
@@ -552,28 +552,26 @@ def test_stacked_transport_costs_empty_stack(shape):
 def batch_bytes(entries) -> int:
     """Bytes of a batch's padded float64 cost stack and its flow stack, whose
     unsigned dtype holds the batch's largest supply."""
-    cell = 8 + unsigned_for(max(e[4] for e in entries)).itemsize
+    cell = 8 + unsigned_for(max(e[2] for e in entries)).itemsize
     return len(entries) * max(e[0] for e in entries) * max(e[1] for e in entries) * cell
 
 
 def test_shape_batches_cap_padded_cells():
     """Batches keep exact's order, come with their padded stack shape, stay
-    within EXACT_WMD_BATCH_BYTES, the bytes of a float64 cost and a float64
-    flow on twice the cells of the largest exact problem, and are cut only
-    where the next entry would break that budget. Supplies span every flow
-    dtype."""
-    assert EXACT_WMD_BATCH_BYTES == 2 * EXACT_WMD_PAIR_LIMIT * 16 == 2 << 20
+    within BATCH_BYTES, the bytes of a float64 cost and a float64 flow on
+    twice the cells of the largest exact WMD problem, and are cut only where
+    the next entry would break that budget. Supplies span every flow dtype."""
+    assert BATCH_BYTES == 2 * EXACT_WMD_PAIR_LIMIT * 16 == 2 << 20
     rng = np.random.default_rng(3)
     supplies = rng.choice([1, 200, 300, 70_000, 2**32 + 1, 2**53], size=400)
-    exact = sorted((int(m), int(n), k, 0, int(s))
-                   for k, ((m, n), s) in enumerate(zip(rng.integers(1, 300, size=(400, 2)), supplies)))
+    exact = sorted((int(m), int(n), int(s)) for (m, n), s in zip(rng.integers(1, 300, size=(400, 2)), supplies))
     batches = list(_shape_batches(exact))
     assert [entry for batch, _ in batches for entry in batch] == exact
     for (batch, shape), following in zip(batches, [b for b, _ in batches[1:]] + [None]):
         assert shape == (len(batch), max(e[0] for e in batch), max(e[1] for e in batch))
-        assert batch_bytes(batch) <= EXACT_WMD_BATCH_BYTES
+        assert batch_bytes(batch) <= BATCH_BYTES
         if following is not None:
-            assert batch_bytes(batch + following[:1]) > EXACT_WMD_BATCH_BYTES
+            assert batch_bytes(batch + following[:1]) > BATCH_BYTES
 
 
 def test_shape_batches_fit_c7_in_two_batches():
@@ -581,8 +579,66 @@ def test_shape_batches_fit_c7_in_two_batches():
     fit one byte (c7's supplies are at most 153) or two, and in three once
     they need four bytes."""
     for supply, widths in ((153, [582, 318]), (300, [524, 376]), (70_000, [436, 436, 28])):
-        exact = [(20, 20, k, 0, supply) for k in range(900)]
+        exact = [(20, 20, supply)] * 900
         assert [shape for _, shape in _shape_batches(exact)] == [(b, 20, 20) for b in widths]
+
+def test_batch_cuts_leave_every_wmd_bit(monkeypatch):
+    """Mixed bag shapes, one exact pair whose ground cost overflows and one
+    pair past the 2**53 total bound, solved at the default budget and at one
+    problem per batch: every WMD bit and the augmentations stay, and each
+    solved problem is a batch of its own."""
+    rng = np.random.default_rng(4)
+    vocab = [f"w{k}" for k in range(30)]
+    vectors = {t: rng.normal(size=4) for t in vocab}
+    vectors["huge"], vectors["tiny"] = [1e154, 0, 0, 0], [-1e154, 0, 0, 0]  # 2e154 apart: the square overflows
+    m = matrix(**vectors)
+    src, tgt = ([{str(t): int(rng.integers(1, 4)) for t in rng.choice(vocab, size, replace=False)}
+                 for size in sizes] for sizes in ((1, 3, 5, 8, 8), (2, 3, 7, 4)))
+    src += [{"huge": 1, "w0": 2}, {"w1": 10**8}]
+    tgt += [{"tiny": 1}, {"w2": 10**8}]
+
+    def solve():
+        counts = {}
+        values, _, relaxed = semantic_columns([TokenCounts(c) for c in src], [TokenCounts(c) for c in tgt],
+                                              m, None, counts)
+        return values["wmd"], relaxed, counts
+
+    wmd_default, relaxed, default = solve()
+    monkeypatch.setattr(transport, "BATCH_BYTES", 1)  # one problem per batch
+    wmd_narrow, _, narrow = solve()
+    assert relaxed[-1, -1] and relaxed.sum() == 1
+    assert np.isnan(wmd_default[-2, -2]) and np.isnan(wmd_default).sum() == 1
+    assert default["exact"] == wmd_default.size - 2 and default["batches"] == 1
+    assert wmd_default.tobytes() == wmd_narrow.tobytes()
+    assert default["augmentations"] == narrow["augmentations"]
+    assert narrow["batches"] == narrow["exact"] == default["exact"]
+
+
+def test_relaxed_ground_cost_goes_in_row_blocks():
+    """A 600x600 pair at dim 16 holds its (cells, dim) differences for
+    EXACT_WMD_PAIR_LIMIT cells at a time, not for all 360,000 cells at once:
+    about 19 MiB traced instead of 90. Rows keep their bits across blocks."""
+    rng = np.random.default_rng(6)
+    va, vb = rng.normal(size=(600, 16)), rng.normal(size=(600, 16))
+    tracemalloc.start()
+    try:
+        cost = _ground_cost(va, vb)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= cost.nbytes + 3 * EXACT_WMD_PAIR_LIMIT * 16 * 8, peak / 2**20
+    for row in (0, 108, 109, 599):  # blocks of 109 rows
+        diff = va[row] - vb
+        assert cost[row].tobytes() == np.sqrt((diff * diff).sum(axis=1)).tobytes()
+
+
+def test_round_without_flow_raises(monkeypatch):
+    """A round that places no flow would repeat forever; the solver raises
+    instead. Flows one dtype too narrow (uint16 for supplies of 65,536)
+    make the bottleneck 0."""
+    monkeypatch.setattr(transport, "flow_dtype", lambda supply: np.dtype(np.uint16))
+    with pytest.raises(RuntimeError, match="placed no flow"):
+        stacked_transport_costs(np.zeros((1, 1, 1)), [[256]], [[256]])
 
 
 def test_wmd_bits_pinned():
