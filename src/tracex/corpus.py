@@ -115,7 +115,7 @@ def _read_artifact_dir(directory: Path, role: str) -> list[Artifact]:
         raise CorpusError(f"{role} directory not found: {directory}")
     artifacts = []  # sorted by id, the order of every report
     for path in sorted((p for p in directory.iterdir() if p.is_file()), key=lambda p: p.stem):
-        if "\r" in path.stem:  # records.csv would split its row; no oracle line can name it
+        if "\r" in path.stem:  # the records CSV would split its row; no oracle line can name it
             raise CorpusError(f"{role} artifact id {path.stem!r} contains a carriage return")
         artifacts.append(Artifact(path.stem, path.read_text(encoding="utf-8", errors="replace")))
     if not artifacts:

@@ -5,8 +5,10 @@ files.
 Sources and targets are sorted once; that order is the row order of every
 (n_src, n_tgt) grid. Info measures and semantic distances are computed for
 all pairs of a testbed at once (`info_columns`, `semantic_columns`), each as
-(values, masks, flags); every metric is checked, evaluated and reported as a
-column of one records table (`tracex.report`).
+(values, masks, flags); every metric is checked and evaluated as a column of
+one records table. Scoring and evaluation stay here, the correlation table
+included; `tracex.report.write_report_tree` writes a testbed's report files,
+and `run_analysis` writes run.json.
 """
 
 from __future__ import annotations
@@ -29,21 +31,7 @@ from tracex.embeddings import (
 )
 from tracex.evaluation import EvaluationError, correlation_table, pr_auc, roc_auc, tie_groups
 from tracex.infotheory import info_columns
-from tracex.report import (
-    IdColumn,
-    OrphanPolicy,
-    by_links_table,
-    detect_orphans,
-    extreme_cases,
-    information_table,
-    null_shared_census,
-    scatter_svg,
-    write_by_links_csv,
-    write_cases_jsonl,
-    write_correlations_csv,
-    write_information_csv,
-    write_records,
-)
+from tracex.report import IdColumn, OrphanPolicy, null_shared_census, write_report_tree
 from tracex.semantics import semantic_columns
 from tracex.tokenization import (
     BpeModel,
@@ -121,7 +109,7 @@ def tokenize_texts(texts: list[str], cfg: RunConfig) -> list[list[str]]:
 class TestbedResult:
     testbed: Testbed
     records: dict  # see tracex.report
-    evaluation: dict  # the evaluation.json document
+    evaluation: dict  # the evaluation document that tracex.report writes
     run: dict  # the testbed's entry under "testbeds" in run.json
 
 
@@ -251,11 +239,14 @@ def run_analysis(cfg: RunConfig) -> list[TestbedResult]:
         out_root.mkdir(parents=True, exist_ok=True)
         for report_dir in report_dirs:
             report_dir.mkdir(parents=True, exist_ok=True)
+    policy = OrphanPolicy(quantile=cfg.orphan_quantile, metric=cfg.orphan_metric)
     results = []
     for tb, report_dir in zip(testbeds, report_dirs):
         result = analyze_testbed(tb, cfg)
+        # called here, not in report: perfbench's span tracer times pipeline attributes by name
+        correlations = correlation_table(result.records, SEMANTIC_METRICS, INFO_METRICS)
         with _creating(report_dir):
-            write_report_tree(result, cfg, report_dir)
+            write_report_tree(result.records, tb.name, result.evaluation, correlations, policy, report_dir)
         results.append(result)
     metadata = {
         "version": __version__,
@@ -269,28 +260,3 @@ def run_analysis(cfg: RunConfig) -> list[TestbedResult]:
             json.dumps(metadata, indent=2, sort_keys=True) + "\n", encoding="utf-8"
         )
     return results
-
-
-def write_report_tree(result: TestbedResult, cfg: RunConfig, out_dir: Path) -> None:
-    """Write one testbed's reports into the existing directory out_dir."""
-    records = result.records
-    write_records(records, out_dir / "records.csv", out_dir / "records.jsonl")
-    write_information_csv(information_table(records, result.testbed.name), out_dir / "information.csv")
-    write_by_links_csv(by_links_table(records), out_dir / "by_links.csv")
-    write_correlations_csv(
-        correlation_table(records, SEMANTIC_METRICS, INFO_METRICS),
-        out_dir / "correlations.csv",
-    )
-
-    policy = OrphanPolicy(quantile=cfg.orphan_quantile, metric=cfg.orphan_metric)
-    listings = extreme_cases(records, "loss") + extreme_cases(records, "noise")
-    listings += detect_orphans(records, policy)
-    write_cases_jsonl(listings, out_dir / "cases.jsonl")
-
-    for color in ("loss", "noise"):
-        (out_dir / f"scatter_{color}.svg").write_text(
-            scatter_svg(records, color) + "\n", encoding="utf-8"
-        )
-    (out_dir / "evaluation.json").write_text(
-        json.dumps(result.evaluation, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )

@@ -9,7 +9,9 @@ RECORD_COLUMNS, those of records.csv/.jsonl; nothing else it holds grows
 with the pair count.
 
 Tables and case listings are pure views of the records; emission is
-deterministic byte-for-byte given identical inputs. write_records writes
+deterministic byte-for-byte given identical inputs. `write_report_tree`
+writes a testbed's report files, the one place that names them; it takes
+the correlation cells from its caller. write_records writes
 both records files in one pass over row blocks: a column that holds one
 cell on every row is folded into the line templates once; ids, flags and
 floats with few distinct values keep one text per distinct value; the
@@ -40,7 +42,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from tracex.corpus import ConfigError
-from tracex.evaluation import SummaryStats, summarize
+from tracex.evaluation import CorrelationCell, SummaryStats, summarize
 
 RECORD_COLUMNS = [
     "source_id", "target_id", "is_link",
@@ -405,26 +407,8 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
-def write_information_csv(table: dict, path: Path) -> None:
-    """information_table's row under its keys."""
-    _write_csv(path, list(table), [list(table.values())])
-
-
 def _summary_cells(stats: SummaryStats | None) -> tuple:
     return (stats.mean, stats.std, stats.n) if stats else (None, None, 0)
-
-
-def write_by_links_csv(segregated: dict[str, dict[str, SummaryStats | None]], path: Path) -> None:
-    _write_csv(path, ["metric", "link", "link_std", "link_n", "nol", "nol_std", "nol_n"], (
-        [metric, *_summary_cells(segregated["link"][metric]),
-         *_summary_cells(segregated["non_link"][metric])]
-        for metric in BY_LINKS_METRICS
-    ))
-
-
-def write_correlations_csv(cells, path: Path) -> None:
-    _write_csv(path, ["semantic_metric", "info_metric", "pearson_r", "n"],
-               ([c.metric_a, c.metric_b, c.pearson_r, c.n] for c in cells))
 
 
 def write_cases_jsonl(listings: list[CaseListing], path: Path) -> None:
@@ -482,3 +466,27 @@ def scatter_svg(records: dict, color_key: str = "loss") -> str:
             )
     parts.append("</svg>")
     return "\n".join(parts)
+
+
+def write_report_tree(records: dict, testbed: str, evaluation: dict, correlations: list[CorrelationCell],
+                      policy: OrphanPolicy, out_dir: Path) -> None:
+    """Write a testbed's report files into the existing directory out_dir:
+    the records, its tables, its case listings, the two scatter plots and
+    its evaluation document. This is the one place that names them."""
+    write_records(records, out_dir / "records.csv", out_dir / "records.jsonl")
+    table = information_table(records, testbed)
+    _write_csv(out_dir / "information.csv", list(table), [list(table.values())])
+    segregated = by_links_table(records)
+    _write_csv(out_dir / "by_links.csv", ["metric", "link", "link_std", "link_n", "nol", "nol_std", "nol_n"],
+               ([metric, *_summary_cells(segregated["link"][metric]),
+                 *_summary_cells(segregated["non_link"][metric])]
+                for metric in BY_LINKS_METRICS))
+    _write_csv(out_dir / "correlations.csv", ["semantic_metric", "info_metric", "pearson_r", "n"],
+               ([c.metric_a, c.metric_b, c.pearson_r, c.n] for c in correlations))
+    listings = extreme_cases(records, "loss") + extreme_cases(records, "noise")
+    listings += detect_orphans(records, policy)
+    write_cases_jsonl(listings, out_dir / "cases.jsonl")
+    for color in ("loss", "noise"):
+        (out_dir / f"scatter_{color}.svg").write_text(scatter_svg(records, color) + "\n", encoding="utf-8")
+    (out_dir / "evaluation.json").write_text(json.dumps(evaluation, indent=2, sort_keys=True) + "\n",
+                                             encoding="utf-8")

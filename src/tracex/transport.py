@@ -12,8 +12,9 @@ so each problem gets the flows and bits it would get alone.
 `stacked_transport_costs` is the one solver entry point and checks each
 problem's input once; `transport_cost` is a stack of one.
 
-`exact_costs` makes every batching decision: it sorts problems by shape,
-then by index, and cuts a batch where its padded float64 cost stack plus its
+`exact_costs` makes every batching decision: it checks each problem's
+weights by the solver's rules (`_weights`), sorts problems by shape, then
+by index, and cuts a batch where its padded float64 cost stack plus its
 flow stack would pass BATCH_BYTES; the caller only fills each problem's slot
 of one reused `+inf` buffer. The budget leaves out the solver's (B, M + N)
 float64 `residual`, `pot` and `final` and (B, N) `label` and `limit`: 1,280
@@ -50,8 +51,10 @@ def exact_costs(weights_a, weights_b, fill) -> tuple[np.ndarray, dict]:
     weights_a[k] onto weights_b[k] under the costs fill(k, slot) writes into
     its (len(a), len(b)) slot, by the rules of `stacked_transport_costs`, or
     NaN where the slot is not all finite; and the counts of problems solved
-    ("exact"), batches, augmenting paths ("augmentations") and search steps."""
-    shapes = [(len(a), len(b), int(a.max(initial=0)) * int(b.sum())) for a, b in zip(weights_a, weights_b)]
+    ("exact"), batches, augmenting paths ("augmentations") and search steps.
+    Weights are checked before the sort, so a ValueError names the caller's k."""
+    checked = [_weights(a, b, k) for k, (a, b) in enumerate(zip(weights_a, weights_b))]
+    shapes = [(len(a), len(b), int(a.max(initial=0)) * tb) for a, b, _, tb in checked]
     order = sorted(range(len(shapes)), key=lambda k: shapes[k][:2])  # stable: by shape, then by index
     batches = list(_shape_batches([shapes[k] for k in order]))
     buffer = np.empty(max((b * m * n for _, (b, m, n) in batches), default=0))  # each batch's stack in turn
@@ -98,14 +101,23 @@ def _shape_batches(problems):
         yield batch, (len(batch), big_m, big_n)
 
 
-def _weights(w, k: int) -> np.ndarray:
-    """Problem k's weights as int64; ValueError unless nonnegative integers."""
-    w = np.asarray(w)
-    with np.errstate(invalid="ignore"):  # NaN, inf and huge floats cast to garbage, caught below
-        cast = w.astype(np.int64, copy=False) if w.dtype.kind in "iuf" else None
-    if cast is None or (w.dtype.kind == "f" and not np.array_equal(cast, w)) or (cast.size and cast.min() < 0):
-        raise ValueError(f"problem {k}: weights must be nonnegative integers")
-    return cast
+def _weights(a, b, k: int) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """Problem k's two weight vectors as int64, and their totals; ValueError
+    unless both are nonnegative integers with positive totals whose product
+    is at most EXACT_TOTAL_LIMIT."""
+    cast = []
+    for w in map(np.asarray, (a, b)):
+        with np.errstate(invalid="ignore"):  # NaN, inf and huge floats cast to garbage, caught below
+            c = w.astype(np.int64, copy=False) if w.dtype.kind in "iuf" else None
+        if c is None or (w.dtype.kind == "f" and not np.array_equal(c, w)) or (c.size and c.min() < 0):
+            raise ValueError(f"problem {k}: weights must be nonnegative integers")
+        cast.append(c)
+    ta, tb = int(cast[0].sum()), int(cast[1].sum())
+    if ta <= 0 or tb <= 0:
+        raise ValueError(f"problem {k}: both weight vectors must have positive total")
+    if ta * tb > EXACT_TOTAL_LIMIT:
+        raise ValueError(f"problem {k}: weight totals {ta} * {tb} exceed the exact bound 2**53")
+    return cast[0], cast[1], ta, tb
 
 
 def stacked_transport_costs(cost: np.ndarray, weights_a, weights_b, counts: dict | None = None) -> np.ndarray:
@@ -129,16 +141,11 @@ def stacked_transport_costs(cost: np.ndarray, weights_a, weights_b, counts: dict
     residual = np.zeros((n_problems, big_m + big_n))
     shapes = []  # (m, n, total) of each problem
     for k, (a, b) in enumerate(zip(weights_a, weights_b)):
-        a, b = _weights(a, k), _weights(b, k)
+        a, b, ta, tb = _weights(a, b, k)
         if len(a) > big_m or len(b) > big_n:
             raise ValueError(f"problem {k}: weights ({len(a)}, {len(b)}) do not match stack ({big_m}, {big_n})")
         if not np.isfinite(cost[k, :len(a), :len(b)]).all():
             raise ValueError(f"problem {k}: transport costs must be finite")
-        ta, tb = int(a.sum()), int(b.sum())
-        if ta <= 0 or tb <= 0:
-            raise ValueError(f"problem {k}: both weight vectors must have positive total")
-        if ta * tb > EXACT_TOTAL_LIMIT:
-            raise ValueError(f"problem {k}: weight totals {ta} * {tb} exceed the exact bound 2**53")
         residual[k, :len(a)], residual[k, big_m:big_m + len(b)] = a * tb, b * ta
         shapes.append((len(a), len(b), ta * tb))
     flow = _min_cost_flows(residual, cost, counts)

@@ -49,12 +49,12 @@ def test_analyze_writes_report_tree(synth_manifest, tmp_path):
         "--dim", "8", "--epochs", "2", "--seed", "1", "--out", str(out),
     ]) == 0
     report_dir = out / "reports" / "synthetic-5"
-    for name in (
+    assert all(path.is_file() for path in report_dir.iterdir())
+    assert {path.name for path in report_dir.iterdir()} == {
         "records.csv", "records.jsonl", "information.csv", "by_links.csv",
         "correlations.csv", "cases.jsonl", "scatter_loss.svg",
         "scatter_noise.svg", "evaluation.json",
-    ):
-        assert (report_dir / name).is_file(), name
+    }
     assert (out / "run.json").is_file()
     meta = json.loads((out / "run.json").read_text())
     assert meta["config"]["seed"] == 1

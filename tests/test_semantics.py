@@ -522,6 +522,15 @@ def test_stacked_transport_costs_name_the_failing_problem(a, b, block, message):
         stacked_transport_costs(cost, [[1, 2], a, [1, 2]], [[3], b, [3]])
 
 
+@pytest.mark.parametrize("a1, message", [([0], "positive total"), ([1.5], "nonnegative integers")])
+def test_exact_costs_name_the_callers_problem(a1, message):
+    """Problem 1 is the smaller and goes first in its batch; its error names it as 1."""
+    def fill(k, slot):
+        slot.fill(1.0)
+    with pytest.raises(ValueError, match=rf"problem 1: .*{message}"):
+        transport.exact_costs([np.array([1, 1, 1]), np.array(a1)], [np.array([1, 1, 1]), np.array([1])], fill)
+
+
 def test_transport_cost_checks_the_cost_shape():
     with pytest.raises(ValueError, match=r"problem 0: cost shape \(1, 1\) does not match \(2, 1\)"):
         transport_cost([1, 1], [1], [[0.5]])
