@@ -19,6 +19,7 @@ from tracex.corpus import (
     _creating,
     generate_synthetic,
     load_testbed,
+    read_text_file,
     write_testbed,
 )
 from tracex.embeddings import EmbeddingError, TrainConfig, train_skipgram
@@ -160,7 +161,7 @@ def _read_corpus(paths: list[str]) -> list[str]:
         path = Path(p)
         if not path.is_file():
             raise CorpusError(f"corpus file not found: {path}")
-        texts.append(path.read_text(encoding="utf-8", errors="replace"))
+        texts.append(read_text_file(path, "corpus file", errors="replace"))
     return texts
 
 

@@ -33,6 +33,14 @@ def _creating(out: str | Path):
         raise ConfigError(f"cannot write output {out}: {exc}") from exc
 
 
+def read_text_file(path: Path, what: str, errors: str = "strict") -> str:
+    """The UTF-8 text of an input file; a file that cannot be read is a data error."""
+    try:
+        return path.read_text(encoding="utf-8", errors=errors)
+    except OSError as exc:
+        raise CorpusError(f"cannot read {what} {path}: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class Artifact:
     id: str
@@ -95,7 +103,7 @@ def load_testbed(manifest_path: str | Path) -> Testbed:
     if not manifest_path.is_file():
         raise CorpusError(f"manifest not found: {manifest_path}")
     try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        manifest = json.loads(read_text_file(manifest_path, "manifest"))
     except ValueError as exc:  # not UTF-8 or not JSON
         raise CorpusError(f"malformed manifest {manifest_path}: {exc}") from exc
 
@@ -113,11 +121,15 @@ def load_testbed(manifest_path: str | Path) -> Testbed:
 def _read_artifact_dir(directory: Path, role: str) -> list[Artifact]:
     if not directory.is_dir():
         raise CorpusError(f"{role} directory not found: {directory}")
+    try:
+        paths = sorted((p for p in directory.iterdir() if p.is_file()), key=lambda p: p.stem)
+    except OSError as exc:
+        raise CorpusError(f"cannot read {role} directory {directory}: {exc}") from exc
     artifacts = []  # sorted by id, the order of every report
-    for path in sorted((p for p in directory.iterdir() if p.is_file()), key=lambda p: p.stem):
+    for path in paths:
         if "\r" in path.stem:  # the records CSV would split its row; no oracle line can name it
             raise CorpusError(f"{role} artifact id {path.stem!r} contains a carriage return")
-        artifacts.append(Artifact(path.stem, path.read_text(encoding="utf-8", errors="replace")))
+        artifacts.append(Artifact(path.stem, read_text_file(path, f"{role} artifact", errors="replace")))
     if not artifacts:
         raise CorpusError(f"no {role} artifacts under {directory}")
     return artifacts
@@ -127,7 +139,7 @@ def _read_oracle(path: Path) -> set[TraceLink]:
     if not path.is_file():
         raise CorpusError(f"oracle file not found: {path}")
     try:
-        text = path.read_text(encoding="utf-8")
+        text = read_text_file(path, "oracle file")
     except UnicodeDecodeError as exc:
         raise CorpusError(f"oracle file {path} is not UTF-8: {exc}") from exc
     links: set[TraceLink] = set()

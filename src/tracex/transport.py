@@ -1,5 +1,16 @@
 """Exact optimal transport between discrete weight vectors, many problems at once.
 
+`exact_costs` is the one entry point and makes every batching decision. It
+checks each problem's weights once, by `_weights`, before it sorts the
+problems by shape, then by index, so an error names the caller's index. It
+cuts a batch where its padded float64 cost stack plus its flow stack would
+pass BATCH_BYTES; the caller only fills each problem's slot of one reused
+`+inf` buffer. `transport_cost` is `exact_costs` on one problem. The budget
+leaves out the solver's (B, M + N) float64 `residual`, `pot` and `final`
+and (B, N) `label` and `limit`: 1,280 bytes beside a 20x20 problem's
+3,200-byte cost block. Counting them would cut 900 such problems into 3
+batches instead of 2.
+
 Min-cost flow on the dense bipartite transport graph, by successive shortest
 paths with node potentials and a Dijkstra that steps by columns, as in
 Jonker and Volgenant (1987); `_min_cost_flows` gives the details. Supplies
@@ -9,17 +20,6 @@ are held in the narrowest unsigned dtype of the stack's largest supply
 converts to float64 exactly. A batch runs in lockstep as one padded
 (B, M, N) cost stack whose padding costs `+inf` and has no supply or demand,
 so each problem gets the flows and bits it would get alone.
-`stacked_transport_costs` is the one solver entry point and checks each
-problem's input once; `transport_cost` is a stack of one.
-
-`exact_costs` makes every batching decision: it checks each problem's
-weights by the solver's rules (`_weights`), sorts problems by shape, then
-by index, and cuts a batch where its padded float64 cost stack plus its
-flow stack would pass BATCH_BYTES; the caller only fills each problem's slot
-of one reused `+inf` buffer. The budget leaves out the solver's (B, M + N)
-float64 `residual`, `pot` and `final` and (B, N) `label` and `limit`: 1,280
-bytes beside a 20x20 problem's 3,200-byte cost block. Counting them would
-cut 900 such problems into 3 batches instead of 2.
 """
 
 from __future__ import annotations
@@ -33,11 +33,13 @@ SCAN_CHUNK_CELLS = 1 << 14  # bounds the (rank, problem, column) candidate array
 
 def transport_cost(a, b, cost) -> float:
     """Minimum cost of moving distribution a onto b under the cost matrix of
-    shape (len(a), len(b)); `stacked_transport_costs` on a stack of one."""
+    shape (len(a), len(b)), which must be finite; `exact_costs` on one problem."""
     cost = np.asarray(cost, dtype=np.float64)
     if cost.shape != (len(a), len(b)):
         raise ValueError(f"problem 0: cost shape {cost.shape} does not match ({len(a)}, {len(b)})")
-    return float(stacked_transport_costs(cost[None], [a], [b])[0])
+    if not np.isfinite(cost).all():
+        raise ValueError("problem 0: transport costs must be finite")
+    return float(exact_costs([a], [b], lambda _, slot: np.copyto(slot, cost))[0][0])
 
 
 def flow_dtype(supply) -> np.dtype:
@@ -47,12 +49,16 @@ def flow_dtype(supply) -> np.dtype:
 
 
 def exact_costs(weights_a, weights_b, fill) -> tuple[np.ndarray, dict]:
-    """Minimum transport cost of every problem k, moving the integer array
-    weights_a[k] onto weights_b[k] under the costs fill(k, slot) writes into
-    its (len(a), len(b)) slot, by the rules of `stacked_transport_costs`, or
-    NaN where the slot is not all finite; and the counts of problems solved
-    ("exact"), batches, augmenting paths ("augmentations") and search steps.
-    Weights are checked before the sort, so a ValueError names the caller's k."""
+    """Minimum transport cost of every problem k, moving weights_a[k] onto
+    weights_b[k] under the costs fill(k, slot) writes into its (len(a),
+    len(b)) slot, or NaN where the slot is not all finite; and the counts of
+    problems solved ("exact"), batches, augmenting paths ("augmentations")
+    and lockstep search steps ("steps").
+
+    Weights are nonnegative integers, as integer arrays or integral floats,
+    with positive totals whose product is at most 2**53, so the cross-scaled
+    supplies stay exact in float64. Each problem is checked once, before the
+    sort, so a ValueError names the caller's k."""
     checked = [_weights(a, b, k) for k, (a, b) in enumerate(zip(weights_a, weights_b))]
     shapes = [(len(a), len(b), int(a.max(initial=0)) * tb) for a, b, _, tb in checked]
     order = sorted(range(len(shapes)), key=lambda k: shapes[k][:2])  # stable: by shape, then by index
@@ -64,18 +70,23 @@ def exact_costs(weights_a, weights_b, fill) -> tuple[np.ndarray, dict]:
     for _, (b, m, n) in batches:
         cost = buffer[:b * m * n].reshape(b, m, n)
         cost.fill(np.inf)
+        residual = np.zeros((b, m + n))  # cross-scaled supplies, then demands: integers with equal totals
         solved: list[int] = []
         for k in order[done:done + b]:
-            slot = cost[len(solved), :shapes[k][0], :shapes[k][1]]
+            wa, wb, ta, tb = checked[k]
+            slot = cost[len(solved), :len(wa), :len(wb)]
             fill(k, slot)
             if np.isfinite(slot).all():
+                residual[len(solved), :len(wa)], residual[len(solved), m:m + len(wb)] = wa * tb, wb * ta
                 solved.append(k)
             else:  # the slot is padding again, for the next problem
                 slot.fill(np.inf)
         done += b
         if solved:
-            costs[solved] = stacked_transport_costs(
-                cost[:len(solved)], [weights_a[k] for k in solved], [weights_b[k] for k in solved], counts)
+            flow = _min_cost_flows(residual[:len(solved)], cost[:len(solved)], counts)
+            for p, k in enumerate(solved):
+                wa, wb, ta, tb = checked[k]
+                costs[k] = (flow[p, :len(wa), :len(wb)] * cost[p, :len(wa), :len(wb)]).sum() / (ta * tb)
             counts["exact"] += len(solved)
             counts["batches"] += 1
     return costs, counts
@@ -120,44 +131,13 @@ def _weights(a, b, k: int) -> tuple[np.ndarray, np.ndarray, int, int]:
     return cast[0], cast[1], ta, tb
 
 
-def stacked_transport_costs(cost: np.ndarray, weights_a, weights_b, counts: dict | None = None) -> np.ndarray:
-    """Minimum transport cost of each problem of a padded (B, M, N) cost stack.
-
-    Problem k moves weights_a[k] onto weights_b[k] under the costs
-    cost[k, :len(a), :len(b)]; every other cell must be +inf. Weights are
-    nonnegative integers, as integer arrays or integral floats; only their
-    proportions matter. Each problem's costs must be finite, both its totals
-    positive and their product at most 2**53, so that the cross-scaled
-    supplies stay exact in float64 and fit uint64. A problem that breaks
-    these rules, or does not fit the stack, raises ValueError naming its
-    index k. The stack is read, not written; an empty stack gives an empty array.
-    counts, when given, gains the solver's augmenting paths ("augmentations")
-    and lockstep search steps ("steps").
-    """
-    n_problems, big_m, big_n = cost.shape
-    if len(weights_a) != n_problems or len(weights_b) != n_problems:
-        raise ValueError(f"{n_problems} problems, but {len(weights_a)} and {len(weights_b)} weight vectors")
-    # Cross-scaled supplies, then demands: integers with equal totals.
-    residual = np.zeros((n_problems, big_m + big_n))
-    shapes = []  # (m, n, total) of each problem
-    for k, (a, b) in enumerate(zip(weights_a, weights_b)):
-        a, b, ta, tb = _weights(a, b, k)
-        if len(a) > big_m or len(b) > big_n:
-            raise ValueError(f"problem {k}: weights ({len(a)}, {len(b)}) do not match stack ({big_m}, {big_n})")
-        if not np.isfinite(cost[k, :len(a), :len(b)]).all():
-            raise ValueError(f"problem {k}: transport costs must be finite")
-        residual[k, :len(a)], residual[k, big_m:big_m + len(b)] = a * tb, b * ta
-        shapes.append((len(a), len(b), ta * tb))
-    flow = _min_cost_flows(residual, cost, counts)
-    return np.array([(flow[k, :m, :n] * cost[k, :m, :n]).sum() / total
-                     for k, (m, n, total) in enumerate(shapes)])
-
-
-def _min_cost_flows(residual, cost, counts: dict | None = None) -> np.ndarray:
+def _min_cost_flows(residual, cost, counts: dict) -> np.ndarray:
     """Successive shortest paths on a (B, M, N) cost stack; returns the flows,
-    in the `flow_dtype` of the stack's largest supply. residual holds each
-    problem's supplies, then its demands, and is used up; counts as in
-    `stacked_transport_costs`. A round that places no flow raises RuntimeError.
+    in the `flow_dtype` of the stack's largest supply. Every padded cell
+    costs +inf; the stack is read, not written. residual holds each
+    problem's supplies, then its demands, and is used up. counts["augmentations"]
+    and counts["steps"] gain the augmenting paths and lockstep search steps.
+    A round that places no flow raises RuntimeError.
 
     Reduced cost of the forward arc i->j is cost[i,j] + pot[i] - pot[M+j];
     flow-carrying arcs admit the reverse arc at the negated reduced cost.
@@ -251,9 +231,8 @@ def _min_cost_flows(residual, cost, counts: dict | None = None) -> np.ndarray:
         supply = residual[:, :m] > 0
         live = supply.any(axis=1).nonzero()[0]  # supply left to place
         if not live.size:
-            if counts is not None:
-                counts["augmentations"] = counts.get("augmentations", 0) + augmentations
-                counts["steps"] = counts.get("steps", 0) + steps
+            counts["augmentations"] += augmentations
+            counts["steps"] += steps
             return flow
         augmentations += live.size
         label.fill(np.inf)

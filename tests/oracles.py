@@ -5,9 +5,10 @@ measure at a time, with none of the engines' shared per-artifact arrays.
 The engine property tests compare `info_columns` and `semantic_columns`
 against them; the library never calls them. `conventional_pieces` is the
 two-split reference for `conventional_tokenize`'s one regex pass.
-`padded_stack` lays transport problems out as the solver's padded cost
-stack, and `node_min_cost_flows` is the node-by-node reference of the
-solver's column-step search.
+`exact_transport` solves transport problems through `exact_costs`,
+`padded_stack` lays them out as the solver's padded cost stack, and
+`node_min_cost_flows` is the node-by-node reference of the solver's
+column-step search.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from tracex.embeddings import EmbeddingMatrix
 from tracex.infotheory import InfoRecord, counts_entropy
 from tracex.semantics import EXACT_WMD_PAIR_LIMIT, relaxed_wmd
 from tracex.tokenization import MIN_TOKEN_LEN, TokenCounts
-from tracex.transport import transport_cost
+from tracex.transport import exact_costs, transport_cost
 
 
 _NON_ALNUM_RE = re.compile(r"[^0-9A-Za-z]+")
@@ -175,10 +176,16 @@ def wmd(a: TokenCounts, b: TokenCounts, m: EmbeddingMatrix) -> tuple[float, bool
     return transport_cost(wa, wb, cost), False
 
 
+def exact_transport(problems) -> np.ndarray:
+    """The `exact_costs` of (a, b, cost) problems, each slot filled with its cost."""
+    return exact_costs([a for a, _, _ in problems], [b for _, b, _ in problems],
+                       lambda k, slot: np.copyto(slot, problems[k][2]))[0]
+
+
 def padded_stack(problems, extra_m: int = 0, extra_n: int = 0):
-    """(a, b, cost) problems as `stacked_transport_costs` arguments: one +inf
-    cost stack, extra_m rows and extra_n columns past the largest problem,
-    and the weight vectors of each side."""
+    """(a, b, cost) problems as one padded cost stack for the solver, its
+    cells +inf outside each problem and extra_m rows and extra_n columns past
+    the largest one, and the weight vectors of each side."""
     cost = np.full((len(problems), max((len(a) for a, _, _ in problems), default=0) + extra_m,
                     max((len(b) for _, b, _ in problems), default=0) + extra_n), np.inf)
     for k, (a, b, c) in enumerate(problems):
@@ -199,7 +206,7 @@ def cross_scaled(cost, weights_a, weights_b) -> np.ndarray:
 
 def node_transport(cost, weights_a, weights_b) -> tuple[np.ndarray, np.ndarray]:
     """The costs and flows of a padded stack under `node_min_cost_flows`, with
-    `stacked_transport_costs`' final expression."""
+    the final expression of `exact_costs`."""
     flow = node_min_cost_flows(cross_scaled(cost, weights_a, weights_b), cost)
     costs = np.array([(flow[k, :len(a), :len(b)] * cost[k, :len(a), :len(b)]).sum() / (sum(a) * sum(b))
                       for k, (a, b) in enumerate(zip(weights_a, weights_b))])

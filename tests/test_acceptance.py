@@ -18,9 +18,8 @@ from tracex.pipeline import RunConfig, analyze_testbed, run_analysis
 from tracex.report import RECORD_COLUMNS, BY_LINKS_METRICS, information_table
 from tracex.semantics import relaxed_wmd
 from tracex.tokenization import TokenCounts, conventional_tokenize, count_tokens
-from tracex.transport import stacked_transport_costs
 
-from oracles import min_shared_counts, padded_stack
+from oracles import exact_transport, min_shared_counts
 
 # Published per-testbed means: (name, h_x, h_y, noise, loss, mi).  Frozen
 # reference data; the identity checks below validate that the implemented
@@ -152,7 +151,7 @@ def test_criterion_5_transport_oracle():
         assert lp.success
         problems.append((a, b, cost))
         optima.append(lp.fun)
-    for exact, optimum in zip(stacked_transport_costs(*padded_stack(problems)), optima):
+    for exact, optimum in zip(exact_transport(problems), optima):
         assert exact == pytest.approx(optimum, abs=1e-6)
     # the relaxed score never exceeds the exact optimum
     problems = []
@@ -162,7 +161,7 @@ def test_criterion_5_transport_oracle():
         b = rng.integers(1, 8, size=m).astype(float)
         cost = rng.random((n, m)) * 2.0
         problems.append((a, b, cost))
-    for exact, (a, b, cost) in zip(stacked_transport_costs(*padded_stack(problems)), problems):
+    for exact, (a, b, cost) in zip(exact_transport(problems), problems):
         assert exact >= relaxed_wmd(a, b, cost) - 1e-9
 
 

@@ -402,6 +402,36 @@ def test_malformed_input_files_are_data_errors(synth_manifest, tmp_path, case):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("unreadable, raised", [
+    ("manifest.json", PermissionError(13, "Permission denied")),
+    ("sources/SRC001.txt", IsADirectoryError(21, "Is a directory")),
+    ("oracle.txt", OSError(5, "Input/output error")),
+    ("sources", PermissionError(13, "Permission denied")),
+    ("corpus.txt", PermissionError(13, "Permission denied")),
+])
+def test_unreadable_input_files_exit_2(synth_manifest, monkeypatch, capsys, unreadable, raised):
+    """A manifest, an artifact, the oracle, an artifact directory or a corpus
+    file that cannot be read ends in one `error: ` line naming it, exit 2."""
+    tb = synth_manifest.parent
+    (tb / "corpus.txt").write_text("lower lower lowest low low low\n")
+    bad = tb / unreadable
+
+    def refusing(original):
+        def read(self, *args, **kwargs):
+            if self == bad:
+                raise raised
+            return original(self, *args, **kwargs)
+        return read
+
+    monkeypatch.setattr(Path, "read_text", refusing(Path.read_text))
+    monkeypatch.setattr(Path, "iterdir", refusing(Path.iterdir))
+    argv = (["train-bpe", str(bad), "--vocab-size", "12", "--out", str(tb / "bpe.json")]
+            if unreadable == "corpus.txt" else ["validate", str(synth_manifest)])
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read ") and str(bad) in err and err.count("\n") == 1, err
+
+
 def test_duplicate_testbed_names_exit_2_before_any_report(tmp_path, capsys):
     manifests = []
     for d in ("tb1", "tb2"):

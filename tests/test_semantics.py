@@ -25,7 +25,7 @@ from tracex.semantics import (
     wmd,
 )
 from tracex.tokenization import TokenCounts, conventional_tokenize, count_tokens
-from tracex.transport import BATCH_BYTES, _min_cost_flows, _shape_batches, stacked_transport_costs, transport_cost
+from tracex.transport import BATCH_BYTES, _min_cost_flows, _shape_batches, exact_costs, transport_cost
 
 import oracles
 
@@ -397,15 +397,11 @@ def test_transport_degenerate_inputs_match_highs(problem):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(degenerate_transport(max_side=7), min_size=1, max_size=6),
-       st.integers(0, 3), st.integers(0, 3))
-def test_stacked_transport_costs_match_single_problems(problems, extra_m, extra_n):
-    """Mixed shapes share a stack, padded past its largest problem; each
-    problem keeps the bits it gets alone, and the stack is left as it was."""
-    cost, weights_a, weights_b = oracles.padded_stack(problems, extra_m, extra_n)
-    stack = cost.copy()
-    got = stacked_transport_costs(cost, weights_a, weights_b)
-    assert np.array_equal(cost, stack)
+@given(st.lists(degenerate_transport(max_side=7), min_size=1, max_size=6))
+def test_exact_costs_match_single_problems(problems):
+    """Mixed shapes share a batch, padded to its largest problem; each
+    problem keeps the bits it gets alone."""
+    got = oracles.exact_transport(problems)
     assert got.shape == (len(problems),)
     for k, (a, b, c) in enumerate(problems):
         alone = transport_cost(a, b, c)
@@ -442,13 +438,17 @@ def test_column_steps_give_the_node_by_node_bits(problems, extra_m, extra_n):
     are integers, so every distance is exact and the two orders agree; with
     irrational costs, distances that tie exactly can differ in the last bits
     and the two searches may break such a tie differently. The flows come in
-    the narrowest unsigned dtype that holds the largest cross-scaled supply."""
+    the narrowest unsigned dtype that holds the largest cross-scaled supply.
+    The stack, padded past its largest problem, is read, not written; the
+    costs of `exact_costs`, which builds its own stacks, are the same bits."""
     cost, weights_a, weights_b = oracles.padded_stack(problems, extra_m, extra_n)
     want_costs, want_flow = oracles.node_transport(cost, weights_a, weights_b)
-    flow = _min_cost_flows(oracles.cross_scaled(cost, weights_a, weights_b), cost)
+    stack = cost.copy()
+    flow = _min_cost_flows(oracles.cross_scaled(cost, weights_a, weights_b), cost, {"augmentations": 0, "steps": 0})
+    assert np.array_equal(cost, stack)
     assert flow.dtype == unsigned_for(max(max(a) * sum(b) for a, b, _ in problems))
     assert flow.astype(np.float64).tobytes() == want_flow.tobytes()
-    assert stacked_transport_costs(cost, weights_a, weights_b).tobytes() == want_costs.tobytes()
+    assert oracles.exact_transport(problems).tobytes() == want_costs.tobytes()
 
 
 def test_solver_memory_stays_near_one_stack():
@@ -466,7 +466,7 @@ def test_solver_memory_stays_near_one_stack():
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            stacked_transport_costs(cost, weights_a, weights_b)
+            _min_cost_flows(oracles.cross_scaled(cost, weights_a, weights_b), cost, {"augmentations": 0, "steps": 0})
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -506,29 +506,39 @@ def test_info_only_analyze_leaves_numpy_random_unimported(tmp_path):
     assert not analyze_imports(tmp_path, "numpy.random", "--vectorizer", "none")
 
 
-@pytest.mark.parametrize("a, b, block, message", [
-    ([1, 1, 1], [1], [[0.5], [1.0]], "do not match"),
-    ([1, 1], [1], [[0.5], [np.nan]], "finite"),
-    ([0, 0], [1], [[0.5], [1.0]], "positive total"),
-    ([10**8, 1], [10**8], [[0.5], [1.0]], r"2\*\*53"),
-    ([1.5, 1], [1], [[0.5], [1.0]], "nonnegative integers"),
-    ([1, 2], [-1], [[0.5], [1.0]], "nonnegative integers"),
+@pytest.mark.parametrize("a1, b1, message", [
+    ([0], [1], "positive total"),
+    ([1.5], [1], "nonnegative integers"),
+    ([0, 0], [1], "positive total"),
+    ([10**8, 1], [10**8], r"2\*\*53"),
+    ([1.5, 1], [1], "nonnegative integers"),
+    ([1, 2], [-1], "nonnegative integers"),
 ])
-def test_stacked_transport_costs_name_the_failing_problem(a, b, block, message):
-    cost = np.full((3, 2, 2), np.inf)
-    cost[:, :2, :1] = [[0.5], [1.0]]
-    cost[1, :2, :1] = block
-    with pytest.raises(ValueError, match=rf"problem 1: .*{message}"):
-        stacked_transport_costs(cost, [[1, 2], a, [1, 2]], [[3], b, [3]])
-
-
-@pytest.mark.parametrize("a1, message", [([0], "positive total"), ([1.5], "nonnegative integers")])
-def test_exact_costs_name_the_callers_problem(a1, message):
+def test_exact_costs_name_the_callers_problem(a1, b1, message):
     """Problem 1 is the smaller and goes first in its batch; its error names it as 1."""
     def fill(k, slot):
         slot.fill(1.0)
     with pytest.raises(ValueError, match=rf"problem 1: .*{message}"):
-        transport.exact_costs([np.array([1, 1, 1]), np.array(a1)], [np.array([1, 1, 1]), np.array([1])], fill)
+        exact_costs([np.array([1, 1, 1]), np.array(a1)], [np.array([1, 1, 1]), np.array(b1)], fill)
+
+
+@pytest.mark.parametrize("budget", [BATCH_BYTES, 1])
+def test_exact_costs_check_each_problem_once(monkeypatch, budget):
+    """Each problem's weights are checked once, in the caller's numbering,
+    whether it is solved or its slot is not finite, in one batch or in one
+    batch per problem."""
+    checked, calls = transport._weights, []
+    monkeypatch.setattr(transport, "_weights", lambda a, b, k: calls.append(k) or checked(a, b, k))
+    monkeypatch.setattr(transport, "BATCH_BYTES", budget)
+    weights_a = [[1, 2, 3], [1], [2, 1], [1, 1, 1], [4]]
+    weights_b = [[1, 1], [3, 1, 2], [1], [1, 2], [2, 2]]
+
+    def fill(k, slot):
+        slot.fill(np.nan if k == 2 else 1.0 + k)
+    costs, counts = exact_costs(weights_a, weights_b, fill)
+    assert sorted(calls) == list(range(5))
+    assert np.isnan(costs[2]) and counts["exact"] == 4
+    assert counts["batches"] == (1 if budget == BATCH_BYTES else 4)
 
 
 def test_transport_cost_checks_the_cost_shape():
@@ -553,9 +563,12 @@ def test_transport_integral_weights_of_any_dtype_give_the_same_bits(problem):
         assert transport_cost(np.array(a, dtype=dtype), np.array(b, dtype=dtype), cost) == want
 
 
-@pytest.mark.parametrize("shape", [(0, 0, 0), (0, 2, 3), (0, 3, 0)])
-def test_stacked_transport_costs_empty_stack(shape):
-    assert stacked_transport_costs(np.zeros(shape), [], []).shape == (0,)
+def test_exact_costs_of_no_problems():
+    def fill(k, slot):
+        raise AssertionError("no slot to fill")
+    costs, counts = exact_costs([], [], fill)
+    assert costs.shape == (0,)
+    assert counts == {"exact": 0, "batches": 0, "augmentations": 0, "steps": 0}
 
 
 def batch_bytes(entries) -> int:
@@ -647,7 +660,7 @@ def test_round_without_flow_raises(monkeypatch):
     make the bottleneck 0."""
     monkeypatch.setattr(transport, "flow_dtype", lambda supply: np.dtype(np.uint16))
     with pytest.raises(RuntimeError, match="placed no flow"):
-        stacked_transport_costs(np.zeros((1, 1, 1)), [[256]], [[256]])
+        transport_cost([256], [256], [[0.0]])
 
 
 def test_wmd_bits_pinned():
