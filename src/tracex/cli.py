@@ -156,13 +156,7 @@ def _claiming(out: str):
 
 
 def _read_corpus(paths: list[str]) -> list[str]:
-    texts = []
-    for p in paths:
-        path = Path(p)
-        if not path.is_file():
-            raise CorpusError(f"corpus file not found: {path}")
-        texts.append(read_text_file(path, "corpus file", errors="replace"))
-    return texts
+    return [read_text_file(Path(p), "corpus file", errors="replace") for p in paths]
 
 
 def cmd_train_bpe(args) -> int:

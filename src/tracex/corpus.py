@@ -34,9 +34,13 @@ def _creating(out: str | Path):
 
 
 def read_text_file(path: Path, what: str, errors: str = "strict") -> str:
-    """The UTF-8 text of an input file; a file that cannot be read is a data error."""
+    """The UTF-8 text of an input file; a file that is missing or cannot be
+    read is a data error. No existence check comes first: `Path.is_file()`
+    raises under a directory that cannot be searched."""
     try:
         return path.read_text(encoding="utf-8", errors=errors)
+    except (FileNotFoundError, NotADirectoryError) as exc:
+        raise CorpusError(f"{what} not found: {path}") from exc
     except OSError as exc:
         raise CorpusError(f"cannot read {what} {path}: {exc}") from exc
 
@@ -100,8 +104,6 @@ def load_testbed(manifest_path: str | Path) -> Testbed:
     ``source_id target_id_1 target_id_2 ...`` per line, '#' comments ignored.
     """
     manifest_path = Path(manifest_path)
-    if not manifest_path.is_file():
-        raise CorpusError(f"manifest not found: {manifest_path}")
     try:
         manifest = json.loads(read_text_file(manifest_path, "manifest"))
     except ValueError as exc:  # not UTF-8 or not JSON
@@ -119,10 +121,10 @@ def load_testbed(manifest_path: str | Path) -> Testbed:
 
 
 def _read_artifact_dir(directory: Path, role: str) -> list[Artifact]:
-    if not directory.is_dir():
-        raise CorpusError(f"{role} directory not found: {directory}")
     try:
         paths = sorted((p for p in directory.iterdir() if p.is_file()), key=lambda p: p.stem)
+    except (FileNotFoundError, NotADirectoryError) as exc:
+        raise CorpusError(f"{role} directory not found: {directory}") from exc
     except OSError as exc:
         raise CorpusError(f"cannot read {role} directory {directory}: {exc}") from exc
     artifacts = []  # sorted by id, the order of every report
@@ -136,8 +138,6 @@ def _read_artifact_dir(directory: Path, role: str) -> list[Artifact]:
 
 
 def _read_oracle(path: Path) -> set[TraceLink]:
-    if not path.is_file():
-        raise CorpusError(f"oracle file not found: {path}")
     try:
         text = read_text_file(path, "oracle file")
     except UnicodeDecodeError as exc:

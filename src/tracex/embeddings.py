@@ -8,9 +8,13 @@ window's words, or the PV-DBOW document) predict it at once against 5 noise
 words they share, and each update is computed from the state before the
 step. Where a row or a target occurs more than once in a step (a word twice
 in one window, a noise word equal to the predicted word), its updates
-accumulate. Training is single-worker and bit-deterministic for a fixed
-seed; the mean loss of each epoch is returned and recorded in `run.json` as
-`epoch_losses`. A plain-text loader accepts externally trained vectors.
+accumulate. Each document's windows are one flat table of input rows with
+per-position bounds, and the input and output matrices are two halves of one
+array, so a step is two `take` gathers, three products and two
+`np.subtract.at` scatters. Training is single-worker and bit-deterministic
+for a fixed seed; the mean loss of each epoch is returned and recorded in
+`run.json` as `epoch_losses`. A plain-text loader accepts externally trained
+vectors.
 """
 
 from __future__ import annotations
@@ -125,26 +129,30 @@ def _train_sgns(
     docs: list[list[int]],
     counts: np.ndarray,
     n_inputs: int,
-    inputs: Callable[[int, list[int], np.random.Generator], Sequence[list[int]]],
+    inputs: Callable[[int, list[int], np.random.Generator], tuple[np.ndarray, Sequence[int]]],
     cfg: TrainConfig,
 ) -> tuple[np.ndarray, np.ndarray, list[float]]:
     """Negative-sampling training shared by skip-gram and PV-DBOW.
 
-    `inputs(d, docs[d], rng)` returns, for each position of a document, the
-    rows of the n_inputs x dim input matrix that predict the word there. One
-    step predicts one word from all its rows at once, against NEGATIVES noise
-    words the rows share; every update is taken from the state before the
-    step, and a row or target that occurs twice gets both updates. Returns
-    the input and output matrices and the mean loss per (row, word)
-    prediction of each epoch.
+    `inputs(d, docs[d], rng)` returns the document's window table: a flat
+    array of rows of the n_inputs x dim input matrix, and len(doc) + 1
+    bounds, so that `flat[bounds[p]:bounds[p + 1]]` are the rows that predict
+    the word at position p. One step predicts one word from all its rows at
+    once, against NEGATIVES noise words the rows share; every update is
+    taken from the state before the step, and a row or target that occurs
+    twice gets both updates. Returns the input and output matrices, two
+    views of one (n_inputs + vocab) x dim array, and the mean loss per
+    (row, word) prediction of each epoch.
     """
     rng = np.random.default_rng(cfg.seed)
     weights = counts.astype(np.float64) ** NOISE_EXPONENT
     noise_cdf = np.cumsum(weights / weights.sum())
-    w_in = (rng.random((n_inputs, cfg.dim)) - 0.5) / cfg.dim
-    w_out = np.zeros((len(counts), cfg.dim))
+    w = np.zeros((n_inputs + len(counts), cfg.dim))
+    w[:n_inputs] = (rng.random((n_inputs, cfg.dim)) - 0.5) / cfg.dim
     labels = np.zeros(1 + NEGATIVES)
     labels[0] = 1.0
+    # looked up once: the step loop below runs once per predicted word
+    take, exp, scatter, neg, div = w.take, np.exp, np.subtract.at, np.negative, np.divide
 
     total_words = sum(len(d) for d in docs) * cfg.epochs
     processed = 0
@@ -153,21 +161,33 @@ def _train_sgns(
         log_lik, loss_n = 0.0, 0
         for di in rng.permutation(len(docs)):
             doc = docs[di]
-            rows_at = inputs(di, doc, rng)
+            flat, bounds = inputs(di, doc, rng)
             noise = np.searchsorted(noise_cdf, rng.random((len(doc), NEGATIVES)))
-            targets_at = np.column_stack((doc, noise))
+            targets_at = np.column_stack((doc, noise)) + n_inputs  # rows of w's output half
+            # each step's rate, by the same IEEE operations as a scalar
+            # expression: step counts below 2**53 are exact as floats
+            steps = np.arange(processed, processed + len(doc))
+            lrs = (LEARNING_RATE * np.maximum(MIN_LR_FRACTION, 1.0 - steps / total_words)).tolist()
+            processed += len(doc)
             doc_preds = []
-            for rows, targets in zip(rows_at, targets_at):
-                lr = LEARNING_RATE * max(MIN_LR_FRACTION, 1.0 - processed / total_words)
-                processed += 1
-                if not rows:
+            for lo, hi, targets, lr in zip(bounds, bounds[1:], targets_at, lrs):
+                if lo == hi:
                     continue
-                v = w_in[rows]
-                o = w_out[targets]
-                preds = 1.0 / (1.0 + np.exp(-(v @ o.T)))
+                rows = flat[lo:hi]
+                v = take(rows, axis=0)
+                o = take(targets, axis=0)
+                preds = v @ o.T  # sigmoid in place: 1 / (1 + exp(-x))
+                neg(preds, preds)
+                exp(preds, preds)
+                preds += 1.0
+                div(1.0, preds, preds)
                 grad = preds - labels
-                np.subtract.at(w_out, targets, lr * (grad.T @ v))
-                np.subtract.at(w_in, rows, lr * (grad @ o))
+                d_out = grad.T @ v
+                d_out *= lr
+                scatter(w, targets, d_out)
+                d_in = grad @ o
+                d_in *= lr
+                scatter(w, rows, d_in)
                 doc_preds.append(preds)
             if doc_preds:  # one loss term per (row, word) prediction
                 preds = np.concatenate(doc_preds)
@@ -175,7 +195,7 @@ def _train_sgns(
                 log_lik += np.log(1.0 - preds[:, 1:] + EPS).sum()
                 loss_n += len(preds)
         epoch_losses.append(-float(log_lik) / max(1, loss_n))
-    return w_in, w_out, epoch_losses
+    return w[:n_inputs], w[n_inputs:], epoch_losses
 
 
 @dataclass
@@ -184,14 +204,20 @@ class TrainedWordModel:
     epoch_losses: list[float]
 
 
-def _windows(di: int, doc: list[int], rng: np.random.Generator) -> list[list[int]]:
-    """For each position, the words within a random span of 1 to WINDOW
-    positions on each side."""
-    spans = rng.integers(1, WINDOW + 1, size=len(doc)).tolist()
-    return [
-        doc[max(0, pos - span) : pos] + doc[pos + 1 : pos + 1 + span]
-        for pos, span in enumerate(spans)
-    ]
+def _windows(di: int, doc: list[int], rng: np.random.Generator) -> tuple[np.ndarray, list[int]]:
+    """The window table of a document: for each position, the words within a
+    random span of 1 to WINDOW positions on each side, left then right."""
+    n = len(doc)
+    spans = rng.integers(1, WINDOW + 1, size=n)
+    pos = np.arange(n)
+    left = np.minimum(pos, spans)
+    sizes = left + np.minimum(n - 1 - pos, spans)
+    bounds = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(sizes, out=bounds[1:])
+    # k-th entry of a window: k steps from its first word, skipping the centre
+    k = np.arange(bounds[-1]) - np.repeat(bounds[:-1], sizes)
+    at = np.repeat(pos - left, sizes) + k + (k >= np.repeat(left, sizes))
+    return np.asarray(doc)[at], bounds.tolist()
 
 
 def train_skipgram(corpus: list[list[str]], cfg: TrainConfig) -> TrainedWordModel:
@@ -206,21 +232,22 @@ def train_skipgram(corpus: list[list[str]], cfg: TrainConfig) -> TrainedWordMode
 
 @dataclass
 class DocVectors:
-    doc_ids: list[str]
     vectors: np.ndarray  # |docs| x dim
     word_matrix: EmbeddingMatrix  # output-side word vectors
     epoch_losses: list[float] = field(default_factory=list)
+
+
+def _own_row(di: int, doc: list[int], rng: np.random.Generator) -> tuple[np.ndarray, range]:
+    """PV-DBOW's window table: the document's own row predicts every word."""
+    return np.full(len(doc), di), range(len(doc) + 1)
 
 
 def train_pvdbow(docs: list[tuple[str, list[str]]], cfg: TrainConfig) -> DocVectors:
     """PV-DBOW: each document vector predicts words sampled from its own
     text via negative sampling against a shared word output matrix."""
     vocab, counts, encoded = _build_vocab([tokens for _, tokens in docs])
-    d_vecs, w_out, epoch_losses = _train_sgns(
-        encoded, counts, len(docs), lambda di, doc, rng: [[di]] * len(doc), cfg
-    )
+    d_vecs, w_out, epoch_losses = _train_sgns(encoded, counts, len(docs), _own_row, cfg)
     return DocVectors(
-        doc_ids=[doc_id for doc_id, _ in docs],
         vectors=d_vecs,
         word_matrix=EmbeddingMatrix(vocab=vocab, vectors=w_out),
         epoch_losses=epoch_losses,

@@ -8,7 +8,9 @@ two-split reference for `conventional_tokenize`'s one regex pass.
 `exact_transport` solves transport problems through `exact_costs`,
 `padded_stack` lays them out as the solver's padded cost stack, and
 `node_min_cost_flows` is the node-by-node reference of the solver's
-column-step search.
+column-step search. `sgns_by_lists` is the list-based reference of the
+embedding trainer's loop, with `window_lists` and `own_row_lists` its
+skip-gram and PV-DBOW inputs.
 """
 
 from __future__ import annotations
@@ -18,7 +20,16 @@ import re
 
 import numpy as np
 
-from tracex.embeddings import EmbeddingMatrix
+from tracex.embeddings import (
+    EPS,
+    LEARNING_RATE,
+    MIN_LR_FRACTION,
+    NEGATIVES,
+    NOISE_EXPONENT,
+    WINDOW,
+    EmbeddingMatrix,
+    TrainConfig,
+)
 from tracex.infotheory import InfoRecord, counts_entropy
 from tracex.semantics import EXACT_WMD_PAIR_LIMIT, relaxed_wmd
 from tracex.tokenization import MIN_TOKEN_LEN, TokenCounts
@@ -314,3 +325,63 @@ def node_min_cost_flows(residual, cost) -> np.ndarray:
             flow[t, i, col] -= bottleneck[t]
         residual[live, start] -= bottleneck[live]
         residual[live, e] -= bottleneck[live]
+
+
+def sgns_by_lists(docs, counts, n_inputs, inputs, cfg: TrainConfig):
+    """Negative-sampling training, one Python list of rows per step, as the
+    trainer ran before its window tables; `_train_sgns` must give the same
+    bits. `inputs(d, docs[d], rng)` returns, for each position of a document,
+    the list of input rows that predict the word there."""
+    rng = np.random.default_rng(cfg.seed)
+    weights = counts.astype(np.float64) ** NOISE_EXPONENT
+    noise_cdf = np.cumsum(weights / weights.sum())
+    w_in = (rng.random((n_inputs, cfg.dim)) - 0.5) / cfg.dim
+    w_out = np.zeros((len(counts), cfg.dim))
+    labels = np.zeros(1 + NEGATIVES)
+    labels[0] = 1.0
+
+    total_words = sum(len(d) for d in docs) * cfg.epochs
+    processed = 0
+    epoch_losses = []
+    for _ in range(cfg.epochs):
+        log_lik, loss_n = 0.0, 0
+        for di in rng.permutation(len(docs)):
+            doc = docs[di]
+            rows_at = inputs(di, doc, rng)
+            noise = np.searchsorted(noise_cdf, rng.random((len(doc), NEGATIVES)))
+            targets_at = np.column_stack((doc, noise))
+            doc_preds = []
+            for rows, targets in zip(rows_at, targets_at):
+                lr = LEARNING_RATE * max(MIN_LR_FRACTION, 1.0 - processed / total_words)
+                processed += 1
+                if not rows:
+                    continue
+                v = w_in[rows]
+                o = w_out[targets]
+                preds = 1.0 / (1.0 + np.exp(-(v @ o.T)))
+                grad = preds - labels
+                np.subtract.at(w_out, targets, lr * (grad.T @ v))
+                np.subtract.at(w_in, rows, lr * (grad @ o))
+                doc_preds.append(preds)
+            if doc_preds:
+                preds = np.concatenate(doc_preds)
+                log_lik += np.log(preds[:, 0] + EPS).sum()
+                log_lik += np.log(1.0 - preds[:, 1:] + EPS).sum()
+                loss_n += len(preds)
+        epoch_losses.append(-float(log_lik) / max(1, loss_n))
+    return w_in, w_out, epoch_losses
+
+
+def window_lists(di, doc, rng):
+    """For each position, the words within a random span of 1 to WINDOW
+    positions on each side, as one list per position."""
+    spans = rng.integers(1, WINDOW + 1, size=len(doc)).tolist()
+    return [
+        doc[max(0, pos - span) : pos] + doc[pos + 1 : pos + 1 + span]
+        for pos, span in enumerate(spans)
+    ]
+
+
+def own_row_lists(di, doc, rng):
+    """PV-DBOW's inputs: the document's own row at every position."""
+    return [[di]] * len(doc)

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -430,6 +431,69 @@ def test_unreadable_input_files_exit_2(synth_manifest, monkeypatch, capsys, unre
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: cannot read ") and str(bad) in err and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("command, moved", [
+    ("validate", "manifest.json"),
+    ("analyze", "oracle.txt"),
+    ("analyze", "sources"),
+    ("train-bpe", "corpus.txt"),
+])
+def test_inputs_under_an_unsearchable_directory_exit_2(synth_manifest, monkeypatch, capsys,
+                                                       command, moved):
+    """An input under a directory that cannot be searched fails every stat,
+    open and listing with a permission error, existence checks included: one
+    `error: cannot read ` line, exit 2, and no traceback."""
+    tb = synth_manifest.parent
+    locked = tb / "locked"
+    locked.mkdir()
+    (tb / "corpus.txt").write_text("lower lower lowest low low low\n")
+    (tb / moved).rename(locked / moved)
+    if moved in ("oracle.txt", "sources"):
+        key = "oracle_file" if moved == "oracle.txt" else "source_dir"
+        manifest = json.loads(synth_manifest.read_text())
+        synth_manifest.write_text(json.dumps({**manifest, key: f"locked/{moved}"}))
+
+    def refusing(original):
+        def call(self, *args, **kwargs):
+            if locked in self.parents:
+                raise PermissionError(13, "Permission denied", str(self))
+            return original(self, *args, **kwargs)
+        return call
+
+    for name in ("stat", "open", "iterdir"):
+        monkeypatch.setattr(Path, name, refusing(getattr(Path, name)))
+    argv = {
+        "validate": ["validate", str(locked / moved)],
+        "analyze": ["analyze", "--manifest", str(synth_manifest), "--vectorizer", "none",
+                    "--out", str(tb / "out")],
+        "train-bpe": ["train-bpe", str(locked / moved), "--vocab-size", "12",
+                      "--out", str(tb / "bpe.json")],
+    }[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read ") and str(locked / moved) in err, err
+    assert err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("missing, message", [
+    ("manifest.json", "manifest not found"),
+    ("oracle.txt", "oracle file not found"),
+    ("sources", "source directory not found"),
+    ("targets", "target directory not found"),
+    ("corpus.txt", "corpus file not found"),
+])
+def test_missing_inputs_are_named_not_found(synth_manifest, capsys, missing, message):
+    tb = synth_manifest.parent
+    path = tb / missing
+    if path.is_dir():
+        shutil.rmtree(path)
+    elif path.exists():
+        path.unlink()
+    argv = (["train-bpe", str(path), "--vocab-size", "12", "--out", str(tb / "bpe.json")]
+            if missing == "corpus.txt" else ["validate", str(synth_manifest)])
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}: {path}\n"
 
 
 def test_duplicate_testbed_names_exit_2_before_any_report(tmp_path, capsys):

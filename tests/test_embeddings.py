@@ -3,14 +3,17 @@ import hashlib
 import numpy as np
 import pytest
 
+import oracles
 from tracex.corpus import generate_synthetic
 from tracex.embeddings import (
     EPS,
     LEARNING_RATE,
-    DocVectors,
     EmbeddingError,
     TrainConfig,
+    _build_vocab,
+    _own_row,
     _train_sgns,
+    _windows,
     load_embeddings,
     train_pvdbow,
     train_skipgram,
@@ -132,8 +135,10 @@ def test_repeated_rows_in_one_step_accumulate():
     then a window holding row 0 twice does. Every update of a step comes from
     the state before it, and each copy of row 0 adds its own."""
     docs, counts, cfg = [[0, 0]], np.array([2]), TrainConfig(dim=3, epochs=1, seed=4)
-    w0, _, _ = _train_sgns(docs, counts, 2, lambda di, doc, rng: [[], []], cfg)  # no step
-    w_in, w_out, losses = _train_sgns(docs, counts, 2, lambda di, doc, rng: [[1], [0, 0]], cfg)
+    no_step = lambda di, doc, rng: (np.array([], int), [0, 0, 0])
+    w0, _, _ = _train_sgns(docs, counts, 2, no_step, cfg)
+    w_in, w_out, losses = _train_sgns(
+        docs, counts, 2, lambda di, doc, rng: (np.array([1, 0, 0]), [0, 1, 3]), cfg)
 
     lr1, lr2 = LEARNING_RATE, LEARNING_RATE * 0.5
     o1 = -lr1 * 2.0 * w0[1]  # first step: six gradients summing to 2, as above
@@ -147,6 +152,61 @@ def test_repeated_rows_in_one_step_accumulate():
     assert losses == [pytest.approx((first + 2 * second) / 3, rel=1e-12)]
 
 
+def c7_corpus():
+    """Criterion 7's corpus (seed 3) as the pipeline tokenizes it."""
+    tb = generate_synthetic(3, 30, 30, 0.9)
+    artifacts = sorted(tb.sources, key=lambda a: a.id) + sorted(tb.targets, key=lambda a: a.id)
+    return [conventional_tokenize(a.raw_text) for a in artifacts]
+
+
+def test_window_tables_hold_the_window_lists():
+    """Each row slice of `_windows`' table is the list-based window of its
+    position, from the same draw of the random stream."""
+    for n in [1, 2, 3, 5, 6, 11, 12, 40]:
+        doc = list(range(100, 100 + n))
+        rng, ref_rng = np.random.default_rng(n), np.random.default_rng(n)
+        flat, bounds = _windows(0, doc, rng)
+        assert len(bounds) == n + 1
+        assert [flat[lo:hi].tolist() for lo, hi in zip(bounds, bounds[1:])] == (
+            oracles.window_lists(0, doc, ref_rng))
+        assert rng.random() == ref_rng.random()
+
+
+SGNS_CORPORA = {
+    # one-token documents among longer ones: their windows are empty
+    "one-token-docs": [["a"], ["b"], ["a", "b", "c", "a"], ["c"], ["b", "c"]],
+    # a word on both sides of every interior position: a repeated row per window
+    "repeat-in-window": [["x", "y"] * 7, ["y", "x", "y", "x", "y"], ["x"] * 4],
+    # one word: every noise draw is the predicted word
+    "noise-is-target": [["tok"] * 5, ["tok"], ["tok", "tok"]],
+    "random": [
+        [f"w{i}" for i in np.random.default_rng(d).integers(0, 9, size=d % 13)] for d in range(24)
+    ],
+}
+
+
+@pytest.mark.parametrize("trainer", ["skipgram", "pvdbow"])
+@pytest.mark.parametrize("corpus", [*SGNS_CORPORA, "c7-seed-3"])
+def test_trainer_matches_the_list_based_loop(trainer, corpus):
+    """`_train_sgns` over window tables gives the bits of the list-based
+    loop in `oracles`: both matrices and every epoch loss."""
+    if corpus == "c7-seed-3":
+        tokens, cfg = c7_corpus(), TrainConfig(dim=16, epochs=20, seed=3)
+    else:
+        tokens, cfg = SGNS_CORPORA[corpus], TrainConfig(dim=5, epochs=4, seed=11)
+    _, counts, docs = _build_vocab(tokens)
+    if trainer == "skipgram":  # as train_skipgram: empty documents dropped
+        docs = [d for d in docs if d]
+        n_inputs, table, lists = len(counts), _windows, oracles.window_lists
+    else:
+        n_inputs, table, lists = len(docs), _own_row, oracles.own_row_lists
+    w_in, w_out, losses = _train_sgns(docs, counts, n_inputs, table, cfg)
+    ref_in, ref_out, ref_losses = oracles.sgns_by_lists(docs, counts, n_inputs, lists, cfg)
+    assert w_in.tobytes() == ref_in.tobytes()
+    assert w_out.tobytes() == ref_out.tobytes()
+    assert losses == ref_losses
+
+
 # Final epoch loss of the per-(row, word) trainer that preceded the batched
 # step, on the corpus below (dim 16, 20 epochs, seed 3).
 PER_ROW_C7_FINAL_LOSS = 2.507070524282271
@@ -155,10 +215,7 @@ PER_ROW_C7_FINAL_LOSS = 2.507070524282271
 def test_skipgram_converges_like_per_row_trainer():
     """Criterion 7's corpus as the pipeline trains it: one step per predicted
     word must end within 1% of the per-row trainer's final loss."""
-    tb = generate_synthetic(3, 30, 30, 0.9)
-    artifacts = sorted(tb.sources, key=lambda a: a.id) + sorted(tb.targets, key=lambda a: a.id)
-    corpus = [conventional_tokenize(a.raw_text) for a in artifacts]
-    trained = train_skipgram(corpus, TrainConfig(dim=16, epochs=20, seed=3))
+    trained = train_skipgram(c7_corpus(), TrainConfig(dim=16, epochs=20, seed=3))
     assert len(trained.epoch_losses) == 20
     assert trained.epoch_losses[-1] == pytest.approx(PER_ROW_C7_FINAL_LOSS, rel=0.01)
 
