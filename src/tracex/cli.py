@@ -144,8 +144,8 @@ def _claiming(out: str):
     written fails before training; a file created here is removed if the
     work fails."""
     path = Path(out)
-    created = not path.exists()
-    with _creating(out):
+    with _creating(out):  # exists() raises under a directory that cannot be searched
+        created = not path.exists()
         path.open("a").close()
     try:
         yield

@@ -159,7 +159,7 @@ def analyze_testbed(tb: Testbed, cfg: RunConfig) -> TestbedResult:
                             "targets": [a.id for a, seq in zip(targets, seqs[n:]) if not seq]},
         "epoch_losses": epoch_losses,  # [] when nothing was trained
         "undefined_pair_counts": undefined,
-        "wmd_pairs": wmd_pairs,  # pairs solved exactly and bounded, solver batches, augmentations and steps
+        "wmd_pairs": wmd_pairs,  # pairs solved exactly and bounded, solver batches, rounds, augmentations and steps
     }
     return TestbedResult(tb, records, evaluation, run)
 

@@ -3,13 +3,15 @@
 `exact_costs` is the one entry point and makes every batching decision. It
 checks each problem's weights once, by `_weights`, before it sorts the
 problems by shape, then by index, so an error names the caller's index. It
-cuts a batch where its padded float64 cost stack plus its flow stack would
-pass BATCH_BYTES; the caller only fills each problem's slot of one reused
-`+inf` buffer. `transport_cost` is `exact_costs` on one problem. The budget
-leaves out the solver's (B, M + N) float64 `residual`, `pot` and `final`
-and (B, N) `label` and `limit`: 1,280 bytes beside a 20x20 problem's
-3,200-byte cost block. Counting them would cut 900 such problems into 3
-batches instead of 2.
+cuts a batch where the arrays the solver keeps for it would pass
+BATCH_BYTES; the caller only fills each problem's slot of one reused `+inf`
+buffer. `transport_cost` is `exact_costs` on one problem. `_problem_bytes`
+counts what each problem of a padded (M, N) batch holds: its float64 cost
+block and flow block, its float64 `residual`, `pot` and `final` and its
+`prev` over M + N nodes, its float64 `label` and `limit` over N columns,
+and its slots of the solver's per-problem vectors. A 20x20 problem with
+one-byte flows holds 4,953 bytes, so the 5 MiB budget runs the 900
+problems of a 30x30 synthetic testbed in one batch.
 
 Min-cost flow on the dense bipartite transport graph, by successive shortest
 paths with node potentials and a Dijkstra that steps by columns, as in
@@ -27,7 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 EXACT_TOTAL_LIMIT = 2**53  # float64 holds every integer up to here exactly
-BATCH_BYTES = 2 << 20  # padded cost stack plus flow stack of one exact_costs batch
+BATCH_BYTES = 5 << 20  # the arrays the solver keeps for one exact_costs batch, by _problem_bytes
 SCAN_CHUNK_CELLS = 1 << 14  # bounds the (rank, problem, column) candidate array of a scan
 
 
@@ -52,8 +54,8 @@ def exact_costs(weights_a, weights_b, fill) -> tuple[np.ndarray, dict]:
     """Minimum transport cost of every problem k, moving weights_a[k] onto
     weights_b[k] under the costs fill(k, slot) writes into its (len(a),
     len(b)) slot, or NaN where the slot is not all finite; and the counts of
-    problems solved ("exact"), batches, augmenting paths ("augmentations")
-    and lockstep search steps ("steps").
+    problems solved ("exact"), batches, lockstep rounds ("rounds"),
+    augmenting paths ("augmentations") and lockstep search steps ("steps").
 
     Weights are nonnegative integers, as integer arrays or integral floats,
     with positive totals whose product is at most 2**53, so the cross-scaled
@@ -65,7 +67,7 @@ def exact_costs(weights_a, weights_b, fill) -> tuple[np.ndarray, dict]:
     batches = list(_shape_batches([shapes[k] for k in order]))
     buffer = np.empty(max((b * m * n for _, (b, m, n) in batches), default=0))  # each batch's stack in turn
     costs = np.full(len(shapes), np.nan)
-    counts = {"exact": 0, "batches": 0, "augmentations": 0, "steps": 0}
+    counts = {"exact": 0, "batches": 0, "rounds": 0, "augmentations": 0, "steps": 0}
     done = 0
     for _, (b, m, n) in batches:
         cost = buffer[:b * m * n].reshape(b, m, n)
@@ -94,22 +96,34 @@ def exact_costs(weights_a, weights_b, fill) -> tuple[np.ndarray, dict]:
 
 def _shape_batches(problems):
     """The (m, n, supply) of each problem, in order, cut into batches, each
-    with its padded stack shape (problems, largest m, largest n). A batch's
-    padded cells each hold a float64 cost and a flow of the `flow_dtype` of
-    its largest supply, within BATCH_BYTES; a batch is cut only where the
-    next problem would break that budget."""
+    with its padded stack shape (problems, largest m, largest n). Each
+    problem of a batch holds the `_problem_bytes` of the batch's largest m,
+    n and supply, within BATCH_BYTES; a batch is cut only where the next
+    problem would break that budget."""
     batch: list[tuple[int, int, int]] = []
     big_m = big_n = big_supply = 0
     for problem in problems:
         m, n, supply = problem
-        cell = 8 + flow_dtype(max(big_supply, supply)).itemsize  # bytes of a padded cell's cost and flow
-        if batch and (len(batch) + 1) * max(big_m, m) * max(big_n, n) * cell > BATCH_BYTES:
+        if batch and (len(batch) + 1) * _problem_bytes(
+                max(big_m, m), max(big_n, n), max(big_supply, supply)) > BATCH_BYTES:
             yield batch, (len(batch), big_m, big_n)
             batch, big_m, big_n, big_supply = [], 0, 0, 0
         batch.append(problem)
         big_m, big_n, big_supply = max(big_m, m), max(big_n, n), max(big_supply, supply)
     if batch:
         yield batch, (len(batch), big_m, big_n)
+
+
+def _problem_bytes(m: int, n: int, supply: int) -> int:
+    """Bytes that one problem of a batch padded to (m, n), whose largest
+    supply is `supply`, holds in `exact_costs` and `_min_cost_flows`: the
+    cost and flow cells; `residual`, `pot`, `final` and `prev` per node;
+    `label` and `limit` per column; and `end`, `root`, `d_e`, `live` and
+    `bottleneck`. Masks and gathers that a round or step makes and drops
+    are not counted."""
+    flow = flow_dtype(supply).itemsize
+    prev = np.min_scalar_type(-(m + n)).itemsize
+    return m * n * (8 + flow) + (m + n) * (3 * 8 + prev) + n * 2 * 8 + 4 * 8 + flow
 
 
 def _weights(a, b, k: int) -> tuple[np.ndarray, np.ndarray, int, int]:
@@ -135,8 +149,9 @@ def _min_cost_flows(residual, cost, counts: dict) -> np.ndarray:
     """Successive shortest paths on a (B, M, N) cost stack; returns the flows,
     in the `flow_dtype` of the stack's largest supply. Every padded cell
     costs +inf; the stack is read, not written. residual holds each
-    problem's supplies, then its demands, and is used up. counts["augmentations"]
-    and counts["steps"] gain the augmenting paths and lockstep search steps.
+    problem's supplies, then its demands, and is used up. counts["rounds"],
+    counts["augmentations"] and counts["steps"] gain the lockstep rounds,
+    augmenting paths and lockstep search steps.
     A round that places no flow raises RuntimeError.
 
     Reduced cost of the forward arc i->j is cost[i,j] + pot[i] - pot[M+j];
@@ -188,7 +203,7 @@ def _min_cost_flows(residual, cost, counts: dict) -> np.ndarray:
     final_f, prev_f, pot_f, residual_f, label_f, limit_f = (
         x.reshape(-1) for x in (final, prev, pot, residual, label, limit))  # views
     row_final, col_pot = final[:, :m], pot[:, m:]
-    steps = augmentations = 0
+    rounds = steps = augmentations = 0
 
     def scan(q, k, i, d):
         """Finalize rows i of problems q[k] at distances d and relax their
@@ -231,9 +246,11 @@ def _min_cost_flows(residual, cost, counts: dict) -> np.ndarray:
         supply = residual[:, :m] > 0
         live = supply.any(axis=1).nonzero()[0]  # supply left to place
         if not live.size:
+            counts["rounds"] += rounds
             counts["augmentations"] += augmentations
             counts["steps"] += steps
             return flow
+        rounds += 1
         augmentations += live.size
         label.fill(np.inf)
         limit.fill(np.inf)

@@ -77,8 +77,8 @@ def test_run_json_records_epoch_losses(synth_manifest, tmp_path, vectorizer, n_l
 
 def test_run_json_counts_wmd_pairs(tmp_path):
     """run.json's wmd_pairs counts the pairs solved exactly, the pairs given
-    the relaxed bound, the solver batches, and the solver's augmenting paths
-    and lockstep search steps; a rerun writes the same bytes."""
+    the relaxed bound, the solver batches, and the solver's lockstep rounds,
+    augmenting paths and lockstep search steps; a rerun writes the same bytes."""
     words = [a + b + c for a in "abcdefg" for b in "abcdefg" for c in "abcdefg"][:300]
     tb = tmp_path / "tb"
     for sub, files in (("src", {"big": " ".join(words), "small": "aaa aab"}),
@@ -100,13 +100,14 @@ def test_run_json_counts_wmd_pairs(tmp_path):
         assert main(["analyze", "--manifest", str(tb / "manifest.json"), "--out", str(out), *args]) == 0
         runs.append((out / "run.json").read_bytes())
     # big x big has 300 x 300 cells, past the exact limit; the three exact
-    # pairs (2x1, 2x300 and 300x1 cells) pad past one batch's cells together.
-    # The node-by-node search took 87,727 steps for the same 602 paths.
+    # pairs (2x1, 2x300 and 300x1 cells) pad to 300x300 in one batch. In two
+    # batches they took 42,000 steps, and the node-by-node search 87,727
+    # steps, for the same 602 paths.
     assert json.loads(runs[0])["testbeds"]["bags"]["wmd_pairs"] == {
-        "exact": 3, "relaxed": 1, "batches": 2, "augmentations": 602, "steps": 42000}
+        "exact": 3, "relaxed": 1, "batches": 1, "rounds": 300, "augmentations": 602, "steps": 41700}
     assert runs[0] == runs[1]
     assert json.loads(runs[2])["testbeds"]["bags"]["wmd_pairs"] == {
-        "exact": 0, "relaxed": 0, "batches": 0, "augmentations": 0, "steps": 0}
+        "exact": 0, "relaxed": 0, "batches": 0, "rounds": 0, "augmentations": 0, "steps": 0}
 
 
 def test_analyze_vectorizer_none(synth_manifest, tmp_path):
@@ -433,6 +434,20 @@ def test_unreadable_input_files_exit_2(synth_manifest, monkeypatch, capsys, unre
     assert err.startswith("error: cannot read ") and str(bad) in err and err.count("\n") == 1, err
 
 
+def refuse_under(monkeypatch, locked: Path) -> None:
+    """Every stat, open and listing of a path under `locked` raises
+    PermissionError, as under a directory that cannot be searched."""
+    def refusing(original):
+        def call(self, *args, **kwargs):
+            if locked in self.parents:
+                raise PermissionError(13, "Permission denied", str(self))
+            return original(self, *args, **kwargs)
+        return call
+
+    for name in ("stat", "open", "iterdir"):
+        monkeypatch.setattr(Path, name, refusing(getattr(Path, name)))
+
+
 @pytest.mark.parametrize("command, moved", [
     ("validate", "manifest.json"),
     ("analyze", "oracle.txt"),
@@ -454,15 +469,7 @@ def test_inputs_under_an_unsearchable_directory_exit_2(synth_manifest, monkeypat
         manifest = json.loads(synth_manifest.read_text())
         synth_manifest.write_text(json.dumps({**manifest, key: f"locked/{moved}"}))
 
-    def refusing(original):
-        def call(self, *args, **kwargs):
-            if locked in self.parents:
-                raise PermissionError(13, "Permission denied", str(self))
-            return original(self, *args, **kwargs)
-        return call
-
-    for name in ("stat", "open", "iterdir"):
-        monkeypatch.setattr(Path, name, refusing(getattr(Path, name)))
+    refuse_under(monkeypatch, locked)
     argv = {
         "validate": ["validate", str(locked / moved)],
         "analyze": ["analyze", "--manifest", str(synth_manifest), "--vectorizer", "none",
@@ -474,6 +481,27 @@ def test_inputs_under_an_unsearchable_directory_exit_2(synth_manifest, monkeypat
     err = capsys.readouterr().err
     assert err.startswith("error: cannot read ") and str(locked / moved) in err, err
     assert err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("command", ["train-bpe", "train-embeddings", "synth"])
+def test_outputs_under_an_unsearchable_directory_exit_1(tmp_path, monkeypatch, capsys, command):
+    """An output under a directory that cannot be searched is a configuration
+    error before any work: one `config error: cannot write output ` line,
+    exit 1, and no traceback."""
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("lower lower lowest low low low\n")
+    locked = tmp_path / "locked"
+    locked.mkdir()
+    refuse_under(monkeypatch, locked)
+    out = str(locked / "out")
+    argv = {
+        "train-bpe": ["train-bpe", str(corpus), "--vocab-size", "12", "--out", out],
+        "train-embeddings": ["train-embeddings", str(corpus), "--dim", "4", "--epochs", "1", "--out", out],
+        "synth": ["synth", "--sources", "3", "--targets", "3", "--out", out],
+    }[command]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot write output {out}: ") and err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize("missing, message", [

@@ -610,7 +610,7 @@ def test_records_bytes_pinned(tmp_path):
         "scatter_loss.svg": "cbc141843b6761a1989d9daea8cc6f8327db737a1a3db3d349fe44615460679b",
         "scatter_noise.svg": "eaa3a2eb23402812d777e508750140f5b1f4df354953527299396cc60b108566",
     }
-    assert testbeds == "170963ec9bcd50e3e2df50ea27d35f951c0b8d164195894855ae1de16a934c1d"
+    assert testbeds == "5e960701edd8ebdd55668b06f94a7b26ae562d5a369e14d9f816e1dc197871a7"
 
 
 def test_skipgram_tree_pinned(tmp_path):
@@ -630,7 +630,7 @@ def test_skipgram_tree_pinned(tmp_path):
         "scatter_loss.svg": "4574c10b235a3440091b7075373b279b7f0ecaccc5bf807083aa4c550802037c",
         "scatter_noise.svg": "4fe60f1ef62b7cb0453d7b38a75842e9cf98c4c50be5311839a7ca5efd6110d3",
     }
-    assert testbeds == "d95d6ffb561bac758f271f049e85ec8d24ea435a08b8626a1cbdade4abaa48b5"
+    assert testbeds == "4100d894cf491b3c853fd8296852efdd08b5ef3f90620ad035fb474583ce76f3"
 
 
 def test_bpe_pvdbow_tree_pinned(tmp_path):
@@ -650,7 +650,7 @@ def test_bpe_pvdbow_tree_pinned(tmp_path):
         "scatter_loss.svg": "8ead8e2927b7437b52db93c0eeee1464b66f7371b53ff86b3872c950dcad67c2",
         "scatter_noise.svg": "9f6bd3b0a87f1c18aba0f7aacfface2a058485ec7aaa7fd44b972c180a190a83",
     }
-    assert testbeds == "1ee1b89b19d21462c47685d61806291f7fb920d4f5a5bbdc3ca929fe96838819"
+    assert testbeds == "fb0c6bd6ad5bb601866516543c1e28930d534fee87be25fb850e3cde7293a344"
 
 
 def test_given_vectors_tree_pinned(tmp_path):
@@ -684,7 +684,7 @@ def test_given_vectors_tree_pinned(tmp_path):
         "scatter_loss.svg": "ec0dcd21f326245c4046d97ae114cb6ee0c642ae50bc4e389c2729ca4507d173",
         "scatter_noise.svg": "3e33902fdcd11c1fe49fac780d8ac8e64186ca00ac43e7de8ab798bba6b4e089",
     }
-    assert testbeds == "4be07c27ddbdc3d84e4dd288f7eebe6cdb6de5a079cf63dcf84e71eeb1cd7333"
+    assert testbeds == "f2f9eba064ec397f96a6f22a5407f98f0999f8a333a7bc9c5caad7053c34d2c2"
 
 
 VALID = {c: row("a", "x", True)[c] for c in RECORD_COLUMNS}

@@ -221,7 +221,7 @@ def test_semantic_columns_without_vectors_are_undefined():
     with pytest.raises(ValueError, match="read-only"):
         values["scm"][0, 0] = 0.0
     assert not relaxed.any()
-    assert wmd_pairs == {"batches": 0, "exact": 0, "relaxed": 0, "augmentations": 0, "steps": 0}
+    assert wmd_pairs == {"batches": 0, "exact": 0, "relaxed": 0, "rounds": 0, "augmentations": 0, "steps": 0}
 
 
 def test_weight_totals_past_the_exact_bound_get_the_relaxed_bound():
@@ -233,7 +233,7 @@ def test_weight_totals_past_the_exact_bound_get_the_relaxed_bound():
     wmd_pairs: dict = {}
     values, masks, relaxed = semantic_columns(src, tgt, m, None, wmd_pairs)
     assert relaxed.tolist() == [[True], [False]]
-    assert wmd_pairs == {"exact": 1, "relaxed": 1, "batches": 1, "augmentations": 3, "steps": 4}
+    assert wmd_pairs == {"exact": 1, "relaxed": 1, "batches": 1, "rounds": 3, "augmentations": 3, "steps": 4}
     weights = [np.array([10**8, 1]), np.array([10**8, 3])]
     cost = np.array([[0.0, 2.0], [1.0, np.sqrt(5.0)]])
     assert values["wmd"][0, 0] == relaxed_wmd(*weights, cost)
@@ -444,7 +444,8 @@ def test_column_steps_give_the_node_by_node_bits(problems, extra_m, extra_n):
     cost, weights_a, weights_b = oracles.padded_stack(problems, extra_m, extra_n)
     want_costs, want_flow = oracles.node_transport(cost, weights_a, weights_b)
     stack = cost.copy()
-    flow = _min_cost_flows(oracles.cross_scaled(cost, weights_a, weights_b), cost, {"augmentations": 0, "steps": 0})
+    flow = _min_cost_flows(oracles.cross_scaled(cost, weights_a, weights_b), cost,
+                           {"rounds": 0, "augmentations": 0, "steps": 0})
     assert np.array_equal(cost, stack)
     assert flow.dtype == unsigned_for(max(max(a) * sum(b) for a, b, _ in problems))
     assert flow.astype(np.float64).tobytes() == want_flow.tobytes()
@@ -453,11 +454,12 @@ def test_column_steps_give_the_node_by_node_bits(problems, extra_m, extra_n):
 
 def test_solver_memory_stays_near_one_stack():
     """Batches of c7's shape, 20x20 bags: 327 problems as under a cap of
-    131,072 cells, 582 as under the byte budget. The solver's traced peak
-    stays within one cost stack: one-byte flows and predecessors, the
-    search's arrays and no (problems, M + N) copies (0.95 and 0.79 stacks).
+    131,072 cells, 582 as under a 2 MiB budget on cost and flow cells, and
+    all 900 as under the budget on everything the solver holds. The
+    solver's traced peak stays within one cost stack: one-byte flows and
+    predecessors, the search's arrays and no (problems, M + N) copies.
     Float64 flows took it to 2.07 stacks, and scans without chunks to four."""
-    for problems in (327, 582):
+    for problems in (327, 582, 900):
         rng = np.random.default_rng(0)
         vecs = rng.standard_normal((problems, 2, 20, 16))
         diff = vecs[:, 0, :, None, :] - vecs[:, 1, None, :, :]
@@ -466,7 +468,8 @@ def test_solver_memory_stays_near_one_stack():
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            _min_cost_flows(oracles.cross_scaled(cost, weights_a, weights_b), cost, {"augmentations": 0, "steps": 0})
+            _min_cost_flows(oracles.cross_scaled(cost, weights_a, weights_b), cost,
+                            {"rounds": 0, "augmentations": 0, "steps": 0})
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -568,22 +571,36 @@ def test_exact_costs_of_no_problems():
         raise AssertionError("no slot to fill")
     costs, counts = exact_costs([], [], fill)
     assert costs.shape == (0,)
-    assert counts == {"exact": 0, "batches": 0, "augmentations": 0, "steps": 0}
+    assert counts == {"exact": 0, "batches": 0, "rounds": 0, "augmentations": 0, "steps": 0}
+
+
+def problem_bytes(m: int, n: int, supply: int) -> int:
+    """Bytes that one problem of a batch padded to m x n cells holds in the
+    solver: a float64 cost and a flow per cell, the flow in the unsigned
+    dtype of the batch's largest supply; float64 `residual`, `pot` and
+    `final` and a signed `prev` that holds -(m + n) per node; float64
+    `label` and `limit` per column; and four 8-byte vectors (`end`, `root`,
+    `d_e`, `live`) and a flow-dtype `bottleneck` per problem."""
+    flow = unsigned_for(supply).itemsize
+    prev = np.dtype(next(t for t in (np.int8, np.int16, np.int32, np.int64) if -(m + n) >= np.iinfo(t).min))
+    return m * n * (8 + flow) + (m + n) * (8 + 8 + 8 + prev.itemsize) + n * (8 + 8) + 8 * 4 + flow
 
 
 def batch_bytes(entries) -> int:
-    """Bytes of a batch's padded float64 cost stack and its flow stack, whose
-    unsigned dtype holds the batch's largest supply."""
-    cell = 8 + unsigned_for(max(e[2] for e in entries)).itemsize
-    return len(entries) * max(e[0] for e in entries) * max(e[1] for e in entries) * cell
+    """Bytes of a batch: each problem holds `problem_bytes` of the batch's
+    largest m, n and supply."""
+    return len(entries) * problem_bytes(*(max(e[k] for e in entries) for k in range(3)))
 
 
-def test_shape_batches_cap_padded_cells():
+def test_shape_batches_count_everything_the_solver_holds():
     """Batches keep exact's order, come with their padded stack shape, stay
-    within BATCH_BYTES, the bytes of a float64 cost and a float64 flow on
-    twice the cells of the largest exact WMD problem, and are cut only where
-    the next entry would break that budget. Supplies span every flow dtype."""
-    assert BATCH_BYTES == 2 * EXACT_WMD_PAIR_LIMIT * 16 == 2 << 20
+    within BATCH_BYTES by `batch_bytes`, and are cut only where the next
+    entry would break that budget. Supplies span every flow dtype. The
+    budget is the smallest whole number of MiB that holds the 900 20x20
+    problems of c7 (supplies at most 153) in one batch."""
+    assert problem_bytes(20, 20, 153) == 4953
+    c7 = 900 * problem_bytes(20, 20, 153)
+    assert BATCH_BYTES == 5 << 20 and BATCH_BYTES - (1 << 20) < c7 <= BATCH_BYTES
     rng = np.random.default_rng(3)
     supplies = rng.choice([1, 200, 300, 70_000, 2**32 + 1, 2**53], size=400)
     exact = sorted((int(m), int(n), int(s)) for (m, n), s in zip(rng.integers(1, 300, size=(400, 2)), supplies))
@@ -596,13 +613,14 @@ def test_shape_batches_cap_padded_cells():
             assert batch_bytes(batch + following[:1]) > BATCH_BYTES
 
 
-def test_shape_batches_fit_c7_in_two_batches():
-    """c7's 900 problems of 20x20 cells go in two batches while their flows
-    fit one byte (c7's supplies are at most 153) or two, and in three once
-    they need four bytes."""
-    for supply, widths in ((153, [582, 318]), (300, [524, 376]), (70_000, [436, 436, 28])):
+def test_shape_batches_fit_c7_in_one_batch_until_flows_need_four_bytes():
+    """c7's 900 problems of 20x20 cells go in one batch while their flows
+    fit one byte (c7's supplies are at most 153) or two, and in two batches
+    of 851 and 49 once they need four bytes."""
+    for supply, widths in ((153, [900]), (300, [900]), (70_000, [851, 49])):
         exact = [(20, 20, supply)] * 900
         assert [shape for _, shape in _shape_batches(exact)] == [(b, 20, 20) for b in widths]
+
 
 def test_batch_cuts_leave_every_wmd_bit(monkeypatch):
     """Mixed bag shapes, one exact pair whose ground cost overflows and one
