@@ -10,27 +10,22 @@ import argparse
 import json
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict
 from pathlib import Path
 
 from tracex.corpus import (
     ConfigError,
-    CorpusError,
+    DataError,
     _creating,
     generate_synthetic,
     load_testbed,
     read_text_file,
     write_testbed,
 )
-from tracex.embeddings import EmbeddingError, TrainConfig, train_skipgram
-from tracex.pipeline import BPE_VOCAB_SIZES, SEMANTIC_METRICS, NumericError, RunConfig, run_analysis
-from tracex.report import OrphanPolicy, ReportError, detect_orphans, extreme_cases, read_records
-from tracex.tokenization import BpeModelError, BpeTrainingError, conventional_tokenize, train_bpe
-
-EXIT_CONFIG = 1
-EXIT_DATA = 2
-EXIT_NUMERIC = 3
-EXIT_MEMORY = 4
+from tracex.embeddings import TrainConfig, train_skipgram
+from tracex.pipeline import PREPROCESSINGS, SEMANTIC_METRICS, VECTORIZERS, NumericError, RunConfig, run_analysis
+from tracex.report import (CASE_METRICS, ORPHAN_METRICS, OrphanPolicy, case_json, detect_orphans, extreme_cases,
+                           read_records)
+from tracex.tokenization import conventional_tokenize, train_bpe
 
 
 class _Parser(argparse.ArgumentParser):
@@ -49,47 +44,52 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     analyze = sub.add_parser("analyze", help="run the full pipeline on testbeds")
+    analyze.set_defaults(run=cmd_analyze)
     analyze.add_argument("--manifest", action="append", required=True, dest="manifests")
-    analyze.add_argument("--preproc", default="conventional",
-                         choices=["conventional", *BPE_VOCAB_SIZES])
-    analyze.add_argument("--vectorizer", default="skipgram",
-                         choices=["skipgram", "pvdbow", "none"])
-    analyze.add_argument("--embeddings", default=None,
+    # each dest is the RunConfig field the option sets
+    analyze.add_argument("--preproc", dest="preprocessing", choices=PREPROCESSINGS, default=RunConfig.preprocessing)
+    analyze.add_argument("--vectorizer", default=RunConfig.vectorizer, choices=VECTORIZERS)
+    analyze.add_argument("--embeddings", dest="embedding_path", metavar="EMBEDDINGS",
                          help="load pretrained word vectors instead of training (skipgram only)")
-    analyze.add_argument("--bpe-model", default=None,
+    analyze.add_argument("--bpe-model", dest="bpe_model_path", metavar="BPE_MODEL",
                          help="prebuilt BPE model JSON (bpe8k or bpe32k only)")
-    analyze.add_argument("--seed", type=int, default=0)
-    analyze.add_argument("--out", default="out")
-    analyze.add_argument("--dim", type=int, default=50)
-    analyze.add_argument("--epochs", type=int, default=20)
-    analyze.add_argument("--orphan-quantile", type=float, default=0.99)
-    analyze.add_argument("--orphan-metric", default="mi", choices=["mi", "si"])
+    analyze.add_argument("--seed", type=int, default=RunConfig.seed)
+    analyze.add_argument("--out", dest="out_dir", metavar="OUT", default=RunConfig.out_dir)
+    analyze.add_argument("--dim", type=int, default=RunConfig.dim)
+    analyze.add_argument("--epochs", type=int, default=RunConfig.epochs)
+    analyze.add_argument("--orphan-quantile", type=float, default=RunConfig.orphan_quantile)
+    analyze.add_argument("--orphan-metric", default=RunConfig.orphan_metric, choices=ORPHAN_METRICS)
 
     validate = sub.add_parser("validate", help="check a testbed manifest")
+    validate.set_defaults(run=cmd_validate)
     validate.add_argument("manifest")
     validate.add_argument("--json", action="store_true")
 
     bpe = sub.add_parser("train-bpe", help="train a BPE model from text files")
+    bpe.set_defaults(run=cmd_train_bpe)
     bpe.add_argument("paths", nargs="+")
     bpe.add_argument("--vocab-size", type=int, required=True)
     bpe.add_argument("--out", required=True)
 
     emb = sub.add_parser("train-embeddings", help="train skip-gram word vectors")
+    emb.set_defaults(run=cmd_train_embeddings)
     emb.add_argument("paths", nargs="+")
-    emb.add_argument("--dim", type=int, default=50)
-    emb.add_argument("--epochs", type=int, default=20)
-    emb.add_argument("--seed", type=int, default=0)
+    emb.add_argument("--dim", type=int, default=TrainConfig.dim)
+    emb.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    emb.add_argument("--seed", type=int, default=TrainConfig.seed)
     emb.add_argument("--out", required=True)
 
     cases = sub.add_parser("cases", help="edge-case and orphan listings from records")
+    cases.set_defaults(run=cmd_cases)
     cases.add_argument("records", help="records.jsonl from a previous analyze run")
-    cases.add_argument("--metric", default="loss", choices=["loss", "noise"])
+    cases.add_argument("--metric", default=CASE_METRICS[0], choices=CASE_METRICS)
     cases.add_argument("--k", type=int, default=5)
-    cases.add_argument("--orphan-quantile", type=float, default=0.99)
-    cases.add_argument("--orphan-metric", default="mi", choices=["mi", "si"])
+    cases.add_argument("--orphan-quantile", type=float, default=OrphanPolicy.quantile)
+    cases.add_argument("--orphan-metric", default=OrphanPolicy.metric, choices=ORPHAN_METRICS)
     cases.add_argument("--json", action="store_true")
 
     synth = sub.add_parser("synth", help="generate a synthetic testbed")
+    synth.set_defaults(run=cmd_synth)
     synth.add_argument("--seed", type=int, default=0)
     synth.add_argument("--sources", type=int, default=10)
     synth.add_argument("--targets", type=int, default=10)
@@ -99,12 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_analyze(args) -> int:
-    cfg = RunConfig(
-        manifests=args.manifests, preprocessing=args.preproc, vectorizer=args.vectorizer,
-        embedding_path=args.embeddings, bpe_model_path=args.bpe_model, seed=args.seed,
-        out_dir=args.out, dim=args.dim, epochs=args.epochs,
-        orphan_quantile=args.orphan_quantile, orphan_metric=args.orphan_metric,
-    )
+    cfg = RunConfig(**{k: v for k, v in vars(args).items() if k not in ("command", "run")})
     results = run_analysis(cfg)
     # --vectorizer none leaves the semantic metrics undefined on purpose
     expected = SEMANTIC_METRICS if cfg.vectorizer == "none" else []
@@ -141,18 +136,18 @@ def cmd_validate(args) -> int:
 @contextmanager
 def _claiming(out: str):
     """Open the output file before any work, so that a path that cannot be
-    written fails before training; a file created here is removed if the
-    work fails."""
+    written fails before training; a file created here is removed if the work
+    fails. The work reads through `read_text_file`, so its OSErrors are writes."""
     path = Path(out)
     with _creating(out):  # exists() raises under a directory that cannot be searched
         created = not path.exists()
         path.open("a").close()
-    try:
-        yield
-    except BaseException:
-        if created:
-            path.unlink(missing_ok=True)
-        raise
+        try:
+            yield
+        except BaseException:
+            if created:
+                path.unlink(missing_ok=True)
+            raise
 
 
 def _read_corpus(paths: list[str]) -> list[str]:
@@ -164,8 +159,7 @@ def cmd_train_bpe(args) -> int:
         raise ConfigError(f"--vocab-size must be >= 1, got {args.vocab_size}")
     with _claiming(args.out):
         model = train_bpe(_read_corpus(args.paths), args.vocab_size)
-        with _creating(args.out):
-            model.save(args.out)
+        model.save(args.out)
     budget = args.vocab_size - (len(model.vocab) - len(model.merges))
     if len(model.merges) < budget:
         print(
@@ -180,9 +174,7 @@ def cmd_train_embeddings(args) -> int:
     cfg = TrainConfig(dim=args.dim, epochs=args.epochs, seed=args.seed)
     with _claiming(args.out):
         corpus = [conventional_tokenize(t) for t in _read_corpus(args.paths)]
-        trained = train_skipgram(corpus, cfg)
-        with _creating(args.out):
-            trained.matrix.save(args.out)
+        train_skipgram(corpus, cfg).matrix.save(args.out)
     return 0
 
 
@@ -193,7 +185,7 @@ def cmd_cases(args) -> int:
     records = read_records(Path(args.records))
     listings = extreme_cases(records, args.metric, args.k) + detect_orphans(records, policy)
     for c in listings:
-        print(json.dumps(asdict(c), sort_keys=True) if args.json else
+        print(case_json(c) if args.json else
               f"{c.kind}#{c.rank}: {c.source_id} -> {c.target_id} = {c.value:.4f}")
     return 0
 
@@ -210,29 +202,21 @@ def cmd_synth(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    handlers = {
-        "analyze": cmd_analyze,
-        "validate": cmd_validate,
-        "train-bpe": cmd_train_bpe,
-        "train-embeddings": cmd_train_embeddings,
-        "cases": cmd_cases,
-        "synth": cmd_synth,
-    }
     try:
         args = build_parser().parse_args(argv)
-        return handlers[args.command](args)
-    except (CorpusError, BpeModelError, BpeTrainingError, EmbeddingError, ReportError) as exc:
+        return args.run(args)
+    except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        return 2
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        return 3
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return 1
     except MemoryError as exc:  # NumPy's names the array it could not allocate
         print(f"out of memory: {exc or 'an allocation failed'}", file=sys.stderr)
-        return EXIT_MEMORY
+        return 4
 
 
 if __name__ == "__main__":

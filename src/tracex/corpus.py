@@ -16,8 +16,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 
-class CorpusError(Exception):
-    """Raised for missing files, malformed oracles, or dangling artifact ids."""
+class DataError(Exception):
+    """The base of every data error (exit 2): a missing, unreadable or malformed input."""
+
+
+class CorpusError(DataError):
+    """Raised for missing or unreadable inputs, malformed manifests or oracles, or dangling ids."""
 
 
 class ConfigError(ValueError):
@@ -33,16 +37,22 @@ def _creating(out: str | Path):
         raise ConfigError(f"cannot write output {out}: {exc}") from exc
 
 
-def read_text_file(path: Path, what: str, errors: str = "strict") -> str:
-    """The UTF-8 text of an input file; a file that is missing or cannot be
-    read is a data error. No existence check comes first: `Path.is_file()`
-    raises under a directory that cannot be searched."""
+@contextmanager
+def _reading(path: str | Path, what: str):
+    """A missing or unreadable input is a data error. No existence check comes
+    first: `Path.is_file()` raises under a directory that cannot be searched."""
     try:
-        return path.read_text(encoding="utf-8", errors=errors)
+        yield
     except (FileNotFoundError, NotADirectoryError) as exc:
         raise CorpusError(f"{what} not found: {path}") from exc
     except OSError as exc:
         raise CorpusError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def read_text_file(path: Path, what: str, errors: str = "strict") -> str:
+    """The UTF-8 text of an input file."""
+    with _reading(path, what):
+        return path.read_text(encoding="utf-8", errors=errors)
 
 
 @dataclass(frozen=True)
@@ -121,12 +131,8 @@ def load_testbed(manifest_path: str | Path) -> Testbed:
 
 
 def _read_artifact_dir(directory: Path, role: str) -> list[Artifact]:
-    try:
+    with _reading(directory, f"{role} directory"):
         paths = sorted((p for p in directory.iterdir() if p.is_file()), key=lambda p: p.stem)
-    except (FileNotFoundError, NotADirectoryError) as exc:
-        raise CorpusError(f"{role} directory not found: {directory}") from exc
-    except OSError as exc:
-        raise CorpusError(f"cannot read {role} directory {directory}: {exc}") from exc
     artifacts = []  # sorted by id, the order of every report
     for path in paths:
         if "\r" in path.stem:  # the records CSV would split its row; no oracle line can name it

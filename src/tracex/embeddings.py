@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from tracex.corpus import ConfigError
+from tracex.corpus import ConfigError, DataError, read_text_file
 
 WINDOW = 5  # skip-gram context: up to this many words on each side
 NEGATIVES = 5  # noise words per prediction
@@ -35,7 +35,7 @@ MIN_LR_FRACTION = 1e-4
 EPS = 1e-12  # keeps the loss finite where a prediction rounds to 0 or 1
 
 
-class EmbeddingError(ValueError):
+class EmbeddingError(DataError):
     """Raised for empty vocabularies or malformed vector files."""
 
 
@@ -46,9 +46,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("dim", "epochs"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be positive")
+        for name, least in (("dim", 1), ("epochs", 1), ("seed", 0)):
+            if getattr(self, name) < least:
+                raise ConfigError(f"{name} must be >= {least}, got {getattr(self, name)}")
 
 
 @dataclass
@@ -81,8 +81,8 @@ def load_embeddings(path: str | Path) -> EmbeddingMatrix:
     """Read the plain-text interchange format: header `<count> <dim>`, then
     one `<token> <f1> ... <fdim>` line per token."""
     try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except (OSError, UnicodeDecodeError) as exc:
+        lines = read_text_file(Path(path), "embedding file").splitlines()
+    except UnicodeDecodeError as exc:
         raise EmbeddingError(f"{path}: unreadable embedding file: {exc}") from exc
     if not lines:
         raise EmbeddingError(f"{path}: empty embedding file")

@@ -14,7 +14,6 @@ and `run_analysis` writes run.json.
 from __future__ import annotations
 
 import json
-import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -42,6 +41,8 @@ from tracex.tokenization import (
 )
 
 BPE_VOCAB_SIZES = {"bpe8k": 8000, "bpe32k": 32000}
+PREPROCESSINGS = ("conventional", *BPE_VOCAB_SIZES)
+VECTORIZERS = ("skipgram", "pvdbow", "none")
 
 SCORE_METRICS = {
     "mi": 1.0,
@@ -63,28 +64,31 @@ class NumericError(RuntimeError):
 @dataclass
 class RunConfig:
     manifests: list[str]
-    preprocessing: str = "conventional"  # conventional | bpe8k | bpe32k
-    vectorizer: str = "skipgram"  # skipgram | pvdbow | none
+    preprocessing: str = PREPROCESSINGS[0]  # conventional
+    vectorizer: str = VECTORIZERS[0]  # skipgram
     embedding_path: str | None = None  # load instead of training
     bpe_model_path: str | None = None
-    seed: int = 0
+    seed: int = TrainConfig.seed
     out_dir: str = "out"
-    orphan_quantile: float = 0.99
-    orphan_metric: str = "mi"
-    dim: int = 50
-    epochs: int = 20
+    orphan_quantile: float = OrphanPolicy.quantile
+    orphan_metric: str = OrphanPolicy.metric
+    dim: int = TrainConfig.dim
+    epochs: int = TrainConfig.epochs
 
     def __post_init__(self) -> None:
-        if self.preprocessing not in ("conventional", *BPE_VOCAB_SIZES):
+        if self.preprocessing not in PREPROCESSINGS:
             raise ConfigError(f"unknown preprocessing: {self.preprocessing}")
-        if self.vectorizer not in ("skipgram", "pvdbow", "none"):
+        if self.vectorizer not in VECTORIZERS:
             raise ConfigError(f"unknown vectorizer: {self.vectorizer}")
         if self.embedding_path and self.vectorizer != "skipgram":
             raise ConfigError(f"embeddings are loaded only by the skipgram vectorizer, not {self.vectorizer}")
         if self.bpe_model_path and self.preprocessing not in BPE_VOCAB_SIZES:
             raise ConfigError(f"a BPE model needs bpe8k or bpe32k preprocessing, not {self.preprocessing}")
-        OrphanPolicy(self.orphan_quantile, self.orphan_metric)  # validates both
+        self.orphan_policy()  # validates both orphan options
         self.train_config()  # validates the training options
+
+    def orphan_policy(self) -> OrphanPolicy:
+        return OrphanPolicy(quantile=self.orphan_quantile, metric=self.orphan_metric)
 
     def train_config(self) -> TrainConfig:
         return TrainConfig(dim=self.dim, epochs=self.epochs, seed=self.seed)
@@ -92,7 +96,7 @@ class RunConfig:
 
 def tokenize_texts(texts: list[str], cfg: RunConfig) -> list[list[str]]:
     """The token sequence of each text; trains or loads BPE when requested.
-    The sequences share one str object per distinct token."""
+    The sequences share one str object per distinct token, by a call-local table."""
     if cfg.preprocessing not in BPE_VOCAB_SIZES:
         seqs = [conventional_tokenize(text) for text in texts]
     else:
@@ -102,7 +106,8 @@ def tokenize_texts(texts: list[str], cfg: RunConfig) -> list[list[str]]:
             model = train_bpe(texts, BPE_VOCAB_SIZES[cfg.preprocessing])
         words: dict[str, list[str]] = {}  # each distinct word is encoded once
         seqs = [bpe_encode(model, text, words) for text in texts]
-    return [list(map(sys.intern, seq)) for seq in seqs]
+    shared: dict[str, str] = {}
+    return [list(map(shared.setdefault, seq, seq)) for seq in seqs]
 
 
 @dataclass
@@ -239,7 +244,7 @@ def run_analysis(cfg: RunConfig) -> list[TestbedResult]:
         out_root.mkdir(parents=True, exist_ok=True)
         for report_dir in report_dirs:
             report_dir.mkdir(parents=True, exist_ok=True)
-    policy = OrphanPolicy(quantile=cfg.orphan_quantile, metric=cfg.orphan_metric)
+    policy = cfg.orphan_policy()
     results = []
     for tb, report_dir in zip(testbeds, report_dirs):
         result = analyze_testbed(tb, cfg)

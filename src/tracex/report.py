@@ -41,7 +41,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from tracex.corpus import ConfigError
+from tracex.corpus import ConfigError, DataError, _reading
 from tracex.evaluation import CorrelationCell, SummaryStats, summarize
 
 RECORD_COLUMNS = [
@@ -53,10 +53,12 @@ ID_COLUMNS = ("source_id", "target_id")
 BOOL_COLUMNS = ("is_link", "null_shared", "wmd_relaxed")
 
 BY_LINKS_METRICS = ["scm", "wmd_sim", "cos", "euc", "h_x", "h_y", "ci_noise", "ci_loss", "mi", "si", "sx"]
+CASE_METRICS = ("loss", "noise")  # the columns an extreme-case listing ranks
+ORPHAN_METRICS = ("mi", "si")
 
 
-class ReportError(ValueError):
-    pass
+class ReportError(DataError):
+    """Raised for a records file that is not UTF-8 JSON records."""
 
 
 @dataclass(frozen=True)
@@ -76,8 +78,8 @@ class OrphanPolicy:
     def __post_init__(self) -> None:
         if not 0.0 < self.quantile < 1.0:
             raise ConfigError(f"orphan quantile must be inside (0, 1), got {self.quantile}")
-        if self.metric not in ("mi", "si"):
-            raise ConfigError(f"orphan metric must be mi or si, got {self.metric}")
+        if self.metric not in ORPHAN_METRICS:
+            raise ConfigError(f"orphan metric must be {' or '.join(ORPHAN_METRICS)}, got {self.metric}")
 
 
 @dataclass(frozen=True)
@@ -175,11 +177,7 @@ def _ranked(records: dict, column: np.ndarray, selected: np.ndarray, descending:
 
 
 def extreme_cases(records: dict, metric: str, k: int = 5) -> list[CaseListing]:
-    """Top-k and bottom-k pairs by metric, ties broken by id order."""
-    if metric not in ("loss", "noise"):
-        raise ReportError(f"extreme_cases metric must be loss or noise, got {metric}")
-    if k < 1:
-        raise ReportError("k must be >= 1")
+    """Top-k and bottom-k pairs (k >= 1) by metric, one of CASE_METRICS; ties in id order."""
     column = records[metric]
     defined = ~np.isnan(column)
     return (_listing(f"max_{metric}", records, column, _ranked(records, column, defined, True, k))
@@ -354,13 +352,13 @@ def _is_kind(value, kind: type) -> bool:
 
 def _json_lines(path: Path) -> Iterator:
     """The JSON value of each non-blank line of path, read line by line;
-    ReportError where the file is unreadable, not UTF-8 or a line not JSON."""
+    ReportError where the file is not UTF-8 or a line not JSON."""
     try:
-        with path.open(encoding="utf-8") as fh:
+        with _reading(path, "records file"), path.open(encoding="utf-8") as fh:
             for line in fh:
                 if line != "\n":
                     yield json.loads(line)
-    except (OSError, ValueError) as exc:
+    except ValueError as exc:
         raise ReportError(f"cannot read records file {path}: {exc}") from exc
 
 
@@ -411,10 +409,14 @@ def _summary_cells(stats: SummaryStats | None) -> tuple:
     return (stats.mean, stats.std, stats.n) if stats else (None, None, 0)
 
 
+def case_json(listing: CaseListing) -> str:
+    """A case listing as one line of cases.jsonl, without its line end."""
+    return json.dumps(asdict(listing), sort_keys=True)
+
+
 def write_cases_jsonl(listings: list[CaseListing], path: Path) -> None:
     with path.open("w", encoding="utf-8") as fh:
-        for c in listings:
-            fh.write(json.dumps(asdict(c), sort_keys=True) + "\n")
+        fh.writelines(case_json(c) + "\n" for c in listings)
 
 
 def scatter_svg(records: dict, color_key: str = "loss") -> str:
@@ -483,7 +485,7 @@ def write_report_tree(records: dict, testbed: str, evaluation: dict, correlation
                 for metric in BY_LINKS_METRICS))
     _write_csv(out_dir / "correlations.csv", ["semantic_metric", "info_metric", "pearson_r", "n"],
                ([c.metric_a, c.metric_b, c.pearson_r, c.n] for c in correlations))
-    listings = extreme_cases(records, "loss") + extreme_cases(records, "noise")
+    listings = [c for metric in CASE_METRICS for c in extreme_cases(records, metric)]
     listings += detect_orphans(records, policy)
     write_cases_jsonl(listings, out_dir / "cases.jsonl")
     for color in ("loss", "noise"):

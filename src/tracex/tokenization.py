@@ -17,6 +17,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
+from tracex.corpus import DataError, read_text_file
+
 EOW = "</w>"
 MIN_TOKEN_LEN = 2  # shorter conventional tokens are dropped
 
@@ -56,12 +58,12 @@ def count_tokens(seq: list[str]) -> TokenCounts:
     return TokenCounts(dict(Counter(seq)))
 
 
-class BpeTrainingError(ValueError):
+class BpeTrainingError(DataError):
     """Raised when the requested vocab size cannot exceed the base charset."""
 
 
-class BpeModelError(ValueError):
-    """Raised for a BPE model file that cannot be read or is not a model."""
+class BpeModelError(DataError):
+    """Raised for a BPE model file that is not UTF-8 JSON or not a model."""
 
 
 @dataclass
@@ -82,8 +84,8 @@ class BpeModel:
     @classmethod
     def load(cls, path: str | Path) -> "BpeModel":
         try:
-            doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, ValueError) as exc:  # unreadable, not UTF-8 or not JSON
+            doc = json.loads(read_text_file(Path(path), "BPE model"))
+        except ValueError as exc:  # not UTF-8 or not JSON
             raise BpeModelError(f"{path}: unreadable BPE model: {exc}") from exc
         if not (
             isinstance(doc, dict)

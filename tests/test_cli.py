@@ -1,5 +1,9 @@
+import ast
+import importlib
+import inspect
 import json
 import os
+import pkgutil
 import shutil
 import subprocess
 import sys
@@ -11,10 +15,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import tracex
 import tracex.cli as cli
 from tracex.cli import main
-from tracex.corpus import ConfigError, CorpusError
+from tracex.corpus import ConfigError, CorpusError, DataError
 from tracex.embeddings import EmbeddingError, EmbeddingMatrix
+from tracex.evaluation import EvaluationError
 from tracex.pipeline import NumericError
 from tracex.report import ReportError
 from tracex.tokenization import BpeModelError, BpeTrainingError, conventional_tokenize
@@ -285,10 +291,12 @@ def _raising(exc: BaseException):
 
 
 # Every exception type main maps, with its exit code and the start of its one
-# stderr line; None is an argparse usage error (no records path). The mapped
-# types are ValueErrors but for NumericError, a RuntimeError, so one error can
-# be two of them: the clauses' order decides, data and numeric before config.
+# stderr line; None is an argparse usage error (no records path). The data
+# errors derive from DataError, ConfigError is a ValueError and NumericError a
+# RuntimeError, so one error can be two of them: the clauses' order decides,
+# data and numeric before config.
 EXIT_CONTRACT = [
+    (DataError, 2, "error: "),
     (CorpusError, 2, "error: "),
     (BpeModelError, 2, "error: "),
     (BpeTrainingError, 2, "error: "),
@@ -315,11 +323,34 @@ def test_each_mapped_exception_has_its_exit_code(monkeypatch, capsys, raised, co
 
 @pytest.mark.parametrize("raised", [ValueError, RuntimeError, KeyError])
 def test_unmapped_exceptions_propagate(monkeypatch, raised):
-    """The mapped errors are ValueErrors (NumericError a RuntimeError), so a
-    clause that caught their base class would map these too, to some code."""
+    """ConfigError is a ValueError and NumericError a RuntimeError, so a
+    clause that caught their base classes would map these too, to some code."""
     monkeypatch.setattr(cli, "cmd_cases", _raising(raised("a bug")))
     with pytest.raises(raised, match="a bug"):
         main(["cases", "records.jsonl"])
+
+
+def _caught(handler: ast.ExceptHandler) -> set[str]:
+    names = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+    return {n.id for n in names if isinstance(n, ast.Name)}
+
+
+def test_every_error_is_mapped_and_none_is_swallowed():
+    """Each exception class that tracex defines reaches main as one it maps,
+    or is EvaluationError, which pipeline catches. No handler swallows every
+    error: there is no bare except, and one that catches Exception or
+    BaseException re-raises."""
+    for info in pkgutil.iter_modules(tracex.__path__):
+        module = importlib.import_module(f"tracex.{info.name}")
+        for name, obj in vars(module).items():
+            if inspect.isclass(obj) and issubclass(obj, BaseException) and obj.__module__ == module.__name__:
+                assert issubclass(obj, (DataError, ConfigError, NumericError)) or obj is EvaluationError, name
+        for node in ast.walk(ast.parse(Path(module.__file__).read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ExceptHandler):
+                where = f"{info.name}.py:{node.lineno}"
+                assert node.type is not None, f"{where}: bare except"
+                if _caught(node) & {"Exception", "BaseException"}:
+                    assert any(isinstance(n, ast.Raise) and n.exc is None for n in ast.walk(node)), where
 
 
 def test_help_exits_0(capsys):
@@ -351,6 +382,10 @@ def run_cli(*argv):
     ["train-embeddings", "--dim", "0"],
     ["train-embeddings", "--epochs", "0"],
     ["train-bpe", "--vocab-size", "0"],
+    ["analyze", "--seed", "-1"],
+    ["analyze", "--vectorizer", "pvdbow", "--seed", "-1"],
+    ["analyze", "--vectorizer", "none", "--seed", "-1"],
+    ["train-embeddings", "--seed", "-1"],
 ])
 def test_orphan_options_are_config_errors_before_any_work(synth_manifest, tmp_path, capsys, argv):
     out = tmp_path / "out"
@@ -448,11 +483,28 @@ def refuse_under(monkeypatch, locked: Path) -> None:
         monkeypatch.setattr(Path, name, refusing(getattr(Path, name)))
 
 
+def _reading_argv(manifest: Path, path: Path) -> list[str]:
+    """The tracex command that reads the input `path`, known by its name,
+    beside the testbed of `manifest`; the testbed's own files by analyze."""
+    out = manifest.parent / "out"
+    analyze = ["analyze", "--manifest", str(manifest), "--out", str(out)]
+    return {
+        "manifest.json": ["validate", str(path)],
+        "corpus.txt": ["train-bpe", str(path), "--vocab-size", "12", "--out", str(out)],
+        "vecs.txt": [*analyze, "--embeddings", str(path)],
+        "bpe.json": [*analyze, "--preproc", "bpe8k", "--bpe-model", str(path), "--vectorizer", "none"],
+        "records.jsonl": ["cases", str(path)],
+    }.get(path.name, [*analyze, "--vectorizer", "none"])
+
+
 @pytest.mark.parametrize("command, moved", [
     ("validate", "manifest.json"),
     ("analyze", "oracle.txt"),
     ("analyze", "sources"),
     ("train-bpe", "corpus.txt"),
+    ("analyze", "vecs.txt"),
+    ("analyze", "bpe.json"),
+    ("cases", "records.jsonl"),
 ])
 def test_inputs_under_an_unsearchable_directory_exit_2(synth_manifest, monkeypatch, capsys,
                                                        command, moved):
@@ -462,7 +514,8 @@ def test_inputs_under_an_unsearchable_directory_exit_2(synth_manifest, monkeypat
     tb = synth_manifest.parent
     locked = tb / "locked"
     locked.mkdir()
-    (tb / "corpus.txt").write_text("lower lower lowest low low low\n")
+    for name in ("corpus.txt", "vecs.txt", "bpe.json", "records.jsonl"):
+        (tb / name).write_text("lower lower lowest low low low\n")
     (tb / moved).rename(locked / moved)
     if moved in ("oracle.txt", "sources"):
         key = "oracle_file" if moved == "oracle.txt" else "source_dir"
@@ -470,13 +523,8 @@ def test_inputs_under_an_unsearchable_directory_exit_2(synth_manifest, monkeypat
         synth_manifest.write_text(json.dumps({**manifest, key: f"locked/{moved}"}))
 
     refuse_under(monkeypatch, locked)
-    argv = {
-        "validate": ["validate", str(locked / moved)],
-        "analyze": ["analyze", "--manifest", str(synth_manifest), "--vectorizer", "none",
-                    "--out", str(tb / "out")],
-        "train-bpe": ["train-bpe", str(locked / moved), "--vocab-size", "12",
-                      "--out", str(tb / "bpe.json")],
-    }[command]
+    argv = _reading_argv(synth_manifest, locked / moved)
+    assert argv[0] == command
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: cannot read ") and str(locked / moved) in err, err
@@ -510,6 +558,9 @@ def test_outputs_under_an_unsearchable_directory_exit_1(tmp_path, monkeypatch, c
     ("sources", "source directory not found"),
     ("targets", "target directory not found"),
     ("corpus.txt", "corpus file not found"),
+    ("vecs.txt", "embedding file not found"),
+    ("bpe.json", "BPE model not found"),
+    ("records.jsonl", "records file not found"),
 ])
 def test_missing_inputs_are_named_not_found(synth_manifest, capsys, missing, message):
     tb = synth_manifest.parent
@@ -518,9 +569,7 @@ def test_missing_inputs_are_named_not_found(synth_manifest, capsys, missing, mes
         shutil.rmtree(path)
     elif path.exists():
         path.unlink()
-    argv = (["train-bpe", str(path), "--vocab-size", "12", "--out", str(tb / "bpe.json")]
-            if missing == "corpus.txt" else ["validate", str(synth_manifest)])
-    assert main(argv) == 2
+    assert main(_reading_argv(synth_manifest, path)) == 2
     assert capsys.readouterr().err == f"error: {message}: {path}\n"
 
 

@@ -6,7 +6,9 @@ import math
 import struct
 import sys
 import tracemalloc
+from itertools import islice, product
 from pathlib import Path
+from string import ascii_lowercase
 from unittest import mock
 
 import numpy as np
@@ -17,7 +19,7 @@ from hypothesis import strategies as st
 from tracex.cli import main
 from tracex.corpus import ConfigError, load_testbed
 from tracex.embeddings import EmbeddingMatrix
-from tracex.pipeline import RunConfig, analyze_testbed
+from tracex.pipeline import RunConfig, analyze_testbed, tokenize_texts
 from tracex.report import (
     BOOL_COLUMNS,
     BY_LINKS_METRICS,
@@ -570,6 +572,29 @@ def test_scoring_memory_follows_the_records_table(tmp_path, monkeypatch):
     # a dense targets x vocabulary count matrix, six semantic grids where one
     # would do, or two sorts per AUC take this past 1.8
     assert peak <= 1.8 * _table_bytes(result.records), (peak, _table_bytes(result.records))
+
+
+def test_token_sharing_leaves_no_process_wide_state():
+    """tokenize_texts shares one str per distinct token through a table of its
+    own call, not the interpreter's interned strings: after 300,000 strings
+    interned by earlier work, twelve calls on 20,000 words peak alike. A
+    process-wide table resizes by what ran before, during one of the calls."""
+    history = [sys.intern(f"earlier-{i}") for i in range(300_000)]  # alive to the end
+    words = ["".join(p) for p in islice(product(ascii_lowercase, repeat=4), 20_000)]
+    texts = [" ".join(words[i:i + 100]) for i in range(0, len(words), 100)] * 2
+    cfg = RunConfig(manifests=[], vectorizer="none")
+    peaks = []
+    for _ in range(12):
+        tracemalloc.start()
+        try:
+            seqs = tokenize_texts(texts, cfg)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert seqs[0][0] is seqs[len(texts) // 2][0]  # one str per distinct token
+        assert sys.intern("".join(words[0])) is not seqs[0][0]  # an equal str is interned apart
+        del seqs
+    assert max(peaks) <= 1.2 * min(peaks), (peaks, len(history))
 
 
 PINNED_FILES = ("records.csv", "records.jsonl", "cases.jsonl", "information.csv", "by_links.csv",
