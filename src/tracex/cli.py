@@ -22,9 +22,9 @@ from tracex.corpus import (
     write_testbed,
 )
 from tracex.embeddings import TrainConfig, train_skipgram
-from tracex.pipeline import PREPROCESSINGS, SEMANTIC_METRICS, VECTORIZERS, NumericError, RunConfig, run_analysis
-from tracex.report import (CASE_METRICS, ORPHAN_METRICS, OrphanPolicy, case_json, detect_orphans, extreme_cases,
-                           read_records)
+from tracex.pipeline import (PREPROCESSINGS, SEMANTIC_METRICS, VECTORIZERS, NumericError, RunConfig, empty_artifacts,
+                             run_analysis, tokenize_texts)
+from tracex.report import CASE_K, CASE_METRICS, ORPHAN_METRICS, OrphanPolicy, case_json, case_listings, read_records
 from tracex.tokenization import conventional_tokenize, train_bpe
 
 
@@ -83,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     cases.set_defaults(run=cmd_cases)
     cases.add_argument("records", help="records.jsonl from a previous analyze run")
     cases.add_argument("--metric", default=CASE_METRICS[0], choices=CASE_METRICS)
-    cases.add_argument("--k", type=int, default=5)
+    cases.add_argument("--k", type=int, default=CASE_K)
     cases.add_argument("--orphan-quantile", type=float, default=OrphanPolicy.quantile)
     cases.add_argument("--orphan-metric", default=OrphanPolicy.metric, choices=ORPHAN_METRICS)
     cases.add_argument("--json", action="store_true")
@@ -113,9 +113,9 @@ def cmd_analyze(args) -> int:
 
 def cmd_validate(args) -> int:
     tb = load_testbed(args.manifest)
-    # conventional tokenization, the default preprocessing of analyze
-    empty = {side: [a.id for a in artifacts if not conventional_tokenize(a.raw_text)]
-             for side, artifacts in (("sources", tb.sources), ("targets", tb.targets))}
+    # tokenized as analyze tokenizes by default
+    seqs = tokenize_texts([a.raw_text for a in tb.sources + tb.targets], RunConfig([]))
+    empty = empty_artifacts(tb.sources, tb.targets, seqs)
     report = {
         "name": tb.name,
         "all": tb.n_all,
@@ -183,8 +183,7 @@ def cmd_cases(args) -> int:
     if args.k < 1:
         raise ConfigError(f"--k must be >= 1, got {args.k}")
     records = read_records(Path(args.records))
-    listings = extreme_cases(records, args.metric, args.k) + detect_orphans(records, policy)
-    for c in listings:
+    for c in case_listings(records, [args.metric], args.k, policy):
         print(case_json(c) if args.json else
               f"{c.kind}#{c.rank}: {c.source_id} -> {c.target_id} = {c.value:.4f}")
     return 0

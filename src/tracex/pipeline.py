@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from tracex import __version__
-from tracex.corpus import ConfigError, CorpusError, Testbed, _creating, load_testbed
+from tracex.corpus import Artifact, ConfigError, CorpusError, Testbed, _creating, load_testbed
 from tracex.embeddings import (
     EmbeddingMatrix,
     TrainConfig,
@@ -147,26 +147,32 @@ def analyze_testbed(tb: Testbed, cfg: RunConfig) -> TestbedResult:
     del info_masks, sem_masks
 
     counts = {"all": tb.n_all, "links": tb.n_links, "non_links": tb.n_non_links}
-    undefined = {metric: int(np.isnan(records[metric]).sum()) for metric in SCORE_METRICS}
+    scores = _scores(records)
+    undefined = {metric: entry["n_excluded"] for metric, entry in scores.items()}
     evaluation = {
         "testbed": tb.name,
         "counts": counts,
         "aggregation": "per candidate pair",
         "null_shared": null_shared_census(records),
         "undefined_pair_counts": undefined,
-        "scores": _scores(records),
+        "scores": scores,
     }
     run = {
         **counts,
-        # ids of the sources and of the targets whose token sequence is
-        # empty; admitted, but flagged
-        "empty_artifacts": {"sources": [a.id for a, seq in zip(sources, seqs[:n]) if not seq],
-                            "targets": [a.id for a, seq in zip(targets, seqs[n:]) if not seq]},
+        "empty_artifacts": empty_artifacts(sources, targets, seqs),
         "epoch_losses": epoch_losses,  # [] when nothing was trained
         "undefined_pair_counts": undefined,
         "wmd_pairs": wmd_pairs,  # pairs solved exactly and bounded, solver batches, rounds, augmentations and steps
     }
     return TestbedResult(tb, records, evaluation, run)
+
+
+def empty_artifacts(sources: list[Artifact], targets: list[Artifact], seqs: list[list[str]]) -> dict[str, list[str]]:
+    """The ids of the sources and of the targets whose token sequence is
+    empty: admitted, but flagged. seqs holds the sources' sequences, then
+    the targets'."""
+    return {"sources": [a.id for a, seq in zip(sources, seqs) if not seq],
+            "targets": [a.id for a, seq in zip(targets, seqs[len(sources):]) if not seq]}
 
 
 def _build_embeddings(
@@ -184,7 +190,7 @@ def _build_embeddings(
         return dv.word_matrix, [next(vectors) if seq else None for seq in seqs], dv.epoch_losses
     if cfg.embedding_path:
         return load_embeddings(cfg.embedding_path), None, []
-    trained = train_skipgram([seq for seq in seqs if seq], train_cfg)
+    trained = train_skipgram(seqs, train_cfg)  # it drops the empty sequences
     return trained.matrix, None, trained.epoch_losses
 
 

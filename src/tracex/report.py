@@ -17,9 +17,10 @@ cell on every row is folded into the line templates once; ids, flags and
 floats with few distinct values keep one text per distinct value; the
 distinct-heavy float columns are formatted row by row, block by block, so
 their memory follows the block and not the row count. read_records reads
-the file back line by line, a block of rows at a time. Case listings rank with stable NumPy sorts,
-ties in id order, which is code order; a top-k listing holds one copy of
-its column. Testbed means sum block by block as well.
+the file back line by line, a block of rows at a time. `case_listings`, the
+lines of cases.jsonl and of `tracex cases` alike, rank by one stable NumPy
+sort, ties in id order (code order); a top-k listing holds one copy of its
+column. Testbed means sum block by block as well.
 
 Column naming keeps both conventions from the published-table layout:
 `ci_noise` carries H_pool - H(Y) (semantically the loss) and `ci_loss`
@@ -54,6 +55,7 @@ BOOL_COLUMNS = ("is_link", "null_shared", "wmd_relaxed")
 
 BY_LINKS_METRICS = ["scm", "wmd_sim", "cos", "euc", "h_x", "h_y", "ci_noise", "ci_loss", "mi", "si", "sx"]
 CASE_METRICS = ("loss", "noise")  # the columns an extreme-case listing ranks
+CASE_K = 5  # the pairs at each end of an extreme-case listing
 ORPHAN_METRICS = ("mi", "si")
 
 
@@ -156,9 +158,9 @@ def _ranked(records: dict, column: np.ndarray, selected: np.ndarray, descending:
     """The rows of the bool mask `selected`, never NaN in `column`, by value
     (highest first when descending), ties in (source id, target id) order
     and then in row order; the first k only, when k is given. The rows that
-    can place are put in id order (code order) and then sorted by value, both
-    by stable NumPy sorts. Beyond the rows that can place, this holds one
-    copy of the selected values."""
+    can place are ranked by one stable NumPy sort over (value, source code,
+    target code): code order is id order. Beyond the rows that can place,
+    this holds one copy of the selected values."""
     if k is not None and k < np.count_nonzero(selected):
         values = column[selected]
         if descending:
@@ -171,12 +173,11 @@ def _ranked(records: dict, column: np.ndarray, selected: np.ndarray, descending:
     values = column[rows]
     if descending:
         np.negative(values, out=values)
-    # source id first; equal pairs keep row order
-    by_id = np.lexsort([records[c].codes[rows] for c in ("target_id", "source_id")])
-    return rows[by_id[np.argsort(values[by_id], kind="stable")][:k]]
+    # the last key sorts first; equal pairs keep row order
+    return rows[np.lexsort((records["target_id"].codes[rows], records["source_id"].codes[rows], values))[:k]]
 
 
-def extreme_cases(records: dict, metric: str, k: int = 5) -> list[CaseListing]:
+def extreme_cases(records: dict, metric: str, k: int = CASE_K) -> list[CaseListing]:
     """Top-k and bottom-k pairs (k >= 1) by metric, one of CASE_METRICS; ties in id order."""
     column = records[metric]
     defined = ~np.isnan(column)
@@ -207,6 +208,11 @@ def detect_orphans(records: dict, policy: OrphanPolicy = OrphanPolicy()) -> list
     threshold = _quantile(link_values, policy.quantile)
     hits = ~is_link & (column >= threshold)
     return _listing("orphan_link", records, column, _ranked(records, column, hits, True))
+
+
+def case_listings(records: dict, metrics, k: int, policy: OrphanPolicy) -> list[CaseListing]:
+    """The extreme cases of each metric, then the orphans: the lines of cases.jsonl and of `tracex cases`."""
+    return [c for metric in metrics for c in extreme_cases(records, metric, k)] + detect_orphans(records, policy)
 
 
 def null_shared_census(records: dict) -> dict[str, int]:
@@ -353,13 +359,15 @@ def _is_kind(value, kind: type) -> bool:
 def _json_lines(path: Path) -> Iterator:
     """The JSON value of each non-blank line of path, read line by line;
     ReportError where the file is not UTF-8 or a line not JSON."""
-    try:
-        with _reading(path, "records file"), path.open(encoding="utf-8") as fh:
-            for line in fh:
+    with _reading(path, "records file"), path.open(encoding="utf-8") as fh:
+        try:
+            for lineno, line in enumerate(fh, start=1):
                 if line != "\n":
                     yield json.loads(line)
-    except ValueError as exc:
-        raise ReportError(f"cannot read records file {path}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ReportError(f"records file {path} is not UTF-8: {exc}") from exc
+        except ValueError as exc:  # json.JSONDecodeError
+            raise ReportError(f"malformed records file {path} line {lineno}: {exc}") from exc
 
 
 def _sorted_codes(first: dict[str, int], codes: np.ndarray) -> IdColumn:
@@ -485,9 +493,7 @@ def write_report_tree(records: dict, testbed: str, evaluation: dict, correlation
                 for metric in BY_LINKS_METRICS))
     _write_csv(out_dir / "correlations.csv", ["semantic_metric", "info_metric", "pearson_r", "n"],
                ([c.metric_a, c.metric_b, c.pearson_r, c.n] for c in correlations))
-    listings = [c for metric in CASE_METRICS for c in extreme_cases(records, metric)]
-    listings += detect_orphans(records, policy)
-    write_cases_jsonl(listings, out_dir / "cases.jsonl")
+    write_cases_jsonl(case_listings(records, CASE_METRICS, CASE_K, policy), out_dir / "cases.jsonl")
     for color in ("loss", "noise"):
         (out_dir / f"scatter_{color}.svg").write_text(scatter_svg(records, color) + "\n", encoding="utf-8")
     (out_dir / "evaluation.json").write_text(json.dumps(evaluation, indent=2, sort_keys=True) + "\n",

@@ -138,21 +138,25 @@ def test_analyze_vectorizer_none_is_silent(synth_manifest, tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
-def test_only_link_from_empty_source_skips_orphans(tmp_path, capsys):
-    tb = tmp_path / "tb"
-    for sub, files in (("src", {"A": "", "B": "alpha beta"}),
-                       ("tgt", {"X": "alpha", "Y": "beta gamma"})):
+def _write_testbed(tb: Path, name: str, sources: dict, targets: dict, oracle: str) -> Path:
+    """A testbed of the given artifact texts by id; its manifest's path."""
+    for sub, files in (("src", sources), ("tgt", targets)):
         (tb / sub).mkdir(parents=True)
-        for name, text in files.items():
-            (tb / sub / f"{name}.txt").write_text(text)
-    (tb / "oracle.txt").write_text("A X\n")
+        for aid, text in files.items():
+            (tb / sub / f"{aid}.txt").write_text(text)
+    (tb / "oracle.txt").write_text(oracle)
     (tb / "manifest.json").write_text(json.dumps({
-        "name": "empty-link", "source_dir": "src", "target_dir": "tgt",
-        "oracle_file": "oracle.txt",
+        "name": name, "source_dir": "src", "target_dir": "tgt", "oracle_file": "oracle.txt",
     }))
+    return tb / "manifest.json"
+
+
+def test_only_link_from_empty_source_skips_orphans(tmp_path, capsys):
+    manifest = _write_testbed(tmp_path / "tb", "empty-link", {"A": "", "B": "alpha beta"},
+                              {"X": "alpha", "Y": "beta gamma"}, "A X\n")
     out = tmp_path / "out"
     assert main([
-        "analyze", "--manifest", str(tb / "manifest.json"), "--vectorizer", "none",
+        "analyze", "--manifest", str(manifest), "--vectorizer", "none",
         "--out", str(out),
     ]) == 0
     lines = (out / "reports" / "empty-link" / "cases.jsonl").read_text().splitlines()
@@ -245,6 +249,55 @@ def test_cases_subcommand(synth_manifest, tmp_path, capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     kinds = {json.loads(l)["kind"] for l in lines}
     assert "max_loss" in kinds and "min_loss" in kinds
+
+
+@pytest.fixture()
+def default_run(tmp_path):
+    """A default analyze run over a testbed with an empty source (A), an
+    empty target (Z) and an orphan candidate (C, X): C's text is that of
+    B, the source of the link B -> X. Its manifest and out directory."""
+    manifest = _write_testbed(tmp_path / "tb", "parity",
+                              {"A": "!!!", "B": "alpha beta gamma", "C": "alpha beta gamma", "D": "delta"},
+                              {"X": "alpha beta gamma", "Y": "gamma delta", "Z": ""}, "B X\nD Y\n")
+    out = tmp_path / "out"
+    assert main(["analyze", "--manifest", str(manifest), "--out", str(out)]) == 0
+    return manifest, out
+
+
+def test_cases_defaults_print_the_runs_listings(default_run, capsys):
+    """`tracex cases --json` with default options prints the loss and orphan
+    lines of a default run's cases.jsonl: the listing size and orphan policy
+    have one default."""
+    _, out = default_run
+    report = out / "reports" / "parity"
+    capsys.readouterr()
+    assert main(["cases", str(report / "records.jsonl"), "--json"]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    written = [line for line in (report / "cases.jsonl").read_text().splitlines()
+               if json.loads(line)["kind"] in ("max_loss", "min_loss", "orphan_link")]
+    assert printed == written
+    assert {json.loads(line)["kind"] for line in printed} == {"max_loss", "min_loss", "orphan_link"}
+
+
+def test_validate_lists_the_runs_empty_artifacts(default_run, capsys):
+    manifest, out = default_run
+    capsys.readouterr()
+    assert main(["validate", str(manifest), "--json"]) == 0
+    empty = json.loads(capsys.readouterr().out)["empty_artifacts"]
+    assert empty == json.loads((out / "run.json").read_text())["testbeds"]["parity"]["empty_artifacts"]
+    assert empty == {"sources": ["A"], "targets": ["Z"]}
+
+
+@pytest.mark.parametrize("content, message", [
+    (b'{"source_id": "a"}\n\xff\n', "records file {} is not UTF-8: "),
+    (b"\n\nnot json\n", "malformed records file {} line 3: "),
+])
+def test_cases_names_the_records_fault(tmp_path, capsys, content, message):
+    records = tmp_path / "records.jsonl"
+    records.write_bytes(content)
+    assert main(["cases", str(records)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + message.format(records)) and err.count("\n") == 1, err
 
 
 def test_synth_deterministic_bytes(tmp_path):

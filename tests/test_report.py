@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import math
+import re
 import struct
 import sys
 import tracemalloc
@@ -732,8 +733,11 @@ def test_read_records_rejects_malformed_lines(tmp_path, content):
     path.write_text(json.dumps(VALID) + "\n" + content, encoding="utf-8")
     with pytest.raises(ReportError):
         read_records(path)
+    path.write_text(json.dumps(VALID) + "\n\n{\n", encoding="utf-8")
+    with pytest.raises(ReportError, match=f"^malformed records file {re.escape(str(path))} line 3: "):
+        read_records(path)
     path.write_bytes(b"\xff\xfe")
-    with pytest.raises(ReportError):
+    with pytest.raises(ReportError, match=f"^records file {re.escape(str(path))} is not UTF-8: "):
         read_records(path)
     path.write_text(json.dumps(VALID) + "\n\n", encoding="utf-8")
     assert read_records(path)["mi"].tolist() == [1.0]
