@@ -21,7 +21,7 @@ class DataError(Exception):
 
 
 class CorpusError(DataError):
-    """Raised for missing or unreadable inputs, malformed manifests or oracles, or dangling ids."""
+    """Raised for missing, unreadable or non-UTF-8 inputs, malformed manifests or oracles, or dangling ids."""
 
 
 class ConfigError(ValueError):
@@ -39,14 +39,21 @@ def _creating(out: str | Path):
 
 @contextmanager
 def _reading(path: str | Path, what: str):
-    """A missing or unreadable input is a data error. No existence check comes
-    first: `Path.is_file()` raises under a directory that cannot be searched."""
+    """A missing, unreadable or non-UTF-8 input is a data error, with no existence
+    check first: `Path.is_file()` raises under a directory that cannot be searched."""
     try:
         yield
     except (FileNotFoundError, NotADirectoryError) as exc:
         raise CorpusError(f"{what} not found: {path}") from exc
     except OSError as exc:
         raise CorpusError(f"cannot read {what} {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise CorpusError(f"{what} {path} is not UTF-8: {exc}") from exc
+
+
+def malformed(what: str, path: str | Path, detail: object, line: int | None = None) -> str:
+    """The message of every parse or content fault of an input file."""
+    return f"malformed {what} {path}{'' if line is None else f' line {line}'}: {detail}"
 
 
 def read_text_file(path: Path, what: str, errors: str = "strict") -> str:
@@ -116,18 +123,21 @@ def load_testbed(manifest_path: str | Path) -> Testbed:
     manifest_path = Path(manifest_path)
     try:
         manifest = json.loads(read_text_file(manifest_path, "manifest"))
-    except ValueError as exc:  # not UTF-8 or not JSON
-        raise CorpusError(f"malformed manifest {manifest_path}: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # not JSON, nested too deep, or an int too long
+        raise CorpusError(malformed("manifest", manifest_path, exc)) from exc
 
     base = manifest_path.parent
     for key in ("name", "source_dir", "target_dir", "oracle_file"):
         if not isinstance(manifest, dict) or not isinstance(manifest.get(key), str):
-            raise CorpusError(f"manifest needs a string for the required key: {key}")
+            raise CorpusError(malformed("manifest", manifest_path, f"needs a string for the key {key!r}"))
 
     sources = _read_artifact_dir(base / manifest["source_dir"], "source")
     targets = _read_artifact_dir(base / manifest["target_dir"], "target")
     links = _read_oracle(base / manifest["oracle_file"])
-    return Testbed(name=manifest["name"], sources=sources, targets=targets, links=links)
+    try:
+        return Testbed(name=manifest["name"], sources=sources, targets=targets, links=links)
+    except CorpusError as exc:  # duplicate or unknown artifact ids
+        raise CorpusError(malformed("manifest", manifest_path, exc)) from exc
 
 
 def _read_artifact_dir(directory: Path, role: str) -> list[Artifact]:
@@ -136,18 +146,15 @@ def _read_artifact_dir(directory: Path, role: str) -> list[Artifact]:
     artifacts = []  # sorted by id, the order of every report
     for path in paths:
         if "\r" in path.stem:  # the records CSV would split its row; no oracle line can name it
-            raise CorpusError(f"{role} artifact id {path.stem!r} contains a carriage return")
+            raise CorpusError(malformed(f"{role} directory", directory, f"id {path.stem!r} has a carriage return"))
         artifacts.append(Artifact(path.stem, read_text_file(path, f"{role} artifact", errors="replace")))
     if not artifacts:
-        raise CorpusError(f"no {role} artifacts under {directory}")
+        raise CorpusError(malformed(f"{role} directory", directory, "no artifact files"))
     return artifacts
 
 
 def _read_oracle(path: Path) -> set[TraceLink]:
-    try:
-        text = read_text_file(path, "oracle file")
-    except UnicodeDecodeError as exc:
-        raise CorpusError(f"oracle file {path} is not UTF-8: {exc}") from exc
+    text = read_text_file(path, "oracle file")
     links: set[TraceLink] = set()
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -155,7 +162,7 @@ def _read_oracle(path: Path) -> set[TraceLink]:
             continue
         fields = line.split()
         if len(fields) < 2:
-            raise CorpusError(f"malformed oracle line {lineno}: {line!r}")
+            raise CorpusError(malformed("oracle file", path, repr(line), lineno))
         src = fields[0]
         for tgt in fields[1:]:
             links.add(TraceLink(src, tgt))

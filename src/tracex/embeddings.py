@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from tracex.corpus import ConfigError, DataError, read_text_file
+from tracex.corpus import ConfigError, DataError, malformed, read_text_file
 
 WINDOW = 5  # skip-gram context: up to this many words on each side
 NEGATIVES = 5  # noise words per prediction
@@ -80,35 +80,29 @@ class EmbeddingMatrix:
 def load_embeddings(path: str | Path) -> EmbeddingMatrix:
     """Read the plain-text interchange format: header `<count> <dim>`, then
     one `<token> <f1> ... <fdim>` line per token."""
-    try:
-        lines = read_text_file(Path(path), "embedding file").splitlines()
-    except UnicodeDecodeError as exc:
-        raise EmbeddingError(f"{path}: unreadable embedding file: {exc}") from exc
-    if not lines:
-        raise EmbeddingError(f"{path}: empty embedding file")
+    lines = read_text_file(Path(path), "embedding file").splitlines() or [""]
     header = lines[0].split()
     if len(header) != 2 or not all(h.isdigit() for h in header):
-        raise EmbeddingError(f"{path}: malformed header {lines[0]!r}")
+        raise EmbeddingError(malformed("embedding file", path, f"header {lines[0]!r} is not <count> <dim>", 1))
     count, dim = int(header[0]), int(header[1])
     if len(lines) - 1 != count:
-        raise EmbeddingError(f"{path}: header promises {count} rows, found {len(lines) - 1}")
-    vocab: list[str] = []
+        raise EmbeddingError(malformed("embedding file", path, f"{count} rows promised, {len(lines) - 1} found"))
+    vocab: dict[str, None] = {}  # the tokens in file order
     rows = np.empty((count, dim))
-    seen: set[str] = set()
     for lineno, line in enumerate(lines[1:], start=2):
         fields = line.split()
-        if len(fields) != dim + 1:
-            raise EmbeddingError(f"{path}:{lineno}: expected {dim} floats, got {len(fields) - 1}")
-        token = fields[0]
-        if token in seen:
-            raise EmbeddingError(f"{path}:{lineno}: duplicate token {token!r}")
-        seen.add(token)
-        vocab.append(token)
         try:
+            if len(fields) != dim + 1:
+                raise ValueError(f"expected {dim} floats, got {len(fields) - 1}")
+            if fields[0] in vocab:
+                raise ValueError(f"duplicate token {fields[0]!r}")
             rows[lineno - 2] = [float(x) for x in fields[1:]]
+            if not np.isfinite(rows[lineno - 2]).all():
+                raise ValueError("a value is not finite")
         except ValueError as exc:
-            raise EmbeddingError(f"{path}:{lineno}: {exc}") from exc
-    return EmbeddingMatrix(vocab=vocab, vectors=rows)
+            raise EmbeddingError(malformed("embedding file", path, exc, lineno)) from exc
+        vocab[fields[0]] = None
+    return EmbeddingMatrix(vocab=list(vocab), vectors=rows)
 
 
 def _build_vocab(corpus: list[list[str]]) -> tuple[list[str], np.ndarray, list[list[int]]]:

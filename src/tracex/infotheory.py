@@ -10,8 +10,10 @@ All logarithms are base 2; values are bits.
 
 `info_columns` scores every pair of a testbed at once; it is the one
 implementation of these measures. `info_record` reads one pair from it.
-Float sums run left to right from 0 as explicit accumulations, so their
-bits do not depend on the Python version (3.12's sum() compensates).
+`counts_entropy`'s sum, the pooled correction's row sums over the F-ordered
+block and the si/sx cumsums run left to right from 0, so their bits do not
+depend on the Python version (3.12's sum() compensates). Each artifact's own
+sum of c log2 c is NumPy's `ndarray.sum()`, a pairwise sum.
 """
 
 from __future__ import annotations

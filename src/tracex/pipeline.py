@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from tracex import __version__
-from tracex.corpus import Artifact, ConfigError, CorpusError, Testbed, _creating, load_testbed
+from tracex.corpus import Artifact, ConfigError, CorpusError, Testbed, _creating, load_testbed, malformed
 from tracex.embeddings import (
     EmbeddingMatrix,
     TrainConfig,
@@ -239,11 +239,11 @@ def run_analysis(cfg: RunConfig) -> list[TestbedResult]:
     """Analyze every manifest and write the full report tree under out_dir."""
     testbeds = [load_testbed(manifest) for manifest in cfg.manifests]
     names = [tb.name for tb in testbeds]
-    for name in names:  # each name is a report directory under out/reports/
+    for manifest, name in zip(cfg.manifests, names):  # each name is a report directory under out/reports/
         if name in ("", ".", "..") or any(sep in name for sep in "/\\\0"):
-            raise CorpusError(f"testbed name {name!r} is not one safe path component")
+            raise CorpusError(malformed("manifest", manifest, f"name {name!r} is not one safe path component"))
         if names.count(name) > 1:
-            raise CorpusError(f"two testbeds are named {name!r}; their reports would collide")
+            raise CorpusError(malformed("manifest", manifest, f"another manifest has the name {name!r}"))
     out_root = Path(cfg.out_dir)
     report_dirs = [out_root / "reports" / name for name in names]
     with _creating(out_root):  # before any analysis

@@ -42,7 +42,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from tracex.corpus import ConfigError, DataError, _reading
+from tracex.corpus import ConfigError, DataError, _reading, malformed
 from tracex.evaluation import CorrelationCell, SummaryStats, summarize
 
 RECORD_COLUMNS = [
@@ -60,7 +60,7 @@ ORPHAN_METRICS = ("mi", "si")
 
 
 class ReportError(DataError):
-    """Raised for a records file that is not UTF-8 JSON records."""
+    """Raised for a records file that is not JSON records."""
 
 
 @dataclass(frozen=True)
@@ -356,18 +356,16 @@ def _is_kind(value, kind: type) -> bool:
     return type(value) is kind
 
 
-def _json_lines(path: Path) -> Iterator:
-    """The JSON value of each non-blank line of path, read line by line;
-    ReportError where the file is not UTF-8 or a line not JSON."""
+def _json_lines(path: Path) -> Iterator[tuple[int, object]]:
+    """The line number and JSON value of each non-blank line of path, read
+    line by line; ReportError where a line is not JSON."""
     with _reading(path, "records file"), path.open(encoding="utf-8") as fh:
-        try:
-            for lineno, line in enumerate(fh, start=1):
-                if line != "\n":
-                    yield json.loads(line)
-        except UnicodeDecodeError as exc:
-            raise ReportError(f"records file {path} is not UTF-8: {exc}") from exc
-        except ValueError as exc:  # json.JSONDecodeError
-            raise ReportError(f"malformed records file {path} line {lineno}: {exc}") from exc
+        for lineno, line in enumerate(fh, start=1):
+            if line != "\n":
+                try:
+                    yield lineno, json.loads(line)
+                except (ValueError, RecursionError) as exc:  # not JSON, nested too deep, or an int too long
+                    raise ReportError(malformed("records file", path, exc, lineno)) from exc
 
 
 def _sorted_codes(first: dict[str, int], codes: np.ndarray) -> IdColumn:
@@ -391,16 +389,17 @@ def read_records(path: Path) -> dict:
     columns = {c: [np.zeros(0, dtype=np.uint32 if kind[c] is str else kind[c])] for c in RECORD_COLUMNS}
     with closing(_json_lines(path)) as rows:  # closes the file when a row is rejected
         while block := list(islice(rows, RECORD_BLOCK_ROWS)):
-            for r in block:
+            for lineno, r in block:
                 if not (isinstance(r, dict) and r.keys() == kind.keys()
                         and all(_is_kind(v, kind[c]) for c, v in r.items())):
-                    raise ReportError(f"{path}: not a record of the columns {', '.join(RECORD_COLUMNS)}: {r!r}")
+                    raise ReportError(malformed("records file", path, f"not a record of the columns "
+                                                f"{', '.join(RECORD_COLUMNS)}: {r!r}", lineno))
             for c, column in columns.items():
                 if kind[c] is str:
                     codes = first[c]
-                    column.append(np.array([codes.setdefault(r[c], len(codes)) for r in block], dtype=np.uint32))
+                    column.append(np.array([codes.setdefault(r[c], len(codes)) for _, r in block], dtype=np.uint32))
                 else:
-                    column.append(np.array([r[c] for r in block], dtype=kind[c]))
+                    column.append(np.array([r[c] for _, r in block], dtype=kind[c]))
     return {c: _sorted_codes(first[c], np.concatenate(v)) if kind[c] is str else np.concatenate(v)
             for c, v in columns.items()}
 

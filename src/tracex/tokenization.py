@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
-from tracex.corpus import DataError, read_text_file
+from tracex.corpus import DataError, malformed, read_text_file
 
 EOW = "</w>"
 MIN_TOKEN_LEN = 2  # shorter conventional tokens are dropped
@@ -63,7 +63,7 @@ class BpeTrainingError(DataError):
 
 
 class BpeModelError(DataError):
-    """Raised for a BPE model file that is not UTF-8 JSON or not a model."""
+    """Raised for a BPE model file that is not JSON or not a model."""
 
 
 @dataclass
@@ -85,8 +85,8 @@ class BpeModel:
     def load(cls, path: str | Path) -> "BpeModel":
         try:
             doc = json.loads(read_text_file(Path(path), "BPE model"))
-        except ValueError as exc:  # not UTF-8 or not JSON
-            raise BpeModelError(f"{path}: unreadable BPE model: {exc}") from exc
+        except (ValueError, RecursionError) as exc:  # not JSON, nested too deep, or an int too long
+            raise BpeModelError(malformed("BPE model", path, exc)) from exc
         if not (
             isinstance(doc, dict)
             and type(doc.get("vocab_size")) is int
@@ -94,9 +94,7 @@ class BpeModel:
             and all(isinstance(m, list) and len(m) == 2 and all(isinstance(s, str) for s in m)
                     for m in doc["merges"])
         ):
-            raise BpeModelError(
-                f"{path}: not a BPE model (an int vocab_size and a list of string pairs as merges)"
-            )
+            raise BpeModelError(malformed("BPE model", path, "needs an int vocab_size and string pairs as merges"))
         merges = [tuple(m) for m in doc["merges"]]
         vocab = {c for a, b in merges for c in (a, b)} | {a + b for a, b in merges}
         return cls(merges=merges, vocab=vocab, target_vocab_size=doc["vocab_size"])

@@ -4,6 +4,7 @@ import inspect
 import json
 import os
 import pkgutil
+import re
 import shutil
 import subprocess
 import sys
@@ -392,7 +393,7 @@ def test_every_error_is_mapped_and_none_is_swallowed():
     """Each exception class that tracex defines reaches main as one it maps,
     or is EvaluationError, which pipeline catches. No handler swallows every
     error: there is no bare except, and one that catches Exception or
-    BaseException re-raises."""
+    BaseException re-raises. Only corpus maps a decode error."""
     for info in pkgutil.iter_modules(tracex.__path__):
         module = importlib.import_module(f"tracex.{info.name}")
         for name, obj in vars(module).items():
@@ -404,6 +405,7 @@ def test_every_error_is_mapped_and_none_is_swallowed():
                 assert node.type is not None, f"{where}: bare except"
                 if _caught(node) & {"Exception", "BaseException"}:
                     assert any(isinstance(n, ast.Raise) and n.exc is None for n in ast.walk(node)), where
+                assert "UnicodeDecodeError" not in _caught(node) or info.name == "corpus", where
 
 
 def test_help_exits_0(capsys):
@@ -456,40 +458,73 @@ def test_orphan_options_are_config_errors_before_any_work(synth_manifest, tmp_pa
 
 
 def _malformed_input(case, manifest, tmp_path):
-    """Write one malformed input next to a good testbed; return the tracex argv."""
+    """Write one malformed input next to a good testbed; return the tracex
+    argv, the input file at fault and the line of the fault, if on one line."""
+    tb = manifest.parent
     analyze = ["analyze", "--manifest", manifest, "--vectorizer", "none", "--out", tmp_path / "out"]
-    if case == "manifest-not-utf8":
-        manifest.write_bytes(b'{"name": "\xff"}')
-    elif case == "oracle-not-utf8":
-        (manifest.parent / "oracle.txt").write_bytes(b"SRC000 TGT\xff\n")
-    elif case == "embeddings-not-a-float":
-        (tmp_path / "vecs.txt").write_text("1 2\nfoo 1.0 abc\n")
+    if case.startswith("manifest"):
+        if case == "manifest-not-utf8":
+            manifest.write_bytes(b'{"name": "\xff"}')
+        elif case == "manifest-nested-too-deep":
+            manifest.write_text("[" * 100_000)
+        elif case == "manifest-name-not-a-string":
+            manifest.write_text(json.dumps({**json.loads(manifest.read_text()), "name": 123}))
+        elif case == "manifest-duplicate-id":  # two artifact files with one id
+            (tb / "sources/SRC000.md").write_text("alpha")
+        else:  # an oracle id that names no artifact
+            (tb / "oracle.txt").write_text("SRC000 GHOST9\n")
+        return analyze, manifest, None
+    if case.startswith("oracle"):
+        oracle = {"oracle-not-utf8": b"SRC000 TGT\xff\n", "oracle-one-field": b"# links\nSRC000\n"}[case]
+        (tb / "oracle.txt").write_bytes(oracle)
+        return analyze, tb / "oracle.txt", 2 if case == "oracle-one-field" else None
+    if case == "target-id-carriage-return":
+        (tb / "targets" / "TGT\r009.txt").write_text("alpha beta")
+        return analyze, tb / "targets", None
+    if case == "second-oracle-one-field":
+        assert main(["synth", "--seed", "6", "--sources", "2", "--targets", "2",
+                     "--out", str(tmp_path / "tb2")]) == 0
+        (tmp_path / "tb2/oracle.txt").write_text("SRC000 TGT000\nSRC001\n")
+        return [*analyze, "--manifest", tmp_path / "tb2/manifest.json"], tmp_path / "tb2/oracle.txt", 2
+    if case.startswith("embeddings"):
+        vecs, line = {
+            "embeddings-not-a-float": ("1 2\nfoo 1.0 abc\n", 2),
+            "embeddings-bad-header": ("x y\nfoo 1.0 2.0\n", 1),
+            "embeddings-duplicate-token": ("2 2\nfoo 1.0 0.0\nfoo 0.0 1.0\n", 3),
+            "embeddings-nan": ("1 2\nfoo 1.0 nan\n", 2),
+        }[case]
+        (tmp_path / "vecs.txt").write_text(vecs)
         return ["analyze", "--manifest", manifest, "--embeddings", tmp_path / "vecs.txt",
-                "--out", tmp_path / "out"]
-    elif case == "manifest-name-not-a-string":
-        manifest.write_text(json.dumps({**json.loads(manifest.read_text()), "name": 123}))
-    elif case.startswith("bpe-model"):
+                "--out", tmp_path / "out"], tmp_path / "vecs.txt", line
+    if case.startswith("bpe-model"):
         model = tmp_path / "bpe.json"
-        if case == "bpe-model-not-a-model":
-            model.write_text('{"merges": 5}')
-        return [*analyze, "--preproc", "bpe8k", "--bpe-model", model]
-    else:
-        records = tmp_path / "records.jsonl"
-        records.write_text('{"source_id":"a"}\n' if case == "records-missing-keys" else "not json\n")
-        return ["cases", records]
-    return analyze
+        if case != "bpe-model-missing":
+            model.write_text('{"merges": 5}' if case == "bpe-model-not-a-model" else "merges")
+        return [*analyze, "--preproc", "bpe8k", "--bpe-model", model], model, None
+    records = tmp_path / "records.jsonl"
+    records.write_text('\n{"source_id":"a"}\n' if case == "records-missing-keys" else "not json\n")
+    return ["cases", records], records, 2 if case == "records-missing-keys" else 1
 
 
 @pytest.mark.parametrize("case", [
     "manifest-not-utf8", "oracle-not-utf8", "embeddings-not-a-float",
     "manifest-name-not-a-string", "records-missing-keys", "records-not-json",
     "bpe-model-missing", "bpe-model-not-a-model",
+    "oracle-one-field", "manifest-unknown-id", "manifest-duplicate-id", "target-id-carriage-return",
+    "embeddings-bad-header", "embeddings-duplicate-token", "embeddings-nan", "bpe-model-not-json",
+    "second-oracle-one-field", "manifest-nested-too-deep",
 ])
 def test_malformed_input_files_are_data_errors(synth_manifest, tmp_path, case):
-    proc = run_cli(*_malformed_input(case, synth_manifest, tmp_path))
+    """One `error: ` line, exit 2, in one of the four forms of an input
+    fault, naming the file at fault, and its line where the fault sits on one."""
+    argv, bad, line = _malformed_input(case, synth_manifest, tmp_path)
+    proc = run_cli(*argv)
     assert proc.returncode == 2, proc.stderr
-    assert proc.stderr.startswith("error:"), proc.stderr
-    assert "Traceback" not in proc.stderr
+    path = re.escape(str(bad))
+    forms = [rf"malformed .+ {path} line {line}: "] if line else [
+        rf".+ not found: {path}$", rf"cannot read .+ {path}: ", rf".+ {path} is not UTF-8: ", rf"malformed .+ {path}: "]
+    assert any(re.match("error: " + form, proc.stderr) for form in forms), proc.stderr
+    assert proc.stderr.count("\n") == 1, proc.stderr
 
 
 @pytest.mark.parametrize("unreadable, raised", [

@@ -254,7 +254,7 @@ def test_load_embeddings_basic(tmp_path):
 def test_load_embeddings_bad_arity(tmp_path):
     path = tmp_path / "vecs.txt"
     path.write_text("1 3\na 1 0\n")
-    with pytest.raises(EmbeddingError, match=":2"):
+    with pytest.raises(EmbeddingError, match="line 2"):
         load_embeddings(path)
 
 

@@ -18,7 +18,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tracex.cli import main
-from tracex.corpus import ConfigError, load_testbed
+from tracex.corpus import ConfigError, CorpusError, load_testbed
 from tracex.embeddings import EmbeddingMatrix
 from tracex.pipeline import RunConfig, analyze_testbed, tokenize_texts
 from tracex.report import (
@@ -727,17 +727,19 @@ VALID = {c: row("a", "x", True)[c] for c in RECORD_COLUMNS}
     json.dumps({**VALID, "is_link": 1}),
     json.dumps({**VALID, "null_shared": None}),
     json.dumps({**VALID, "target_id": 7}),
+    pytest.param('{"mi": ' + "1" * 5000 + "}", id="int-past-the-conversion-limit"),
+    pytest.param("[" * 100_000, id="nested-too-deep"),
 ])
 def test_read_records_rejects_malformed_lines(tmp_path, content):
     path = tmp_path / "records.jsonl"
     path.write_text(json.dumps(VALID) + "\n" + content, encoding="utf-8")
-    with pytest.raises(ReportError):
+    with pytest.raises(ReportError, match=f"^malformed records file {re.escape(str(path))} line 2: "):
         read_records(path)
     path.write_text(json.dumps(VALID) + "\n\n{\n", encoding="utf-8")
     with pytest.raises(ReportError, match=f"^malformed records file {re.escape(str(path))} line 3: "):
         read_records(path)
     path.write_bytes(b"\xff\xfe")
-    with pytest.raises(ReportError, match=f"^records file {re.escape(str(path))} is not UTF-8: "):
+    with pytest.raises(CorpusError, match=f"^records file {re.escape(str(path))} is not UTF-8: "):
         read_records(path)
     path.write_text(json.dumps(VALID) + "\n\n", encoding="utf-8")
     assert read_records(path)["mi"].tolist() == [1.0]
