@@ -11,10 +11,14 @@ in one window, a noise word equal to the predicted word), its updates
 accumulate. Each document's windows are one flat table of input rows with
 per-position bounds, and the input and output matrices are two halves of one
 array, so a step is two `take` gathers, three products and two
-`np.subtract.at` scatters. Training is single-worker and bit-deterministic
-for a fixed seed; the mean loss of each epoch is returned and recorded in
-`run.json` as `epoch_losses`. A plain-text loader accepts externally trained
-vectors.
+`np.subtract.at` scatters. The scatters go to the array's flat view, at cell
+indices from two tables built once per document (its steps' targets, its
+window table's rows): NumPy's `ufunc.at` is fastest on 1-D indices, and
+each cell gets its updates in the same order as from a scatter of rows.
+Training is single-worker and bit-deterministic for a fixed seed; the mean
+loss of each epoch is returned and recorded in `run.json` as
+`epoch_losses`. A plain-text loader accepts externally trained vectors; it
+sizes nothing from the file's header before the rows are checked.
 """
 
 from __future__ import annotations
@@ -85,10 +89,12 @@ def load_embeddings(path: str | Path) -> EmbeddingMatrix:
     if len(header) != 2 or not all(h.isdigit() for h in header):
         raise EmbeddingError(malformed("embedding file", path, f"header {lines[0]!r} is not <count> <dim>", 1))
     count, dim = int(header[0]), int(header[1])
+    if dim == 0:
+        raise EmbeddingError(malformed("embedding file", path, f"header {lines[0]!r} gives dim 0", 1))
     if len(lines) - 1 != count:
         raise EmbeddingError(malformed("embedding file", path, f"{count} rows promised, {len(lines) - 1} found"))
     vocab: dict[str, None] = {}  # the tokens in file order
-    rows = np.empty((count, dim))
+    rows = []  # nothing is sized from the header: each row is checked first
     for lineno, line in enumerate(lines[1:], start=2):
         fields = line.split()
         try:
@@ -96,13 +102,13 @@ def load_embeddings(path: str | Path) -> EmbeddingMatrix:
                 raise ValueError(f"expected {dim} floats, got {len(fields) - 1}")
             if fields[0] in vocab:
                 raise ValueError(f"duplicate token {fields[0]!r}")
-            rows[lineno - 2] = [float(x) for x in fields[1:]]
-            if not np.isfinite(rows[lineno - 2]).all():
+            rows.append([float(x) for x in fields[1:]])
+            if not np.isfinite(rows[-1]).all():
                 raise ValueError("a value is not finite")
         except ValueError as exc:
             raise EmbeddingError(malformed("embedding file", path, exc, lineno)) from exc
         vocab[fields[0]] = None
-    return EmbeddingMatrix(vocab=list(vocab), vectors=rows)
+    return EmbeddingMatrix(vocab=list(vocab), vectors=np.array(rows).reshape(count, dim))
 
 
 def _build_vocab(corpus: list[list[str]]) -> tuple[list[str], np.ndarray, list[list[int]]]:
@@ -145,8 +151,11 @@ def _train_sgns(
     w[:n_inputs] = (rng.random((n_inputs, cfg.dim)) - 0.5) / cfg.dim
     labels = np.zeros(1 + NEGATIVES)
     labels[0] = 1.0
+    dim, cells = cfg.dim, np.arange(cfg.dim)  # row r holds the cells r * dim + cells of w's flat view
+    step_cells = np.tile(cells, 1 + NEGATIVES)
     # looked up once: the step loop below runs once per predicted word
     take, exp, scatter, neg, div = w.take, np.exp, np.subtract.at, np.negative, np.divide
+    w_flat = w.reshape(-1)  # a view: ufunc.at runs fastest on 1-D cell indices
 
     total_words = sum(len(d) for d in docs) * cfg.epochs
     processed = 0
@@ -158,13 +167,16 @@ def _train_sgns(
             flat, bounds = inputs(di, doc, rng)
             noise = np.searchsorted(noise_cdf, rng.random((len(doc), NEGATIVES)))
             targets_at = np.column_stack((doc, noise)) + n_inputs  # rows of w's output half
+            # the cells of each step's targets, and of the window table's rows, in order
+            target_cells = targets_at.repeat(dim, axis=1) * dim + step_cells
+            row_cells = (flat[:, None] * dim + cells).ravel()
             # each step's rate, by the same IEEE operations as a scalar
             # expression: step counts below 2**53 are exact as floats
             steps = np.arange(processed, processed + len(doc))
             lrs = (LEARNING_RATE * np.maximum(MIN_LR_FRACTION, 1.0 - steps / total_words)).tolist()
             processed += len(doc)
             doc_preds = []
-            for lo, hi, targets, lr in zip(bounds, bounds[1:], targets_at, lrs):
+            for lo, hi, targets, to, lr in zip(bounds, bounds[1:], targets_at, target_cells, lrs):
                 if lo == hi:
                     continue
                 rows = flat[lo:hi]
@@ -178,10 +190,10 @@ def _train_sgns(
                 grad = preds - labels
                 d_out = grad.T @ v
                 d_out *= lr
-                scatter(w, targets, d_out)
+                scatter(w_flat, to, d_out.ravel())
                 d_in = grad @ o
                 d_in *= lr
-                scatter(w, rows, d_in)
+                scatter(w_flat, row_cells[lo * dim:hi * dim], d_in.ravel())
                 doc_preds.append(preds)
             if doc_preds:  # one loss term per (row, word) prediction
                 preds = np.concatenate(doc_preds)

@@ -8,16 +8,20 @@ BATCH_BYTES; the caller only fills each problem's slot of one reused `+inf`
 buffer. `transport_cost` is `exact_costs` on one problem. `_problem_bytes`
 counts what each problem of a padded (M, N) batch holds: its float64 cost
 block and flow block, its float64 `residual`, `pot` and `final` and its
-`prev` over M + N nodes, its float64 `label` and `limit` over N columns,
-and its slots of the solver's per-problem vectors. A 20x20 problem with
-one-byte flows holds 4,953 bytes, so the 5 MiB budget runs the 900
-problems of a 30x30 synthetic testbed in one batch.
+`prev` over M + N nodes, its float64 `label`, `least` and `second` and its
+`least_row` over N columns, and its slots of the solver's per-problem
+vectors. A 20x20 problem with one-byte flows holds 5,141 bytes, so the
+5 MiB budget runs the 900 problems of a 30x30 synthetic testbed in one
+batch.
 
 Min-cost flow on the dense bipartite transport graph, by successive shortest
 paths with node potentials and a Dijkstra that steps by columns, as in
-Jonker and Volgenant (1987); `_min_cost_flows` gives the details. Supplies
-are cross-scaled to integers, so every augmentation is exact, and the flows
-are held in the narrowest unsigned dtype of the stack's largest supply
+Jonker and Volgenant (1987); `_min_cost_flows` gives the details. Each
+round starts from every column's least and second-least supply-row cost,
+kept across rounds and taken again only for a problem whose source row
+emptied, instead of relaxing every supply row again. Supplies are
+cross-scaled to integers, so every augmentation is exact, and the flows are
+held in the narrowest unsigned dtype of the stack's largest supply
 (`flow_dtype`): uint8 below 256, uint64 at the 2**53 bound. Each flow
 converts to float64 exactly. A batch runs in lockstep as one padded
 (B, M, N) cost stack whose padding costs `+inf` and has no supply or demand,
@@ -118,12 +122,13 @@ def _problem_bytes(m: int, n: int, supply: int) -> int:
     """Bytes that one problem of a batch padded to (m, n), whose largest
     supply is `supply`, holds in `exact_costs` and `_min_cost_flows`: the
     cost and flow cells; `residual`, `pot`, `final` and `prev` per node;
-    `label` and `limit` per column; and `end`, `root`, `d_e`, `live` and
-    `bottleneck`. Masks and gathers that a round or step makes and drops
-    are not counted."""
+    `label`, `least`, `second` and `least_row` per column; and `end`,
+    `root`, `d_e`, `live`, `redo` and `bottleneck`. Masks and gathers that
+    a round or step makes and drops are not counted."""
     flow = flow_dtype(supply).itemsize
     prev = np.min_scalar_type(-(m + n)).itemsize
-    return m * n * (8 + flow) + (m + n) * (3 * 8 + prev) + n * 2 * 8 + 4 * 8 + flow
+    row = np.min_scalar_type(m).itemsize
+    return m * n * (8 + flow) + (m + n) * (3 * 8 + prev) + n * (3 * 8 + row) + 5 * 8 + flow
 
 
 def _weights(a, b, k: int) -> tuple[np.ndarray, np.ndarray, int, int]:
@@ -143,6 +148,31 @@ def _weights(a, b, k: int) -> tuple[np.ndarray, np.ndarray, int, int]:
     if ta * tb > EXACT_TOTAL_LIMIT:
         raise ValueError(f"problem {k}: weight totals {ta} * {tb} exceed the exact bound 2**53")
     return cast[0], cast[1], ta, tb
+
+
+def _column_minima(cost, supply) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each column's least cost over the supply rows, plus 0.0 as a scan adds
+    it (so a -0.0 reads 0.0); the lowest row at that cost; and the least cost
+    of the other supply rows. All (problems, N), inf where no row is left.
+    cost is a (problems, M, N) copy of the problems' blocks and is
+    overwritten; supply is (problems, M)."""
+    cost[~supply] = np.inf
+    row = cost.argmin(axis=1)
+    least = cost.min(axis=1)
+    cost[np.arange(len(cost))[:, None], row, np.arange(cost.shape[2])] = np.inf
+    least += 0.0
+    return least, row, cost.min(axis=1)
+
+
+def _start_labels(least, second, col_pot) -> tuple[np.ndarray, np.ndarray]:
+    """Round-start column labels, from `_column_minima`, where every supply
+    row has potential 0.0: a scan's candidate is ((0 + cost) + 0) - col_pot.
+    Also, per problem, whether a finite column's second-least candidate
+    rounds to its least, where the scan's lowest row may not be least_row."""
+    label = least - col_pot
+    tied = second - col_pot
+    tied = (tied == label) & (label < np.inf)
+    return label, tied.any(axis=1)
 
 
 def _min_cost_flows(residual, cost, counts: dict) -> np.ndarray:
@@ -170,16 +200,25 @@ def _min_cost_flows(residual, cost, counts: dict) -> np.ndarray:
     arithmetic sits at that column's distance, as a flow-carrying arc has
     reduced cost 0 after a potential update. As rows win ties, such rows are
     the next nodes of a node-by-node search, as the supply rows are its
-    first. So a round finalizes all supply rows at once, and a step takes one
-    `argmin` over column labels per searching problem and finalizes that
-    column and, unless it stops there, its open flow rows at the reverse-arc
-    distances. The rows a round or step finalizes relax their forward arcs
-    together, one min per (problem, column) over a (rank, problem, column)
-    candidate array, where the lowest row wins a tie. With exact distances,
-    as under integer costs, this gives the flows of the node-by-node search
-    bit for bit (tests/oracles.py keeps it); where round-off splits an exact
-    tie by a few ulps, the two searches can order the tied nodes differently
-    and a cost can differ in its last bits.
+    first. So a round finalizes all supply rows at 0 at once, and a step
+    takes one `argmin` over column labels per searching problem and
+    finalizes that column and, unless it stops there, its open flow rows at
+    the reverse-arc distances. The rows a step finalizes relax their forward
+    arcs together, one min per (problem, column) over a (rank, problem,
+    column) candidate array, where the lowest row wins a tie; only the
+    problems that reached a row take part. With exact distances, as under
+    integer costs, this gives the flows of the node-by-node search bit for
+    bit (tests/oracles.py keeps it); where round-off splits an exact tie by
+    a few ulps, the two searches can order the tied nodes differently and a
+    cost can differ in its last bits.
+
+    A supply row keeps potential 0.0: a round adds min(0, d_e) to it, and
+    only round-off puts an end column below 0. So a round starts each column
+    from its least supply cost and that cost's row (`_column_minima`, taken
+    again only for the problems whose source row emptied) instead of
+    relaxing the supply rows. A problem where a column's two least
+    candidates round equal, or a supply row's potential is not 0.0, relaxes
+    them as a step does, so the lowest row still wins (`_start_labels`).
 
     Every array keeps one row per problem, so a finished problem costs no
     copy; it drops out of the index of live problems. Node u of problem p has
@@ -193,22 +232,27 @@ def _min_cost_flows(residual, cost, counts: dict) -> np.ndarray:
     final = np.empty((n_problems, w))  # the distance of final nodes, inf before
     prev = np.empty((n_problems, w), dtype=np.min_scalar_type(-w))  # node the best path came from
     # label: the distance of columns not yet final, inf once final. Relaxing
-    # a column needs a new distance below its label by the 1e-15 margin;
-    # limit holds that bound, -inf once the column is final.
-    label, limit = np.empty((n_problems, n)), np.empty((n_problems, n))
+    # a column needs a new distance below its label by the 1e-15 margin, and
+    # a final column takes none.
+    label = np.empty((n_problems, n))
+    # each column's least and second-least supply cost and the least's row, by _column_minima
+    least, second = np.empty((n_problems, n)), np.empty((n_problems, n))
+    least_row = np.empty((n_problems, n), dtype=np.min_scalar_type(m))
+    redo = np.arange(n_problems)  # problems whose supply rows changed since their minima were taken
     end = np.zeros(n_problems, dtype=np.int64)  # the column node each search stops at
     root = np.zeros(n_problems, dtype=np.int64)  # the source row each path starts at
     bottleneck = np.zeros(n_problems, dtype=flow.dtype)
     cost_rows = cost.reshape(n_problems * m, n)  # the forward arc costs of (problem, row), one row each
-    final_f, prev_f, pot_f, residual_f, label_f, limit_f = (
-        x.reshape(-1) for x in (final, prev, pot, residual, label, limit))  # views
-    row_final, col_pot = final[:, :m], pot[:, m:]
+    final_f, prev_f, pot_f, residual_f, label_f = (
+        x.reshape(-1) for x in (final, prev, pot, residual, label))  # views
+    row_final, row_pot, col_final, col_pot = final[:, :m], pot[:, :m], final[:, m:], pot[:, m:]
     rounds = steps = augmentations = 0
 
     def scan(q, k, i, d):
         """Finalize rows i of problems q[k] at distances d and relax their
-        forward arcs; k ascending, each problem's rows ascending. Problems go
-        in chunks whose candidate arrays stay within SCAN_CHUNK_CELLS."""
+        forward arcs; k ascending, each problem's rows ascending, and every
+        problem holds a row. Problems go in chunks whose candidate arrays
+        stay within SCAN_CHUNK_CELLS."""
         size = np.bincount(k, minlength=q.size)
         first = size.cumsum() - size  # each problem's first pair
         ranks = int(size.max())
@@ -216,8 +260,7 @@ def _min_cost_flows(residual, cost, counts: dict) -> np.ndarray:
         for lo in range(0, q.size, per):
             hi = min(lo + per, q.size)
             a, b = first[lo], first[hi - 1] + size[hi - 1]
-            if b > a:
-                _scan(q[lo:hi], k[a:b] - lo, i[a:b], d[a:b], first[lo:hi] - a, ranks)
+            _scan(q[lo:hi], k[a:b] - lo, i[a:b], d[a:b], first[lo:hi] - a, ranks)
 
     def _scan(q, k, i, d, first, ranks):
         p = q[k]
@@ -231,20 +274,21 @@ def _min_cost_flows(residual, cost, counts: dict) -> np.ndarray:
         del row  # before cand's temporaries: the solver's traced peak stays within one stack
         cand -= col_pot[q]
         best = cand.min(axis=0)
-        kk = (best < limit[q]).ravel().nonzero()[0]
+        best[col_final[q] < np.inf] = np.inf  # a final column takes no new label
+        kk = (best < label[q] - 1e-15).ravel().nonzero()[0]
         g = kk // n
         j = kk - g * n
-        nd = best.ravel()[kk]
+        label_f[q[g] * n + j] = best.ravel()[kk]
+        del best  # before the tie-break's gather, as row above
         by = first[g]  # the pair whose row is the column's new predecessor
         if ranks > 1:
-            by += (cand == best).transpose(1, 2, 0)[g, j].argmax(axis=1)
-        at = q[g] * n + j
-        label_f[at], limit_f[at] = nd, nd - 1e-15
+            by += cand[:, g, j].argmin(axis=0)
         prev_f[q[g] * w + m + j] = i[by]
 
     while True:
         supply = residual[:, :m] > 0
-        live = supply.any(axis=1).nonzero()[0]  # supply left to place
+        held = supply.any(axis=1)
+        live = held.nonzero()[0]  # supply left to place
         if not live.size:
             counts["rounds"] += rounds
             counts["augmentations"] += augmentations
@@ -253,15 +297,22 @@ def _min_cost_flows(residual, cost, counts: dict) -> np.ndarray:
         rounds += 1
         augmentations += live.size
         label.fill(np.inf)
-        limit.fill(np.inf)
         final.fill(np.inf)
         prev.fill(-1)
-        per = max(1, SCAN_CHUNK_CELLS // (m * n))  # problems at a time: the round's (problem, row) arrays stay small
-        for lo in range(0, live.size, per):
-            q = live[lo:lo + per]
-            pairs = supply[q].ravel().nonzero()[0]  # every supply row is final at 0
+        redo = redo[held[redo]]  # a problem with no supply left needs no minima
+        per = max(1, SCAN_CHUNK_CELLS // (m * n))  # problems at a time: the (problem, row) arrays stay small
+        for lo in range(0, redo.size, per):
+            q = redo[lo:lo + per]
+            least[q], least_row[q], second[q] = _column_minima(cost[q], supply[q])
+        row_final[supply] = 0.0  # every supply row is final at 0
+        label[live], tied = _start_labels(least[live], second[live], col_pot[live])
+        prev[live, m:] = least_row[live]  # read only for a column that gets final, at a finite label
+        q = live[tied | ((row_pot[live] != 0) & supply[live]).any(axis=1)]
+        label[q], prev[q, m:] = np.inf, -1  # these problems scan their supply rows
+        for lo in range(0, q.size, per):
+            pairs = supply[q[lo:lo + per]].ravel().nonzero()[0]
             k = pairs // m
-            scan(q, k, pairs - k * m, np.zeros(pairs.size))
+            scan(q[lo:lo + per], k, pairs - k * m, np.zeros(pairs.size))
         s = live  # problems still searching
         while s.size:
             steps += 1
@@ -271,7 +322,7 @@ def _min_cost_flows(residual, cost, counts: dict) -> np.ndarray:
             if (d == np.inf).any():
                 raise RuntimeError("transport problem infeasible")
             u = s * w + m + j
-            final_f[u], label_f[at], limit_f[at] = d, np.inf, -np.inf
+            final_f[u], label_f[at] = d, np.inf
             stop = residual_f[u] > 0
             end[s[stop]] = m + j[stop]
             go = ~stop
@@ -279,14 +330,16 @@ def _min_cost_flows(residual, cost, counts: dict) -> np.ndarray:
             # reverse arcs to the rows that send flow into the column and are not final
             reach = flow[s, :, j] > 0
             reach &= row_final[s] == np.inf
-            pairs = reach.ravel().nonzero()[0]
-            if pairs.size:
+            hit = reach.any(axis=1).nonzero()[0]  # only the problems that reached a row scan
+            if hit.size:
+                pairs = reach[hit].ravel().nonzero()[0]
                 k = pairs // m
                 i = pairs - k * m
-                sk, jk = s[k], j[k]
-                nd = d[k] - (cost[sk, i, jk] + pot[sk, i] - pot_f[u[k]])
+                kh = hit[k]
+                sk, jk = s[kh], j[kh]
+                nd = d[kh] - (cost[sk, i, jk] + pot[sk, i] - pot_f[u[kh]])
                 prev_f[sk * w + i] = m + jk
-                scan(s, k, i, nd)
+                scan(s[hit], k, i, nd)
         e = end[live]
         d_e = np.full((n_problems, 1), np.inf)
         d_e[live, 0] = final[live, e]
@@ -320,3 +373,4 @@ def _min_cost_flows(residual, cost, counts: dict) -> np.ndarray:
             flow[t, i, col] -= bottleneck[t]
         residual[live, start] -= bottleneck[live]
         residual[live, e] -= bottleneck[live]
+        redo = live[residual[live, start] == 0]

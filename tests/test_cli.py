@@ -492,6 +492,8 @@ def _malformed_input(case, manifest, tmp_path):
             "embeddings-bad-header": ("x y\nfoo 1.0 2.0\n", 1),
             "embeddings-duplicate-token": ("2 2\nfoo 1.0 0.0\nfoo 0.0 1.0\n", 3),
             "embeddings-nan": ("1 2\nfoo 1.0 nan\n", 2),
+            "embeddings-dim-zero": ("1 0\nfoo\n", 1),
+            "embeddings-huge-dim": ("1 99999999999\nfoo 1\n", 2),  # no allocation from the header
         }[case]
         (tmp_path / "vecs.txt").write_text(vecs)
         return ["analyze", "--manifest", manifest, "--embeddings", tmp_path / "vecs.txt",
@@ -512,7 +514,7 @@ def _malformed_input(case, manifest, tmp_path):
     "bpe-model-missing", "bpe-model-not-a-model",
     "oracle-one-field", "manifest-unknown-id", "manifest-duplicate-id", "target-id-carriage-return",
     "embeddings-bad-header", "embeddings-duplicate-token", "embeddings-nan", "bpe-model-not-json",
-    "second-oracle-one-field", "manifest-nested-too-deep",
+    "second-oracle-one-field", "manifest-nested-too-deep", "embeddings-dim-zero", "embeddings-huge-dim",
 ])
 def test_malformed_input_files_are_data_errors(synth_manifest, tmp_path, case):
     """One `error: ` line, exit 2, in one of the four forms of an input

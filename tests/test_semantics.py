@@ -25,7 +25,15 @@ from tracex.semantics import (
     wmd,
 )
 from tracex.tokenization import TokenCounts, conventional_tokenize, count_tokens
-from tracex.transport import BATCH_BYTES, _min_cost_flows, _shape_batches, exact_costs, transport_cost
+from tracex.transport import (
+    BATCH_BYTES,
+    _column_minima,
+    _min_cost_flows,
+    _shape_batches,
+    _start_labels,
+    exact_costs,
+    transport_cost,
+)
 
 import oracles
 
@@ -452,6 +460,61 @@ def test_column_steps_give_the_node_by_node_bits(problems, extra_m, extra_n):
     assert oracles.exact_transport(problems).tobytes() == want_costs.tobytes()
 
 
+ABOVE_1 = float(np.nextafter(1.0, 2.0))  # one ulp above 1.0
+
+
+def scan_start(costs, supply, col_pot):
+    """A round-start scan of one column, written out: each supply row's
+    candidate ((0 + cost) + 0) - col_pot, the least, the lowest row among the
+    candidates equal to it, and whether another candidate rounds to the least."""
+    cand = [((0.0 + c) + 0.0) - col_pot for c, s in zip(costs, supply) if s]
+    rows = [i for i, s in enumerate(supply) if s]
+    best = min(cand)
+    return best, rows[cand.index(best)], cand.count(best) > 1
+
+
+# (costs of one column's rows, which rows have supply, the column's potential)
+START_COLUMNS = [
+    ([ABOVE_1, 1.0, 5.0], [1, 1, 1], 0.0),  # costs one ulp apart
+    ([ABOVE_1, 1.0, 5.0], [1, 1, 1], -1e-300),  # tiny and negative
+    ([ABOVE_1, 1.0, 5.0], [1, 1, 1], 1e-300),  # tiny and positive
+    ([ABOVE_1, 1.0, 5.0], [1, 1, 1], 5e-324),
+    ([ABOVE_1, 1.0, 5.0], [1, 1, 1], 1e3),  # large: the two round equal, and the scan takes row 0
+    ([ABOVE_1, 1.0, 5.0], [1, 1, 1], -1e3),
+    ([1.0, ABOVE_1, 5.0], [1, 1, 1], 1e3),
+    ([0.5, 0.5, 2.0], [1, 1, 1], 0.25),  # equal costs
+    ([0.5, 0.75, 0.5], [1, 1, 1], -1e300),
+    ([3.0, 2.0, 0.25], [1, 1, 0], 1e3),  # a row without supply is no candidate
+    ([2.0, 1.0, 3.0], [1, 1, 1], 1e3),  # apart even at a large potential
+    ([5.0, 1.0, 2.0], [0, 1, 0], 1e16),  # one supply row: no second
+    ([-0.0, 1.0, 2.0], [1, 1, 1], 0.0),  # the scan adds 0.0: the label is 0.0, not -0.0
+]
+
+
+def test_round_start_labels_keep_the_scans_lowest_row_rule():
+    """`_column_minima` and `_start_labels` give each crafted column, one
+    problem each, the bits of a supply-row scan's label, and flag exactly
+    the problems where another candidate rounds to the least. Where a
+    problem is not flagged, the cached row is the scan's row; the flag is
+    needed, as at a large potential the cached lowest row of least cost is
+    not the scan's lowest row of least rounded candidate. In one problem,
+    the flag is any column's."""
+    costs, supply, col_pot = (np.array(x, dtype=float) for x in zip(*START_COLUMNS))
+    want = [scan_start(*column) for column in START_COLUMNS]
+    least, row, second = _column_minima(costs[:, :, None].copy(), supply > 0)
+    label, tied = _start_labels(least, second, col_pot[:, None])
+    assert label.ravel().tobytes() == np.array([best for best, _, _ in want]).tobytes()
+    assert tied.tolist() == [t for _, _, t in want]
+    for (_, scan_row, _), got, flagged in zip(want, row.ravel(), tied):
+        assert flagged or got == scan_row
+    assert any(scan_row != got for (_, scan_row, _), got in zip(want, row.ravel()))
+    full = supply.all(axis=1)  # the columns whose rows all have supply, as one problem
+    least, row, second = _column_minima(costs[full].T[None].copy(), np.ones((1, 3), bool))
+    label, tied = _start_labels(least, second, col_pot[full][None])
+    assert label.tobytes() == np.array([[best for (best, _, _), f in zip(want, full) if f]]).tobytes()
+    assert tied.tolist() == [any(t for (_, _, t), f in zip(want, full) if f)]
+
+
 def test_solver_memory_stays_near_one_stack():
     """Batches of c7's shape, 20x20 bags: 327 problems as under a cap of
     131,072 cells, 582 as under a 2 MiB budget on cost and flow cells, and
@@ -579,11 +642,14 @@ def problem_bytes(m: int, n: int, supply: int) -> int:
     solver: a float64 cost and a flow per cell, the flow in the unsigned
     dtype of the batch's largest supply; float64 `residual`, `pot` and
     `final` and a signed `prev` that holds -(m + n) per node; float64
-    `label` and `limit` per column; and four 8-byte vectors (`end`, `root`,
-    `d_e`, `live`) and a flow-dtype `bottleneck` per problem."""
+    `label`, `least` and `second` and an unsigned `least_row` that holds m
+    per column; and five 8-byte vectors (`end`, `root`, `d_e`, `live`,
+    `redo`) and a flow-dtype `bottleneck` per problem."""
     flow = unsigned_for(supply).itemsize
     prev = np.dtype(next(t for t in (np.int8, np.int16, np.int32, np.int64) if -(m + n) >= np.iinfo(t).min))
-    return m * n * (8 + flow) + (m + n) * (8 + 8 + 8 + prev.itemsize) + n * (8 + 8) + 8 * 4 + flow
+    row = unsigned_for(m).itemsize
+    return (m * n * (8 + flow) + (m + n) * (8 + 8 + 8 + prev.itemsize) + n * (8 + 8 + 8 + row)
+            + 8 * 5 + flow)
 
 
 def batch_bytes(entries) -> int:
@@ -598,7 +664,7 @@ def test_shape_batches_count_everything_the_solver_holds():
     entry would break that budget. Supplies span every flow dtype. The
     budget is the smallest whole number of MiB that holds the 900 20x20
     problems of c7 (supplies at most 153) in one batch."""
-    assert problem_bytes(20, 20, 153) == 4953
+    assert problem_bytes(20, 20, 153) == 5141
     c7 = 900 * problem_bytes(20, 20, 153)
     assert BATCH_BYTES == 5 << 20 and BATCH_BYTES - (1 << 20) < c7 <= BATCH_BYTES
     rng = np.random.default_rng(3)
@@ -616,8 +682,8 @@ def test_shape_batches_count_everything_the_solver_holds():
 def test_shape_batches_fit_c7_in_one_batch_until_flows_need_four_bytes():
     """c7's 900 problems of 20x20 cells go in one batch while their flows
     fit one byte (c7's supplies are at most 153) or two, and in two batches
-    of 851 and 49 once they need four bytes."""
-    for supply, widths in ((153, [900]), (300, [900]), (70_000, [851, 49])):
+    of 826 and 74 once they need four bytes."""
+    for supply, widths in ((153, [900]), (300, [900]), (70_000, [826, 74])):
         exact = [(20, 20, supply)] * 900
         assert [shape for _, shape in _shape_batches(exact)] == [(b, 20, 20) for b in widths]
 
