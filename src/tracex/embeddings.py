@@ -10,15 +10,18 @@ step. Where a row or a target occurs more than once in a step (a word twice
 in one window, a noise word equal to the predicted word), its updates
 accumulate. Each document's windows are one flat table of input rows with
 per-position bounds, and the input and output matrices are two halves of one
-array, so a step is two `take` gathers, three products and two
-`np.subtract.at` scatters. The scatters go to the array's flat view, at cell
-indices from two tables built once per document (its steps' targets, its
-window table's rows): NumPy's `ufunc.at` is fastest on 1-D indices, and
-each cell gets its updates in the same order as from a scatter of rows.
+array, so a step is two `take` gathers, three `ndarray.dot` products (the
+BLAS calls of `@`, with less overhead per call on these small matrices) and
+two `np.subtract.at` scatters. The scatters go to the array's flat view, at
+cell indices from two tables (its steps' targets, its window table's rows)
+built for TABLE_CELLS // dim positions of a document at a time, so they stay
+a few MiB whatever the document's length: NumPy's `ufunc.at` is fastest on
+1-D indices, and each cell gets its updates in the same order as from a
+scatter of rows.
 Training is single-worker and bit-deterministic for a fixed seed; the mean
 loss of each epoch is returned and recorded in `run.json` as
 `epoch_losses`. A plain-text loader accepts externally trained vectors; it
-sizes nothing from the file's header before the rows are checked.
+sizes its matrix once the first row has confirmed the header's dim.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ NOISE_EXPONENT = 0.75
 LEARNING_RATE = 0.025
 MIN_LR_FRACTION = 1e-4
 EPS = 1e-12  # keeps the loss finite where a prediction rounds to 0 or 1
+TABLE_CELLS = 1 << 14  # positions x dim per block of a document's cell tables
 
 
 class EmbeddingError(DataError):
@@ -94,7 +98,7 @@ def load_embeddings(path: str | Path) -> EmbeddingMatrix:
     if len(lines) - 1 != count:
         raise EmbeddingError(malformed("embedding file", path, f"{count} rows promised, {len(lines) - 1} found"))
     vocab: dict[str, None] = {}  # the tokens in file order
-    rows = []  # nothing is sized from the header: each row is checked first
+    rows = np.empty((0, dim))  # sized once line 2 has confirmed dim
     for lineno, line in enumerate(lines[1:], start=2):
         fields = line.split()
         try:
@@ -102,13 +106,15 @@ def load_embeddings(path: str | Path) -> EmbeddingMatrix:
                 raise ValueError(f"expected {dim} floats, got {len(fields) - 1}")
             if fields[0] in vocab:
                 raise ValueError(f"duplicate token {fields[0]!r}")
-            rows.append([float(x) for x in fields[1:]])
-            if not np.isfinite(rows[-1]).all():
+            if lineno == 2:
+                rows = np.empty((count, dim))
+            rows[lineno - 2] = [float(x) for x in fields[1:]]
+            if not np.isfinite(rows[lineno - 2]).all():
                 raise ValueError("a value is not finite")
         except ValueError as exc:
             raise EmbeddingError(malformed("embedding file", path, exc, lineno)) from exc
         vocab[fields[0]] = None
-    return EmbeddingMatrix(vocab=list(vocab), vectors=np.array(rows).reshape(count, dim))
+    return EmbeddingMatrix(vocab=list(vocab), vectors=rows)
 
 
 def _build_vocab(corpus: list[list[str]]) -> tuple[list[str], np.ndarray, list[list[int]]]:
@@ -153,6 +159,7 @@ def _train_sgns(
     labels[0] = 1.0
     dim, cells = cfg.dim, np.arange(cfg.dim)  # row r holds the cells r * dim + cells of w's flat view
     step_cells = np.tile(cells, 1 + NEGATIVES)
+    per = max(1, TABLE_CELLS // dim)  # positions per block of cell tables: their size is bounded
     # looked up once: the step loop below runs once per predicted word
     take, exp, scatter, neg, div = w.take, np.exp, np.subtract.at, np.negative, np.divide
     w_flat = w.reshape(-1)  # a view: ufunc.at runs fastest on 1-D cell indices
@@ -167,34 +174,37 @@ def _train_sgns(
             flat, bounds = inputs(di, doc, rng)
             noise = np.searchsorted(noise_cdf, rng.random((len(doc), NEGATIVES)))
             targets_at = np.column_stack((doc, noise)) + n_inputs  # rows of w's output half
-            # the cells of each step's targets, and of the window table's rows, in order
-            target_cells = targets_at.repeat(dim, axis=1) * dim + step_cells
-            row_cells = (flat[:, None] * dim + cells).ravel()
             # each step's rate, by the same IEEE operations as a scalar
             # expression: step counts below 2**53 are exact as floats
             steps = np.arange(processed, processed + len(doc))
             lrs = (LEARNING_RATE * np.maximum(MIN_LR_FRACTION, 1.0 - steps / total_words)).tolist()
             processed += len(doc)
             doc_preds = []
-            for lo, hi, targets, to, lr in zip(bounds, bounds[1:], targets_at, target_cells, lrs):
-                if lo == hi:
-                    continue
-                rows = flat[lo:hi]
-                v = take(rows, axis=0)
-                o = take(targets, axis=0)
-                preds = v @ o.T  # sigmoid in place: 1 / (1 + exp(-x))
-                neg(preds, preds)
-                exp(preds, preds)
-                preds += 1.0
-                div(1.0, preds, preds)
-                grad = preds - labels
-                d_out = grad.T @ v
-                d_out *= lr
-                scatter(w_flat, to, d_out.ravel())
-                d_in = grad @ o
-                d_in *= lr
-                scatter(w_flat, row_cells[lo * dim:hi * dim], d_in.ravel())
-                doc_preds.append(preds)
+            for b in range(0, len(doc), per):
+                # the cells of these steps' targets, and of their window table's rows, in order
+                at, base, top = slice(b, b + per), bounds[b], bounds[min(b + per, len(doc))]
+                target_cells = targets_at[at].repeat(dim, axis=1) * dim + step_cells
+                row_cells = (flat[base:top, None] * dim + cells).ravel()
+                ends = bounds[b + 1:b + per + 1]
+                for lo, hi, targets, to, lr in zip(bounds[at], ends, targets_at[at], target_cells, lrs[at]):
+                    if lo == hi:
+                        continue
+                    rows = flat[lo:hi]
+                    v = take(rows, axis=0)
+                    o = take(targets, axis=0)
+                    preds = v.dot(o.T)  # sigmoid in place: 1 / (1 + exp(-x))
+                    neg(preds, preds)
+                    exp(preds, preds)
+                    preds += 1.0
+                    div(1.0, preds, preds)
+                    grad = preds - labels
+                    d_out = grad.T.dot(v)
+                    d_out *= lr
+                    scatter(w_flat, to, d_out.ravel())
+                    d_in = grad.dot(o)
+                    d_in *= lr
+                    scatter(w_flat, row_cells[(lo - base) * dim:(hi - base) * dim], d_in.ravel())
+                    doc_preds.append(preds)
             if doc_preds:  # one loss term per (row, word) prediction
                 preds = np.concatenate(doc_preds)
                 log_lik += np.log(preds[:, 0] + EPS).sum()

@@ -164,15 +164,17 @@ def _column_minima(cost, supply) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return least, row, cost.min(axis=1)
 
 
-def _start_labels(least, second, col_pot) -> tuple[np.ndarray, np.ndarray]:
+def _start_labels(least, second, col_pot, moved) -> tuple[np.ndarray, np.ndarray]:
     """Round-start column labels, from `_column_minima`, where every supply
     row has potential 0.0: a scan's candidate is ((0 + cost) + 0) - col_pot.
-    Also, per problem, whether a finite column's second-least candidate
-    rounds to its least, where the scan's lowest row may not be least_row."""
+    Also, per problem, whether it must scan its supply rows instead: where a
+    finite column's second-least candidate rounds to its least, the scan's
+    lowest row may not be least_row, and where a supply row's potential has
+    moved off 0.0 (`moved`, per problem), the labels are not these."""
     label = least - col_pot
     tied = second - col_pot
     tied = (tied == label) & (label < np.inf)
-    return label, tied.any(axis=1)
+    return label, tied.any(axis=1) | moved
 
 
 def _min_cost_flows(residual, cost, counts: dict) -> np.ndarray:
@@ -305,9 +307,10 @@ def _min_cost_flows(residual, cost, counts: dict) -> np.ndarray:
             q = redo[lo:lo + per]
             least[q], least_row[q], second[q] = _column_minima(cost[q], supply[q])
         row_final[supply] = 0.0  # every supply row is final at 0
-        label[live], tied = _start_labels(least[live], second[live], col_pot[live])
+        moved = ((row_pot[live] != 0) & supply[live]).any(axis=1)
+        label[live], scans = _start_labels(least[live], second[live], col_pot[live], moved)
         prev[live, m:] = least_row[live]  # read only for a column that gets final, at a finite label
-        q = live[tied | ((row_pot[live] != 0) & supply[live]).any(axis=1)]
+        q = live[scans]
         label[q], prev[q, m:] = np.inf, -1  # these problems scan their supply rows
         for lo in range(0, q.size, per):
             pairs = supply[q[lo:lo + per]].ravel().nonzero()[0]
@@ -330,16 +333,17 @@ def _min_cost_flows(residual, cost, counts: dict) -> np.ndarray:
             # reverse arcs to the rows that send flow into the column and are not final
             reach = flow[s, :, j] > 0
             reach &= row_final[s] == np.inf
-            hit = reach.any(axis=1).nonzero()[0]  # only the problems that reached a row scan
-            if hit.size:
-                pairs = reach[hit].ravel().nonzero()[0]
-                k = pairs // m
-                i = pairs - k * m
-                kh = hit[k]
+            pairs = np.flatnonzero(reach)
+            if pairs.size:
+                kh = pairs // m
+                i = pairs - kh * m
                 sk, jk = s[kh], j[kh]
                 nd = d[kh] - (cost[sk, i, jk] + pot[sk, i] - pot_f[u[kh]])
                 prev_f[sk * w + i] = m + jk
-                scan(s[hit], k, i, nd)
+                new = np.empty(kh.size, dtype=bool)  # only the problems that reached a row scan
+                new[0] = True
+                np.not_equal(kh[1:], kh[:-1], out=new[1:])
+                scan(s[kh[new]], new.cumsum() - 1, i, nd)
         e = end[live]
         d_e = np.full((n_problems, 1), np.inf)
         d_e[live, 0] = final[live, e]

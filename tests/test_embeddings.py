@@ -1,9 +1,11 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import oracles
+from tracex import embeddings
 from tracex.corpus import generate_synthetic
 from tracex.embeddings import (
     EPS,
@@ -205,6 +207,42 @@ def test_trainer_matches_the_list_based_loop(trainer, corpus):
     assert w_in.tobytes() == ref_in.tobytes()
     assert w_out.tobytes() == ref_out.tobytes()
     assert losses == ref_losses
+
+
+@pytest.mark.parametrize("trainer", ["skipgram", "pvdbow"])
+@pytest.mark.parametrize("per", [1, 3])
+def test_trainer_bits_do_not_depend_on_table_blocks(monkeypatch, trainer, per):
+    """Cell tables built `per` positions at a time, so that blocks end
+    inside documents, still give the list-based loop's bits."""
+    monkeypatch.setattr(embeddings, "TABLE_CELLS", per * 5 + 4)  # dim 5: per positions a block
+    tokens, cfg = SGNS_CORPORA["random"] + SGNS_CORPORA["repeat-in-window"], TrainConfig(dim=5, epochs=2, seed=11)
+    _, counts, docs = _build_vocab(tokens)
+    if trainer == "skipgram":
+        docs = [d for d in docs if d]
+        n_inputs, table, lists = len(counts), _windows, oracles.window_lists
+    else:
+        n_inputs, table, lists = len(docs), _own_row, oracles.own_row_lists
+    w_in, w_out, losses = _train_sgns(docs, counts, n_inputs, table, cfg)
+    ref_in, ref_out, ref_losses = oracles.sgns_by_lists(docs, counts, n_inputs, lists, cfg)
+    assert w_in.tobytes() == ref_in.tobytes()
+    assert w_out.tobytes() == ref_out.tobytes()
+    assert losses == ref_losses
+
+
+def test_cell_tables_stay_small_on_a_long_document():
+    """The trainer holds O(len(doc)) per document, not O(len(doc) * dim):
+    on one 4,000-token document at dim 256, whole-document cell tables
+    would take about 95 MiB; blocks of TABLE_CELLS // dim positions keep
+    the traced peak near the 5.5 MiB of row-index scatters."""
+    tokens = [[f"w{i}" for i in np.random.default_rng(0).integers(0, 50, 4000)]]
+    _, counts, docs = _build_vocab(tokens)
+    tracemalloc.start()
+    try:
+        _train_sgns(docs, counts, len(counts), _windows, TrainConfig(dim=256, epochs=1, seed=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20
 
 
 # Final epoch loss of the per-(row, word) trainer that preceded the batched

@@ -502,7 +502,7 @@ def test_round_start_labels_keep_the_scans_lowest_row_rule():
     costs, supply, col_pot = (np.array(x, dtype=float) for x in zip(*START_COLUMNS))
     want = [scan_start(*column) for column in START_COLUMNS]
     least, row, second = _column_minima(costs[:, :, None].copy(), supply > 0)
-    label, tied = _start_labels(least, second, col_pot[:, None])
+    label, tied = _start_labels(least, second, col_pot[:, None], np.zeros(len(costs), bool))
     assert label.ravel().tobytes() == np.array([best for best, _, _ in want]).tobytes()
     assert tied.tolist() == [t for _, _, t in want]
     for (_, scan_row, _), got, flagged in zip(want, row.ravel(), tied):
@@ -510,9 +510,39 @@ def test_round_start_labels_keep_the_scans_lowest_row_rule():
     assert any(scan_row != got for (_, scan_row, _), got in zip(want, row.ravel()))
     full = supply.all(axis=1)  # the columns whose rows all have supply, as one problem
     least, row, second = _column_minima(costs[full].T[None].copy(), np.ones((1, 3), bool))
-    label, tied = _start_labels(least, second, col_pot[full][None])
+    label, tied = _start_labels(least, second, col_pot[full][None], np.zeros(1, bool))
     assert label.tobytes() == np.array([[best for (best, _, _), f in zip(want, full) if f]]).tobytes()
     assert tied.tolist() == [any(t for (_, _, t), f in zip(want, full) if f)]
+
+
+def test_a_supply_row_off_potential_zero_scans_as_the_parent_round(monkeypatch):
+    """Round-off can put a round's end column below 0, so a supply row's
+    potential leaves 0.0: near-tie costs (multiples of 1/8 plus noise below
+    1e-14) reach that within a few rounds. `_start_labels` must send each
+    such problem to the supply-row scan, and the flows and counts equal a
+    solve where every problem scans its supply rows every round."""
+    rng = np.random.default_rng(4)
+    cost = np.round(rng.random((200, 4, 4)) * 8) / 8 + rng.random((200, 4, 4)) * 1e-14
+    residual = oracles.cross_scaled(cost, rng.integers(1, 6, (200, 4)), rng.integers(1, 6, (200, 4)))
+    start_labels, off_zero = transport._start_labels, []
+
+    def spy(least, second, col_pot, moved):
+        label, scans = start_labels(least, second, col_pot, moved)
+        assert scans[moved].all()
+        off_zero.append(int(moved.sum()))
+        return label, scans
+
+    def every_problem_scans(least, second, col_pot, moved):
+        label, _ = start_labels(least, second, col_pot, moved)
+        return label, np.ones(len(label), bool)
+
+    solved = []
+    for start in (spy, every_problem_scans):
+        monkeypatch.setattr(transport, "_start_labels", start)
+        counts = {"rounds": 0, "augmentations": 0, "steps": 0}
+        solved.append((_min_cost_flows(residual.copy(), cost, counts).tobytes(), counts))
+    assert sum(off_zero) > 0
+    assert solved[0] == solved[1]
 
 
 def test_solver_memory_stays_near_one_stack():
