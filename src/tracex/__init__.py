@@ -8,7 +8,6 @@ reports (information tables, by-link tables, correlations, edge cases).
 
 from tracex.embeddings import TrainConfig, train_skipgram
 from tracex.evaluation import roc_auc, tie_groups
-from tracex.infotheory import info_record
 from tracex.semantics import soft_cosine, wmd
 from tracex.tokenization import conventional_tokenize, count_tokens
 
@@ -16,7 +15,6 @@ __all__ = [
     "TrainConfig",
     "conventional_tokenize",
     "count_tokens",
-    "info_record",
     "roc_auc",
     "soft_cosine",
     "tie_groups",

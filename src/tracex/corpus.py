@@ -98,6 +98,9 @@ class Testbed:
         )
         if dangling:
             raise CorpusError(f"oracle references unknown artifact ids: {', '.join(dangling)}")
+        # the name is the testbed's report directory under out/reports/
+        if self.name in ("", ".", "..") or any(sep in self.name for sep in "/\\\0"):
+            raise CorpusError(f"name {self.name!r} is not one safe path component")
 
     @property
     def n_all(self) -> int:
@@ -118,7 +121,9 @@ def load_testbed(manifest_path: str | Path) -> Testbed:
     The manifest holds {"name", "source_dir", "target_dir", "oracle_file"};
     other keys are ignored. Directories contain one file per artifact (id =
     basename without extension), the oracle is answer-file style:
-    ``source_id target_id_1 target_id_2 ...`` per line, '#' comments ignored.
+    ``source_id target_id_1 target_id_2 ...`` per line. A line whose first
+    non-blank character is '#' is a comment; a '#' later in a line is part
+    of an id.
     """
     manifest_path = Path(manifest_path)
     try:
@@ -136,7 +141,7 @@ def load_testbed(manifest_path: str | Path) -> Testbed:
     links = _read_oracle(base / manifest["oracle_file"])
     try:
         return Testbed(name=manifest["name"], sources=sources, targets=targets, links=links)
-    except CorpusError as exc:  # duplicate or unknown artifact ids
+    except CorpusError as exc:  # duplicate or unknown artifact ids, or an unsafe name
         raise CorpusError(malformed("manifest", manifest_path, exc)) from exc
 
 

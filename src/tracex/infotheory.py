@@ -9,17 +9,16 @@ the source, so mi + loss = h_x and mi + noise = h_y hold exactly.
 All logarithms are base 2; values are bits.
 
 `info_columns` scores every pair of a testbed at once; it is the one
-implementation of these measures. `info_record` reads one pair from it.
-`counts_entropy`'s sum, the pooled correction's row sums over the F-ordered
-block and the si/sx cumsums run left to right from 0, so their bits do not
-depend on the Python version (3.12's sum() compensates). Each artifact's own
-sum of c log2 c is NumPy's `ndarray.sum()`, a pairwise sum.
+implementation of these measures. `counts_entropy`'s sum, the pooled
+correction's row sums over the F-ordered block and the si/sx cumsums run
+left to right from 0, so their bits do not depend on the Python version
+(3.12's sum() compensates). Each artifact's own sum of c log2 c is NumPy's
+`ndarray.sum()`, a pairwise sum.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,45 +38,6 @@ def counts_entropy(counts: TokenCounts) -> float:
     for c in support:
         xlogx += c * math.log2(c)
     return math.log2(total) - xlogx / total
-
-
-@dataclass
-class InfoRecord:
-    """Per-pair information bundle.
-
-    d2 and d3 follow the published-table convention: d2 = h_y minus the
-    reported noise column (which numerically equals this loss) and
-    d3 = h_x minus the reported loss column (numerically this noise).
-    They are formed from this pair's own fields, not by info_columns.
-    Fields are None when a side is empty (flagged, not fatal).
-    """
-
-    h_x: float | None
-    h_y: float | None
-    h_pool: float | None
-    mi: float | None
-    loss: float | None
-    noise: float | None
-    si: float
-    sx: float
-    d1: float | None
-    d2: float | None
-    d3: float | None
-    null_shared: bool
-
-
-def info_record(src_counts: TokenCounts, tgt_counts: TokenCounts) -> InfoRecord:
-    """Every information measure for one candidate pair: cell (0, 0) of
-    info_columns, with None where a measure is undefined, and d2 and d3."""
-    values, masks, null_shared = info_columns([src_counts], [tgt_counts])
-    record = {name: float(v[0, 0]) if masks[name][0, 0] else None for name, v in values.items()}
-    defined = record["loss"] is not None
-    return InfoRecord(
-        **record,
-        d2=record["h_y"] - record["loss"] if defined else None,
-        d3=record["h_x"] - record["noise"] if defined else None,
-        null_shared=bool(null_shared[0, 0]),
-    )
 
 
 def _xlog2x(c: np.ndarray) -> np.ndarray:
@@ -107,10 +67,10 @@ def _target_index(tgt_counts: list[TokenCounts], col: dict[str, int]):
 def info_columns(
     src_counts: list[TokenCounts], tgt_counts: list[TokenCounts]
 ) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray], np.ndarray]:
-    """Every InfoRecord measure but d2 and d3 for every pair of
-    src_counts x tgt_counts, a mask per measure and the null_shared flags,
-    as (n_src, n_tgt) arrays. d2 and d3 are differences of these columns:
-    the report and info_record form them where they are read.
+    """Every information measure for every pair of src_counts x
+    tgt_counts, a mask per measure and the null_shared flags, as
+    (n_src, n_tgt) arrays. The published table's d2 and d3 are differences
+    of these columns: the report forms them where it reads them.
 
     h_x needs a non-empty source, h_y a non-empty target, and the other
     measures except si/sx need both; undefined entries hold NaN.

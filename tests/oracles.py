@@ -1,9 +1,12 @@
 """Single-pair reference implementations of the information and semantic measures.
 
 These score one (source, target) pair from its token-count dicts, one
-measure at a time, with none of the engines' shared per-artifact arrays.
-The engine property tests compare `info_columns` and `semantic_columns`
-against them; the library never calls them. `conventional_pieces` is the
+measure at a time, with none of the engines' shared per-artifact arrays
+and with their own `entropy`, not the engine's `counts_entropy`. The
+engine property tests compare `info_columns` and `semantic_columns`
+against them; the library never calls them. `info_cell` is the other
+side: one pair's measures as the engine and the report give them, for the
+tests that state them pair by pair. `conventional_pieces` is the
 two-split reference for `conventional_tokenize`'s one regex pass.
 `exact_transport` solves transport problems through `exact_costs`,
 `padded_stack` lays them out as the solver's padded cost stack, and
@@ -17,6 +20,7 @@ from __future__ import annotations
 
 import math
 import re
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +34,8 @@ from tracex.embeddings import (
     EmbeddingMatrix,
     TrainConfig,
 )
-from tracex.infotheory import InfoRecord, counts_entropy
+from tracex.infotheory import info_columns
+from tracex.report import information_table
 from tracex.semantics import EXACT_WMD_PAIR_LIMIT, relaxed_wmd
 from tracex.tokenization import MIN_TOKEN_LEN, TokenCounts
 from tracex.transport import exact_costs, transport_cost
@@ -61,15 +66,16 @@ def pool(a: TokenCounts, b: TokenCounts) -> TokenCounts:
     return TokenCounts({t: c for t, c in merged.items() if c > 0})
 
 
-def pooled_mutual_information(a: TokenCounts, b: TokenCounts) -> float:
-    """MI = H(a) + H(b) - H(pool(a, b)). May be negative for disjoint bags."""
-    return counts_entropy(a) + counts_entropy(b) - counts_entropy(pool(a, b))
-
-
-def conditional_entropies(a: TokenCounts, b: TokenCounts) -> tuple[float, float]:
-    """Return (loss, noise) = (H_pool - H(b), H_pool - H(a))."""
-    h_pool = counts_entropy(pool(a, b))
-    return h_pool - counts_entropy(b), h_pool - counts_entropy(a)
+def entropy(counts: TokenCounts) -> float:
+    """H = -sum p log2 p over the positive counts, normalized; a point mass
+    is exactly 0.0."""
+    support = [c for c in counts.counts.values() if c > 0]
+    if not support:
+        raise ValueError("entropy of empty counts is undefined")
+    if len(support) == 1:
+        return 0.0
+    total = sum(support)
+    return 0.0 - sum(c / total * math.log2(c / total) for c in support)
 
 
 def min_shared_counts(a: TokenCounts, b: TokenCounts) -> TokenCounts:
@@ -84,7 +90,7 @@ def msi_entropy(a: TokenCounts, b: TokenCounts) -> float:
     shared = min_shared_counts(a, b)
     if shared.total == 0:
         return 0.0
-    return counts_entropy(shared)
+    return entropy(shared)
 
 
 def extropy(probs: list[float]) -> float:
@@ -101,7 +107,27 @@ def msi_extropy(a: TokenCounts, b: TokenCounts) -> float:
     return extropy([c / total for c in shared.counts.values()])
 
 
-def info_record(src_counts: TokenCounts, tgt_counts: TokenCounts) -> InfoRecord:
+@dataclass
+class PairInfo:
+    """Every information measure of one (source, target) pair, None where
+    undefined; d2 = h_y - loss and d3 = h_x - noise are the published
+    table's columns."""
+
+    h_x: float | None
+    h_y: float | None
+    h_pool: float | None
+    mi: float | None
+    loss: float | None
+    noise: float | None
+    si: float
+    sx: float
+    d1: float | None
+    d2: float | None
+    d3: float | None
+    null_shared: bool
+
+
+def info_record(src_counts: TokenCounts, tgt_counts: TokenCounts) -> PairInfo:
     """Every pairwise information measure for one candidate pair."""
     null_shared = min_shared_counts(src_counts, tgt_counts).total == 0
     si = msi_entropy(src_counts, tgt_counts)
@@ -110,25 +136,37 @@ def info_record(src_counts: TokenCounts, tgt_counts: TokenCounts) -> InfoRecord:
     src_empty = src_counts.total == 0
     tgt_empty = tgt_counts.total == 0
     if src_empty or tgt_empty:
-        h_x = None if src_empty else counts_entropy(src_counts)
-        h_y = None if tgt_empty else counts_entropy(tgt_counts)
-        return InfoRecord(
+        h_x = None if src_empty else entropy(src_counts)
+        h_y = None if tgt_empty else entropy(tgt_counts)
+        return PairInfo(
             h_x=h_x, h_y=h_y, h_pool=None, mi=None, loss=None, noise=None,
             si=si, sx=sx, d1=None, d2=None, d3=None,
             null_shared=null_shared,
         )
 
-    h_x = counts_entropy(src_counts)
-    h_y = counts_entropy(tgt_counts)
-    h_pool = counts_entropy(pool(src_counts, tgt_counts))
+    h_x = entropy(src_counts)
+    h_y = entropy(tgt_counts)
+    h_pool = entropy(pool(src_counts, tgt_counts))
     mi = h_x + h_y - h_pool
     loss = h_pool - h_y
     noise = h_pool - h_x
-    return InfoRecord(
+    return PairInfo(
         h_x=h_x, h_y=h_y, h_pool=h_pool, mi=mi, loss=loss, noise=noise,
         si=si, sx=sx,
         d1=h_y - h_x, d2=h_y - loss, d3=h_x - noise,
         null_shared=null_shared,
+    )
+
+
+def info_cell(src_counts: TokenCounts, tgt_counts: TokenCounts) -> PairInfo:
+    """What the engine reports for one pair: cell (0, 0) of
+    `info_columns([src], [tgt])`, None where its mask is false, with d2 and
+    d3 from the report's information table over that one pair."""
+    values, masks, null_shared = info_columns([src_counts], [tgt_counts])
+    table = information_table({name: v.ravel() for name, v in values.items()}, "pair")
+    return PairInfo(
+        **{name: float(v[0, 0]) if masks[name][0, 0] else None for name, v in values.items()},
+        d2=table["d2"], d3=table["d3"], null_shared=bool(null_shared[0, 0]),
     )
 
 

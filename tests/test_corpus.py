@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -62,6 +63,16 @@ def test_dangling_oracle_id_named(tmp_path):
     manifest = make_testbed(tmp_path, {"R1": "a"}, {"C1": "b"}, ["R1 UC99"])
     with pytest.raises(CorpusError, match="UC99"):
         load_testbed(manifest)
+
+
+def test_hash_after_the_first_field_is_part_of_an_id(tmp_path, capsys):
+    """Only a line whose first non-blank character is '#' is a comment."""
+    manifest = make_testbed(tmp_path, {"R1": "a"}, {"C1": "b"}, ["  # indented comment", "R1 C1  # planted link"])
+    detail = "oracle references unknown artifact ids: #, link, planted"
+    with pytest.raises(CorpusError, match=f"^{re.escape(f'malformed manifest {manifest}: {detail}')}$"):
+        load_testbed(manifest)
+    assert main(["validate", str(manifest)]) == 2
+    assert capsys.readouterr().err == f"error: malformed manifest {manifest}: {detail}\n"
 
 
 def test_missing_manifest():

@@ -9,13 +9,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tracex.infotheory import InfoRecord, counts_entropy, info_columns, info_record
+from tracex.infotheory import counts_entropy, info_columns
 from tracex.pipeline import NumericError, _check_finite
 from tracex.report import IdColumn
 from tracex.tokenization import TokenCounts, count_tokens
 
 import oracles
-from oracles import extropy, min_shared_counts, pool
+from oracles import PairInfo, extropy, info_cell, min_shared_counts, pool
 
 A = TokenCounts({"for": 14, "if": 3, "return": 10})
 B = TokenCounts({"for": 10, "return": 20})
@@ -28,24 +28,25 @@ def test_pool_examples():
 
 
 def test_mi_disjoint_singletons_negative():
-    rec = info_record(count_tokens(["x"]), count_tokens(["y"]))
+    rec = info_cell(count_tokens(["x"]), count_tokens(["y"]))
     assert rec.mi == pytest.approx(-1.0, abs=1e-12)
     assert rec.loss == pytest.approx(1.0)
     assert rec.noise == pytest.approx(1.0)
 
 
 def test_conditional_entropies_identical():
-    rec = info_record(B, B)
+    rec = info_cell(B, B)
     assert (rec.loss, rec.noise) == (pytest.approx(0.0), pytest.approx(0.0))
 
 
 def test_info_record_independent_of_string_hashing():
     code = (
-        "from tracex.infotheory import info_record\n"
+        "from tracex.infotheory import info_columns\n"
         "from tracex.tokenization import TokenCounts\n"
         "a = TokenCounts({f'w{i}': i % 5 + 1 for i in range(30)})\n"
         "b = TokenCounts({f'w{i}': i % 3 + 1 for i in range(10, 40)})\n"
-        "print(info_record(a, b))\n"
+        "values, masks, null_shared = info_columns([a], [b])\n"
+        "print({name: v.tolist() for name, v in values.items()}, null_shared.tolist())\n"
     )
     outputs = {
         subprocess.run(
@@ -66,7 +67,7 @@ def test_min_shared_vector():
 
 
 def test_msi_entropy_and_extropy_binary():
-    rec = info_record(A, B)
+    rec = info_cell(A, B)
     assert rec.si == pytest.approx(1.0, abs=1e-12)
     assert rec.sx == pytest.approx(1.0, abs=1e-12)
 
@@ -76,7 +77,7 @@ def test_extropy_uniform_four():
 
 
 def test_info_record_identical():
-    rec = info_record(A, A)
+    rec = info_cell(A, A)
     h = counts_entropy(A)
     assert rec.mi == pytest.approx(h, abs=1e-12)
     assert rec.loss == pytest.approx(0.0, abs=1e-12)
@@ -87,7 +88,7 @@ def test_info_record_identical():
 
 
 def test_info_record_worked_pair():
-    rec = info_record(A, B)
+    rec = info_cell(A, B)
     assert rec.si == pytest.approx(1.0)
     assert rec.mi == pytest.approx(rec.h_x + rec.h_y - rec.h_pool, abs=1e-9)
     assert rec.mi + rec.loss == pytest.approx(rec.h_x, abs=1e-9)
@@ -95,15 +96,15 @@ def test_info_record_worked_pair():
 
 
 def test_info_record_disjoint_pair():
-    rec = info_record(count_tokens(["aa", "bb"]), count_tokens(["cc"]))
+    rec = info_cell(count_tokens(["aa", "bb"]), count_tokens(["cc"]))
     assert rec.null_shared
     assert rec.si == 0.0
     assert rec.sx == 0.0
 
 
 def test_info_record_empty_side_flagged():
-    rec = info_record(TokenCounts({}), B)
-    assert isinstance(rec, InfoRecord)
+    rec = info_cell(TokenCounts({}), B)
+    assert isinstance(rec, PairInfo)
     assert rec.h_x is None
     assert rec.h_y is not None
     assert rec.mi is None
@@ -121,11 +122,11 @@ counts_strategy = st.dictionaries(
 @given(counts_strategy, counts_strategy)
 def test_identities_and_symmetry(ca, cb):
     a, b = TokenCounts(ca), TokenCounts(cb)
-    rec = info_record(a, b)
+    rec = info_cell(a, b)
     assert abs(rec.mi - (rec.h_x + rec.h_y - rec.h_pool)) < 1e-9
     assert abs(rec.mi + rec.loss - rec.h_x) < 1e-9
     assert abs(rec.mi + rec.noise - rec.h_y) < 1e-9
-    rev = info_record(b, a)
+    rev = info_cell(b, a)
     assert rec.mi == pytest.approx(rev.mi, abs=1e-12)
     assert (rec.si, rec.sx, rec.null_shared) == (rev.si, rev.sx, rev.null_shared)
 
@@ -151,24 +152,24 @@ def test_disjoint_closed_form(ca, cb):
     wa = a.total / (a.total + b.total)
     binary = -(wa * math.log2(wa) + (1 - wa) * math.log2(1 - wa)) if 0 < wa < 1 else 0.0
     expected = wa * counts_entropy(a) + (1 - wa) * counts_entropy(b) + binary
-    assert info_record(a, b).h_pool == pytest.approx(expected, abs=1e-9)
+    assert info_cell(a, b).h_pool == pytest.approx(expected, abs=1e-9)
 
 
 @given(counts_strategy, counts_strategy)
 def test_si_zero_iff_at_most_one_shared_token(ca, cb):
     nonzero = len(ca.keys() & cb.keys())  # counts are positive
-    assert (info_record(TokenCounts(ca), TokenCounts(cb)).si == 0.0) == (nonzero <= 1)
+    assert (info_cell(TokenCounts(ca), TokenCounts(cb)).si == 0.0) == (nonzero <= 1)
 
 
 @given(st.integers(min_value=1, max_value=40), st.integers(min_value=1, max_value=40))
 def test_two_outcome_extropy_equals_entropy(c1, c2):
     a = TokenCounts({"x": c1, "y": c2})
-    rec = info_record(a, a)
+    rec = info_cell(a, a)
     assert rec.sx == pytest.approx(rec.si, abs=1e-12)
 
 
 def test_extropy_of_point_mass_is_float_zero():
-    assert repr(info_record(A, TokenCounts({"for": 2})).sx) == "0.0"
+    assert repr(info_cell(A, TokenCounts({"for": 2})).sx) == "0.0"
 
 
 # Bags for the all-pairs engine: empty, single-token and skewed counts over a
@@ -182,14 +183,14 @@ bag_strategy = st.dictionaries(
 
 def assert_columns_match_records(src, tgt):
     """info_columns against the reference, pair by pair; d2 and d3, which
-    info_columns leaves to its readers, through info_record."""
+    info_columns leaves to the report, through info_cell."""
     values, masks, null_shared = info_columns(src, tgt)
-    assert set(values) == set(masks) == {f.name for f in fields(InfoRecord)} - {"null_shared", "d2", "d3"}
+    assert set(values) == set(masks) == {f.name for f in fields(PairInfo)} - {"null_shared", "d2", "d3"}
     for i, a in enumerate(src):
         for j, b in enumerate(tgt):
             rec = oracles.info_record(a, b)
             assert bool(null_shared[i, j]) == rec.null_shared
-            got_record = info_record(a, b)
+            got_record = info_cell(a, b)
             for name in ("d2", "d3"):
                 expected, got = getattr(rec, name), getattr(got_record, name)
                 assert (got is None) == (expected is None), name
